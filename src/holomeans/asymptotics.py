@@ -29,6 +29,7 @@ import numpy as np
 
 from .density import lambda_of, young_conjugate
 from .errors import (
+    HolomeansError,
     InsufficientDataError,
     InvalidParameterError,
     InvalidSweepError,
@@ -153,14 +154,19 @@ class AmvpVerdict:
     consistent: bool
 
 
+def _field_value(f, z):
+    return complex(np.asarray(f(np.asarray([z], dtype=complex)))[0])
+
+
 def sweep(kind, f, z, d, cfg=None):
     """Run one mean at every radius of the ladder.
 
     ``kind`` selects the mean: ``variational`` (derivative-detecting mean),
     ``conjugate`` (conjugate-transformed mean), ``pair_increment`` (pair mean
     value minus the field value at the center) or ``infinity`` (sup mean).
-    Radii whose solve fails are recorded and skipped; fewer than
-    ``cfg.min_successes`` usable radii raise :class:`InsufficientDataError`.
+    Radii whose solve fails, or raises a :class:`HolomeansError`, are
+    recorded and skipped; fewer than ``cfg.min_successes`` usable radii
+    raise :class:`InsufficientDataError`.  Other exceptions propagate.
     """
     if kind not in SWEEP_KINDS:
         raise InvalidParameterError(
@@ -175,40 +181,28 @@ def sweep(kind, f, z, d, cfg=None):
     radii_all = cfg.radii()
     center_value = None
     if kind == "pair_increment":
-        center_value = complex(np.asarray(f(np.asarray([z], dtype=complex)))[0])
+        center_value = _field_value(f, z)
 
     radii, values, statuses, failures, extras = [], [], [], [], []
     for r in radii_all:
         try:
-            if kind == "variational":
-                res = variational_circle_mean(f, z, r, d, cfg.node_count, cfg.solver)
-                value, status, extra = res.minimizer, res.status, {
-                    "foc_residual": res.foc_residual,
-                }
-            elif kind == "conjugate":
-                res = conjugate_transformed_mean(
-                    f, z, r, d, cfg.node_count, cfg.solver
-                )
-                value, status, extra = res.minimizer, res.status, {
-                    "foc_residual": res.foc_residual,
-                }
-            elif kind == "pair_increment":
+            if kind == "pair_increment":
                 res = pair_mean(f, z, r, d, cfg.node_count, cfg.solver)
                 worst = max(res.center.foc_residual, res.slope.foc_residual)
-                status = "failed" if "failed" in (
-                    res.center.status, res.slope.status
-                ) else (
-                    "fallback_used"
-                    if "fallback_used" in (res.center.status, res.slope.status)
-                    else "converged"
-                )
                 value, extra = res.value - center_value, {"foc_residual": worst}
-            else:
+            elif kind == "infinity":
                 res = infinity_mean(f, z, r, cfg.node_count, cfg.seed)
-                value, status, extra = res.minimizer, res.status, {
-                    "support_count": res.support_count,
-                }
-        except Exception as exc:  # noqa: BLE001 - per-radius isolation is the point
+                value, extra = res.minimizer, {"support_count": res.support_count}
+            else:
+                mean = (
+                    variational_circle_mean
+                    if kind == "variational"
+                    else conjugate_transformed_mean
+                )
+                res = mean(f, z, r, d, cfg.node_count, cfg.solver)
+                value, extra = res.minimizer, {"foc_residual": res.foc_residual}
+            status = res.status
+        except HolomeansError as exc:
             failures.append((float(r), f"{type(exc).__name__}: {exc}"))
             continue
         if status == "failed":
@@ -283,10 +277,6 @@ def _point_list(points):
     if arr.size == 0:
         raise InvalidParameterError("need at least one point")
     return [complex(p) for p in arr]
-
-
-def _field_value(f, z):
-    return complex(np.asarray(f(np.asarray([z], dtype=complex)))[0])
 
 
 def holomorphy_verdict(g, points, d, cfg=None, tol=None):

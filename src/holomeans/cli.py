@@ -20,6 +20,7 @@ which), 2 for configuration problems, reported with a line diagnostic.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 
@@ -207,8 +208,6 @@ def _take_solver(sc):
         ("backtrack_factor", float),
         ("max_backtracks", int),
         ("residual_floor", float),
-        ("fallback_move_tol", float),
-        ("fallback_max_cycles", int),
     ):
         val = sc.take(f"solver.{name}", cast=cast)
         if val is not None:
@@ -318,15 +317,6 @@ def _cmd_mean(sc, seed, out):
             "im_value",
             "status",
         )
-        status = (
-            "failed"
-            if "failed" in (res.center.status, res.slope.status)
-            else (
-                "fallback_used"
-                if "fallback_used" in (res.center.status, res.slope.status)
-                else "converged"
-            )
-        )
         rows = [
             (
                 r,
@@ -336,10 +326,9 @@ def _cmd_mean(sc, seed, out):
                 res.slope.minimizer.imag,
                 res.value.real,
                 res.value.imag,
-                status,
+                res.status,
             )
         ]
-        ok = status != "failed"
     elif kind == "infinity":
         res = infinity_mean(field, z, r, nodes, seed)
         columns = ("r", "re_c", "im_c", "objective", "support_count", "status")
@@ -353,7 +342,6 @@ def _cmd_mean(sc, seed, out):
                 res.status,
             )
         ]
-        ok = res.status != "failed"
     else:
         fn = {
             "variational": variational_circle_mean,
@@ -365,9 +353,8 @@ def _cmd_mean(sc, seed, out):
         rows = [
             (r, res.minimizer.real, res.minimizer.imag, res.foc_residual, res.status)
         ]
-        ok = res.status != "failed"
     _emit(out, header, columns, rows)
-    return 0 if ok else 1
+    return 0 if res.status != "failed" else 1
 
 
 def _cmd_sweep(sc, seed, out):
@@ -422,180 +409,64 @@ def _cmd_sweep(sc, seed, out):
     return 0 if not result.failures else 1
 
 
-def _verdict_rows(command, points, worker):
-    """Run a per-point verdict worker, catching per-point failures."""
+# verify command -> (verdict function name, status attribute, passing status,
+#                    extra (column, getter) pairs between fit_residual and
+#                    consistent).  Functions are looked up in this module's
+#                    globals at call time, so a rebinding (such as a tracing
+#                    wrapper) is honoured.
+_VERIFY = {
+    "verify-holo": ("holomorphy_verdict", "verdict", "holomorphic", (
+        ("predicted_re", lambda v: v.predicted_limit.real),
+        ("predicted_im", lambda v: v.predicted_limit.imag),
+        ("prediction_gap", lambda v: v.prediction_gap),
+    )),
+    "verify-system": ("system_verdict", "status", "satisfied", (
+        ("residual_re", lambda v: v.analytic_residual.real),
+        ("residual_im", lambda v: v.analytic_residual.imag),
+    )),
+    "verify-amvp": ("amvp_verdict", "status", "holds", (
+        ("bracket_re", lambda v: v.bracket.real),
+        ("bracket_im", lambda v: v.bracket.imag),
+        ("bracket_gap", lambda v: v.bracket_gap),
+    )),
+}
+
+
+def _cmd_verify(command, sc, seed, out):
+    """One row per point; a point whose verdict raises becomes an error row."""
+    verdict_name, status_attr, passing, extras = _VERIFY[command]
+    field = sc.take("field.spec", cast=make_field, required=True)
+    density = sc.take("density.spec", cast=parse_density_spec, required=True)
+    points = _take_points(sc)
+    solver = _take_solver(sc)
+    cfg = _take_sweep(sc, seed, solver)
+    tol = _take_tol(sc)
+    header = _header(command, seed, sc)
+    sc.finish()
+
+    verdict_fn = globals()[verdict_name]
+    columns = ("x", "y", "verdict", "limit_re", "limit_im", "fit_residual")
+    columns += tuple(name for name, _ in extras) + ("consistent",)
+    nan = float("nan")
     rows = []
     all_pass = True
     for z in points:
         try:
-            row, passed = worker(z)
+            v = verdict_fn(field, z, density, cfg, tol)[0]
         except HolomeansError as exc:
-            rows.append(
-                (
-                    z.real,
-                    z.imag,
-                    "error",
-                    float("nan"),
-                    float("nan"),
-                    float("nan"),
-                )
-                + (f"{type(exc).__name__}",)
-            )
+            row = (z.real, z.imag, "error", nan, nan, nan, type(exc).__name__)
+            rows.append(row + ("",) * (len(columns) - len(row)))
             all_pass = False
             continue
-        rows.append(row)
-        all_pass = all_pass and passed
-    return rows, all_pass
-
-
-def _cmd_verify_holo(sc, seed, out):
-    field = sc.take("field.spec", cast=make_field, required=True)
-    density = sc.take("density.spec", cast=parse_density_spec, required=True)
-    points = _take_points(sc)
-    solver = _take_solver(sc)
-    cfg = _take_sweep(sc, seed, solver)
-    tol = _take_tol(sc)
-    header = _header("verify-holo", seed, sc)
-    sc.finish()
-
-    def worker(z):
-        v = holomorphy_verdict(field, z, density, cfg, tol)[0]
-        if v.verdict == "untestable":
-            nan = float("nan")
-            return (
-                z.real, z.imag, v.verdict,
-                nan, nan, nan, nan, nan, nan, False,
-            ), False
-        row = (
-            z.real,
-            z.imag,
-            v.verdict,
-            v.estimate.limit.real,
-            v.estimate.limit.imag,
-            v.estimate.fit_residual,
-            v.predicted_limit.real,
-            v.predicted_limit.imag,
-            v.prediction_gap,
-            v.consistent,
-        )
-        return row, v.verdict == "holomorphic"
-
-    columns = (
-        "x",
-        "y",
-        "verdict",
-        "limit_re",
-        "limit_im",
-        "fit_residual",
-        "predicted_re",
-        "predicted_im",
-        "prediction_gap",
-        "consistent",
-    )
-    rows, all_pass = _verdict_rows("verify-holo", points, worker)
-    rows = [_pad(row, len(columns)) for row in rows]
-    _emit(out, header, columns, rows)
-    return 0 if all_pass else 1
-
-
-def _pad(row, width):
-    return row + ("",) * (width - len(row))
-
-
-def _cmd_verify_system(sc, seed, out):
-    field = sc.take("field.spec", cast=make_field, required=True)
-    density = sc.take("density.spec", cast=parse_density_spec, required=True)
-    points = _take_points(sc)
-    solver = _take_solver(sc)
-    cfg = _take_sweep(sc, seed, solver)
-    tol = _take_tol(sc)
-    header = _header("verify-system", seed, sc)
-    sc.finish()
-
-    def worker(z):
-        v = system_verdict(field, z, density, cfg, tol)[0]
-        if v.status == "untestable":
-            nan = float("nan")
-            return (
-                z.real, z.imag, v.status,
-                nan, nan, nan, nan, nan, False,
-            ), False
-        row = (
-            z.real,
-            z.imag,
-            v.status,
-            v.estimate.limit.real,
-            v.estimate.limit.imag,
-            v.estimate.fit_residual,
-            v.analytic_residual.real,
-            v.analytic_residual.imag,
-            v.consistent,
-        )
-        return row, v.status == "satisfied"
-
-    columns = (
-        "x",
-        "y",
-        "verdict",
-        "limit_re",
-        "limit_im",
-        "fit_residual",
-        "residual_re",
-        "residual_im",
-        "consistent",
-    )
-    rows, all_pass = _verdict_rows("verify-system", points, worker)
-    rows = [_pad(row, len(columns)) for row in rows]
-    _emit(out, header, columns, rows)
-    return 0 if all_pass else 1
-
-
-def _cmd_verify_amvp(sc, seed, out):
-    field = sc.take("field.spec", cast=make_field, required=True)
-    density = sc.take("density.spec", cast=parse_density_spec, required=True)
-    points = _take_points(sc)
-    solver = _take_solver(sc)
-    cfg = _take_sweep(sc, seed, solver)
-    tol = _take_tol(sc)
-    header = _header("verify-amvp", seed, sc)
-    sc.finish()
-
-    def worker(z):
-        v = amvp_verdict(field, z, density, cfg, tol)[0]
-        if v.status == "untestable":
-            nan = float("nan")
-            return (
-                z.real, z.imag, v.status,
-                nan, nan, nan, nan, nan, nan, False,
-            ), False
-        row = (
-            z.real,
-            z.imag,
-            v.status,
-            v.estimate.limit.real,
-            v.estimate.limit.imag,
-            v.estimate.fit_residual,
-            v.bracket.real,
-            v.bracket.imag,
-            v.bracket_gap,
-            v.consistent,
-        )
-        return row, v.status == "holds"
-
-    columns = (
-        "x",
-        "y",
-        "verdict",
-        "limit_re",
-        "limit_im",
-        "fit_residual",
-        "bracket_re",
-        "bracket_im",
-        "bracket_gap",
-        "consistent",
-    )
-    rows, all_pass = _verdict_rows("verify-amvp", points, worker)
-    rows = [_pad(row, len(columns)) for row in rows]
+        status = getattr(v, status_attr)
+        if status == "untestable":
+            values = (nan,) * (3 + len(extras))
+        else:
+            est = v.estimate
+            values = (est.limit.real, est.limit.imag, est.fit_residual)
+            values += tuple(get(v) for _, get in extras)
+        rows.append((z.real, z.imag, status) + values + (v.consistent,))
+        all_pass = all_pass and status == passing
     _emit(out, header, columns, rows)
     return 0 if all_pass else 1
 
@@ -760,9 +631,7 @@ def _cmd_validate_density(sc, seed, out):
 _HANDLERS = {
     "mean": _cmd_mean,
     "sweep": _cmd_sweep,
-    "verify-holo": _cmd_verify_holo,
-    "verify-system": _cmd_verify_system,
-    "verify-amvp": _cmd_verify_amvp,
+    **{command: functools.partial(_cmd_verify, command) for command in _VERIFY},
     "contact": _cmd_contact,
     "dpp": _cmd_dpp,
     "validate-density": _cmd_validate_density,

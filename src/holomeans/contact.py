@@ -28,7 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import LimitEstimate, SweepConfig, ToleranceConfig, sweep
+from .asymptotics import (
+    LimitEstimate,
+    SweepConfig,
+    ToleranceConfig,
+    _field_value,
+    sweep,
+)
 from .density import lambda_of
 from .errors import InvalidParameterError
 from .geometry import Jet, affine_eval, circle_rule, sample_field, wirtinger_jet
@@ -111,10 +117,6 @@ class ContactProbe:
         _check_unit(self.xi)
 
 
-def _sample_value(f, z):
-    return complex(np.asarray(f(np.asarray([z], dtype=complex)))[0])
-
-
 def xi_envelope(omega, sigma, tau, xi, d):
     """First-order coefficient of the xi-projected pair-mean increment.
 
@@ -184,7 +186,7 @@ def jet_membership(
     tol = tol or ToleranceConfig()
     xi = _check_unit(probe.xi)
     z = complex(probe.base)
-    fz = _sample_value(f, z)
+    fz = _field_value(f, z)
     radii = cfg.radii()
 
     ratios = []
@@ -300,7 +302,7 @@ def camvp_verdict(f, probe, d, cfg=None, tol=None):
     tol = tol or ToleranceConfig()
     xi = _check_unit(probe.xi)
     z = complex(probe.base)
-    fz = _sample_value(f, z)
+    fz = _field_value(f, z)
     if abs(fz) < tol.field_floor:
         return _untestable_row(z, xi)
     jet = Jet(base=z, value=fz, dz=complex(probe.sigma), dzbar=complex(probe.tau))
@@ -359,7 +361,7 @@ def contact_solution_verdict(
     residual_ok = []
     for z in np.atleast_1d(np.asarray(points, dtype=complex)).ravel():
         z = complex(z)
-        fz = _sample_value(f, z)
+        fz = _field_value(f, z)
         if abs(fz) < tol.field_floor:
             untestable.append(z)
             continue

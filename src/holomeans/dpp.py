@@ -19,7 +19,6 @@ them for the current sweep or freezes them permanently.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -246,7 +245,6 @@ class StepDiagnostics:
     residual_sup: float
     updated_count: int
     skipped_count: int
-    fallback_count: int
 
 
 @dataclass(frozen=True)
@@ -311,7 +309,7 @@ def dpp_step(grid, d, cfg):
             values=new_values,
             frozen=frozen if cfg.zero_policy == "freeze" else grid.frozen,
         )
-        return out, StepDiagnostics(0.0, 0, skipped, 0)
+        return out, StepDiagnostics(0.0, 0, skipped)
 
     centers = grid.points()[active]
     nodes = centers[:, None] + offsets[None, :]
@@ -332,7 +330,6 @@ def dpp_step(grid, d, cfg):
 
     mean = res_a["minimizer"] + cfg.radius * res_b["minimizer"]
     bad = (res_a["status"] == 3) | (res_b["status"] == 3)
-    fallback = int(np.count_nonzero((res_a["status"] == 2) | (res_b["status"] == 2)))
     old = grid.values[active]
     if np.any(bad):
         mean = np.where(bad, old, mean)
@@ -348,7 +345,6 @@ def dpp_step(grid, d, cfg):
         residual_sup=residual_sup,
         updated_count=int(np.count_nonzero(active) - np.count_nonzero(bad)),
         skipped_count=skipped + int(np.count_nonzero(bad)),
-        fallback_count=fallback,
     )
 
 
@@ -394,13 +390,13 @@ def write_checkpoint(grid, path, extra_header=()):
     rides along in '#' comment lines so the file round-trips;
     ``extra_header`` lines are prepended the same way.
     """
-    interior = grid.interior_mask()
-    frozen = (
-        grid.frozen
-        if grid.frozen is not None
-        else np.zeros_like(interior)
+    flags = grid.interior_mask().astype(int)
+    if grid.frozen is not None:
+        flags[grid.frozen] = 2
+    pts = grid.points()
+    table = np.column_stack(
+        [a.ravel() for a in (pts.real, pts.imag, grid.values.real, grid.values.imag, flags)]
     )
-    nx, ny = grid.shape
     with open(path, "w", newline="") as fh:
         for line in extra_header:
             fh.write(f"# {line}\n")
@@ -410,41 +406,24 @@ def write_checkpoint(grid, path, extra_header=()):
             f"strip={grid.strip_cells}\n"
         )
         fh.write("x,y,re,im,flag\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        pts = grid.points()
-        for j in range(ny):
-            for i in range(nx):
-                flag = 2 if frozen[j, i] else (1 if interior[j, i] else 0)
-                v = grid.values[j, i]
-                writer.writerow(
-                    [
-                        f"{pts[j, i].real:.17g}",
-                        f"{pts[j, i].imag:.17g}",
-                        f"{v.real:.17g}",
-                        f"{v.imag:.17g}",
-                        flag,
-                    ]
-                )
+        np.savetxt(fh, table, fmt=["%.17g"] * 4 + ["%d"], delimiter=",")
 
 
 def read_checkpoint(path):
     """Rebuild a grid from a checkpoint written by :func:`write_checkpoint`."""
     meta = {}
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# lattice"):
-                    for tokenline in line[len("# lattice") :].split():
-                        key, _, val = tokenline.partition("=")
-                        meta[key] = float(val) if key != "strip" else int(val)
-                continue
-            if line == "x,y,re,im,flag":
-                continue
-            rows.append(line.split(","))
+        lines = [line.strip() for line in fh]
+    for line in lines:
+        if line.startswith("# lattice"):
+            for token in line[len("# lattice") :].split():
+                key, _, val = token.partition("=")
+                meta[key] = float(val) if key != "strip" else int(val)
+    rows = [
+        line
+        for line in lines
+        if line and not line.startswith("#") and line != "x,y,re,im,flag"
+    ]
     required = {"x0", "x1", "y0", "y1", "h", "strip"}
     if not required.issubset(meta):
         raise InvalidParameterError(
@@ -453,26 +432,24 @@ def read_checkpoint(path):
     s = int(meta["strip"])
     nx = int(round((meta["x1"] - meta["x0"]) / meta["h"])) + 1 + 2 * s
     ny = int(round((meta["y1"] - meta["y0"]) / meta["h"])) + 1 + 2 * s
-    g = GridField(
+    if len(rows) != nx * ny:
+        raise InvalidParameterError(
+            f"checkpoint {path} has {len(rows)} rows, lattice needs {nx * ny}"
+        )
+    try:
+        data = np.loadtxt(rows, delimiter=",", usecols=(2, 3, 4), ndmin=2)
+    except ValueError as exc:
+        raise InvalidParameterError(f"checkpoint {path} has a malformed row: {exc}") from exc
+    values = np.empty(nx * ny, dtype=complex)
+    values.real, values.imag = data[:, 0], data[:, 1]
+    frozen = (data[:, 2] == 2).reshape(ny, nx)
+    return GridField(
         x0=meta["x0"],
         x1=meta["x1"],
         y0=meta["y0"],
         y1=meta["y1"],
         h=meta["h"],
         strip_cells=s,
-        values=np.zeros((ny, nx), dtype=complex),
+        values=values.reshape(ny, nx),
+        frozen=frozen if frozen.any() else None,
     )
-    if len(rows) != nx * ny:
-        raise InvalidParameterError(
-            f"checkpoint {path} has {len(rows)} rows, lattice needs {nx * ny}"
-        )
-    values = np.zeros((ny, nx), dtype=complex)
-    frozen = np.zeros((ny, nx), dtype=bool)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            x, y, re, im, flag = rows[k]
-            values[j, i] = complex(float(re), float(im))
-            frozen[j, i] = int(flag) == 2
-            k += 1
-    return replace(g, values=values, frozen=frozen if frozen.any() else None)

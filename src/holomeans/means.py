@@ -10,9 +10,10 @@ Two model weights cover every mean in the package: ``m = conj(zeta - z)``
 gives the derivative-detecting circle mean, ``m = 1`` the center component of
 the pair mean.  The minimizer is unique (strict convexity plus growth), and
 the solver is a damped Newton iteration in the two real coordinates of c
-using the exact complex Hessian of H(w) = F(|w|), with an Armijo line search
-and a derivative-free golden-section fallback for the rare iterates that put
-a residual exactly at zero, where H stops being twice differentiable.
+using the exact complex Hessian of H(w) = F(|w|), with an Armijo line search.
+Where an iterate puts a residual exactly at zero, H stops being twice
+differentiable; the Hessian then clamps that residual's modulus at a small
+floor, which keeps the Newton step a descent direction.
 
 The sup-norm mean is different in kind: it reduces to a smallest enclosing
 circle problem and is solved exactly by a randomized incremental algorithm.
@@ -29,6 +30,7 @@ import numpy as np
 from .density import young_conjugate
 from .errors import InvalidParameterError, ZeroFieldError
 from .geometry import circle_rule, sample_field
+from .pdesystem import FIELD_FLOOR
 
 __all__ = [
     "SolverConfig",
@@ -45,22 +47,16 @@ __all__ = [
     "fit_model_coefficient",
 ]
 
-# Field-modulus floor below which zero-sensitive operations refuse to run.
-FIELD_FLOOR = 1e-8
 # Transformed-field floor for the conjugate mean.
 TRANSFORM_FLOOR = 1e-12
 
 _STATUS_ACTIVE = 0
 _STATUS_CONVERGED = 1
-_STATUS_FALLBACK = 2
 _STATUS_FAILED = 3
 _STATUS_NAMES = {
     _STATUS_CONVERGED: "converged",
-    _STATUS_FALLBACK: "fallback_used",
     _STATUS_FAILED: "failed",
 }
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,8 @@ class SolverConfig:
     (growth exponent above 2) a small gradient alone does not bound the
     parameter error, and the step length is the sound certificate.
     ``residual_floor`` is the modulus below which a pointwise residual counts
-    as an exact zero and triggers the derivative-free fallback.
+    as an exact zero: the Hessian clamps residual moduli at this floor, and
+    a row whose residuals all lie below it is an exact fit.
     """
 
     max_iterations: int = 60
@@ -84,8 +81,6 @@ class SolverConfig:
     backtrack_factor: float = 0.5
     max_backtracks: int = 60
     residual_floor: float = 1e-12
-    fallback_move_tol: float = 1e-13
-    fallback_max_cycles: int = 80
 
 
 @dataclass(frozen=True)
@@ -94,8 +89,8 @@ class MeanResult:
 
     ``foc_residual`` is the modulus of the first-order condition scaled by
     the total quadrature weight and the model modulus, so it is comparable
-    with F' values.  ``status`` is one of ``converged``, ``fallback_used``
-    or ``failed``; a failed result still carries the best iterate.
+    with F' values.  ``status`` is ``converged`` or ``failed``; a failed
+    result still carries the best iterate.
     """
 
     minimizer: complex
@@ -107,12 +102,18 @@ class MeanResult:
 
 @dataclass(frozen=True)
 class PairMeanResult:
-    """Joint center/derivative mean: value = center.minimizer + r * slope.minimizer."""
+    """Center/derivative mean: value = center.minimizer + r * slope.minimizer."""
 
     center: MeanResult
     slope: MeanResult
     radius: float
     value: complex
+
+    @property
+    def status(self):
+        """``failed`` when either solve failed, else ``converged``."""
+        failed = "failed" in (self.center.status, self.slope.status)
+        return "failed" if failed else "converged"
 
 
 @dataclass(frozen=True)
@@ -175,8 +176,10 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
     Returns
     -------
     dict with arrays ``minimizer``, ``objective``, ``foc_residual``,
-    ``iterations`` and integer ``status`` codes (1 converged, 2 fallback
-    used, 3 failed).
+    ``iterations`` and integer ``status`` codes (1 converged, 3 failed).
+    A row fails when its Newton direction is unusable, when its line search
+    runs out of backtracks, or when the iteration budget ends above the
+    first-order tolerance.
     """
     cfg = cfg or SolverConfig()
     samples = np.asarray(samples, dtype=complex)
@@ -186,8 +189,7 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         raise InvalidParameterError("samples must be (batch, nodes) matching model")
     mmod = np.abs(model)
     mscale = float(np.max(mmod))
-    mfloor = float(np.min(mmod))
-    if mfloor <= 0.0:
+    if float(np.min(mmod)) <= 0.0:
         raise InvalidParameterError("model weights must be bounded away from zero")
     total_w = float(np.sum(weights))
 
@@ -220,13 +222,12 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         foc_out[act] = foc
         iters[act] = it
         small_foc = foc <= foc_tol[act]
-        anyzero = np.any(au < floor, axis=1)
-        # Rows with exactly-zero pointwise residuals cannot form a Hessian;
-        # converge them on the gradient alone, or hand them to the fallback.
-        done = exact | (small_foc & anyzero)
+        # A row with an exactly-zero pointwise residual converges on the
+        # gradient alone; otherwise it stays in Newton, whose Hessian clamps
+        # that residual's modulus at the floor.
+        done = small_foc & np.any(au < floor, axis=1)
         state[act[done]] = _STATUS_CONVERGED
-        state[act[anyzero & ~small_foc & ~exact]] = _STATUS_FALLBACK
-        rem = ~done & ~anyzero
+        rem = ~done
         if not np.any(rem):
             continue
 
@@ -260,7 +261,7 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         state[rows[settled]] = _STATUS_CONVERGED
         slope = 2.0 * np.real(np.conj(g_r) * delta)
         good &= np.isfinite(slope) & (slope < 0.0) & ~settled
-        state[rows[~good & ~settled]] = _STATUS_FALLBACK
+        state[rows[~good & ~settled]] = _STATUS_FAILED
         rows, delta, slope = rows[good], delta[good], slope[good]
         if rows.size == 0:
             continue
@@ -283,7 +284,7 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
                 break
             t = np.where(ok, t, t * cfg.backtrack_factor)
         c[rows[ok]] += (t * delta)[ok]
-        state[rows[~ok]] = _STATUS_FALLBACK
+        state[rows[~ok]] = _STATUS_FAILED
 
     act = np.flatnonzero(state == _STATUS_ACTIVE)
     if act.size:
@@ -300,16 +301,6 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         state[act[met]] = _STATUS_CONVERGED
         state[act[~met]] = _STATUS_FAILED
 
-    fb = np.flatnonzero(state == _STATUS_FALLBACK)
-    if fb.size:
-        c[fb], cycles, finished = _coordinate_descent(
-            d, samples[fb], weights, model, c[fb], mfloor, cfg
-        )
-        iters[fb] += cycles
-        state[fb[~finished]] = _STATUS_FAILED
-        _, _, g_fb = gradient(fb, c[fb])
-        foc_out[fb] = np.abs(g_fb) / (total_w * mscale)
-
     return {
         "minimizer": c,
         "objective": _objective_rows(d, samples, weights, model, c),
@@ -317,53 +308,6 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         "iterations": iters,
         "status": state,
     }
-
-
-def _coordinate_descent(d, samples, weights, model, c, mfloor, cfg):
-    """Golden-section descent over Re(c), Im(c) for the fallback rows.
-
-    The global minimizer satisfies |c| <= 2 max|f| / min|m| (moving further
-    away makes every residual larger than at c = 0), so a box of that size
-    around the current iterate brackets each coordinate slice.
-    """
-    c = c.copy()
-    nrows = c.shape[0]
-    reach = 2.0 * np.max(np.abs(samples), axis=1) / mfloor + np.abs(c) + 1.0
-
-    def obj_at(x, coord):
-        cc = x + 1j * c.imag if coord == 0 else c.real + 1j * x
-        return _objective_rows(d, samples, weights, model, cc)
-
-    finished = np.zeros(nrows, dtype=bool)
-    cycles = 0
-    for cycle in range(cfg.fallback_max_cycles):
-        cycles = cycle + 1
-        moved = np.zeros(nrows)
-        for coord in (0, 1):
-            base = c.real if coord == 0 else c.imag
-            lo = base - reach
-            hi = base + reach
-            tol = cfg.fallback_move_tol * (1.0 + np.abs(c))
-            for _ in range(200):
-                if np.all(hi - lo <= tol):
-                    break
-                x1 = hi - _INVPHI * (hi - lo)
-                x2 = lo + _INVPHI * (hi - lo)
-                left = obj_at(x1, coord) < obj_at(x2, coord)
-                hi = np.where(left, x2, hi)
-                lo = np.where(left, lo, x1)
-            x = 0.5 * (lo + hi)
-            moved = np.maximum(moved, np.abs(x - base))
-            c = x + 1j * c.imag if coord == 0 else c.real + 1j * x
-        if np.all(moved <= cfg.fallback_move_tol * (1.0 + np.abs(c))):
-            finished[:] = True
-            break
-    else:
-        # a full cycle still moved some coordinate; report those as unfinished
-        finished = moved <= cfg.fallback_move_tol * (1.0 + np.abs(c))
-    if np.all(finished):
-        finished = np.ones(nrows, dtype=bool)
-    return c, cycles, finished
 
 
 def _single_result(fit):
@@ -409,10 +353,12 @@ def center_circle_mean(f, z, r, d, node_count=64, cfg=None):
 
 
 def pair_mean(f, z, r, d, node_count=64, cfg=None):
-    """Joint mean: center a plus slope b with value a + r b.
+    """Pair mean: center a plus slope b with value a + r b.
 
-    The objective separates exactly into the two independent single-model
-    problems, so the pair is computed as two solves.
+    The pair mean is defined as two single-model solves: a is the
+    constant-model mean and b the derivative-detecting mean, each minimized
+    on its own.  This is not the minimizer of the joint objective over
+    (a, b): the two models decouple only for the quadratic density.
     """
     z = complex(z)
     q, samples = _circle_setup(f, z, r, node_count)

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Density, lambda_of
+from .density import lambda_of
 from .errors import InvalidParameterError, ZeroFieldError
 from .geometry import Jet, wirtinger_jet
 
 __all__ = [
-    "SystemCoefficients",
     "DilatationReport",
     "RealJet2",
     "BeltramiReport",
@@ -40,6 +39,7 @@ __all__ = [
     "beltrami_residual",
 ]
 
+# Field-modulus floor below which zero-sensitive operations refuse to run.
 FIELD_FLOOR = 1e-8
 
 
@@ -51,28 +51,6 @@ def mu_of(d, s):
     """
     lam = lambda_of(d, s)
     return (lam - 1.0) / (lam + 1.0)
-
-
-@dataclass(frozen=True)
-class SystemCoefficients:
-    """Derived coefficients of the first-order system for one density."""
-
-    density: Density
-
-    def mu(self, s):
-        return mu_of(self.density, s)
-
-    @property
-    def mu_bound(self):
-        """Largest possible |mu| over the declared convexity band."""
-        hi = (self.density.lambda_hi - 1.0) / (self.density.lambda_hi + 1.0)
-        lo = (1.0 - self.density.lambda_lo) / (1.0 + self.density.lambda_lo)
-        return max(hi, lo)
-
-    @property
-    def distortion(self):
-        """Quasiregularity constant K = max(lam_hi, 1 / lam_lo)."""
-        return max(self.density.lambda_hi, 1.0 / self.density.lambda_lo)
 
 
 def cr_residual(jet, d):
@@ -105,26 +83,32 @@ class DilatationReport:
 def dilatation_check(jet, d, slack=1e-6):
     """Check |df/d(conj z)| <= bound * |df/dz| for the density's mu bound.
 
+    The bound is the largest possible |mu| over the declared convexity band;
+    ``distortion`` is the quasiregularity constant K = max(lam_hi, 1 / lam_lo).
     ``defined`` is False when both derivatives vanish (the ratio carries no
     information); the check then passes vacuously.
     """
-    coeffs = SystemCoefficients(d)
+    mu_bound = max(
+        (d.lambda_hi - 1.0) / (d.lambda_hi + 1.0),
+        (1.0 - d.lambda_lo) / (1.0 + d.lambda_lo),
+    )
+    distortion = max(d.lambda_hi, 1.0 / d.lambda_lo)
     s = abs(complex(jet.dz))
     t = abs(complex(jet.dzbar))
     if s == 0.0 and t == 0.0:
         return DilatationReport(
             ratio=math.nan,
-            bound=coeffs.mu_bound,
-            distortion=coeffs.distortion,
+            bound=mu_bound,
+            distortion=distortion,
             ok=True,
             defined=False,
         )
     ratio = t / s if s > 0.0 else math.inf
-    ok = t <= coeffs.mu_bound * s + slack
+    ok = t <= mu_bound * s + slack
     return DilatationReport(
         ratio=float(ratio),
-        bound=float(coeffs.mu_bound),
-        distortion=float(coeffs.distortion),
+        bound=float(mu_bound),
+        distortion=float(distortion),
         ok=bool(ok),
         defined=True,
     )

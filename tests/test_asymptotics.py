@@ -106,6 +106,14 @@ def test_sweep_skips_failing_radii_and_raises_when_starved():
         hm.sweep("variational", bad, 0.5 + 0j, D2)
 
 
+def test_sweep_lets_programming_errors_propagate():
+    def broken(zeta):
+        raise TypeError("field bug")
+
+    with pytest.raises(TypeError, match="field bug"):
+        hm.sweep("variational", broken, 0.5 + 0j, D2)
+
+
 def test_extrapolate_accepts_sweep_object():
     sw = hm.sweep("variational", np.exp, 0.4 + 0.1j, D2)
     est1 = hm.extrapolate(sw)

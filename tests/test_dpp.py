@@ -116,6 +116,11 @@ def test_checkpoint_rejects_corrupt_file(tmp_path):
     path.write_text("x,y,re,im,flag\n0,0,1,0,1\n")
     with pytest.raises((ConfigError, hm.HolomeansError)):
         hm.read_checkpoint(path)
+    # right lattice and row count, but every row lacks its flag column
+    lattice = "# lattice x0=0 x1=0.1 y0=0 y1=0.1 h=0.1 strip=1\nx,y,re,im,flag\n"
+    path.write_text(lattice + "0,0,1,0\n" * 16)
+    with pytest.raises(hm.HolomeansError):
+        hm.read_checkpoint(path)
 
 
 def test_constant_data_is_a_fixed_point():

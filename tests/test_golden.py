@@ -1,0 +1,84 @@
+"""Byte-exact CLI outputs: every shipped scenario plus the verify-* row layouts.
+
+The stored CSVs under ``tests/golden/`` pin the output of each command for
+seed 0.  Besides the shipped scenarios, each ``verify-*`` command has one
+case whose sweeps are starved (``sweep.min_successes`` above the radius
+count, so every point becomes an ``error`` row) and one case with a field
+zero (``square`` at 0, an ``untestable`` row next to a normal one).
+
+Regenerate after an intended output change with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import os
+import sys
+
+import pytest
+
+from holomeans.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+
+# golden name -> (command, scenario file or inline config text, exit code)
+SCENARIO_CASES = {
+    "contact_exp": ("contact", "contact_exp.ini", 0),
+    "dpp_exp": ("dpp", "dpp_exp.ini", 0),
+    "mean_exp": ("mean", "mean_exp.ini", 0),
+    "sweep_square": ("sweep", "sweep_square.ini", 0),
+    "validate_density": ("validate-density", "validate_density.ini", 0),
+    "verify_amvp_pharm": ("verify-amvp", "verify_amvp_pharm.ini", 0),
+    "verify_holo_conj": ("verify-holo", "verify_holo_conj.ini", 1),
+    "verify_holo_exp": ("verify-holo", "verify_holo_exp.ini", 0),
+    "verify_system_pharm": ("verify-system", "verify_system_pharm.ini", 0),
+}
+
+_STARVED = (
+    "field.spec = exp\ndensity.spec = power:p=3\n"
+    "points.list = 0.4+0.1i\nsweep.min_successes = 9\n"
+)
+_ZERO = "field.spec = square\ndensity.spec = power:p=3\npoints.list = 0; 0.5+0.2i\n"
+
+INLINE_CASES = {
+    f"{command.replace('-', '_')}_{kind}": (command, text, 1)
+    for command in ("verify-holo", "verify-system", "verify-amvp")
+    for kind, text in (("error", _STARVED), ("untestable", _ZERO))
+}
+
+CASES = {**SCENARIO_CASES, **INLINE_CASES}
+
+
+def run_case(name, workdir):
+    """Run one case through ``cli.main``; return (exit code, output bytes)."""
+    command, source, _ = CASES[name]
+    if name in SCENARIO_CASES:
+        config = os.path.join(ROOT, "scenarios", source)
+    else:
+        config = os.path.join(workdir, name + ".ini")
+        with open(config, "w") as fh:
+            fh.write(source)
+    out = os.path.join(workdir, name + ".csv")
+    code = main([command, "--config", config, "--out", out, "--seed", "0"])
+    with open(out, "rb") as fh:
+        return code, fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    code, data = run_case(name, str(tmp_path))
+    assert code == CASES[name][2]
+    with open(os.path.join(GOLDEN, name + ".csv"), "rb") as fh:
+        assert data == fh.read()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.makedirs(GOLDEN, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            code, data = run_case(case, tmp)
+            with open(os.path.join(GOLDEN, case + ".csv"), "wb") as fh:
+                fh.write(data)
+            print(f"{case}: exit {code}, {len(data)} bytes", file=sys.stderr)
