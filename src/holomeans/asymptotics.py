@@ -19,6 +19,13 @@ system through the derivative-detecting mean, and the asymptotic mean value
 property through the pair mean.  Each one cross-checks the extrapolated
 limit against the analytic first-order prediction computed from a finite
 difference jet, and flags disagreement instead of hiding it.
+
+A verdict sweeps all its points together: points where the field falls
+below ``field_floor`` are set aside as untestable, and every radius of the
+ladder is one :func:`~holomeans.means.circle_means` call over the others.
+A radius that fails for one point is recorded in that point's sweep alone;
+the first point (in the order given) left with too few radii raises its
+:class:`InsufficientDataError`.  :func:`sweep` is the one-point call.
 """
 
 from __future__ import annotations
@@ -34,14 +41,8 @@ from .errors import (
     InvalidParameterError,
     InvalidSweepError,
 )
-from .geometry import wirtinger_jet
-from .means import (
-    SolverConfig,
-    conjugate_transformed_mean,
-    infinity_mean,
-    pair_mean,
-    variational_circle_mean,
-)
+from .geometry import field_values, wirtinger_jet
+from .means import SolverConfig, circle_means
 from .pdesystem import cr_residual
 
 __all__ = [
@@ -58,9 +59,6 @@ __all__ = [
     "system_verdict",
     "amvp_verdict",
 ]
-
-SWEEP_KINDS = ("variational", "conjugate", "pair_increment", "infinity")
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -122,40 +120,124 @@ class LimitEstimate:
     verdict: str
 
 
+# A verdict row given only its point is the row of an untestable point.
+_NAN = float("nan")
+
+
 @dataclass(frozen=True)
 class HolomorphyVerdict:
     point: complex
-    verdict: str  # holomorphic | not_holomorphic | inconclusive | untestable
-    estimate: object  # LimitEstimate, or None when untestable
-    predicted_limit: complex
-    prediction_gap: float
-    consistent: bool
+    verdict: str = "untestable"  # holomorphic | not_holomorphic | inconclusive
+    estimate: object = None  # LimitEstimate, or None when untestable
+    predicted_limit: complex = complex(_NAN, _NAN)
+    prediction_gap: float = _NAN
+    consistent: bool = False
 
 
 @dataclass(frozen=True)
 class SystemVerdict:
     point: complex
-    status: str  # satisfied | violated | inconclusive | untestable
-    estimate: object  # LimitEstimate, or None when untestable
-    analytic_residual: complex
-    sweep_satisfied: object  # True | False | None
-    analytic_satisfied: object  # bool, or None when untestable
-    consistent: bool
+    status: str = "untestable"  # satisfied | violated | inconclusive
+    estimate: object = None  # LimitEstimate, or None when untestable
+    analytic_residual: complex = complex(_NAN, _NAN)
+    sweep_satisfied: object = None  # True | False | None
+    analytic_satisfied: object = None  # bool, or None when untestable
+    consistent: bool = False
 
 
 @dataclass(frozen=True)
 class AmvpVerdict:
     point: complex
-    status: str  # holds | fails | untestable
-    estimate: object  # LimitEstimate, or None when untestable
-    holds: object  # True | False | None when untestable
-    bracket: complex
-    bracket_gap: float
-    consistent: bool
+    status: str = "untestable"  # holds | fails
+    estimate: object = None  # LimitEstimate, or None when untestable
+    holds: object = None  # True | False | None when untestable
+    bracket: complex = complex(_NAN, _NAN)
+    bracket_gap: float = _NAN
+    consistent: bool = False
 
 
-def _field_value(f, z):
-    return complex(np.asarray(f(np.asarray([z], dtype=complex)))[0])
+# sweep kind -> circle mean kind
+_SWEEP_MEANS = {
+    "variational": "variational",
+    "conjugate": "conjugate",
+    "pair_increment": "pair",
+    "infinity": "infinity",
+}
+SWEEP_KINDS = tuple(_SWEEP_MEANS)
+
+
+def _sweeps(kind, f, points, d, cfg):
+    """Sweep every point at once: one :func:`circle_means` call per radius.
+
+    Returns one entry per point: its :class:`RadiusSweep`, or the
+    :class:`InsufficientDataError` that :func:`sweep` raises for it alone.
+    An error that concerns every point of a radius fails that radius for
+    all of them.  No points give no sweeps, without checking ``cfg``.
+    """
+    pts = np.asarray(points, dtype=complex)
+    if pts.size == 0:
+        return []
+    if kind not in SWEEP_KINDS:
+        raise InvalidParameterError(
+            f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}"
+        )
+    cfg = cfg or SweepConfig()
+    if cfg.min_successes < 1:
+        raise InvalidParameterError(
+            f"min_successes must be >= 1, got {cfg.min_successes}"
+        )
+    radii_all = cfg.radii()
+    if cfg.min_successes > radii_all.size:
+        raise InsufficientDataError(
+            f"min_successes ({cfg.min_successes}) exceeds the "
+            f"{radii_all.size} radii of the ladder"
+        )
+    if kind == "pair_increment":
+        # A (points, 1) array, shaped like the circles the means sample.
+        center_values = field_values(f, pts[:, None])[:, 0]
+
+    found = [[] for _ in pts]  # per point: (radius, value, status, extras)
+    failures = [[] for _ in pts]  # per point: (radius, reason)
+    for r in radii_all:
+        try:
+            results = circle_means(_SWEEP_MEANS[kind], f, pts, r, d,
+                                   cfg.node_count, cfg.solver, cfg.seed)
+        except HolomeansError as exc:
+            results = (exc,) * pts.size
+        for i, res in enumerate(results):
+            if isinstance(res, HolomeansError):
+                failures[i].append((float(r), f"{type(res).__name__}: {res}"))
+            elif res.status == "failed":
+                failures[i].append((float(r), "solver reported failure"))
+            elif kind == "pair_increment":
+                worst = max(res.center.foc_residual, res.slope.foc_residual)
+                found[i].append((float(r), complex(res.value - center_values[i]),
+                                 res.status, {"foc_residual": worst}))
+            elif kind == "infinity":
+                found[i].append((float(r), complex(res.minimizer), res.status,
+                                 {"support_count": res.support_count}))
+            else:
+                found[i].append((float(r), complex(res.minimizer), res.status,
+                                 {"foc_residual": res.foc_residual}))
+
+    out = []
+    for z, ok, failed in zip(pts, found, failures):
+        if len(ok) < cfg.min_successes:
+            out.append(InsufficientDataError(
+                f"only {len(ok)} of {len(radii_all)} radii produced values; "
+                f"need at least {cfg.min_successes} (failures: {failed})"
+            ))
+            continue
+        radii, values, statuses, extras = map(tuple, zip(*ok))
+        out.append(RadiusSweep(kind, complex(z), radii, values, statuses,
+                               tuple(failed), extras))
+    return out
+
+
+def _raise_first(results):
+    for res in results:
+        if isinstance(res, HolomeansError):
+            raise res
 
 
 def sweep(kind, f, z, d, cfg=None):
@@ -166,68 +248,12 @@ def sweep(kind, f, z, d, cfg=None):
     value minus the field value at the center) or ``infinity`` (sup mean).
     Radii whose solve fails, or raises a :class:`HolomeansError`, are
     recorded and skipped; fewer than ``cfg.min_successes`` usable radii
-    raise :class:`InsufficientDataError`.  Other exceptions propagate.
+    raise :class:`InsufficientDataError`, before any solve when the ladder
+    itself is shorter.  Other exceptions propagate.
     """
-    if kind not in SWEEP_KINDS:
-        raise InvalidParameterError(
-            f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}"
-        )
-    cfg = cfg or SweepConfig()
-    if cfg.min_successes < 1:
-        raise InvalidParameterError(
-            f"min_successes must be >= 1, got {cfg.min_successes}"
-        )
-    z = complex(z)
-    radii_all = cfg.radii()
-    center_value = None
-    if kind == "pair_increment":
-        center_value = _field_value(f, z)
-
-    radii, values, statuses, failures, extras = [], [], [], [], []
-    for r in radii_all:
-        try:
-            if kind == "pair_increment":
-                res = pair_mean(f, z, r, d, cfg.node_count, cfg.solver)
-                worst = max(res.center.foc_residual, res.slope.foc_residual)
-                value, extra = res.value - center_value, {"foc_residual": worst}
-            elif kind == "infinity":
-                res = infinity_mean(f, z, r, cfg.node_count, cfg.seed)
-                value, extra = res.minimizer, {"support_count": res.support_count}
-            else:
-                mean = (
-                    variational_circle_mean
-                    if kind == "variational"
-                    else conjugate_transformed_mean
-                )
-                res = mean(f, z, r, d, cfg.node_count, cfg.solver)
-                value, extra = res.minimizer, {"foc_residual": res.foc_residual}
-            status = res.status
-        except HolomeansError as exc:
-            failures.append((float(r), f"{type(exc).__name__}: {exc}"))
-            continue
-        if status == "failed":
-            failures.append((float(r), "solver reported failure"))
-            continue
-        radii.append(float(r))
-        values.append(complex(value))
-        statuses.append(status)
-        extras.append(extra)
-
-    if len(values) < cfg.min_successes:
-        raise InsufficientDataError(
-            f"only {len(values)} of {len(radii_all)} radii produced values; "
-            f"need at least {cfg.min_successes} "
-            f"(failures: {failures})"
-        )
-    return RadiusSweep(
-        kind=kind,
-        point=z,
-        radii=tuple(radii),
-        values=tuple(values),
-        statuses=tuple(statuses),
-        failures=tuple(failures),
-        extras=tuple(extras),
-    )
+    results = _sweeps(kind, f, [complex(z)], d, cfg)
+    _raise_first(results)
+    return results[0]
 
 
 def extrapolate(radii, values=None, tol=None):
@@ -272,11 +298,39 @@ def extrapolate(radii, values=None, tol=None):
     )
 
 
-def _point_list(points):
-    arr = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
-    if arr.size == 0:
+def _increment_ratios(s):
+    """Radii and increments divided by the radius of a ``pair_increment`` sweep."""
+    radii = np.asarray(s.radii, dtype=float)
+    return radii, np.asarray(s.values, dtype=complex) / radii
+
+
+def _verdict_rows(kind, f, points, d, cfg, tol, row, untestable):
+    """One verdict row per point, from one batched sweep of the testable points.
+
+    Points where |f(z)| falls below ``tol.field_floor`` get
+    ``untestable(z)``; the rest are swept together and get ``row(z, sweep)``.
+    The first of them whose sweep failed raises its error.
+    """
+    pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
+    if pts.size == 0:
         raise InvalidParameterError("need at least one point")
-    return [complex(p) for p in arr]
+    low = np.abs(field_values(f, pts)) < tol.field_floor
+    swept = iter(_sweeps(kind, f, pts[~low], d, cfg))
+    sweeps = [None if is_low else next(swept) for is_low in low]
+    _raise_first(sweeps)
+    return tuple(
+        untestable(complex(z)) if s is None else row(complex(z), s)
+        for z, s in zip(pts, sweeps)
+    )
+
+
+_HOLOMORPHY = {
+    "vanishes": "holomorphic",
+    "converges_nonzero": "not_holomorphic",
+    "inconclusive": "inconclusive",
+}
+_SYSTEM = {"vanishes": True, "converges_nonzero": False, "inconclusive": None}
+_SYSTEM_STATUS = {True: "satisfied", False: "violated", None: "inconclusive"}
 
 
 def holomorphy_verdict(g, points, d, cfg=None, tol=None):
@@ -288,48 +342,33 @@ def holomorphy_verdict(g, points, d, cfg=None, tol=None):
 
         2 / (1 + lam(G'(|g|))) * G'(|g|) / |g| * dg/d(conj z)
 
-    is computed from a finite-difference jet and compared against the sweep.
-    Points where |g(z)| falls below the field floor are marked untestable
-    (the characterization only applies away from zeroes of g).  Returns one
-    verdict per point.
+    is computed from a finite-difference jet and reported with its gap to
+    the sweep's limit on every testable row; ``consistent`` says whether the
+    two agree within ``match_tol``.  Points where |g(z)| falls below the
+    field floor are marked untestable (the characterization only applies
+    away from zeroes of g).  Returns one verdict per point.
     """
     tol = tol or ToleranceConfig()
-    nan = float("nan")
-    rows = []
-    for z in _point_list(points):
-        if abs(_field_value(g, z)) < tol.field_floor:
-            rows.append(HolomorphyVerdict(
-                point=z,
-                verdict="untestable",
-                estimate=None,
-                predicted_limit=complex(nan, nan),
-                prediction_gap=nan,
-                consistent=False,
-            ))
-            continue
+    conjugate = young_conjugate(d)
+
+    def row(z, s):
         jet = wirtinger_jet(g, z)
         mod = abs(jet.value)
-        conj_slope = float(young_conjugate(d).deriv(mod))
+        conj_slope = float(conjugate.deriv(mod))
         lam = float(lambda_of(d, conj_slope))
         predicted = 2.0 / (1.0 + lam) * (conj_slope / mod) * jet.dzbar
-
-        s = sweep("conjugate", g, z, d, cfg)
         est = extrapolate(s, tol)
-        mapping = {
-            "vanishes": "holomorphic",
-            "converges_nonzero": "not_holomorphic",
-            "inconclusive": "inconclusive",
-        }
         gap = abs(est.limit - predicted)
-        rows.append(HolomorphyVerdict(
+        return HolomorphyVerdict(
             point=z,
-            verdict=mapping[est.verdict],
+            verdict=_HOLOMORPHY[est.verdict],
             estimate=est,
             predicted_limit=complex(predicted),
             prediction_gap=float(gap),
             consistent=bool(est.verdict != "inconclusive" and gap <= tol.match_tol),
-        ))
-    return tuple(rows)
+        )
+
+    return _verdict_rows("conjugate", g, points, d, cfg, tol, row, HolomorphyVerdict)
 
 
 def system_verdict(f, points, d, cfg=None, tol=None):
@@ -343,46 +382,23 @@ def system_verdict(f, points, d, cfg=None, tol=None):
     verdict per point.
     """
     tol = tol or ToleranceConfig()
-    nan = float("nan")
-    rows = []
-    for z in _point_list(points):
-        if abs(_field_value(f, z)) < tol.field_floor:
-            rows.append(SystemVerdict(
-                point=z,
-                status="untestable",
-                estimate=None,
-                analytic_residual=complex(nan, nan),
-                sweep_satisfied=None,
-                analytic_satisfied=None,
-                consistent=False,
-            ))
-            continue
-        jet = wirtinger_jet(f, z)
-        residual = cr_residual(jet, d)
-        analytic_ok = abs(residual) <= tol.residual_tol
 
-        s = sweep("variational", f, z, d, cfg)
+    def row(z, s):
+        residual = cr_residual(wirtinger_jet(f, z), d)
+        analytic_ok = abs(residual) <= tol.residual_tol
         est = extrapolate(s, tol)
-        sweep_ok = {
-            "vanishes": True,
-            "converges_nonzero": False,
-            "inconclusive": None,
-        }[est.verdict]
-        status = {
-            True: "satisfied",
-            False: "violated",
-            None: "inconclusive",
-        }[sweep_ok]
-        rows.append(SystemVerdict(
+        sweep_ok = _SYSTEM[est.verdict]
+        return SystemVerdict(
             point=z,
-            status=status,
+            status=_SYSTEM_STATUS[sweep_ok],
             estimate=est,
             analytic_residual=complex(residual),
             sweep_satisfied=sweep_ok,
             analytic_satisfied=bool(analytic_ok),
             consistent=bool(sweep_ok is not None and sweep_ok == analytic_ok),
-        ))
-    return tuple(rows)
+        )
+
+    return _verdict_rows("variational", f, points, d, cfg, tol, row, SystemVerdict)
 
 
 def amvp_verdict(f, points, d, cfg=None, tol=None):
@@ -402,30 +418,13 @@ def amvp_verdict(f, points, d, cfg=None, tol=None):
         raise InvalidParameterError(
             "amvp verdict needs a density with declared small-argument behaviour"
         )
-    nan = float("nan")
-    rows = []
-    for z in _point_list(points):
-        if abs(_field_value(f, z)) < tol.field_floor:
-            rows.append(AmvpVerdict(
-                point=z,
-                status="untestable",
-                estimate=None,
-                holds=None,
-                bracket=complex(nan, nan),
-                bracket_gap=nan,
-                consistent=False,
-            ))
-            continue
-        jet = wirtinger_jet(f, z)
-        bracket = cr_residual(jet, d)
 
-        s = sweep("pair_increment", f, z, d, cfg)
-        radii = np.asarray(s.radii, dtype=float)
-        ratios = np.asarray(s.values, dtype=complex) / radii
-        est = extrapolate(radii, ratios, tol)
+    def row(z, s):
+        bracket = cr_residual(wirtinger_jet(f, z), d)
+        est = extrapolate(*_increment_ratios(s), tol)
         holds = abs(est.limit) <= tol.amvp_tol
         gap = abs(est.limit - bracket)
-        rows.append(AmvpVerdict(
+        return AmvpVerdict(
             point=z,
             status="holds" if holds else "fails",
             estimate=est,
@@ -433,5 +432,6 @@ def amvp_verdict(f, points, d, cfg=None, tol=None):
             bracket=complex(bracket),
             bracket_gap=float(gap),
             consistent=bool(gap <= tol.match_tol),
-        ))
-    return tuple(rows)
+        )
+
+    return _verdict_rows("pair_increment", f, points, d, cfg, tol, row, AmvpVerdict)

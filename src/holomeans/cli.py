@@ -20,6 +20,7 @@ which), 2 for configuration problems, reported with a line diagnostic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import sys
@@ -46,14 +47,7 @@ from .dpp import (
 )
 from .errors import ConfigError, DivergenceError, HolomeansError
 from .fields import make_field, parse_complex
-from .means import (
-    SolverConfig,
-    center_circle_mean,
-    conjugate_transformed_mean,
-    infinity_mean,
-    pair_mean,
-    variational_circle_mean,
-)
+from .means import MEAN_KINDS, SolverConfig, circle_means
 
 __all__ = ["main", "load_scenario", "parse_density_spec"]
 
@@ -199,55 +193,32 @@ def _take_points(sc):
     return pts if pts is not None else gpts
 
 
-def _take_solver(sc):
-    kwargs = {}
-    for name, cast in (
-        ("max_iterations", int),
-        ("foc_tol_coeff", float),
-        ("armijo_slope", float),
-        ("backtrack_factor", float),
-        ("max_backtracks", int),
-        ("residual_floor", float),
-    ):
-        val = sc.take(f"solver.{name}", cast=cast)
-        if val is not None:
-            kwargs[name] = val
-    return SolverConfig(**kwargs)
+def _take_config(sc, prefix, cls, fixed=None, rename=None):
+    """Build the config dataclass ``cls`` from the ``<prefix>.<field>`` keys.
 
-
-def _take_sweep(sc, seed, solver):
-    kwargs = {"solver": solver, "seed": seed}
-    for name, cast in (
-        ("r0", float),
-        ("rho", float),
-        ("count", int),
-        ("node_count", int),
-        ("min_successes", int),
-    ):
-        key = "nodes" if name == "node_count" else name
-        val = sc.take(f"sweep.{key}", cast=cast)
+    Every field of ``cls`` not in ``fixed`` is a key, cast to the type of
+    the field's default; ``rename`` maps a field name to its key name.
+    """
+    kwargs = dict(fixed or {})
+    rename = rename or {}
+    for fld in dataclasses.fields(cls):
+        if fld.name in kwargs:
+            continue
+        key = f"{prefix}.{rename.get(fld.name, fld.name)}"
+        val = sc.take(key, cast=type(fld.default))
         if val is not None:
-            kwargs[name] = val
+            kwargs[fld.name] = val
     try:
-        return SweepConfig(**kwargs)
+        return cls(**kwargs)
     except HolomeansError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _take_tol(sc):
-    kwargs = {}
-    for name in (
-        "limit_tol",
-        "fit_tol_coeff",
-        "residual_tol",
-        "match_tol",
-        "amvp_tol",
-        "field_floor",
-    ):
-        val = sc.take(f"tol.{name}", cast=float)
-        if val is not None:
-            kwargs[name] = val
-    return ToleranceConfig(**kwargs)
+def _sweep_configs(sc, seed):
+    solver = _take_config(sc, "solver", SolverConfig)
+    cfg = _take_config(sc, "sweep", SweepConfig, {"seed": seed, "solver": solver},
+                       {"node_count": "nodes"})
+    return cfg, _take_config(sc, "tol", ToleranceConfig)
 
 
 def _fmt(value):
@@ -284,7 +255,28 @@ def _header(command, seed, sc):
     return lines
 
 
-MEAN_KINDS = ("variational", "center", "conjugate", "pair", "infinity")
+# mean kind -> (column, getter) pairs between r and status
+_MEAN_COLUMNS = {
+    "pair": (
+        ("re_a", lambda m: m.center.minimizer.real),
+        ("im_a", lambda m: m.center.minimizer.imag),
+        ("re_b", lambda m: m.slope.minimizer.real),
+        ("im_b", lambda m: m.slope.minimizer.imag),
+        ("re_value", lambda m: m.value.real),
+        ("im_value", lambda m: m.value.imag),
+    ),
+    "infinity": (
+        ("re_c", lambda m: m.minimizer.real),
+        ("im_c", lambda m: m.minimizer.imag),
+        ("objective", lambda m: m.objective),
+        ("support_count", lambda m: m.support_count),
+    ),
+}
+_NEWTON_COLUMNS = (
+    ("re_c", lambda m: m.minimizer.real),
+    ("im_c", lambda m: m.minimizer.imag),
+    ("foc_residual", lambda m: m.foc_residual),
+)
 
 
 def _cmd_mean(sc, seed, out):
@@ -295,7 +287,7 @@ def _cmd_mean(sc, seed, out):
     z = sc.take("mean.point", cast=parse_complex, required=True)
     r = sc.take("mean.r", cast=float, required=True)
     nodes = sc.take("mean.nodes", cast=int, default=64)
-    solver = _take_solver(sc)
+    solver = _take_config(sc, "solver", SolverConfig)
     density = None
     if kind != "infinity":
         density = sc.take("density.spec", cast=parse_density_spec, required=True)
@@ -305,55 +297,13 @@ def _cmd_mean(sc, seed, out):
     if r <= 0:
         raise ConfigError(f"mean.r must be positive, got {r}")
 
-    if kind == "pair":
-        res = pair_mean(field, z, r, density, nodes, solver)
-        columns = (
-            "r",
-            "re_a",
-            "im_a",
-            "re_b",
-            "im_b",
-            "re_value",
-            "im_value",
-            "status",
-        )
-        rows = [
-            (
-                r,
-                res.center.minimizer.real,
-                res.center.minimizer.imag,
-                res.slope.minimizer.real,
-                res.slope.minimizer.imag,
-                res.value.real,
-                res.value.imag,
-                res.status,
-            )
-        ]
-    elif kind == "infinity":
-        res = infinity_mean(field, z, r, nodes, seed)
-        columns = ("r", "re_c", "im_c", "objective", "support_count", "status")
-        rows = [
-            (
-                r,
-                res.minimizer.real,
-                res.minimizer.imag,
-                res.objective,
-                res.support_count,
-                res.status,
-            )
-        ]
-    else:
-        fn = {
-            "variational": variational_circle_mean,
-            "center": center_circle_mean,
-            "conjugate": conjugate_transformed_mean,
-        }[kind]
-        res = fn(field, z, r, density, nodes, solver)
-        columns = ("r", "re_c", "im_c", "foc_residual", "status")
-        rows = [
-            (r, res.minimizer.real, res.minimizer.imag, res.foc_residual, res.status)
-        ]
-    _emit(out, header, columns, rows)
+    (res,) = circle_means(kind, field, [z], r, density, nodes, solver, seed)
+    if isinstance(res, HolomeansError):
+        raise res
+    extras = _MEAN_COLUMNS.get(kind, _NEWTON_COLUMNS)
+    columns = ("r",) + tuple(name for name, _ in extras) + ("status",)
+    row = (r,) + tuple(get(res) for _, get in extras) + (res.status,)
+    _emit(out, header, columns, [row])
     return 0 if res.status != "failed" else 1
 
 
@@ -361,12 +311,10 @@ def _cmd_sweep(sc, seed, out):
     kind = sc.take("sweep.kind", default="variational")
     field = sc.take("field.spec", cast=make_field, required=True)
     z = sc.take("sweep.point", cast=parse_complex, required=True)
-    solver = _take_solver(sc)
-    cfg = _take_sweep(sc, seed, solver)
+    cfg, tol = _sweep_configs(sc, seed)
     density = None
     if kind != "infinity":
         density = sc.take("density.spec", cast=parse_density_spec, required=True)
-    tol = _take_tol(sc)
     header = _header("sweep", seed, sc)
     sc.finish()
 
@@ -383,9 +331,6 @@ def _cmd_sweep(sc, seed, out):
         ]
     )
 
-    failed = dict()
-    for r, reason in result.failures:
-        failed[r] = reason
     by_radius = dict(zip(result.radii, zip(result.values, result.statuses, result.extras)))
 
     columns = ("r", "re_c", "im_c", "foc_residual", "status")
@@ -438,9 +383,7 @@ def _cmd_verify(command, sc, seed, out):
     field = sc.take("field.spec", cast=make_field, required=True)
     density = sc.take("density.spec", cast=parse_density_spec, required=True)
     points = _take_points(sc)
-    solver = _take_solver(sc)
-    cfg = _take_sweep(sc, seed, solver)
-    tol = _take_tol(sc)
+    cfg, tol = _sweep_configs(sc, seed)
     header = _header(command, seed, sc)
     sc.finish()
 
@@ -476,56 +419,23 @@ def _cmd_contact(sc, seed, out):
     density = sc.take("density.spec", cast=parse_density_spec, required=True)
     points = _take_points(sc)
     directions = sc.take("contact.directions", cast=int, default=16)
-    solver = _take_solver(sc)
-    cfg = _take_sweep(sc, seed, solver)
-    tol = _take_tol(sc)
+    cfg, tol = _sweep_configs(sc, seed)
     header = _header("contact", seed, sc)
     sc.finish()
 
     report = contact_solution_verdict(field, points, density, directions, cfg, tol)
-    columns = (
-        "x",
-        "y",
-        "verdict",
-        "limit_re",
-        "limit_im",
-        "fit_residual",
-        "xi_re",
-        "xi_im",
-        "envelope",
-        "consistent",
-    )
-    rows = []
-    for row in report.rows:
-        rows.append(
-            (
-                row.point.real,
-                row.point.imag,
-                row.status,
-                row.limit,
-                0.0,
-                row.fit_residual,
-                row.xi.real,
-                row.xi.imag,
-                row.envelope,
-                row.consistent,
-            )
-        )
-    for z in report.untestable_points:
-        rows.append(
-            (
-                z.real,
-                z.imag,
-                "untestable",
-                float("nan"),
-                float("nan"),
-                float("nan"),
-                float("nan"),
-                float("nan"),
-                float("nan"),
-                False,
-            )
-        )
+    columns = ("x", "y", "verdict", "limit_re", "limit_im", "fit_residual",
+               "xi_re", "xi_im", "envelope", "consistent")
+    rows = [
+        (v.point.real, v.point.imag, v.status, v.limit, 0.0, v.fit_residual,
+         v.xi.real, v.xi.imag, v.envelope, v.consistent)
+        for v in report.rows
+    ]
+    nan = float("nan")
+    rows += [
+        (z.real, z.imag, "untestable") + (nan,) * 6 + (False,)
+        for z in report.untestable_points
+    ]
     header.extend(
         [
             f"camvp_pass = {_fmt(report.camvp_pass)}",
@@ -549,28 +459,13 @@ def _cmd_dpp(sc, seed, out):
     h = sc.take("dpp.h", cast=float, required=True)
     radius = sc.take("dpp.radius", cast=float, required=True)
     init_spec = sc.take("dpp.init", default="field")
-    solver = _take_solver(sc)
-    kwargs = {"radius": radius, "solver": solver}
-    for name, cast in (
-        ("damping", float),
-        ("max_iterations", int),
-        ("residual_tol", float),
-        ("zero_policy", str),
-        ("zero_floor", float),
-        ("divergence_window", int),
-        ("divergence_factor", float),
-    ):
-        val = sc.take(f"dpp.{name}", cast=cast)
-        if val is not None:
-            kwargs[name] = val
-    nodes = sc.take("dpp.nodes", cast=int)
-    if nodes is not None:
-        kwargs["node_count"] = nodes
+    solver = _take_config(sc, "solver", SolverConfig)
+    cfg = _take_config(sc, "dpp", DppConfig, {"radius": radius, "solver": solver},
+                       {"node_count": "nodes"})
     header = _header("dpp", seed, sc)
     sc.finish()
 
     try:
-        cfg = DppConfig(**kwargs)
         grid = grid_from_function(x0, x1, y0, y1, h, radius, field)
     except HolomeansError as exc:
         raise ConfigError(str(exc)) from exc

@@ -17,9 +17,10 @@ A probe claims only the two slope coefficients (sigma, tau); the field value
 at the base point is always sampled from the field itself.  The first-order
 behaviour of the projected increment has a closed form, the xi envelope,
 which the verdicts cross-check.  The full-field report evaluates every
-direction of a uniform fan at every sample point while running a single
-radius sweep per point, since projection onto a direction commutes with the
-linear extrapolation.
+direction of a uniform fan at every sample point from one radius sweep of
+all points' affine surrogates together (one batched circle-mean solve per
+radius); each point's sweep serves all its directions, since projection
+onto a direction commutes with the linear extrapolation.
 """
 
 from __future__ import annotations
@@ -32,12 +33,22 @@ from .asymptotics import (
     LimitEstimate,
     SweepConfig,
     ToleranceConfig,
-    _field_value,
+    _increment_ratios,
+    _raise_first,
+    _sweeps,
+    extrapolate,
     sweep,
 )
 from .density import lambda_of
 from .errors import InvalidParameterError
-from .geometry import Jet, affine_eval, circle_rule, sample_field, wirtinger_jet
+from .geometry import (
+    Jet,
+    affine_eval,
+    circle_rule,
+    field_values,
+    sample_field,
+    wirtinger_jet,
+)
 from .pdesystem import cr_residual
 
 __all__ = [
@@ -57,6 +68,10 @@ __all__ = [
 UNIT_TOL = 1e-12
 ZERO_FLOOR = 1e-12
 DEFAULT_DIRECTION_COUNT = 16
+
+
+def _field_value(f, z):
+    return complex(field_values(f, [z])[0])
 
 
 def _check_unit(xi):
@@ -176,8 +191,6 @@ def jet_membership(
     rejected when it is at least ``reject_tol``; the gap between the two
     thresholds absorbs extrapolation noise.
     """
-    from .asymptotics import extrapolate
-
     if member_tol >= reject_tol:
         raise InvalidParameterError(
             f"member_tol ({member_tol:g}) must be below reject_tol ({reject_tol:g})"
@@ -226,41 +239,29 @@ def jet_membership(
 
 @dataclass(frozen=True)
 class ContactAmvpResult:
-    """Contact mean value verdict for one point and one direction."""
+    """Contact mean value verdict for one point and one direction.
+
+    A result given only its point and direction is an untestable one.
+    """
 
     point: complex
     xi: complex
-    status: str  # holds | fails | untestable
-    limit: float
-    fit_residual: float
-    envelope: float
-    envelope_gap: float
-    consistent: bool
+    status: str = "untestable"  # holds | fails
+    limit: float = float("nan")
+    fit_residual: float = float("nan")
+    envelope: float = float("nan")
+    envelope_gap: float = float("nan")
+    consistent: bool = False
 
 
-def _untestable_row(z, xi):
-    nan = float("nan")
-    return ContactAmvpResult(
-        point=z,
-        xi=complex(xi),
-        status="untestable",
-        limit=nan,
-        fit_residual=nan,
-        envelope=nan,
-        envelope_gap=nan,
-        consistent=False,
-    )
-
-
-def _direction_rows(z, xi_list, ratios, radii, jet, d, tol):
-    """Project one complex ratio sweep onto every direction and classify.
+def _direction_rows(z, xi_list, s, jet, d, tol):
+    """Project one pair-increment sweep onto every direction and classify.
 
     The decision is one-sided and decisive: the property holds along xi
     exactly when the projected limit stays above ``-amvp_tol``.  Fit quality
     is reported per direction but does not gate the decision.
     """
-    from .asymptotics import extrapolate
-
+    radii, ratios = _increment_ratios(s)
     est = extrapolate(radii, ratios, tol)
     design = np.stack([np.ones_like(radii), radii], axis=1)
     fitted = design @ np.array([est.limit, est.slope])
@@ -304,16 +305,14 @@ def camvp_verdict(f, probe, d, cfg=None, tol=None):
     z = complex(probe.base)
     fz = _field_value(f, z)
     if abs(fz) < tol.field_floor:
-        return _untestable_row(z, xi)
+        return ContactAmvpResult(z, xi)
     jet = Jet(base=z, value=fz, dz=complex(probe.sigma), dzbar=complex(probe.tau))
 
     def affine(pts):
         return affine_eval(jet, pts)
 
     s = sweep("pair_increment", affine, z, d, cfg)
-    radii = np.asarray(s.radii, dtype=float)
-    ratios = np.asarray(s.values, dtype=complex) / radii
-    return _direction_rows(z, [xi], ratios, radii, jet, d, tol)[0]
+    return _direction_rows(z, [xi], s, jet, d, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -339,9 +338,10 @@ def contact_solution_verdict(
     """Assess a field as a contact solution over a grid of probes.
 
     At every point the field's finite-difference jet is turned into a
-    touching probe and the pair-mean increment of that probe is swept once;
-    every direction of the fan reuses the same sweep, since projecting onto
-    a direction commutes with the least-squares extrapolation.
+    touching probe, and the pair-mean increments of all probes are swept in
+    one batch; every direction of the fan reuses its point's sweep, since
+    projecting onto a direction commutes with the least-squares
+    extrapolation.  The first point whose sweep failed raises its error.
     ``directions`` is either a count (uniform fan) or an explicit iterable
     of unit directions.  Three assessments are aggregated: the contact mean
     value verdicts, the closed form envelopes, and the pointwise system
@@ -356,25 +356,26 @@ def contact_solution_verdict(
         if xi_list.size == 0:
             raise InvalidParameterError("need at least one direction")
 
+    pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
+    low = np.abs(field_values(f, pts)) < tol.field_floor
+    live = pts[~low]
+    jets = [wirtinger_jet(f, z) for z in live]
+    residual_ok = [abs(cr_residual(jet, d)) <= tol.residual_tol for jet in jets]
+    # One affine touching surrogate per point, as a jet of (points, 1) arrays.
+    surrogate = Jet(
+        base=live[:, None],
+        value=np.array([jet.value for jet in jets], dtype=complex)[:, None],
+        dz=np.array([jet.dz for jet in jets], dtype=complex)[:, None],
+        dzbar=np.array([jet.dzbar for jet in jets], dtype=complex)[:, None],
+    )
+    sweeps = _sweeps("pair_increment", lambda zeta: affine_eval(surrogate, zeta),
+                     live, d, cfg)
+    _raise_first(sweeps)
+
     rows = []
-    untestable = []
-    residual_ok = []
-    for z in np.atleast_1d(np.asarray(points, dtype=complex)).ravel():
-        z = complex(z)
-        fz = _field_value(f, z)
-        if abs(fz) < tol.field_floor:
-            untestable.append(z)
-            continue
-        jet = wirtinger_jet(f, z)
-        residual_ok.append(abs(cr_residual(jet, d)) <= tol.residual_tol)
-
-        def affine(pts, jet=jet):
-            return affine_eval(jet, pts)
-
-        s = sweep("pair_increment", affine, z, d, cfg)
-        radii = np.asarray(s.radii, dtype=float)
-        ratios = np.asarray(s.values, dtype=complex) / radii
-        rows.extend(_direction_rows(z, xi_list, ratios, radii, jet, d, tol))
+    for z, jet, s in zip(live, jets, sweeps):
+        rows.extend(_direction_rows(complex(z), xi_list, s, jet, d, tol))
+    untestable = [complex(z) for z in pts[low]]
 
     camvp_pass = bool(rows) and all(row.status == "holds" for row in rows)
     envelope_pass = bool(rows) and all(

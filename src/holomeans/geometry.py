@@ -112,8 +112,11 @@ def disk_rule(center, radius, radial_nodes=DEFAULT_RADIAL_NODES,
     return DiskQuadrature(complex(center), float(radius), nodes, weights)
 
 
-def sample_field(f, points):
-    """Evaluate a vectorized field and fail loudly on non-finite samples."""
+def field_values(f, points):
+    """Evaluate a vectorized field at ``points``, without checking the values.
+
+    A result of another shape is broadcast to the shape of the points.
+    """
     pts = np.asarray(points, dtype=complex)
     vals = np.asarray(f(pts), dtype=complex)
     if vals.shape != pts.shape:
@@ -123,12 +126,26 @@ def sample_field(f, points):
             raise InvalidParameterError(
                 f"field returned shape {vals.shape} for points of shape {pts.shape}"
             ) from None
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        where = pts[bad].ravel()[0]
-        raise NonFiniteSampleError(
-            f"field returned a non-finite value near {where:.6g}"
-        )
+    return vals
+
+
+def nonfinite_error(points, values):
+    """The error for the first non-finite value, or None when all are finite."""
+    bad = ~np.isfinite(values)
+    if not np.any(bad):
+        return None
+    return NonFiniteSampleError(
+        f"field returned a non-finite value near {points[bad][0]:.6g}"
+    )
+
+
+def sample_field(f, points):
+    """Evaluate a vectorized field and fail loudly on non-finite samples."""
+    pts = np.asarray(points, dtype=complex)
+    vals = field_values(f, pts)
+    error = nonfinite_error(pts, vals)
+    if error is not None:
+        raise error
     return vals
 
 

@@ -17,6 +17,14 @@ floor, which keeps the Newton step a descent direction.
 
 The sup-norm mean is different in kind: it reduces to a smallest enclosing
 circle problem and is solved exactly by a randomized incremental algorithm.
+
+Every mean is computed by one engine, :func:`circle_means`, which takes all
+points of one radius at once: one field call samples every circle and one
+Newton solve per model fits every row.  A point whose circle cannot be
+solved gets its own error value and leaves the other points untouched.  The
+one-point functions are one-row calls to it, so they return the same bits
+as a dedicated one-point solve; in a multi-point call the matrix-vector
+products may round a row differently in the last bit.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import young_conjugate
-from .errors import InvalidParameterError, ZeroFieldError
-from .geometry import circle_rule, sample_field
+from .errors import HolomeansError, InvalidParameterError, ZeroFieldError
+from .geometry import circle_rule, field_values, nonfinite_error
 from .pdesystem import FIELD_FLOOR
 
 __all__ = [
@@ -44,8 +52,11 @@ __all__ = [
     "conjugate_transformed_mean",
     "infinity_mean",
     "affine_mean_identity",
+    "circle_means",
     "fit_model_coefficient",
 ]
+
+MEAN_KINDS = ("variational", "center", "conjugate", "pair", "infinity")
 
 # Transformed-field floor for the conjugate mean.
 TRANSFORM_FLOOR = 1e-12
@@ -157,7 +168,7 @@ def _check_nodes(node_count):
 
 
 def _objective_rows(d, samples, weights, model, c):
-    u = samples - c[:, None] * model[None, :]
+    u = samples - c[:, None] * model
     return np.asarray(d.value_fn(np.abs(u)), dtype=float) @ weights
 
 
@@ -169,7 +180,8 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
     d : Density
     samples : complex array, shape (batch, nodes)
     weights : positive float array, shape (nodes,)
-    model : complex array, shape (nodes,), bounded away from zero
+    model : complex array, shape (nodes,) shared by all rows or (batch, nodes)
+        one per row; bounded away from zero
     init : complex array, shape (batch,)
     cfg : SolverConfig, optional
 
@@ -185,12 +197,14 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
     samples = np.asarray(samples, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     model = np.asarray(model, dtype=complex)
-    if samples.ndim != 2 or model.ndim != 1 or samples.shape[1] != model.shape[0]:
+    if samples.ndim != 2 or model.shape not in (samples.shape, samples.shape[1:]):
         raise InvalidParameterError("samples must be (batch, nodes) matching model")
     mmod = np.abs(model)
-    mscale = float(np.max(mmod))
     if float(np.min(mmod)) <= 0.0:
         raise InvalidParameterError("model weights must be bounded away from zero")
+    mscale = np.max(mmod, axis=-1)
+    conj_model = np.conj(model)
+    mmod2, conj_model2 = mmod**2, conj_model**2
     total_w = float(np.sum(weights))
 
     nbatch = samples.shape[0]
@@ -203,12 +217,16 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
     foc_tol = cfg.foc_tol_coeff * (1.0 + favg)
     floor = cfg.residual_floor
 
+    def per_row(a, rows):
+        # A shared (nodes,) model broadcasts as it is, without a copy.
+        return a[rows] if model.ndim == 2 else a
+
     def gradient(rows, cc):
-        u = samples[rows] - cc[:, None] * model[None, :]
+        u = samples[rows] - cc[:, None] * per_row(model, rows)
         au = np.abs(u)
         au_safe = np.where(au > 0.0, au, 1.0)
         fp = np.asarray(d.deriv_fn(au), dtype=float)
-        g = -0.5 * ((fp * (u / au_safe) * np.conj(model)) @ weights)
+        g = -0.5 * ((fp * (u / au_safe) * per_row(conj_model, rows)) @ weights)
         return u, au, g
 
     for it in range(cfg.max_iterations):
@@ -216,7 +234,7 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         if act.size == 0:
             break
         u, au, g = gradient(act, c[act])
-        foc = np.abs(g) / (total_w * mscale)
+        foc = np.abs(g) / (total_w * per_row(mscale, act))
         exact = np.all(au < floor, axis=1)
         foc = np.where(exact, 0.0, foc)
         foc_out[act] = foc
@@ -241,9 +259,9 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
             lam = au_s * fpp / fp
         lam = np.where(np.isfinite(lam), lam, 1.0)
         base = fp / (4.0 * au_s)
-        a_coef = ((base * (lam + 1.0)) * (mmod**2)[None, :]) @ weights
+        a_coef = ((base * (lam + 1.0)) * per_row(mmod2, rows)) @ weights
         phase2 = (u_r / au_s) ** 2
-        b_coef = ((base * (lam - 1.0)) * phase2 * (np.conj(model) ** 2)[None, :]) @ weights
+        b_coef = ((base * (lam - 1.0)) * phase2 * per_row(conj_model2, rows)) @ weights
         denom = a_coef**2 - np.abs(b_coef) ** 2
         good = np.isfinite(denom) & (denom > 0.0)
         delta = np.zeros_like(g_r)
@@ -266,7 +284,8 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         if rows.size == 0:
             continue
 
-        obj0 = _objective_rows(d, samples[rows], weights, model, c[rows])
+        row_model = per_row(model, rows)
+        obj0 = _objective_rows(d, samples[rows], weights, row_model, c[rows])
         # Near the optimum the true decrease of a Newton step can drop below
         # the float resolution of the objective; a few-ulp allowance keeps
         # the line search from rejecting such steps, and the gradient-based
@@ -276,7 +295,7 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         ok = np.zeros(rows.size, dtype=bool)
         for _ in range(cfg.max_backtracks):
             cand = c[rows] + t * delta
-            obj1 = _objective_rows(d, samples[rows], weights, model, cand)
+            obj1 = _objective_rows(d, samples[rows], weights, row_model, cand)
             ok = np.isfinite(obj1) & (
                 obj1 <= obj0 + cfg.armijo_slope * t * slope + flat
             )
@@ -293,7 +312,7 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         # accept rows whose final iterate meets the first-order tolerance
         # and fail only the rest.
         u, au, g = gradient(act, c[act])
-        foc = np.abs(g) / (total_w * mscale)
+        foc = np.abs(g) / (total_w * per_row(mscale, act))
         foc = np.where(np.all(au < floor, axis=1), 0.0, foc)
         foc_out[act] = foc
         iters[act] = cfg.max_iterations
@@ -310,21 +329,122 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
     }
 
 
-def _single_result(fit):
-    code = int(fit["status"][0])
-    return MeanResult(
-        minimizer=complex(fit["minimizer"][0]),
-        objective=float(fit["objective"][0]),
-        foc_residual=float(fit["foc_residual"][0]),
-        iterations=int(fit["iterations"][0]),
-        status=_STATUS_NAMES[code],
-    )
+def _mean_results(fit):
+    return [
+        MeanResult(
+            minimizer=complex(c),
+            objective=float(obj),
+            foc_residual=float(foc),
+            iterations=int(it),
+            status=_STATUS_NAMES[int(code)],
+        )
+        for c, obj, foc, it, code in zip(
+            fit["minimizer"], fit["objective"], fit["foc_residual"],
+            fit["iterations"], fit["status"],
+        )
+    ]
 
 
-def _circle_setup(f, z, r, node_count):
-    q = circle_rule(z, r, _check_nodes(node_count))
-    vals = sample_field(f, q.nodes)
-    return q, vals[None, :]
+def circle_means(kind, f, points, r, d, node_count=64, cfg=None, seed=0):
+    """One circle mean of ``f`` at every point for the radius ``r``.
+
+    ``kind`` is one of ``MEAN_KINDS``; each is documented at its one-point
+    function (``variational_circle_mean``, ``center_circle_mean``,
+    ``pair_mean``, ``conjugate_transformed_mean``, ``infinity_mean``).  All
+    circles are sampled in one field call and each model is fitted in one
+    :func:`fit_model_coefficient` call over all points.  ``d`` and ``cfg``
+    are unused by the sup-norm mean, ``seed`` is used by it alone.
+
+    Returns a tuple with one entry per point: the mean's result, or the
+    error its one-point function raises for that point alone.  These are a
+    :class:`~holomeans.errors.NonFiniteSampleError` for a non-finite sample
+    on the point's circle, a :class:`~holomeans.errors.ZeroFieldError` where
+    the conjugate transform meets a zero of the field, and an
+    :class:`~holomeans.errors.InvalidParameterError` where the radius is
+    below the float resolution at the point, so the slope model vanishes at
+    a node.  Errors that concern every point are raised.
+    """
+    if kind not in MEAN_KINDS:
+        raise InvalidParameterError(
+            f"unknown mean kind {kind!r}; expected one of {MEAN_KINDS}"
+        )
+    q = circle_rule(0j, r, _check_nodes(node_count))
+    z = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
+    nodes = z[:, None] + q.nodes[None, :]
+    offsets = nodes - z[:, None]
+    samples = field_values(f, nodes)
+    errors = [None] * z.size
+
+    def fail(rows, error):
+        for i in np.flatnonzero(rows):
+            if errors[i] is None:
+                errors[i] = error(i)
+
+    fail(~np.all(np.isfinite(samples), axis=1),
+         lambda i: nonfinite_error(nodes[i], samples[i]))
+    if kind == "conjugate":
+        mod = np.abs(samples)
+        fail(np.any(mod < TRANSFORM_FLOOR, axis=1), lambda i: ZeroFieldError(
+            f"conjugate transform needs |g| >= {TRANSFORM_FLOOR:g} on the circle; "
+            f"|g({nodes[i, np.argmin(mod[i])]:.6g})| = {np.min(mod[i]):.3e}"
+        ))
+    model = np.conj(offsets)
+    if kind not in ("center", "infinity"):
+        fail(np.min(np.abs(model), axis=1) <= 0.0, lambda i: InvalidParameterError(
+            "model weights must be bounded away from zero"
+        ))
+    live = np.flatnonzero([e is None for e in errors])
+    out = list(errors)
+
+    if kind == "infinity":
+        v = samples * offsets / r**2
+        for i in live:
+            center, radius = _smallest_enclosing_circle(v[i].tolist(), seed)
+            value = r * radius
+            attained = r * np.abs(v[i] - center)
+            out[i] = InfinityMeanResult(
+                minimizer=complex(center),
+                objective=float(value),
+                support_count=int(np.sum(attained >= value - 1e-9 * (1.0 + value))),
+                status="converged",
+            )
+        return tuple(out)
+    if live.size == 0:
+        return tuple(out)
+
+    samples, offsets, model = samples[live], offsets[live], model[live]
+    if kind == "conjugate":
+        mod = mod[live]
+        samples = young_conjugate(d).deriv_fn(mod) * samples / mod
+    w = q.weights
+    if kind in ("center", "pair"):
+        init = samples @ w / (2.0 * np.pi * r)
+        a_res = _mean_results(
+            fit_model_coefficient(d, samples, w, np.ones_like(q.nodes), init, cfg)
+        )
+    if kind != "center":
+        init = (samples * offsets) @ w / (2.0 * np.pi * r**3)
+        b_res = _mean_results(fit_model_coefficient(d, samples, w, model, init, cfg))
+    for k, i in enumerate(live):
+        if kind == "center":
+            out[i] = a_res[k]
+        elif kind == "pair":
+            out[i] = PairMeanResult(
+                center=a_res[k],
+                slope=b_res[k],
+                radius=float(r),
+                value=complex(a_res[k].minimizer + r * b_res[k].minimizer),
+            )
+        else:
+            out[i] = b_res[k]
+    return tuple(out)
+
+
+def _one_point(kind, f, z, r, d, node_count, cfg, seed=0):
+    res = circle_means(kind, f, [complex(z)], r, d, node_count, cfg, seed)[0]
+    if isinstance(res, HolomeansError):
+        raise res
+    return res
 
 
 def variational_circle_mean(f, z, r, d, node_count=64, cfg=None):
@@ -334,22 +454,15 @@ def variational_circle_mean(f, z, r, d, node_count=64, cfg=None):
     circle.  Initialized at the quadratic closed form, which is exact for
     the power density with p = 2.
     """
-    z = complex(z)
-    q, samples = _circle_setup(f, z, r, node_count)
-    model = np.conj(q.nodes - z)
-    init = (samples * (q.nodes - z)) @ q.weights / (2.0 * np.pi * r**3)
-    fit = fit_model_coefficient(d, samples, q.weights, model, init, cfg)
-    return _single_result(fit)
+    return _one_point("variational", f, z, r, d, node_count, cfg)
 
 
 def center_circle_mean(f, z, r, d, node_count=64, cfg=None):
-    """Constant-model circle mean: the F-barycenter of f on the circle."""
-    z = complex(z)
-    q, samples = _circle_setup(f, z, r, node_count)
-    model = np.ones_like(q.nodes)
-    init = samples @ q.weights / (2.0 * np.pi * r)
-    fit = fit_model_coefficient(d, samples, q.weights, model, init, cfg)
-    return _single_result(fit)
+    """Constant-model circle mean: the F-barycenter of f on the circle.
+
+    Initialized at the plain circle average.
+    """
+    return _one_point("center", f, z, r, d, node_count, cfg)
 
 
 def pair_mean(f, z, r, d, node_count=64, cfg=None):
@@ -360,26 +473,10 @@ def pair_mean(f, z, r, d, node_count=64, cfg=None):
     on its own.  This is not the minimizer of the joint objective over
     (a, b): the two models decouple only for the quadratic density.
     """
-    z = complex(z)
-    q, samples = _circle_setup(f, z, r, node_count)
-    model_a = np.ones_like(q.nodes)
-    init_a = samples @ q.weights / (2.0 * np.pi * r)
-    fit_a = fit_model_coefficient(d, samples, q.weights, model_a, init_a, cfg)
-    model_b = np.conj(q.nodes - z)
-    init_b = (samples * (q.nodes - z)) @ q.weights / (2.0 * np.pi * r**3)
-    fit_b = fit_model_coefficient(d, samples, q.weights, model_b, init_b, cfg)
-    a_res = _single_result(fit_a)
-    b_res = _single_result(fit_b)
-    return PairMeanResult(
-        center=a_res,
-        slope=b_res,
-        radius=float(r),
-        value=complex(a_res.minimizer + r * b_res.minimizer),
-    )
+    return _one_point("pair", f, z, r, d, node_count, cfg)
 
 
-def conjugate_transformed_mean(g, z, r, d, node_count=64, cfg=None,
-                               zero_floor=TRANSFORM_FLOOR):
+def conjugate_transformed_mean(g, z, r, d, node_count=64, cfg=None):
     """Circle mean of the conjugate-slope transform of ``g``.
 
     The samples are mapped through ``t -> G'(|g|) g / |g|`` with G the Young
@@ -389,24 +486,10 @@ def conjugate_transformed_mean(g, z, r, d, node_count=64, cfg=None,
     Raises
     ------
     ZeroFieldError
-        If any circle sample has ``|g| < zero_floor``; the transform needs a
-        nonvanishing field.
+        If any circle sample has ``|g| < TRANSFORM_FLOOR``; the transform
+        needs a nonvanishing field.
     """
-    z = complex(z)
-    q, samples = _circle_setup(g, z, r, node_count)
-    mod = np.abs(samples[0])
-    if np.any(mod < zero_floor):
-        j = int(np.argmin(mod))
-        raise ZeroFieldError(
-            f"conjugate transform needs |g| >= {zero_floor:g} on the circle; "
-            f"|g({q.nodes[j]:.6g})| = {mod[j]:.3e}"
-        )
-    conj_slope = young_conjugate(d).deriv_fn(mod)
-    transformed = (conj_slope * samples[0] / mod)[None, :]
-    model = np.conj(q.nodes - z)
-    init = (transformed * (q.nodes - z)) @ q.weights / (2.0 * np.pi * r**3)
-    fit = fit_model_coefficient(d, transformed, q.weights, model, init, cfg)
-    return _single_result(fit)
+    return _one_point("conjugate", g, z, r, d, node_count, cfg)
 
 
 # -- sup-norm mean ----------------------------------------------------------
@@ -470,19 +553,7 @@ def infinity_mean(f, z, r, node_count=64, seed=0):
     i.e. a smallest enclosing circle, solved exactly.  The fixed shuffle seed
     makes the run deterministic.
     """
-    z = complex(z)
-    q, samples = _circle_setup(f, z, r, node_count)
-    v = samples[0] * (q.nodes - z) / r**2
-    center, radius = _smallest_enclosing_circle(v.tolist(), seed)
-    value = r * radius
-    attained = r * np.abs(v - center)
-    support = int(np.sum(attained >= value - 1e-9 * (1.0 + value)))
-    return InfinityMeanResult(
-        minimizer=complex(center),
-        objective=float(value),
-        support_count=support,
-        status="converged",
-    )
+    return _one_point("infinity", f, z, r, None, node_count, None, seed)
 
 
 def affine_mean_identity(jet, r, c, d, node_count=64, radial_nodes=32):

@@ -1,0 +1,169 @@
+"""The batched circle-mean engine: multi-point calls against one-point calls."""
+
+import numpy as np
+import pytest
+
+import holomeans as hm
+from holomeans.asymptotics import _sweeps
+from holomeans.errors import (
+    InsufficientDataError,
+    InvalidParameterError,
+    NonFiniteSampleError,
+    ZeroFieldError,
+)
+from holomeans.means import fit_model_coefficient
+
+D3 = hm.power_density(3)
+PHARM = hm.make_field("pharm-radial:3")
+_RNG = np.random.default_rng(7)
+POINTS = _RNG.uniform(0.2, 0.8, 10) + 1j * _RNG.uniform(0.2, 0.8, 10)
+TOL = 1e-12
+
+
+def _close(a, b):
+    return abs(complex(a) - complex(b)) <= TOL
+
+
+@pytest.mark.parametrize(
+    "verdict, field, decision, numbers",
+    [
+        (hm.holomorphy_verdict, np.exp, "verdict", ("predicted_limit", "prediction_gap")),
+        (hm.system_verdict, PHARM, "status", ("analytic_residual",)),
+        (hm.amvp_verdict, PHARM, "status", ("bracket", "bracket_gap")),
+    ],
+)
+def test_multi_point_verdict_rows_match_one_point_calls(verdict, field, decision, numbers):
+    rows = verdict(field, POINTS, D3)
+    assert len(rows) == POINTS.size
+    for z, row in zip(POINTS, rows):
+        (one,) = verdict(field, z, D3)
+        assert row.point == one.point
+        assert getattr(row, decision) == getattr(one, decision)
+        assert row.consistent == one.consistent
+        assert _close(row.estimate.limit, one.estimate.limit)
+        assert _close(row.estimate.slope, one.estimate.slope)
+        assert _close(row.estimate.fit_residual, one.estimate.fit_residual)
+        for name in numbers:
+            assert _close(getattr(row, name), getattr(one, name))
+
+
+def test_multi_point_contact_rows_match_one_point_calls():
+    report = hm.contact_solution_verdict(PHARM, POINTS, D3, 4)
+    assert len(report.rows) == 4 * POINTS.size
+    for k, z in enumerate(POINTS):
+        one = hm.contact_solution_verdict(PHARM, z, D3, 4)
+        for row, ref in zip(report.rows[4 * k:4 * k + 4], one.rows):
+            assert (row.point, row.xi, row.status, row.consistent) == (
+                ref.point, ref.xi, ref.status, ref.consistent
+            )
+            for name in ("limit", "fit_residual", "envelope", "envelope_gap"):
+                assert _close(getattr(row, name), getattr(ref, name))
+
+
+def _nan_near_half(zeta):
+    zeta = np.asarray(zeta, dtype=complex)
+    return np.where(np.abs(zeta - 0.5) < 0.06, np.nan, np.exp(zeta))
+
+
+def test_non_finite_circle_fails_only_its_point():
+    pts = [0.5 + 0j, -0.3 + 0.2j]
+    bad, good = hm.circle_means("variational", _nan_near_half, pts, 0.05, D3)
+    with pytest.raises(NonFiniteSampleError) as one:
+        hm.variational_circle_mean(_nan_near_half, pts[0], 0.05, D3)
+    assert type(bad) is NonFiniteSampleError
+    assert str(bad) == str(one.value)
+    assert good == hm.variational_circle_mean(_nan_near_half, pts[1], 0.05, D3)
+
+
+def test_zero_field_under_conjugate_transform_fails_only_its_point():
+    def shifted(zeta):
+        # vanishes exactly at the first node of the circle of radius 0.1 at 0.5
+        return np.asarray(zeta, dtype=complex) - (0.5 + 0.1)
+
+    pts = [0.5 + 0j, -0.3 + 0.2j]
+    bad, good = hm.circle_means("conjugate", shifted, pts, 0.1, D3)
+    with pytest.raises(ZeroFieldError) as one:
+        hm.conjugate_transformed_mean(shifted, pts[0], 0.1, D3)
+    assert type(bad) is ZeroFieldError
+    assert str(bad) == str(one.value)
+    assert good == hm.conjugate_transformed_mean(shifted, pts[1], 0.1, D3)
+
+
+def test_radius_below_float_resolution_fails_only_its_point():
+    # At 1e6 a radius of 1e-12 is lost in rounding at the first node, so the
+    # slope model vanishes there.
+    pts = [1e6 + 0j, 0.5 + 0.5j]
+    bad, good = hm.circle_means("pair", lambda z: z + 1.0, pts, 1e-12, D3)
+    with pytest.raises(InvalidParameterError) as one:
+        hm.pair_mean(lambda z: z + 1.0, pts[0], 1e-12, D3)
+    assert type(bad) is InvalidParameterError
+    assert str(bad) == str(one.value)
+    assert good.status == "converged"
+
+
+@pytest.mark.parametrize("kind", hm.asymptotics.SWEEP_KINDS)
+def test_sweep_failures_are_per_point_and_match_one_point_sweeps(kind):
+    cfg = hm.SweepConfig(min_successes=1)
+    d = None if kind == "infinity" else D3
+    pts = [0.5 + 0j, -0.3 + 0.2j]
+    starved, clean = _sweeps(kind, _nan_near_half, pts, d, cfg)
+    assert starved.failures
+    assert starved.failures == hm.sweep(kind, _nan_near_half, pts[0], d, cfg).failures
+    assert not clean.failures
+    assert len(clean.values) == cfg.count
+
+
+def test_zero_field_sweep_failure_reason_matches_one_point_sweep():
+    def shifted(zeta):
+        return np.asarray(zeta, dtype=complex) - (0.5 + 0.1)
+
+    cfg = hm.SweepConfig(min_successes=1)
+    starved, clean = _sweeps("conjugate", shifted, [0.5 + 0j, -0.3 + 0.2j], D3, cfg)
+    (reason,) = [why for r, why in starved.failures if r == 0.1]
+    assert reason.startswith("ZeroFieldError: ")
+    assert starved.failures == hm.sweep("conjugate", shifted, 0.5, D3, cfg).failures
+    assert not clean.failures
+
+
+def test_pair_mean_is_two_single_model_solves():
+    def f(zeta):
+        return np.exp(zeta) + 0.3 * np.conj(zeta) ** 2
+
+    z, r = 0.3 + 0.1j, 0.2
+    res = hm.pair_mean(f, z, r, D3)
+    assert res.center == hm.center_circle_mean(f, z, r, D3)
+    assert res.slope == hm.variational_circle_mean(f, z, r, D3)
+    assert res.value == res.center.minimizer + r * res.slope.minimizer
+
+
+def test_starved_ladder_fails_before_sampling_any_circle():
+    shapes = []
+
+    def counted(zeta):
+        shapes.append(np.shape(zeta))
+        return np.exp(zeta)
+
+    cfg = hm.SweepConfig(min_successes=9)
+    with pytest.raises(InsufficientDataError, match="exceeds the 8 radii"):
+        hm.sweep("variational", counted, 0.4 + 0.1j, D3, cfg)
+    for verdict in (hm.holomorphy_verdict, hm.system_verdict, hm.amvp_verdict):
+        with pytest.raises(InsufficientDataError):
+            verdict(counted, [0.4 + 0.1j, 0.6 + 0.2j], D3, cfg)
+    assert shapes
+    assert all(cfg.node_count not in shape for shape in shapes)
+
+
+def test_fit_model_coefficient_accepts_one_model_per_row():
+    q = hm.circle_rule(0j, 0.2, 16)
+    pts = np.array([0.3 + 0.1j, -0.2 + 0.4j])
+    nodes = pts[:, None] + q.nodes[None, :]
+    samples = np.exp(nodes)
+    model = np.conj(nodes - pts[:, None])
+    init = np.zeros(2, dtype=complex)
+    both = fit_model_coefficient(D3, samples, q.weights, model, init)
+    for i in range(2):
+        one = fit_model_coefficient(D3, samples[i:i + 1], q.weights, model[i], init[i:i + 1])
+        assert abs(both["minimizer"][i] - one["minimizer"][0]) <= TOL
+        assert both["status"][i] == one["status"][0] == 1
+    with pytest.raises(InvalidParameterError):
+        fit_model_coefficient(D3, samples, q.weights, model[:1], init)

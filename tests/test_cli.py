@@ -67,6 +67,18 @@ def test_mean_command_writes_csv(tmp_path):
     assert "# field.spec = exp" in text
 
 
+def test_every_solver_field_is_a_scenario_key(tmp_path):
+    cfg = write(
+        tmp_path,
+        "mean.ini",
+        "field.spec = exp\ndensity.spec = power:p=3\n"
+        "mean.point = 0.3+0.4i\nmean.r = 0.25\nsolver.step_tol = 1e-9\n",
+    )
+    out = tmp_path / "mean.csv"
+    assert run(["mean", "--config", cfg, "--out", out]) == 0
+    assert "# solver.step_tol = 1e-9" in out.read_text()
+
+
 def test_sweep_command_reports_limit_in_header(tmp_path):
     cfg = write(
         tmp_path,
