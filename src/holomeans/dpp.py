@@ -8,9 +8,13 @@ The solver damps the natural fixed-point map
     f  <-  (1 - theta) f + theta * (pair mean of f at radius r)
 
 and stops when the sup update over computed nodes drops below a tolerance.
-Circle samples between lattice nodes are obtained by bilinear interpolation;
-all interior nodes share one set of circle offsets, so each sweep is a pair
-of batched one-dimensional solves over every node at once.
+Circle samples between lattice nodes are obtained by bilinear interpolation.
+The lattice and the circle offsets are fixed for the whole solve, so the
+gather indices and corner weights of every interior circle are built once
+per solve and each sweep only re-weights the current values.  The pair mean
+is then a pair of batched one-dimensional Newton solves over every node at
+once; for a quadratic density (``lambda_lo == lambda_hi == 1``) it is the
+closed-form weighted projection, with no Newton run.
 
 Nodes where the field modulus falls below a floor make the mean ill-posed
 (the density may lose smoothness at zero); the ``zero_policy`` either skips
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .errors import (
     InvalidParameterError,
     NonFiniteSampleError,
 )
+from .geometry import circle_rule
 from .means import SolverConfig, fit_model_coefficient
 
 __all__ = [
@@ -178,8 +184,14 @@ def with_interior(grid, filler):
     return replace(grid, values=values)
 
 
-def interpolate(grid, pts):
-    """Bilinear interpolation of the grid field at complex points."""
+def _bilinear_stencil(grid, pts):
+    """Flat gather indices and corner weights of bilinear interpolation.
+
+    Returns ``(index, weight)``, each of shape ``(4,) + pts.shape``: the
+    lower-left, lower-right, upper-left and upper-right corner of the cell
+    holding each point, as flat indices into ``grid.values``, and their
+    weights.  Raises when a point lies outside the lattice hull.
+    """
     pts = np.asarray(pts, dtype=complex)
     nx, ny = grid.shape
     ox = grid.x0 - grid.strip_cells * grid.h
@@ -205,13 +217,35 @@ def interpolate(grid, pts):
     iy = np.clip(np.floor(gy).astype(int), 0, ny - 2)
     fx = gx - ix
     fy = gy - iy
-    v = grid.values
+    # Filled in place: a DPP stencil holds every interior circle at once.
+    index = np.empty((4,) + pts.shape, dtype=np.intp)
+    np.add(iy * nx, ix, out=index[0])
+    np.add(index[0], 1, out=index[1])
+    np.add(index[0], nx, out=index[2])
+    np.add(index[2], 1, out=index[3])
+    weight = np.empty((4,) + pts.shape)
+    np.multiply(1.0 - fx, 1.0 - fy, out=weight[0])
+    np.multiply(fx, 1.0 - fy, out=weight[1])
+    np.multiply(1.0 - fx, fy, out=weight[2])
+    np.multiply(fx, fy, out=weight[3])
+    return index, weight
+
+
+def _bilinear_apply(values, stencil):
+    """The bilinear four-corner sum of ``values`` over a built stencil."""
+    index, weight = stencil
+    v = values.ravel()
     return (
-        (1.0 - fx) * (1.0 - fy) * v[iy, ix]
-        + fx * (1.0 - fy) * v[iy, ix + 1]
-        + (1.0 - fx) * fy * v[iy + 1, ix]
-        + fx * fy * v[iy + 1, ix + 1]
+        weight[0] * v[index[0]]
+        + weight[1] * v[index[1]]
+        + weight[2] * v[index[2]]
+        + weight[3] * v[index[3]]
     )
+
+
+def interpolate(grid, pts):
+    """Bilinear interpolation of the grid field at complex points."""
+    return _bilinear_apply(grid.values, _bilinear_stencil(grid, pts))
 
 
 @dataclass(frozen=True)
@@ -234,6 +268,8 @@ class DppConfig:
             raise ConfigError(f"radius must be positive, got {self.radius}")
         if not (0.0 < self.damping <= 1.0):
             raise ConfigError(f"damping must lie in (0, 1], got {self.damping}")
+        if self.node_count < 8:
+            raise ConfigError(f"need at least 8 circle nodes, got {self.node_count}")
         if self.zero_policy not in ("skip", "freeze"):
             raise ConfigError(
                 f"zero_policy must be 'skip' or 'freeze', got {self.zero_policy!r}"
@@ -254,6 +290,34 @@ class DppResult:
     iterations: int
     converged: bool
 
+    @property
+    def contraction(self):
+        """Estimated contraction factor ``q`` of the damped map.
+
+        The median ratio of consecutive sup residuals; nan with fewer than
+        two sweeps or when a zero residual is followed by another (0/0).
+        """
+        h = np.asarray(self.residual_history, dtype=float)
+        if h.size < 2:
+            return math.nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.median(h[1:] / h[:-1]))
+
+    @property
+    def error_bound(self):
+        """A-posteriori estimate ``r q / (1 - q)`` of the distance to the fixed point.
+
+        ``r`` is the last sup residual and ``q`` the :attr:`contraction`.  For
+        a map contracting with factor ``q`` the final field lies within
+        ``q / (1 - q)`` times its last update, which is ``damping * r <= r``,
+        of the fixed point.  inf unless ``q < 1`` (so also with fewer than
+        two sweeps).
+        """
+        q = self.contraction
+        if not q < 1.0:
+            return math.inf
+        return self.residual_history[-1] * q / (1.0 - q)
+
 
 def _check_geometry(grid, cfg):
     if cfg.radius < 2.0 * grid.h:
@@ -269,6 +333,29 @@ def _check_geometry(grid, cfg):
         )
 
 
+class _CircleStencil(NamedTuple):
+    """Everything a sweep needs that is fixed for the whole solve."""
+
+    offsets: np.ndarray  # (nodes,) circle offsets from the centre
+    weights: np.ndarray  # (nodes,) arc-length quadrature weights
+    interior: np.ndarray  # (ny, nx) mask of the unknown nodes
+    gather: tuple  # bilinear stencil of every interior circle, (rows, nodes)
+
+
+def _circle_stencil(grid, cfg):
+    """Circle rule and bilinear gather for every interior node of the grid."""
+    q = circle_rule(0j, cfg.radius, cfg.node_count)
+    interior = grid.interior_mask()
+    circles = grid.points()[interior][:, None] + q.nodes[None, :]
+    return _CircleStencil(q.nodes, q.weights, interior, _bilinear_stencil(grid, circles))
+
+
+def _circle_samples(grid, stencil, rows):
+    """Interpolated circle samples of the interior nodes selected by ``rows``."""
+    index, weight = stencil.gather
+    return _bilinear_apply(grid.values, (index[:, rows], weight[:, rows]))
+
+
 def dpp_step(grid, d, cfg):
     """One damped sweep of the pair-mean map over all interior nodes.
 
@@ -280,20 +367,21 @@ def dpp_step(grid, d, cfg):
     nonzero circle samples still has a well-posed update and is computed.
     """
     _check_geometry(grid, cfg)
-    interior = grid.interior_mask()
+    return _sweep(grid, d, cfg, _circle_stencil(grid, cfg))
+
+
+def _sweep(grid, d, cfg, stencil):
+    """:func:`dpp_step` on a stencil built by :func:`_circle_stencil`."""
+    interior = stencil.interior
     frozen = (
         grid.frozen.copy()
         if grid.frozen is not None
         else np.zeros_like(interior)
     )
-    angles = 2.0 * np.pi * np.arange(cfg.node_count) / cfg.node_count
-    offsets = cfg.radius * np.exp(1j * angles)
     near_zero = (np.abs(grid.values) < cfg.zero_floor) & interior & ~frozen
     dead = np.zeros_like(near_zero)
     if np.any(near_zero):
-        circle = interpolate(
-            grid, grid.points()[near_zero][:, None] + offsets[None, :]
-        )
+        circle = _circle_samples(grid, stencil, near_zero[interior])
         dead[near_zero] = np.max(np.abs(circle), axis=1) < cfg.zero_floor
     if cfg.zero_policy == "freeze":
         frozen = frozen | dead
@@ -311,25 +399,29 @@ def dpp_step(grid, d, cfg):
         )
         return out, StepDiagnostics(0.0, 0, skipped)
 
-    centers = grid.points()[active]
-    nodes = centers[:, None] + offsets[None, :]
-    samples = interpolate(grid, nodes)
+    rows = slice(None) if skipped == 0 else active[interior]
+    samples = _circle_samples(grid, stencil, rows)
     if not np.all(np.isfinite(samples)):
         raise NonFiniteSampleError("interpolated circle samples are not finite")
-    weights = np.full(cfg.node_count, 2.0 * np.pi * cfg.radius / cfg.node_count)
+    offsets, weights = stencil.offsets, stencil.weights
 
-    ones = np.ones_like(offsets)
     init_a = samples.mean(axis=1)
-    res_a = fit_model_coefficient(d, samples, weights, ones, init_a, cfg.solver)
-
-    model_b = np.conj(offsets)
     init_b = (samples * offsets).sum(axis=1) * weights[0] / (
         2.0 * np.pi * cfg.radius**3
     )
-    res_b = fit_model_coefficient(d, samples, weights, model_b, init_b, cfg.solver)
-
-    mean = res_a["minimizer"] + cfg.radius * res_b["minimizer"]
-    bad = (res_a["status"] == 3) | (res_b["status"] == 3)
+    if d.lambda_lo == d.lambda_hi == 1.0:
+        # s F''/F' == 1 makes F = c s^2 + const, whose minimizers are the
+        # weighted projections themselves.
+        mean = init_a + cfg.radius * init_b
+        bad = np.zeros(mean.shape, dtype=bool)
+    else:
+        ones = np.ones_like(offsets)
+        res_a = fit_model_coefficient(d, samples, weights, ones, init_a, cfg.solver)
+        res_b = fit_model_coefficient(
+            d, samples, weights, np.conj(offsets), init_b, cfg.solver
+        )
+        mean = res_a["minimizer"] + cfg.radius * res_b["minimizer"]
+        bad = (res_a["status"] == 3) | (res_b["status"] == 3)
     old = grid.values[active]
     if np.any(bad):
         mean = np.where(bad, old, mean)
@@ -351,17 +443,19 @@ def dpp_step(grid, d, cfg):
 def dpp_solve(grid, d, cfg, callback=None):
     """Damped fixed-point iteration until the sup update is small.
 
-    Raises :class:`DivergenceError` (with the residual history attached)
+    The circle stencil is built once; every sweep reuses it.  Raises
+    :class:`DivergenceError` (with the residual history attached)
     when the residual grows by ``divergence_factor`` over a window, instead
     of looping to the iteration cap.  ``callback(iteration, grid, diag)``
     runs after every sweep when given.
     """
     _check_geometry(grid, cfg)
+    stencil = _circle_stencil(grid, cfg)
     history = []
     current = grid
     converged = False
     for it in range(1, cfg.max_iterations + 1):
-        current, diag = dpp_step(current, d, cfg)
+        current, diag = _sweep(current, d, cfg, stencil)
         history.append(diag.residual_sup)
         if callback is not None:
             callback(it, current, diag)

@@ -9,6 +9,7 @@ from holomeans.errors import (
     DivergenceError,
     InvalidParameterError,
 )
+from holomeans.means import fit_model_coefficient
 
 D2 = hm.power_density(2)
 
@@ -242,3 +243,116 @@ def test_callback_sees_every_sweep():
     seen = []
     res = hm.dpp_solve(g, D2, cfg, callback=lambda k, grid, diag: seen.append(k))
     assert seen == list(range(1, res.iterations + 1))
+
+
+def test_dpp_config_needs_eight_circle_nodes():
+    for count in (0, 3):
+        with pytest.raises(ConfigError):
+            hm.DppConfig(radius=0.15, node_count=count)
+    assert hm.DppConfig(radius=0.15, node_count=8).node_count == 8
+
+
+def test_error_bound_covers_the_true_error():
+    g = hm.grid_from_function(0.0, 1.0, 0.0, 1.0, 0.05, 0.1, np.exp)
+    g = hm.with_interior(g, complex(np.mean(g.values)))
+    res = hm.dpp_solve(g, D2, hm.DppConfig(radius=0.1, residual_tol=1e-3))
+    assert res.converged
+    assert 0.9 < res.contraction < 1.0
+    mask = res.field.interior_mask()
+    err = np.abs(res.field.values - np.exp(res.field.points()))[mask].max()
+    assert res.error_bound >= err
+
+
+def test_error_bound_from_the_residual_history():
+    def result(history):
+        return hm.DppResult(None, tuple(history), len(history), False)
+
+    # ratios 0.5, 0.5, 0.8: the median, not the mean, is the estimate
+    assert result([1.0, 0.5, 0.25, 0.2]).contraction == 0.5
+    assert result([1.0, 0.5, 0.25, 0.2]).error_bound == 0.2
+    assert np.isnan(result([1.0]).contraction)
+    assert result([1.0]).error_bound == np.inf
+    assert result([1.0, 2.0, 4.0]).error_bound == np.inf
+
+
+def reference_step(grid, d, cfg):
+    """The sweep as it was before the stencil and the closed form: every
+    sweep interpolates afresh and runs both Newton fits."""
+    interior = grid.interior_mask()
+    frozen = grid.frozen.copy() if grid.frozen is not None else np.zeros_like(interior)
+    angles = 2.0 * np.pi * np.arange(cfg.node_count) / cfg.node_count
+    offsets = cfg.radius * np.exp(1j * angles)
+    near_zero = (np.abs(grid.values) < cfg.zero_floor) & interior & ~frozen
+    dead = np.zeros_like(near_zero)
+    if np.any(near_zero):
+        circle = hm.interpolate(grid, grid.points()[near_zero][:, None] + offsets[None, :])
+        dead[near_zero] = np.max(np.abs(circle), axis=1) < cfg.zero_floor
+    if cfg.zero_policy == "freeze":
+        frozen = frozen | dead
+        active = interior & ~frozen
+    else:
+        active = interior & ~frozen & ~dead
+    new_values = grid.values.copy()
+    samples = hm.interpolate(grid, grid.points()[active][:, None] + offsets[None, :])
+    weights = np.full(cfg.node_count, 2.0 * np.pi * cfg.radius / cfg.node_count)
+    init_a = samples.mean(axis=1)
+    res_a = fit_model_coefficient(
+        d, samples, weights, np.ones_like(offsets), init_a, cfg.solver
+    )
+    init_b = (samples * offsets).sum(axis=1) * weights[0] / (2.0 * np.pi * cfg.radius**3)
+    res_b = fit_model_coefficient(
+        d, samples, weights, np.conj(offsets), init_b, cfg.solver
+    )
+    mean = res_a["minimizer"] + cfg.radius * res_b["minimizer"]
+    bad = (res_a["status"] == 3) | (res_b["status"] == 3)
+    old = grid.values[active]
+    mean = np.where(bad, old, mean)
+    new_values[active] = (1.0 - cfg.damping) * old + cfg.damping * mean
+    frozen_out = frozen if cfg.zero_policy == "freeze" else grid.frozen
+    return new_values, frozen_out, float(np.max(np.abs(mean - old)))
+
+
+def patched_grid():
+    # exp data with a zero disc: nodes near its centre are dead (value and
+    # whole circle below the floor), nodes near its rim are merely zero
+    def f(z):
+        return np.where(np.abs(z - (0.3 + 0.3j)) > 0.16, np.exp(z), 0j)
+
+    g = hm.grid_from_function(0.0, 0.6, 0.0, 0.6, 0.05, 0.1, f)
+    return hm.with_interior(g, f)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("policy", ["skip", "freeze"])
+def test_dpp_step_matches_the_reference_sweep_bit_for_bit(p, policy):
+    d = hm.power_density(p)
+    cfg = hm.DppConfig(radius=0.1, zero_policy=policy)
+    grid = patched_grid()
+    skipped = []
+    for _ in range(3):
+        stepped, diag = hm.dpp_step(grid, d, cfg)
+        skipped.append(diag.skipped_count)
+        values, frozen, residual = reference_step(grid, d, cfg)
+        assert stepped.values.tobytes() == values.tobytes()
+        assert diag.residual_sup == residual
+        if policy == "freeze":
+            np.testing.assert_array_equal(stepped.frozen, frozen)
+            assert np.count_nonzero(frozen) > 0
+        else:
+            assert stepped.frozen is None
+        grid = stepped
+    # the patch is skipped at first; under "skip" its filled-in circles
+    # make every node active again
+    assert skipped[0] > 0
+    assert (skipped[-1] > 0) == (policy == "freeze")
+
+
+def test_dpp_solve_repeats_dpp_step():
+    cfg = hm.DppConfig(radius=0.1, residual_tol=1e-2, zero_policy="freeze")
+    res = hm.dpp_solve(patched_grid(), D2, cfg)
+    grid, history = patched_grid(), []
+    for _ in range(res.iterations):
+        grid, diag = hm.dpp_step(grid, D2, cfg)
+        history.append(diag.residual_sup)
+    assert tuple(history) == res.residual_history
+    assert grid.values.tobytes() == res.field.values.tobytes()
