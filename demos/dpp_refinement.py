@@ -7,10 +7,10 @@ machine, 10 s without it, most of it the p = 4 case):
 
   * the error is flat in h (2.2e-2 to 2.6e-2 over h in [0.02, 0.05] at
     r = 0.1, tol = 1e-3): the lattice step is not the binding term;
-  * the error scales like 1/r^2 (r = 0.2: 5.6e-3, r = 0.15: 1.0e-2,
-    r = 0.1: 2.3e-2 at h = 0.02);
-  * tightening the stopping tolerance to 3e-4 drops the error to 6.8e-3:
-    the fixed-point stopping criterion dominates the budget.
+  * the error scales like 1/r^2 (r = 0.2: 5.9e-3, r = 0.15: 1.0e-2,
+    r = 0.1: 2.3e-2 at h = 0.025);
+  * tightening the stopping tolerance to 3e-4 at h = 0.025 drops the error
+    to 7.1e-3: the fixed-point stopping criterion dominates the budget.
 
 These numbers calibrate the 5e-2 acceptance threshold for the exponential
 boundary-value problem at h = 0.02, r = 0.1, tol = 1e-3 (measured 2.3e-2,

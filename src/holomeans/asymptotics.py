@@ -23,9 +23,11 @@ difference jet, and flags disagreement instead of hiding it.
 A verdict sweeps all its points together: points where the field falls
 below ``field_floor`` are set aside as untestable, and every radius of the
 ladder is one :func:`~holomeans.means.circle_means` call over the others.
-A radius that fails for one point is recorded in that point's sweep alone;
-the first point (in the order given) left with too few radii raises its
-:class:`InsufficientDataError`.  :func:`sweep` is the one-point call.
+A radius that fails for one point is recorded in that point's sweep alone.
+A point left with too few radii, or whose row cannot be computed, keeps its
+:class:`HolomeansError` in its slot of the rows; the public verdicts raise
+the first of them (in the order given), while the command line interface
+writes each as an ``error`` row.  :func:`sweep` is the one-point call.
 """
 
 from __future__ import annotations
@@ -235,9 +237,11 @@ def _sweeps(kind, f, points, d, cfg):
 
 
 def _raise_first(results):
+    """Return ``results`` unchanged, unless one is an error: raise the first."""
     for res in results:
         if isinstance(res, HolomeansError):
             raise res
+    return results
 
 
 def sweep(kind, f, z, d, cfg=None):
@@ -251,9 +255,7 @@ def sweep(kind, f, z, d, cfg=None):
     raise :class:`InsufficientDataError`, before any solve when the ladder
     itself is shorter.  Other exceptions propagate.
     """
-    results = _sweeps(kind, f, [complex(z)], d, cfg)
-    _raise_first(results)
-    return results[0]
+    return _raise_first(_sweeps(kind, f, [complex(z)], d, cfg))[0]
 
 
 def extrapolate(radii, values=None, tol=None):
@@ -309,19 +311,26 @@ def _verdict_rows(kind, f, points, d, cfg, tol, row, untestable):
 
     Points where |f(z)| falls below ``tol.field_floor`` get
     ``untestable(z)``; the rest are swept together and get ``row(z, sweep)``.
-    The first of them whose sweep failed raises its error.
+    A point whose sweep or row fails gets its :class:`HolomeansError` instead.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
     if pts.size == 0:
         raise InvalidParameterError("need at least one point")
     low = np.abs(field_values(f, pts)) < tol.field_floor
     swept = iter(_sweeps(kind, f, pts[~low], d, cfg))
-    sweeps = [None if is_low else next(swept) for is_low in low]
-    _raise_first(sweeps)
-    return tuple(
-        untestable(complex(z)) if s is None else row(complex(z), s)
-        for z, s in zip(pts, sweeps)
-    )
+
+    def one(z, is_low):
+        if is_low:
+            return untestable(z)
+        s = next(swept)
+        if isinstance(s, HolomeansError):
+            return s
+        try:
+            return row(z, s)
+        except HolomeansError as exc:
+            return exc
+
+    return tuple(one(complex(z), is_low) for z, is_low in zip(pts, low))
 
 
 _HOLOMORPHY = {
@@ -333,21 +342,8 @@ _SYSTEM = {"vanishes": True, "converges_nonzero": False, "inconclusive": None}
 _SYSTEM_STATUS = {True: "satisfied", False: "violated", None: "inconclusive"}
 
 
-def holomorphy_verdict(g, points, d, cfg=None, tol=None):
-    """Decide holomorphy of ``g`` at each point from conjugate-mean sweeps.
-
-    The extrapolated limit of the conjugate-transformed mean vanishes exactly
-    when the conjugate derivative of g vanishes; the analytic first-order
-    prediction
-
-        2 / (1 + lam(G'(|g|))) * G'(|g|) / |g| * dg/d(conj z)
-
-    is computed from a finite-difference jet and reported with its gap to
-    the sweep's limit on every testable row; ``consistent`` says whether the
-    two agree within ``match_tol``.  Points where |g(z)| falls below the
-    field floor are marked untestable (the characterization only applies
-    away from zeroes of g).  Returns one verdict per point.
-    """
+def _holomorphy_rows(g, points, d, cfg=None, tol=None):
+    """Rows of :func:`holomorphy_verdict`, a failing point's error in its slot."""
     tol = tol or ToleranceConfig()
     conjugate = young_conjugate(d)
 
@@ -371,16 +367,26 @@ def holomorphy_verdict(g, points, d, cfg=None, tol=None):
     return _verdict_rows("conjugate", g, points, d, cfg, tol, row, HolomorphyVerdict)
 
 
-def system_verdict(f, points, d, cfg=None, tol=None):
-    """Compare sweep decisions against the analytic system residual per point.
+def holomorphy_verdict(g, points, d, cfg=None, tol=None):
+    """Decide holomorphy of ``g`` at each point from conjugate-mean sweeps.
 
-    The derivative-detecting mean vanishes as r -> 0 exactly when the field
-    satisfies the nonlinear Cauchy-Riemann system tied to the density; the
-    analytic residual of that system is evaluated on a finite-difference jet
-    and both decisions are reported with a consistency flag.  Points where
-    |f(z)| falls below the field floor are marked untestable.  Returns one
-    verdict per point.
+    The extrapolated limit of the conjugate-transformed mean vanishes exactly
+    when the conjugate derivative of g vanishes; the analytic first-order
+    prediction
+
+        2 / (1 + lam(G'(|g|))) * G'(|g|) / |g| * dg/d(conj z)
+
+    is computed from a finite-difference jet and reported with its gap to
+    the sweep's limit on every testable row; ``consistent`` says whether the
+    two agree within ``match_tol``.  Points where |g(z)| falls below the
+    field floor are marked untestable (the characterization only applies
+    away from zeroes of g).  Returns one verdict per point.
     """
+    return _raise_first(_holomorphy_rows(g, points, d, cfg, tol))
+
+
+def _system_rows(f, points, d, cfg=None, tol=None):
+    """Rows of :func:`system_verdict`, a failing point's error in its slot."""
     tol = tol or ToleranceConfig()
 
     def row(z, s):
@@ -401,17 +407,21 @@ def system_verdict(f, points, d, cfg=None, tol=None):
     return _verdict_rows("variational", f, points, d, cfg, tol, row, SystemVerdict)
 
 
-def amvp_verdict(f, points, d, cfg=None, tol=None):
-    """Asymptotic mean value property of the pair mean at each point.
+def system_verdict(f, points, d, cfg=None, tol=None):
+    """Compare sweep decisions against the analytic system residual per point.
 
-    Sweeps ``(pair mean value - f(z)) / r`` and extrapolates; the property
-    holds exactly when |limit| <= amvp_tol, with no inconclusive state (the
-    fit quality is reported on the estimate but does not gate the decision).
-    The limit is cross-checked against the first-order bracket (the system
-    residual of the finite-difference jet), which is valid for densities
-    with declared small-argument behaviour.  Points where |f(z)| falls below
-    the field floor are marked untestable.  Returns one verdict per point.
+    The derivative-detecting mean vanishes as r -> 0 exactly when the field
+    satisfies the nonlinear Cauchy-Riemann system tied to the density; the
+    analytic residual of that system is evaluated on a finite-difference jet
+    and both decisions are reported with a consistency flag.  Points where
+    |f(z)| falls below the field floor are marked untestable.  Returns one
+    verdict per point.
     """
+    return _raise_first(_system_rows(f, points, d, cfg, tol))
+
+
+def _amvp_rows(f, points, d, cfg=None, tol=None):
+    """Rows of :func:`amvp_verdict`, a failing point's error in its slot."""
     tol = tol or ToleranceConfig()
     if not (np.isfinite(d.small_coeff) and d.small_coeff > 0.0
             and np.isfinite(d.small_exponent) and d.small_exponent > 0.0):
@@ -435,3 +445,17 @@ def amvp_verdict(f, points, d, cfg=None, tol=None):
         )
 
     return _verdict_rows("pair_increment", f, points, d, cfg, tol, row, AmvpVerdict)
+
+
+def amvp_verdict(f, points, d, cfg=None, tol=None):
+    """Asymptotic mean value property of the pair mean at each point.
+
+    Sweeps ``(pair mean value - f(z)) / r`` and extrapolates; the property
+    holds exactly when |limit| <= amvp_tol, with no inconclusive state (the
+    fit quality is reported on the estimate but does not gate the decision).
+    The limit is cross-checked against the first-order bracket (the system
+    residual of the finite-difference jet), which is valid for densities
+    with declared small-argument behaviour.  Points where |f(z)| falls below
+    the field floor are marked untestable.  Returns one verdict per point.
+    """
+    return _raise_first(_amvp_rows(f, points, d, cfg, tol))

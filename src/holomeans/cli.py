@@ -12,6 +12,11 @@ starts a comment.  Every run logs its resolved configuration into the CSV
 as ``#`` comment lines, so an output file documents how it was produced.
 Runs are deterministic: the same scenario file yields byte-identical CSV.
 
+Each ``verify-*`` run makes one batched verdict call for all its points.
+A point that fails (say its sweep is left with too few radii) becomes an
+``error`` row naming the error class, next to the other points' rows; the
+verdict APIs instead raise the first failing point's error.
+
 Exit codes: 0 when every verdict passes (or every solve converges), 1 when
 a verdict fails, is inconclusive, or an iteration diverges (rows mark
 which), 2 for configuration problems, reported with a line diagnostic.
@@ -30,11 +35,11 @@ import numpy as np
 from .asymptotics import (
     SweepConfig,
     ToleranceConfig,
-    amvp_verdict,
+    _amvp_rows,
+    _holomorphy_rows,
+    _system_rows,
     extrapolate,
-    holomorphy_verdict,
     sweep,
-    system_verdict,
 )
 from .contact import contact_solution_verdict
 from .density import power_density, validate_density
@@ -354,22 +359,20 @@ def _cmd_sweep(sc, seed, out):
     return 0 if not result.failures else 1
 
 
-# verify command -> (verdict function name, status attribute, passing status,
+# verify command -> (verdict row function, status attribute, passing status,
 #                    extra (column, getter) pairs between fit_residual and
-#                    consistent).  Functions are looked up in this module's
-#                    globals at call time, so a rebinding (such as a tracing
-#                    wrapper) is honoured.
+#                    consistent)
 _VERIFY = {
-    "verify-holo": ("holomorphy_verdict", "verdict", "holomorphic", (
+    "verify-holo": (_holomorphy_rows, "verdict", "holomorphic", (
         ("predicted_re", lambda v: v.predicted_limit.real),
         ("predicted_im", lambda v: v.predicted_limit.imag),
         ("prediction_gap", lambda v: v.prediction_gap),
     )),
-    "verify-system": ("system_verdict", "status", "satisfied", (
+    "verify-system": (_system_rows, "status", "satisfied", (
         ("residual_re", lambda v: v.analytic_residual.real),
         ("residual_im", lambda v: v.analytic_residual.imag),
     )),
-    "verify-amvp": ("amvp_verdict", "status", "holds", (
+    "verify-amvp": (_amvp_rows, "status", "holds", (
         ("bracket_re", lambda v: v.bracket.real),
         ("bracket_im", lambda v: v.bracket.imag),
         ("bracket_gap", lambda v: v.bracket_gap),
@@ -378,8 +381,8 @@ _VERIFY = {
 
 
 def _cmd_verify(command, sc, seed, out):
-    """One row per point; a point whose verdict raises becomes an error row."""
-    verdict_name, status_attr, passing, extras = _VERIFY[command]
+    """One row per point from one verdict call; a failing point is an error row."""
+    rows_fn, status_attr, passing, extras = _VERIFY[command]
     field = sc.take("field.spec", cast=make_field, required=True)
     density = sc.take("density.spec", cast=parse_density_spec, required=True)
     points = _take_points(sc)
@@ -387,19 +390,18 @@ def _cmd_verify(command, sc, seed, out):
     header = _header(command, seed, sc)
     sc.finish()
 
-    verdict_fn = globals()[verdict_name]
+    try:
+        verdicts = rows_fn(field, points, density, cfg, tol)
+    except HolomeansError as exc:
+        verdicts = (exc,) * len(points)
     columns = ("x", "y", "verdict", "limit_re", "limit_im", "fit_residual")
     columns += tuple(name for name, _ in extras) + ("consistent",)
     nan = float("nan")
     rows = []
-    all_pass = True
-    for z in points:
-        try:
-            v = verdict_fn(field, z, density, cfg, tol)[0]
-        except HolomeansError as exc:
-            row = (z.real, z.imag, "error", nan, nan, nan, type(exc).__name__)
+    for z, v in zip(points, verdicts):
+        if isinstance(v, HolomeansError):
+            row = (z.real, z.imag, "error", nan, nan, nan, type(v).__name__)
             rows.append(row + ("",) * (len(columns) - len(row)))
-            all_pass = False
             continue
         status = getattr(v, status_attr)
         if status == "untestable":
@@ -409,9 +411,8 @@ def _cmd_verify(command, sc, seed, out):
             values = (est.limit.real, est.limit.imag, est.fit_residual)
             values += tuple(get(v) for _, get in extras)
         rows.append((z.real, z.imag, status) + values + (v.consistent,))
-        all_pass = all_pass and status == passing
     _emit(out, header, columns, rows)
-    return 0 if all_pass else 1
+    return 0 if all(row[2] == passing for row in rows) else 1
 
 
 def _cmd_contact(sc, seed, out):

@@ -218,9 +218,7 @@ def jet_membership(
 
     est = extrapolate(radii, ratios.astype(complex), tol)
     limit = est.limit.real
-    if est.fit_residual > tol.fit_tol_coeff * max(
-        float(np.max(np.abs(ratios))), tol.limit_tol
-    ):
+    if est.verdict == "inconclusive":
         verdict = "inconclusive"
     elif limit <= member_tol:
         verdict = "member"

@@ -1,16 +1,15 @@
-"""Built-in complex fields with exact jets, and a small field registry.
+"""Built-in complex fields and a small field registry.
 
-Every field carries a vectorised sampler, a label, an optional exact
-first-order jet, and an optional excluded point where it is singular or
-vanishes.  The registry parses specs of the form ``name`` or
-``name:arg1,arg2,...`` (complex arguments accept ``i`` or ``j`` for the
-imaginary unit), which the command line interface and the demo scripts use
-to name fields without code.
+Every field carries a vectorised sampler and a label.  The registry parses
+specs of the form ``name`` or ``name:arg1,arg2,...`` (complex arguments
+accept ``i`` or ``j`` for the imaginary unit), which the command line
+interface and the demo scripts use to name fields without code.
 
-Exact jets make the fields usable as ground truth: the radial p-harmonic
-gradient field, in particular, solves the nonlinear Cauchy-Riemann system
-of the power density exactly away from the origin, with dilatation ratio on
-the boundary of the quasiregularity bound.
+The radial p-harmonic gradient field solves the nonlinear Cauchy-Riemann
+system of the power density exactly away from the origin, with dilatation
+ratio on the boundary of the quasiregularity bound, which makes it usable
+as ground truth; :func:`radial_potential_jet2` gives the exact second-order
+jet of its potential.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .geometry import Jet
 from .pdesystem import RealJet2
 
 __all__ = [
@@ -35,21 +33,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Field:
-    """A named complex field with optional exact derivative information."""
+    """A named complex field."""
 
     label: str
     sample: object  # vectorised callable: complex array -> complex array
-    jet_fn: object = None  # callable: complex point -> Jet, or None
-    excluded_point: complex | None = None
 
     def __call__(self, pts):
         return self.sample(pts)
-
-    def jet(self, z):
-        """Exact first-order jet at ``z``; None when not available."""
-        if self.jet_fn is None:
-            return None
-        return self.jet_fn(complex(z))
 
 
 def parse_complex(text):
@@ -80,61 +70,32 @@ def _const_field(c):
     def sample(pts):
         return np.full_like(np.asarray(pts, dtype=complex), c)
 
-    return Field(
-        label=f"const:{c:g}" if c.imag == 0 else f"const:{c}",
-        sample=sample,
-        jet_fn=lambda z: Jet(z, c, 0j, 0j),
-    )
+    return Field(f"const:{c:g}" if c.imag == 0 else f"const:{c}", sample)
 
 
 def _identity_field():
-    return Field(
-        label="identity",
-        sample=lambda pts: np.asarray(pts, dtype=complex).copy(),
-        jet_fn=lambda z: Jet(z, z, 1 + 0j, 0j),
-    )
+    return Field("identity", lambda pts: np.asarray(pts, dtype=complex).copy())
 
 
 def _square_field():
-    return Field(
-        label="square",
-        sample=lambda pts: np.asarray(pts, dtype=complex) ** 2,
-        jet_fn=lambda z: Jet(z, z * z, 2 * z, 0j),
-    )
+    return Field("square", lambda pts: np.asarray(pts, dtype=complex) ** 2)
 
 
 def _cube_field():
-    return Field(
-        label="cube",
-        sample=lambda pts: np.asarray(pts, dtype=complex) ** 3,
-        jet_fn=lambda z: Jet(z, z**3, 3 * z * z, 0j),
-    )
+    return Field("cube", lambda pts: np.asarray(pts, dtype=complex) ** 3)
 
 
 def _exp_field():
-    return Field(
-        label="exp",
-        sample=lambda pts: np.exp(np.asarray(pts, dtype=complex)),
-        jet_fn=lambda z: Jet(z, np.exp(z), np.exp(z), 0j),
-    )
+    return Field("exp", lambda pts: np.exp(np.asarray(pts, dtype=complex)))
 
 
 def _conj_field():
-    return Field(
-        label="conj",
-        sample=lambda pts: np.conj(np.asarray(pts, dtype=complex)),
-        jet_fn=lambda z: Jet(z, z.conjugate(), 0j, 1 + 0j),
-    )
+    return Field("conj", lambda pts: np.conj(np.asarray(pts, dtype=complex)))
 
 
 def _modsq_field():
     return Field(
-        label="modsq",
-        sample=lambda pts: (
-            np.abs(np.asarray(pts, dtype=complex)) ** 2
-        ).astype(complex),
-        jet_fn=lambda z: Jet(z, complex(abs(z) ** 2), z.conjugate(), z),
-        excluded_point=0j,
+        "modsq", lambda pts: (np.abs(np.asarray(pts, dtype=complex)) ** 2).astype(complex)
     )
 
 
@@ -145,11 +106,7 @@ def _affine_field(value, dz, dzbar):
         pts = np.asarray(pts, dtype=complex)
         return value + dz * pts + dzbar * np.conj(pts)
 
-    return Field(
-        label=f"affine:{value},{dz},{dzbar}",
-        sample=sample,
-        jet_fn=lambda z: Jet(z, value + dz * z + dzbar * z.conjugate(), dz, dzbar),
-    )
+    return Field(f"affine:{value},{dz},{dzbar}", sample)
 
 
 def pharm_exponent(p):
@@ -171,7 +128,7 @@ def _pharm_radial_field(p):
         df/d(conj) = gamma**2 / 2 * |z|**(gamma - 2)
 
     Singular at the origin for p < 2 and degenerate (zero gradient) there
-    for p > 2, so the origin is excluded either way.
+    for p > 2; the sampler returns NaN at the origin either way.
     """
     gamma = pharm_exponent(p)
     if gamma == 0.0:
@@ -183,21 +140,7 @@ def _pharm_radial_field(p):
         pts = np.asarray(pts, dtype=complex)
         return gamma * np.conj(pts) * np.abs(pts) ** (gamma - 2.0)
 
-    def jet_fn(z):
-        a = abs(z)
-        return Jet(
-            base=z,
-            value=gamma * z.conjugate() * a ** (gamma - 2.0),
-            dz=0.5 * gamma * (gamma - 2.0) * z.conjugate() ** 2 * a ** (gamma - 4.0),
-            dzbar=0.5 * gamma**2 * a ** (gamma - 2.0),
-        )
-
-    return Field(
-        label=f"pharm-radial:{p:g}",
-        sample=sample,
-        jet_fn=jet_fn,
-        excluded_point=0j,
-    )
+    return Field(f"pharm-radial:{p:g}", sample)
 
 
 def radial_potential_jet2(p, z):
@@ -236,12 +179,7 @@ def _pharm_linear_field(p, direction=1 + 0j):
     direction = complex(direction)
     if direction == 0j:
         raise InvalidParameterError("direction must be nonzero")
-    base = _const_field(direction)
-    return Field(
-        label=f"pharm-linear:{p:g}",
-        sample=base.sample,
-        jet_fn=base.jet_fn,
-    )
+    return Field(f"pharm-linear:{p:g}", _const_field(direction).sample)
 
 
 _BUILDERS = {

@@ -24,7 +24,6 @@ __all__ = [
     "circle_rule",
     "disk_rule",
     "circle_integral",
-    "disk_integral",
     "sample_field",
     "wirtinger_jet",
     "affine_eval",
@@ -150,7 +149,7 @@ def sample_field(f, points):
 
 
 def circle_integral(q, values):
-    """Integrate samples (or a callable) against a circle rule."""
+    """Integrate samples (or a callable) against a circle or disk rule."""
     if callable(values):
         values = sample_field(values, q.nodes)
     values = np.asarray(values)
@@ -164,9 +163,6 @@ def circle_integral(q, values):
             f"non-finite integrand at node {idx} ({q.nodes[idx]:.6g})"
         )
     return values @ q.weights
-
-
-disk_integral = circle_integral
 
 
 def wirtinger_jet(f, z, step=None):

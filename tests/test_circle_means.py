@@ -153,6 +153,23 @@ def test_starved_ladder_fails_before_sampling_any_circle():
     assert all(cfg.node_count not in shape for shape in shapes)
 
 
+def test_verdicts_raise_a_starved_point_that_the_rows_keep():
+    # the r = 0.1 circle at -0.1 has a node on the origin, where PHARM is NaN
+    pts = [-0.1 + 0j, 0.5 + 0.2j]
+    cfg = hm.SweepConfig(min_successes=8)
+    for verdict, rows_fn in (
+        (hm.holomorphy_verdict, hm.asymptotics._holomorphy_rows),
+        (hm.system_verdict, hm.asymptotics._system_rows),
+        (hm.amvp_verdict, hm.asymptotics._amvp_rows),
+    ):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(InsufficientDataError):
+                verdict(PHARM, pts, D3, cfg)
+            starved, clean = rows_fn(PHARM, pts, D3, cfg)
+        assert isinstance(starved, InsufficientDataError)
+        assert clean.point == pts[1] and clean.estimate is not None
+
+
 def test_fit_model_coefficient_accepts_one_model_per_row():
     q = hm.circle_rule(0j, 0.2, 16)
     pts = np.array([0.3 + 0.1j, -0.2 + 0.4j])

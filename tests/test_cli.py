@@ -1,5 +1,7 @@
 """Command line driver: scenarios in, CSV out, exit codes, determinism."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,37 @@ def test_sweep_command_reports_limit_in_header(tmp_path):
     assert "# verdict = vanishes" in text  # z^2 is holomorphic
 
 
+def test_sweep_command_infinity_reports_support_counts(tmp_path):
+    cfg = write(
+        tmp_path,
+        "inf.ini",
+        "field.spec = exp\nsweep.kind = infinity\nsweep.point = 0.3+0.1i\n",
+    )
+    out = tmp_path / "inf.csv"
+    assert run(["sweep", "--config", cfg, "--out", out]) == 0
+    header, rows = read_rows(out)
+    assert header[-1] == "support_count"
+    assert len(rows) == 8
+    assert all(int(r["support_count"]) >= 1 for r in rows)
+
+
+def test_sweep_command_marks_a_failed_radius(tmp_path):
+    # pharm-radial:3 is NaN at the origin, a node of the r = 0.1 circle at -0.1
+    cfg = write(
+        tmp_path,
+        "failed.ini",
+        "field.spec = pharm-radial:3\ndensity.spec = power:p=3\n"
+        "sweep.point = -0.1\n",
+    )
+    out = tmp_path / "failed.csv"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert run(["sweep", "--config", cfg, "--out", out]) == 1
+    _, rows = read_rows(out)
+    assert len(rows) == 8
+    assert [r["status"] for r in rows[:2]] == ["failed", "converged"]
+    assert [rows[0][k] for k in ("re_c", "im_c", "foc_residual")] == ["nan"] * 3
+
+
 def test_verify_holo_exit_codes(tmp_path):
     good = write(
         tmp_path,
@@ -136,6 +169,63 @@ def test_verify_system_untestable_point_fails_run(tmp_path):
     assert rows[0]["verdict"] == "untestable"
 
 
+def test_verify_makes_one_engine_call_per_radius(tmp_path, monkeypatch):
+    import holomeans.asymptotics
+
+    engine = holomeans.asymptotics.circle_means
+    calls = []
+
+    def counted(kind, f, points, *args):
+        calls.append(len(points))
+        return engine(kind, f, points, *args)
+
+    monkeypatch.setattr(holomeans.asymptotics, "circle_means", counted)
+    cfg = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "verify_holo_exp.ini"
+    assert run(["verify-holo", "--config", cfg, "--out", tmp_path / "v.csv"]) == 0
+    assert calls == [3] * 8
+
+
+# pharm-radial:3 is NaN at the origin, a node of the r = 0.1 circle at -0.1,
+# which leaves that point 7 of the 8 radii; the other point keeps all 8.
+_STARVED_POINT = (
+    "field.spec = pharm-radial:3\ndensity.spec = power:p=3\n"
+    "points.list = -0.1; 0.5+0.2i\nsweep.min_successes = 8\n"
+)
+
+
+@pytest.mark.parametrize("command, verdict", [
+    ("verify-holo", "inconclusive"),
+    ("verify-system", "satisfied"),
+    ("verify-amvp", "holds"),
+])
+def test_verify_isolates_a_starved_point_in_one_call(tmp_path, command, verdict):
+    cfg = write(tmp_path, "starved.ini", _STARVED_POINT)
+    out = tmp_path / "starved.csv"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert run([command, "--config", cfg, "--out", out]) == 1
+    header, rows = read_rows(out)
+    assert [r["verdict"] for r in rows] == ["error", verdict]
+    assert rows[0][header[6]] == "InsufficientDataError"
+
+
+@pytest.mark.parametrize("command", ["verify-holo", "verify-system", "verify-amvp"])
+def test_verify_isolates_a_failing_row_in_one_call(tmp_path, command):
+    # pharm-radial:3 is NaN at the origin, so only the jet there fails
+    cfg = write(
+        tmp_path,
+        "origin.ini",
+        "field.spec = pharm-radial:3\ndensity.spec = power:p=3\n"
+        "points.list = 0; 0.5+0.2i\n",
+    )
+    out = tmp_path / "origin.csv"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert run([command, "--config", cfg, "--out", out]) == 1
+    header, rows = read_rows(out)
+    assert rows[0]["verdict"] == "error"
+    assert rows[0][header[6]] == "NonFiniteSampleError"
+    assert rows[1]["verdict"] not in ("error", "untestable")
+
+
 def test_verify_amvp_passes_on_solution(tmp_path):
     cfg = write(
         tmp_path,
@@ -175,6 +265,41 @@ def test_dpp_command_writes_checkpoint(tmp_path):
     assert grid.h == pytest.approx(0.1)
     text = out.read_text()
     assert "# converged = true" in text
+
+
+_SMALL_DPP = (
+    "field.spec = exp\ndensity.spec = power:p=2\n"
+    "dpp.x0 = 0\ndpp.x1 = 0.4\ndpp.y0 = 0\ndpp.y1 = 0.4\n"
+    "dpp.h = 0.1\ndpp.radius = 0.2\n"
+)
+
+
+def test_dpp_command_writes_header_to_stdout_without_out(tmp_path, capsys):
+    cfg = write(tmp_path, "dpp.ini", _SMALL_DPP + "dpp.residual_tol = 1e-4\n")
+    assert run(["dpp", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# command = dpp"
+    assert "# converged = true" in lines
+    assert all(line.startswith("# ") for line in lines)
+
+
+def test_dpp_command_reports_divergence(tmp_path):
+    # an impossibly strict progress factor turns slow decay into a
+    # divergence report after the first window
+    cfg = write(
+        tmp_path,
+        "div.ini",
+        _SMALL_DPP + "dpp.init = const:0\ndpp.damping = 0.05\n"
+        "dpp.residual_tol = 1e-14\ndpp.divergence_window = 1\n"
+        "dpp.divergence_factor = 0.1\n",
+    )
+    out = tmp_path / "div.csv"
+    assert run(["dpp", "--config", cfg, "--out", out]) == 1
+    text = out.read_text()
+    assert "# converged = false" in text
+    (line,) = [l for l in text.splitlines() if l.startswith("# diverged = ")]
+    assert "residual grew" in line
+    assert hm.read_checkpoint(out).h == pytest.approx(0.1)
 
 
 def test_validate_density_command(tmp_path):

@@ -92,6 +92,21 @@ def test_jet_membership_rejects_wrong_conjugate_slope():
     assert res.verdict == "rejected"
 
 
+def test_jet_membership_inconclusive_between_thresholds_or_on_a_poor_fit():
+    z = 0.4 + 0.2j
+    # a conjugate slope off by 5e-4 puts the limit between the two thresholds
+    probe = hm.ContactProbe(base=z, xi=unit(0.5), sigma=np.exp(z), tau=5e-4 + 0j)
+    res = hm.jet_membership(np.exp, probe, CFG)
+    assert res.estimate.verdict == "converges_nonzero"
+    assert 1e-4 < res.estimate.limit.real < 1e-3
+    assert res.verdict == "inconclusive"
+    # off along i instead, the sweep fails the fit gate
+    probe = hm.ContactProbe(base=z, xi=unit(0.5), sigma=np.exp(z), tau=5e-4j)
+    res = hm.jet_membership(np.exp, probe, CFG)
+    assert res.estimate.verdict == "inconclusive"
+    assert res.verdict == "inconclusive"
+
+
 def test_jet_membership_zero_probe_against_conjugate_field():
     # remainder conj(zeta - z) has ratio modulus exactly 1 at every radius
     z = 0.5 + 0.5j

@@ -34,12 +34,12 @@ def test_circle_rule_trigonometric_moments():
 def test_disk_rule_area_moments():
     q = hm.disk_rule(CENTER, RADIUS)
     ones = np.ones(q.nodes.shape)
-    area = hm.disk_integral(q, ones)
+    area = hm.circle_integral(q, ones)
     assert area == pytest.approx(np.pi * RADIUS**2, rel=1e-12)
     m = q.nodes - CENTER
-    assert abs(hm.disk_integral(q, m)) <= 1e-13
+    assert abs(hm.circle_integral(q, m)) <= 1e-13
     # mean of |m|^2 over the disk is r^2 / 2
-    second = hm.disk_integral(q, np.abs(m) ** 2) / area
+    second = hm.circle_integral(q, np.abs(m) ** 2) / area
     assert second == pytest.approx(RADIUS**2 / 2.0, rel=1e-12)
 
 
