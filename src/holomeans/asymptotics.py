@@ -342,6 +342,24 @@ _SYSTEM = {"vanishes": True, "converges_nonzero": False, "inconclusive": None}
 _SYSTEM_STATUS = {True: "satisfied", False: "violated", None: "inconclusive"}
 
 
+def holomorphy_verdict(g, points, d, cfg=None, tol=None):
+    """Decide holomorphy of ``g`` at each point from conjugate-mean sweeps.
+
+    The extrapolated limit of the conjugate-transformed mean vanishes exactly
+    when the conjugate derivative of g vanishes; the analytic first-order
+    prediction
+
+        2 / (1 + lam(G'(|g|))) * G'(|g|) / |g| * dg/d(conj z)
+
+    is computed from a finite-difference jet and reported with its gap to
+    the sweep's limit on every testable row; ``consistent`` says whether the
+    two agree within ``match_tol``.  Points where |g(z)| falls below the
+    field floor are marked untestable (the characterization only applies
+    away from zeroes of g).  Returns one verdict per point.
+    """
+    return _raise_first(_holomorphy_rows(g, points, d, cfg, tol))
+
+
 def _holomorphy_rows(g, points, d, cfg=None, tol=None):
     """Rows of :func:`holomorphy_verdict`, a failing point's error in its slot."""
     tol = tol or ToleranceConfig()
@@ -367,22 +385,17 @@ def _holomorphy_rows(g, points, d, cfg=None, tol=None):
     return _verdict_rows("conjugate", g, points, d, cfg, tol, row, HolomorphyVerdict)
 
 
-def holomorphy_verdict(g, points, d, cfg=None, tol=None):
-    """Decide holomorphy of ``g`` at each point from conjugate-mean sweeps.
+def system_verdict(f, points, d, cfg=None, tol=None):
+    """Compare sweep decisions against the analytic system residual per point.
 
-    The extrapolated limit of the conjugate-transformed mean vanishes exactly
-    when the conjugate derivative of g vanishes; the analytic first-order
-    prediction
-
-        2 / (1 + lam(G'(|g|))) * G'(|g|) / |g| * dg/d(conj z)
-
-    is computed from a finite-difference jet and reported with its gap to
-    the sweep's limit on every testable row; ``consistent`` says whether the
-    two agree within ``match_tol``.  Points where |g(z)| falls below the
-    field floor are marked untestable (the characterization only applies
-    away from zeroes of g).  Returns one verdict per point.
+    The derivative-detecting mean vanishes as r -> 0 exactly when the field
+    satisfies the nonlinear Cauchy-Riemann system tied to the density; the
+    analytic residual of that system is evaluated on a finite-difference jet
+    and both decisions are reported with a consistency flag.  Points where
+    |f(z)| falls below the field floor are marked untestable.  Returns one
+    verdict per point.
     """
-    return _raise_first(_holomorphy_rows(g, points, d, cfg, tol))
+    return _raise_first(_system_rows(f, points, d, cfg, tol))
 
 
 def _system_rows(f, points, d, cfg=None, tol=None):
@@ -407,17 +420,18 @@ def _system_rows(f, points, d, cfg=None, tol=None):
     return _verdict_rows("variational", f, points, d, cfg, tol, row, SystemVerdict)
 
 
-def system_verdict(f, points, d, cfg=None, tol=None):
-    """Compare sweep decisions against the analytic system residual per point.
+def amvp_verdict(f, points, d, cfg=None, tol=None):
+    """Asymptotic mean value property of the pair mean at each point.
 
-    The derivative-detecting mean vanishes as r -> 0 exactly when the field
-    satisfies the nonlinear Cauchy-Riemann system tied to the density; the
-    analytic residual of that system is evaluated on a finite-difference jet
-    and both decisions are reported with a consistency flag.  Points where
-    |f(z)| falls below the field floor are marked untestable.  Returns one
-    verdict per point.
+    Sweeps ``(pair mean value - f(z)) / r`` and extrapolates; the property
+    holds exactly when |limit| <= amvp_tol, with no inconclusive state (the
+    fit quality is reported on the estimate but does not gate the decision).
+    The limit is cross-checked against the first-order bracket (the system
+    residual of the finite-difference jet), which is valid for densities
+    with declared small-argument behaviour.  Points where |f(z)| falls below
+    the field floor are marked untestable.  Returns one verdict per point.
     """
-    return _raise_first(_system_rows(f, points, d, cfg, tol))
+    return _raise_first(_amvp_rows(f, points, d, cfg, tol))
 
 
 def _amvp_rows(f, points, d, cfg=None, tol=None):
@@ -445,17 +459,3 @@ def _amvp_rows(f, points, d, cfg=None, tol=None):
         )
 
     return _verdict_rows("pair_increment", f, points, d, cfg, tol, row, AmvpVerdict)
-
-
-def amvp_verdict(f, points, d, cfg=None, tol=None):
-    """Asymptotic mean value property of the pair mean at each point.
-
-    Sweeps ``(pair mean value - f(z)) / r`` and extrapolates; the property
-    holds exactly when |limit| <= amvp_tol, with no inconclusive state (the
-    fit quality is reported on the estimate but does not gate the decision).
-    The limit is cross-checked against the first-order bracket (the system
-    residual of the finite-difference jet), which is valid for densities
-    with declared small-argument behaviour.  Points where |f(z)| falls below
-    the field floor are marked untestable.  Returns one verdict per point.
-    """
-    return _raise_first(_amvp_rows(f, points, d, cfg, tol))

@@ -127,8 +127,8 @@ def _pharm_radial_field(p):
         df/dz      = gamma * (gamma - 2) / 2 * conj(z)**2 * |z|**(gamma - 4)
         df/d(conj) = gamma**2 / 2 * |z|**(gamma - 2)
 
-    Singular at the origin for p < 2 and degenerate (zero gradient) there
-    for p > 2; the sampler returns NaN at the origin either way.
+    The field is unbounded at the origin for every p != 2, as
+    |f| = |gamma| * |z|**(gamma - 1); the sampler returns NaN there.
     """
     gamma = pharm_exponent(p)
     if gamma == 0.0:

@@ -170,60 +170,47 @@ def test_verify_system_untestable_point_fails_run(tmp_path):
 
 
 def test_verify_makes_one_engine_call_per_radius(tmp_path, monkeypatch):
-    import holomeans.asymptotics
-
-    engine = holomeans.asymptotics.circle_means
+    engine = hm.asymptotics.circle_means
     calls = []
 
     def counted(kind, f, points, *args):
         calls.append(len(points))
         return engine(kind, f, points, *args)
 
-    monkeypatch.setattr(holomeans.asymptotics, "circle_means", counted)
+    monkeypatch.setattr(hm.asymptotics, "circle_means", counted)
     cfg = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "verify_holo_exp.ini"
     assert run(["verify-holo", "--config", cfg, "--out", tmp_path / "v.csv"]) == 0
     assert calls == [3] * 8
 
 
-# pharm-radial:3 is NaN at the origin, a node of the r = 0.1 circle at -0.1,
-# which leaves that point 7 of the 8 radii; the other point keeps all 8.
-_STARVED_POINT = (
-    "field.spec = pharm-radial:3\ndensity.spec = power:p=3\n"
-    "points.list = -0.1; 0.5+0.2i\nsweep.min_successes = 8\n"
-)
+# pharm-radial:3 is NaN at the origin.  At -0.1 the origin is a node of the
+# r = 0.1 circle, which leaves that point 7 of the 8 radii; at 0 the sweep
+# runs but the jet cannot be sampled.  0.5+0.2i is fine in both cases.
+_FAILING_POINTS = {
+    "InsufficientDataError": "-0.1; 0.5+0.2i\nsweep.min_successes = 8",
+    "NonFiniteSampleError": "0; 0.5+0.2i",
+}
 
 
+@pytest.mark.parametrize("error", sorted(_FAILING_POINTS))
 @pytest.mark.parametrize("command, verdict", [
     ("verify-holo", "inconclusive"),
     ("verify-system", "satisfied"),
     ("verify-amvp", "holds"),
 ])
-def test_verify_isolates_a_starved_point_in_one_call(tmp_path, command, verdict):
-    cfg = write(tmp_path, "starved.ini", _STARVED_POINT)
-    out = tmp_path / "starved.csv"
+def test_verify_keeps_a_failing_point_as_an_error_row(tmp_path, command, verdict, error):
+    cfg = write(
+        tmp_path,
+        "failing.ini",
+        "field.spec = pharm-radial:3\ndensity.spec = power:p=3\n"
+        f"points.list = {_FAILING_POINTS[error]}\n",
+    )
+    out = tmp_path / "failing.csv"
     with np.errstate(divide="ignore", invalid="ignore"):
         assert run([command, "--config", cfg, "--out", out]) == 1
     header, rows = read_rows(out)
     assert [r["verdict"] for r in rows] == ["error", verdict]
-    assert rows[0][header[6]] == "InsufficientDataError"
-
-
-@pytest.mark.parametrize("command", ["verify-holo", "verify-system", "verify-amvp"])
-def test_verify_isolates_a_failing_row_in_one_call(tmp_path, command):
-    # pharm-radial:3 is NaN at the origin, so only the jet there fails
-    cfg = write(
-        tmp_path,
-        "origin.ini",
-        "field.spec = pharm-radial:3\ndensity.spec = power:p=3\n"
-        "points.list = 0; 0.5+0.2i\n",
-    )
-    out = tmp_path / "origin.csv"
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert run([command, "--config", cfg, "--out", out]) == 1
-    header, rows = read_rows(out)
-    assert rows[0]["verdict"] == "error"
-    assert rows[0][header[6]] == "NonFiniteSampleError"
-    assert rows[1]["verdict"] not in ("error", "untestable")
+    assert rows[0][header[6]] == error
 
 
 def test_verify_amvp_passes_on_solution(tmp_path):
