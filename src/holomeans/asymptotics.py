@@ -21,9 +21,9 @@ limit against the analytic first-order prediction computed from a finite
 difference jet, and flags disagreement instead of hiding it.
 
 A verdict sweeps all its points together: points where the field falls
-below ``field_floor`` are set aside as untestable, and every radius of the
-ladder is one :func:`~holomeans.means.circle_means` call over the others.
-A radius that fails for one point is recorded in that point's sweep alone.
+below ``field_floor`` are set aside as untestable, and the whole ladder of
+the others is one batched circle-mean solve.  A radius that fails for one
+point is recorded in that point's sweep alone.
 A point left with too few radii, or whose row cannot be computed, keeps its
 :class:`HolomeansError` in its slot of the rows; the public verdicts raise
 the first of them (in the order given), while the command line interface
@@ -44,7 +44,7 @@ from .errors import (
     InvalidSweepError,
 )
 from .geometry import field_values, wirtinger_jet
-from .means import SolverConfig, circle_means
+from .means import SolverConfig, _ladder_means
 from .pdesystem import cr_residual
 
 __all__ = [
@@ -101,8 +101,9 @@ class RadiusSweep:
     """Values of one mean along the radius ladder.
 
     ``failures`` records (radius, reason) pairs for radii whose solve did not
-    produce a usable value; ``extras`` carries per-radius diagnostics such as
-    the sup-mean support count.
+    produce a usable value; ``extras`` carries per-radius diagnostics: the
+    sup-mean support count, or the first-order residual ``foc_residual``
+    and the Newton ``iterations`` (center plus slope for the pair mean).
     """
 
     kind: str
@@ -169,12 +170,12 @@ SWEEP_KINDS = tuple(_SWEEP_MEANS)
 
 
 def _sweeps(kind, f, points, d, cfg):
-    """Sweep every point at once: one :func:`circle_means` call per radius.
+    """Sweep every point at once: one circle-mean solve over the whole ladder.
 
     Returns one entry per point: its :class:`RadiusSweep`, or the
     :class:`InsufficientDataError` that :func:`sweep` raises for it alone.
-    An error that concerns every point of a radius fails that radius for
-    all of them.  No points give no sweeps, without checking ``cfg``.
+    An error that concerns every point fails every radius for all of them.
+    No points give no sweeps, without checking ``cfg``.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.size == 0:
@@ -198,29 +199,33 @@ def _sweeps(kind, f, points, d, cfg):
         # A (points, 1) array, shaped like the circles the means sample.
         center_values = field_values(f, pts[:, None])[:, 0]
 
+    try:
+        ladder = _ladder_means(_SWEEP_MEANS[kind], f, pts, radii_all, d,
+                               cfg.node_count, cfg.solver, cfg.seed)
+    except HolomeansError as exc:
+        ladder = ((exc,) * pts.size,) * radii_all.size
     found = [[] for _ in pts]  # per point: (radius, value, status, extras)
     failures = [[] for _ in pts]  # per point: (radius, reason)
-    for r in radii_all:
-        try:
-            results = circle_means(_SWEEP_MEANS[kind], f, pts, r, d,
-                                   cfg.node_count, cfg.solver, cfg.seed)
-        except HolomeansError as exc:
-            results = (exc,) * pts.size
+    for r, results in zip(radii_all, ladder):
         for i, res in enumerate(results):
             if isinstance(res, HolomeansError):
                 failures[i].append((float(r), f"{type(res).__name__}: {res}"))
             elif res.status == "failed":
                 failures[i].append((float(r), "solver reported failure"))
             elif kind == "pair_increment":
-                worst = max(res.center.foc_residual, res.slope.foc_residual)
+                extras = {
+                    "foc_residual": max(res.center.foc_residual, res.slope.foc_residual),
+                    "iterations": res.center.iterations + res.slope.iterations,
+                }
                 found[i].append((float(r), complex(res.value - center_values[i]),
-                                 res.status, {"foc_residual": worst}))
+                                 res.status, extras))
             elif kind == "infinity":
                 found[i].append((float(r), complex(res.minimizer), res.status,
                                  {"support_count": res.support_count}))
             else:
                 found[i].append((float(r), complex(res.minimizer), res.status,
-                                 {"foc_residual": res.foc_residual}))
+                                 {"foc_residual": res.foc_residual,
+                                  "iterations": res.iterations}))
 
     out = []
     for z, ok, failed in zip(pts, found, failures):

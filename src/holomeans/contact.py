@@ -18,9 +18,9 @@ at the base point is always sampled from the field itself.  The first-order
 behaviour of the projected increment has a closed form, the xi envelope,
 which the verdicts cross-check.  The full-field report evaluates every
 direction of a uniform fan at every sample point from one radius sweep of
-all points' affine surrogates together (one batched circle-mean solve per
-radius); each point's sweep serves all its directions, since projection
-onto a direction commutes with the linear extrapolation.
+all points' affine surrogates together (one batched circle-mean solve for
+the whole ladder); each point's sweep serves all its directions, since
+projection onto a direction commutes with the linear extrapolation.
 """
 
 from __future__ import annotations

@@ -45,9 +45,6 @@ __all__ = [
 # Floor below which a complex argument counts as the singular origin.
 W_FLOOR = 1e-300
 
-_BISECTION_STEPS = 48
-_POLISH_STEPS = 40
-_POLISH_REL_TOL = 1e-12
 _MAX_BRACKET_DOUBLINGS = 256
 
 
@@ -225,7 +222,9 @@ def _invert_deriv(d, t):
     """Solve F'(s) = t for s >= 0, vectorized.
 
     Bracket [0, hi] with hi grown geometrically from max(1, t**(1/lambda_lo)),
-    then bisection and a guarded Newton polish to relative tolerance 1e-12.
+    then bisect on the bit patterns of the floats in it: these order like
+    the values and space them about evenly in log s, so at most 63 halvings
+    leave the smallest float with F'(s) >= t, for t of any magnitude.
     """
     t = np.asarray(t, dtype=float)
     shape = t.shape
@@ -251,26 +250,16 @@ def _invert_deriv(d, t):
             f"{d.label}: could not bracket F'(s) = t; F' may be bounded"
         )
 
+    # F'(lo) < t <= F'(hi) holds throughout, with lo and hi as float bits.
+    hi = hi.view(np.int64)
     lo = np.zeros_like(hi)
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(d.deriv_fn(mid), dtype=float) < tv
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        below = np.asarray(d.deriv_fn(mid.view(float)), dtype=float) < tv
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
 
-    s = 0.5 * (lo + hi)
-    for _ in range(_POLISH_STEPS):
-        fp = np.asarray(d.deriv_fn(s), dtype=float)
-        fpp = np.asarray(d.second_deriv_fn(np.maximum(s, 1e-300)), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(fpp > 0.0, (fp - tv) / fpp, 0.0)
-        s_new = np.clip(s - step, lo, hi)
-        moved = np.abs(s_new - s)
-        s = s_new
-        if np.all(moved <= _POLISH_REL_TOL * (1.0 + np.abs(s))):
-            break
-
-    out[pos] = s
+    out[pos] = hi.view(float)
     return out.reshape(shape)
 
 
@@ -279,6 +268,12 @@ def young_conjugate(d):
 
     G(t) = t G'(t) - F(G'(t)); G'' follows from F''(G') G'' = 1, and the
     pinching bounds invert: lam_G in [1/lambda_hi, 1/lambda_lo].
+
+    A density that declares constant pinching (``lambda_lo == lambda_hi ==
+    small_exponent``, as :func:`power_density` does) and whose F' matches
+    ``small_coeff * s**small_exponent`` on the probe grid to 1e-12 relative
+    gets the exact slope ``G'(t) = (t / small_coeff)**(1 / small_exponent)``;
+    every other density solves F'(s) = t numerically.
 
     Raises
     ------
@@ -291,20 +286,27 @@ def young_conjugate(d):
         raise DegenerateDensityError(
             f"{d.label}: F' is not strictly increasing; conjugate undefined"
         )
+    alpha, coeff = d.small_exponent, d.small_coeff
+    law = coeff * probe**alpha
+    if d.lambda_lo == d.lambda_hi == alpha and np.all(np.abs(fp - law) <= 1e-12 * law):
 
-    def _g_deriv(t):
-        return _invert_deriv(d, t)
+        def _g_deriv(t):
+            return (np.asarray(t, dtype=float) / coeff) ** (1.0 / alpha)
+
+    else:
+
+        def _g_deriv(t):
+            return _invert_deriv(d, t)
 
     def _g_value(t):
-        s = _invert_deriv(d, t)
+        s = _g_deriv(t)
         return np.asarray(t, dtype=float) * s - np.asarray(d.value_fn(s), dtype=float)
 
     def _g_second(t):
-        s = _invert_deriv(d, t)
+        s = _g_deriv(t)
         fpp = np.asarray(d.second_deriv_fn(np.maximum(s, 1e-300)), dtype=float)
         return 1.0 / fpp
 
-    alpha = d.small_exponent
     return Density(
         value_fn=_g_value,
         deriv_fn=_g_deriv,
@@ -312,7 +314,7 @@ def young_conjugate(d):
         lambda_lo=1.0 / d.lambda_hi,
         lambda_hi=1.0 / d.lambda_lo,
         small_exponent=1.0 / alpha,
-        small_coeff=d.small_coeff ** (-1.0 / alpha),
+        small_coeff=coeff ** (-1.0 / alpha),
         label=f"conjugate[{d.label}]",
     )
 

@@ -18,12 +18,13 @@ floor, which keeps the Newton step a descent direction.
 The sup-norm mean is different in kind: it reduces to a smallest enclosing
 circle problem and is solved exactly by a randomized incremental algorithm.
 
-Every mean is computed by one engine, :func:`circle_means`, which takes all
-points of one radius at once: one field call samples every circle and one
-Newton solve per model fits every row.  A point whose circle cannot be
-solved gets its own error value and leaves the other points untouched.  The
+Every mean is computed by one engine, which takes all points of a whole
+ladder of radii at once: one field call samples every circle and one Newton
+solve per model fits every (radius, point) row, so a sweep is one solve.
+:func:`circle_means` is its one-radius call.  A row whose circle cannot be
+solved gets its own error value and leaves the other rows untouched.  The
 one-point functions are one-row calls to it, so they return the same bits
-as a dedicated one-point solve; in a multi-point call the matrix-vector
+as a dedicated one-point solve; in a multi-row call the matrix-vector
 products may round a row differently in the last bit.
 """
 
@@ -329,18 +330,20 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
     }
 
 
-def _mean_results(fit):
+def _mean_results(fit, radii):
+    # The fits weigh the unit circle; the objective is the one on each row's
+    # own circle, whose weights are the radius times the unit ones.
     return [
         MeanResult(
             minimizer=complex(c),
-            objective=float(obj),
+            objective=float(r * obj),
             foc_residual=float(foc),
             iterations=int(it),
             status=_STATUS_NAMES[int(code)],
         )
-        for c, obj, foc, it, code in zip(
+        for c, obj, foc, it, code, r in zip(
             fit["minimizer"], fit["objective"], fit["foc_residual"],
-            fit["iterations"], fit["status"],
+            fit["iterations"], fit["status"], radii,
         )
     ]
 
@@ -364,16 +367,33 @@ def circle_means(kind, f, points, r, d, node_count=64, cfg=None, seed=0):
     below the float resolution at the point, so the slope model vanishes at
     a node.  Errors that concern every point are raised.
     """
+    return _ladder_means(kind, f, points, [r], d, node_count, cfg, seed)[0]
+
+
+def _ladder_means(kind, f, points, radii, d, node_count=64, cfg=None, seed=0):
+    """:func:`circle_means` at every radius of ``radii``: one tuple per radius.
+
+    Every circle of every (radius, point) row is sampled in one field call
+    on a (radii, points, nodes) array, and each model is fitted in one
+    :func:`fit_model_coefficient` call over all rows.  The fits weigh every
+    row with the unit-circle weights, which leaves its minimizer unchanged,
+    and fit the coefficient of its own slope model conj(zeta - z).  A row
+    that cannot be solved gets its error in its own (radius, point) slot.
+    """
     if kind not in MEAN_KINDS:
         raise InvalidParameterError(
             f"unknown mean kind {kind!r}; expected one of {MEAN_KINDS}"
         )
-    q = circle_rule(0j, r, _check_nodes(node_count))
+    n = _check_nodes(node_count)
+    radii = np.asarray(radii, dtype=float)
+    circles = np.array([circle_rule(0j, r, n).nodes for r in radii])
     z = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
-    nodes = z[:, None] + q.nodes[None, :]
-    offsets = nodes - z[:, None]
-    samples = field_values(f, nodes)
-    errors = [None] * z.size
+    nodes = z[None, :, None] + circles[:, None, :]
+    offsets = (nodes - z[None, :, None]).reshape(-1, n)
+    samples = field_values(f, nodes).reshape(-1, n)
+    nodes = nodes.reshape(-1, n)
+    rr = np.repeat(radii, z.size)
+    errors = [None] * rr.size
 
     def fail(rows, error):
         for i in np.flatnonzero(rows):
@@ -397,47 +417,43 @@ def circle_means(kind, f, points, r, d, node_count=64, cfg=None, seed=0):
     out = list(errors)
 
     if kind == "infinity":
-        v = samples * offsets / r**2
+        v = samples * offsets / rr[:, None] ** 2
         for i in live:
             center, radius = _smallest_enclosing_circle(v[i].tolist(), seed)
-            value = r * radius
-            attained = r * np.abs(v[i] - center)
+            value = rr[i] * radius
+            attained = rr[i] * np.abs(v[i] - center)
             out[i] = InfinityMeanResult(
                 minimizer=complex(center),
                 objective=float(value),
                 support_count=int(np.sum(attained >= value - 1e-9 * (1.0 + value))),
                 status="converged",
             )
-        return tuple(out)
-    if live.size == 0:
-        return tuple(out)
-
-    samples, offsets, model = samples[live], offsets[live], model[live]
-    if kind == "conjugate":
-        mod = mod[live]
-        samples = young_conjugate(d).deriv_fn(mod) * samples / mod
-    w = q.weights
-    if kind in ("center", "pair"):
-        init = samples @ w / (2.0 * np.pi * r)
-        a_res = _mean_results(
-            fit_model_coefficient(d, samples, w, np.ones_like(q.nodes), init, cfg)
-        )
-    if kind != "center":
-        init = (samples * offsets) @ w / (2.0 * np.pi * r**3)
-        b_res = _mean_results(fit_model_coefficient(d, samples, w, model, init, cfg))
-    for k, i in enumerate(live):
-        if kind == "center":
-            out[i] = a_res[k]
-        elif kind == "pair":
-            out[i] = PairMeanResult(
-                center=a_res[k],
-                slope=b_res[k],
-                radius=float(r),
-                value=complex(a_res[k].minimizer + r * b_res[k].minimizer),
-            )
-        else:
-            out[i] = b_res[k]
-    return tuple(out)
+    elif live.size:
+        samples, offsets, model, r = samples[live], offsets[live], model[live], rr[live]
+        if kind == "conjugate":
+            mod = mod[live]
+            samples = young_conjugate(d).deriv_fn(mod) * samples / mod
+        w = circle_rule(0j, 1.0, n).weights
+        if kind in ("center", "pair"):
+            init = samples @ w / (2.0 * np.pi)
+            ones = np.ones(n, dtype=complex)
+            a_res = _mean_results(fit_model_coefficient(d, samples, w, ones, init, cfg), r)
+        if kind != "center":
+            init = (samples * offsets) @ w / (2.0 * np.pi * r**2)
+            b_res = _mean_results(fit_model_coefficient(d, samples, w, model, init, cfg), r)
+        for k, i in enumerate(live):
+            if kind == "center":
+                out[i] = a_res[k]
+            elif kind == "pair":
+                out[i] = PairMeanResult(
+                    center=a_res[k],
+                    slope=b_res[k],
+                    radius=float(r[k]),
+                    value=complex(a_res[k].minimizer + r[k] * b_res[k].minimizer),
+                )
+            else:
+                out[i] = b_res[k]
+    return tuple(tuple(out[k * z.size:(k + 1) * z.size]) for k in range(radii.size))
 
 
 def _one_point(kind, f, z, r, d, node_count, cfg, seed=0):

@@ -85,6 +85,17 @@ def test_sweep_runs_all_radii_and_records_extras():
     assert all("foc_residual" in e for e in sw.extras)
 
 
+def test_sweep_extras_count_the_newton_iterations_of_each_radius():
+    f, z = hm.make_field("pharm-radial:3"), 0.4 + 0.3j
+    d = hm.power_density(3)
+    var = hm.sweep("variational", f, z, d)
+    pair = hm.sweep("pair_increment", f, z, d)
+    for r, v, p in zip(var.radii, var.extras, pair.extras):
+        assert v["iterations"] == hm.variational_circle_mean(f, z, r, d).iterations >= 1
+        pm = hm.pair_mean(f, z, r, d)
+        assert p["iterations"] == pm.center.iterations + pm.slope.iterations
+
+
 def test_sweep_rejects_unknown_kind():
     with pytest.raises(InvalidParameterError):
         hm.sweep("bogus", np.exp, 0j, D2)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import holomeans as hm
-from holomeans.asymptotics import _sweeps
+from holomeans.asymptotics import _SWEEP_MEANS, _sweeps
 from holomeans.errors import (
     InsufficientDataError,
     InvalidParameterError,
     NonFiniteSampleError,
     ZeroFieldError,
 )
-from holomeans.means import fit_model_coefficient
+from holomeans.means import _ladder_means, fit_model_coefficient
 
 D3 = hm.power_density(3)
 PHARM = hm.make_field("pharm-radial:3")
@@ -111,6 +111,64 @@ def test_sweep_failures_are_per_point_and_match_one_point_sweeps(kind):
     assert starved.failures == hm.sweep(kind, _nan_near_half, pts[0], d, cfg).failures
     assert not clean.failures
     assert len(clean.values) == cfg.count
+
+
+def _per_radius_sweeps(kind, f, points, d, cfg):
+    """Per point: (radius, value, status) rows and failures, one radius per call."""
+    center = f(np.asarray(points))
+    rows = [[] for _ in points]
+    failures = [[] for _ in points]
+    for r in cfg.radii():
+        results = hm.circle_means(_SWEEP_MEANS[kind], f, points, r, d,
+                                  cfg.node_count, cfg.solver, cfg.seed)
+        for i, res in enumerate(results):
+            if isinstance(res, hm.HolomeansError):
+                failures[i].append((float(r), f"{type(res).__name__}: {res}"))
+            elif res.status == "failed":
+                failures[i].append((float(r), "solver reported failure"))
+            else:
+                value = res.value - center[i] if kind == "pair_increment" else res.minimizer
+                rows[i].append((float(r), value, res.status))
+    return rows, failures
+
+
+@pytest.mark.parametrize("kind", hm.asymptotics.SWEEP_KINDS)
+def test_one_call_sweep_matches_a_per_radius_loop(kind):
+    # The circles of the last point cross the NaN disk at the larger radii
+    # and stay clear of it at the smaller ones.
+    cfg = hm.SweepConfig(min_successes=1)
+    d = None if kind == "infinity" else D3
+    pts = list(POINTS) + [0.5 + 0.07j]
+    sweeps = _sweeps(kind, _nan_near_half, pts, d, cfg)
+    rows, failures = _per_radius_sweeps(kind, _nan_near_half, pts, d, cfg)
+    assert failures[-1]
+    for s, ref, failed in zip(sweeps, rows, failures):
+        assert s.failures == tuple(failed)
+        assert s.radii == tuple(r for r, _, _ in ref)
+        assert s.statuses == tuple(status for _, _, status in ref)
+        assert all(_close(a, b) for a, (_, b, _) in zip(s.values, ref))
+
+
+def test_non_finite_sample_fails_only_its_radius_and_point():
+    node = complex(0.5 + 0.1)  # the first node of the r = 0.1 circle at 0.5
+
+    def f(zeta):
+        return np.where(zeta == node, np.nan, np.exp(zeta))
+
+    pts, radii = [0.5 + 0j, -0.3 + 0.2j], [0.1, 0.05]
+    (bad, good), others = _ladder_means("variational", f, pts, radii, D3)
+    (one, _) = hm.circle_means("variational", f, pts, 0.1, D3)
+    assert type(bad) is NonFiniteSampleError
+    assert str(bad) == str(one)
+    assert all(res.status == "converged" for res in (good,) + others)
+
+
+def test_radius_below_float_resolution_fails_only_its_row():
+    pts, radii = [1e6 + 0j, 0.5 + 0.5j], [1e-3, 1e-12]
+    coarse, fine = _ladder_means("pair", lambda z: z + 1.0, pts, radii, D3)
+    assert type(fine[0]) is InvalidParameterError
+    assert str(fine[0]) == "model weights must be bounded away from zero"
+    assert all(isinstance(res, hm.PairMeanResult) for res in coarse + fine[1:])
 
 
 def test_zero_field_sweep_failure_reason_matches_one_point_sweep():

@@ -169,18 +169,18 @@ def test_verify_system_untestable_point_fails_run(tmp_path):
     assert rows[0]["verdict"] == "untestable"
 
 
-def test_verify_makes_one_engine_call_per_radius(tmp_path, monkeypatch):
-    engine = hm.asymptotics.circle_means
+def test_verify_makes_one_engine_call_per_sweep(tmp_path, monkeypatch):
+    engine = hm.asymptotics._ladder_means
     calls = []
 
-    def counted(kind, f, points, *args):
-        calls.append(len(points))
-        return engine(kind, f, points, *args)
+    def counted(kind, f, points, radii, *args):
+        calls.append((len(points), len(radii)))
+        return engine(kind, f, points, radii, *args)
 
-    monkeypatch.setattr(hm.asymptotics, "circle_means", counted)
+    monkeypatch.setattr(hm.asymptotics, "_ladder_means", counted)
     cfg = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "verify_holo_exp.ini"
     assert run(["verify-holo", "--config", cfg, "--out", tmp_path / "v.csv"]) == 0
-    assert calls == [3] * 8
+    assert calls == [(3, 8)]
 
 
 # pharm-radial:3 is NaN at the origin.  At -0.1 the origin is a node of the

@@ -86,6 +86,51 @@ def test_young_conjugate_is_power_dual(p):
     np.testing.assert_allclose(g.value_fn(t), t**q / q, rtol=1e-9, atol=1e-12)
 
 
+def _declared(d, lambda_lo, lambda_hi, label):
+    """``d`` with other declared pinching bounds."""
+    return hm.Density(d.value_fn, d.deriv_fn, d.second_deriv_fn, lambda_lo,
+                      lambda_hi, d.small_exponent, d.small_coeff, label)
+
+
+@pytest.mark.parametrize("p", (1.2, 1.5, 2.0, 3.0, 8.0))
+def test_power_conjugate_slope_is_exact_and_the_general_path_agrees(p):
+    # Bounds around the constant ratio p - 1 are true but not constant, so
+    # the second conjugate inverts F' numerically.
+    d = hm.power_density(p)
+    wide = _declared(d, p - 1.1, p - 0.9, "wide")
+    t = np.geomspace(1e-12, 1e12, 97)
+    exact = t ** (1.0 / (p - 1.0))
+    closed = hm.young_conjugate(d).deriv_fn(t)
+    general = hm.young_conjugate(wide).deriv_fn(t)
+    np.testing.assert_allclose(closed, exact, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(general, closed, rtol=1e-12, atol=0.0)
+
+
+def test_constant_pinching_without_the_declared_power_law_inverts_numerically():
+    # F'(s) = 2 s**2 has constant ratio 2, but small_coeff = 1 misstates it:
+    # the closed form would give sqrt(t) instead of sqrt(t / 2).
+    d = hm.Density(
+        value_fn=lambda s: 2.0 * s**3 / 3.0,
+        deriv_fn=lambda s: 2.0 * s**2,
+        second_deriv_fn=lambda s: 4.0 * s,
+        lambda_lo=2.0,
+        lambda_hi=2.0,
+        small_exponent=2.0,
+        small_coeff=1.0,
+        label="twice-cubic",
+    )
+    s = np.geomspace(1e-6, 1e6, 13)
+    np.testing.assert_allclose(hm.young_conjugate(d).deriv_fn(d.deriv_fn(s)), s, rtol=1e-12)
+
+
+def test_holomorphy_verdict_of_a_small_field_near_p_one():
+    # G'(1e-6) = 1e-30 at p = 1.2; the numerical inverse used to return 0.
+    rows = hm.holomorphy_verdict(
+        lambda z: 1e-6 * np.exp(z), [0.1 + 0.2j, 0.5, -0.3 + 0.4j], hm.power_density(1.2)
+    )
+    assert [row.verdict for row in rows] == ["holomorphic"] * 3
+
+
 def test_young_conjugate_refuses_flat_derivative():
     d = hm.power_density(2)
     flat = hm.Density(
