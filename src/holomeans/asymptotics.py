@@ -23,11 +23,16 @@ difference jet, and flags disagreement instead of hiding it.
 A verdict sweeps all its points together: points where the field falls
 below ``field_floor`` are set aside as untestable, and the whole ladder of
 the others is one batched circle-mean solve.  A radius that fails for one
-point is recorded in that point's sweep alone.
+point is recorded in that point's sweep alone.  The rows are then assembled
+in array passes over the points: one field call samples every jet, the
+analytic predictions are array expressions, and every sweep sharing a
+radius ladder is extrapolated by one least-squares solve; Python only
+builds the result rows.
 A point left with too few radii, or whose row cannot be computed, keeps its
 :class:`HolomeansError` in its slot of the rows; the public verdicts raise
 the first of them (in the order given), while the command line interface
-writes each as an ``error`` row.  :func:`sweep` is the one-point call.
+writes each as an ``error`` row.  :func:`sweep` and :func:`extrapolate` are
+the one-point calls.
 """
 
 from __future__ import annotations
@@ -36,16 +41,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import lambda_of, young_conjugate
+from .density import _per_point, lambda_of, young_conjugate
 from .errors import (
     HolomeansError,
     InsufficientDataError,
     InvalidParameterError,
     InvalidSweepError,
 )
-from .geometry import field_values, wirtinger_jet
+from .geometry import Jet, _modulus, _wirtinger_jets, field_values
 from .means import SolverConfig, _ladder_means
-from .pdesystem import cr_residual
+from .pdesystem import _cr_residuals
 
 __all__ = [
     "SweepConfig",
@@ -267,7 +272,8 @@ def extrapolate(radii, values=None, tol=None):
     """Least-squares linear extrapolation of sweep values to radius zero.
 
     Accepts a :class:`RadiusSweep` in place of the two arrays.  Returns a
-    :class:`LimitEstimate` whose verdict follows the module rules.
+    :class:`LimitEstimate` whose verdict follows the module rules.  The
+    one-row call of the batched fit.
     """
     if isinstance(radii, RadiusSweep):
         if values is not None and not isinstance(values, ToleranceConfig):
@@ -277,32 +283,56 @@ def extrapolate(radii, values=None, tol=None):
         tol = values if isinstance(values, ToleranceConfig) else tol
         values = np.asarray(radii.values, dtype=complex)
         radii = np.asarray(radii.radii, dtype=float)
-    tol = tol or ToleranceConfig()
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=complex)
     if radii.ndim != 1 or radii.shape != values.shape:
         raise InvalidSweepError("radii and values must be matching 1-d arrays")
-    if radii.size < 2 or np.unique(radii).size < 2:
-        raise InvalidSweepError("need at least two distinct radii to extrapolate")
+    return _raise_first(_extrapolate_rows([radii], [values], tol or ToleranceConfig()))[0]
 
-    design = np.stack([np.ones_like(radii), radii], axis=1)
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    fitted = design @ coef
-    fit_residual = float(np.sqrt(np.mean(np.abs(values - fitted) ** 2)))
-    scale = max(float(np.max(np.abs(values))), tol.limit_tol)
-    fit_tol = tol.fit_tol_coeff * scale
 
-    limit = complex(coef[0])
-    if fit_residual <= fit_tol:
-        verdict = "vanishes" if abs(limit) <= tol.limit_tol else "converges_nonzero"
-    else:
-        verdict = "inconclusive"
-    return LimitEstimate(
-        limit=limit,
-        slope=complex(coef[1]),
-        fit_residual=fit_residual,
-        verdict=verdict,
-    )
+def _ladder_groups(radii_rows):
+    """(row indices, radii) for each distinct radius ladder, in order of first use."""
+    groups = {}
+    for i, radii in enumerate(radii_rows):
+        groups.setdefault(tuple(radii), []).append(i)
+    return [(np.asarray(idx), np.asarray(key, dtype=float)) for key, idx in groups.items()]
+
+
+def _fitted(limit, slope, radii):
+    """Values of the linear models ``limit + slope * r``, laid out (rows, radii)."""
+    return limit[:, None] + slope[:, None] * radii
+
+
+def _extrapolate_rows(radii_rows, value_rows, tol):
+    """:func:`extrapolate` of every row, one least-squares solve per radius ladder.
+
+    The rows sharing a ladder are fitted together by one multi-right-hand-side
+    ``lstsq``, which gives each row the coefficients of its own fit bit for
+    bit.  Values are laid out (rows, radii), so the residual and scale
+    reductions run along the contiguous last axis and keep each row's
+    summation order.  Returns one :class:`LimitEstimate` per row, or the
+    :class:`InvalidSweepError` of a ladder with fewer than two distinct radii.
+    """
+    out = [None] * len(radii_rows)
+    for idx, radii in _ladder_groups(radii_rows):
+        if radii.size < 2 or np.unique(radii).size < 2:
+            error = InvalidSweepError("need at least two distinct radii to extrapolate")
+            for i in idx:
+                out[i] = error
+            continue
+        values = np.array([value_rows[i] for i in idx], dtype=complex)
+        design = np.stack([np.ones_like(radii), radii], axis=1)
+        limit, slope = np.linalg.lstsq(design, values.T, rcond=None)[0]
+        fit_residual = np.sqrt(np.mean(np.abs(values - _fitted(limit, slope, radii)) ** 2,
+                                       axis=-1))
+        scale = np.maximum(np.max(np.abs(values), axis=-1), tol.limit_tol)
+        credible = fit_residual <= tol.fit_tol_coeff * scale
+        vanishes = _modulus(limit) <= tol.limit_tol
+        columns = (idx, limit, slope, fit_residual, credible, vanishes)
+        for i, lim, slo, res, ok, zero in zip(*(c.tolist() for c in columns)):
+            verdict = ("vanishes" if zero else "converges_nonzero") if ok else "inconclusive"
+            out[i] = LimitEstimate(lim, slo, res, verdict)
+    return out
 
 
 def _increment_ratios(s):
@@ -311,31 +341,39 @@ def _increment_ratios(s):
     return radii, np.asarray(s.values, dtype=complex) / radii
 
 
-def _verdict_rows(kind, f, points, d, cfg, tol, row, untestable):
-    """One verdict row per point, from one batched sweep of the testable points.
+def _verdict_rows(kind, f, points, d, cfg, tol, analytic, row, untestable):
+    """One verdict row per point, assembled in array passes over the points.
 
-    Points where |f(z)| falls below ``tol.field_floor`` get
-    ``untestable(z)``; the rest are swept together and get ``row(z, sweep)``.
-    A point whose sweep or row fails gets its :class:`HolomeansError` instead.
+    Points where |f(z)| falls below ``tol.field_floor`` get ``untestable(z)``.
+    The rest are swept together in one batched solve and their jets come
+    from one field call; ``analytic(jets)`` returns the first-order
+    prediction as an array over the points given, with a list of per-point
+    errors, and the sweeps are extrapolated together (increment ratios for
+    ``pair_increment``).  A point then gets ``row(z, estimate, prediction)``,
+    or the first :class:`HolomeansError` met for it: that of its sweep, its
+    jet, its prediction or its fit, in this order.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
     if pts.size == 0:
         raise InvalidParameterError("need at least one point")
     low = np.abs(field_values(f, pts)) < tol.field_floor
-    swept = iter(_sweeps(kind, f, pts[~low], d, cfg))
-
-    def one(z, is_low):
-        if is_low:
-            return untestable(z)
-        s = next(swept)
-        if isinstance(s, HolomeansError):
-            return s
-        try:
-            return row(z, s)
-        except HolomeansError as exc:
-            return exc
-
-    return tuple(one(complex(z), is_low) for z, is_low in zip(pts, low))
+    live = pts[~low]
+    sweeps = _sweeps(kind, f, live, d, cfg)
+    jets, jet_errors = _wirtinger_jets(f, live)
+    results = [s if isinstance(s, HolomeansError) else e for s, e in zip(sweeps, jet_errors)]
+    ok = np.flatnonzero([res is None for res in results])
+    predicted, errors = analytic(Jet(jets.base[ok], jets.value[ok], jets.dz[ok], jets.dzbar[ok]))
+    series = [_increment_ratios(sweeps[i]) if kind == "pair_increment"
+              else (sweeps[i].radii, sweeps[i].values) for i in ok]
+    estimates = _extrapolate_rows([r for r, _ in series], [v for _, v in series], tol)
+    for i, prediction, error, est in zip(ok.tolist(), predicted.tolist(), errors, estimates):
+        if error is None and not isinstance(est, HolomeansError):
+            results[i] = row(complex(live[i]), est, prediction)
+        else:
+            results[i] = error or est
+    live_rows = iter(results)
+    return tuple(untestable(complex(z)) if is_low else next(live_rows)
+                 for z, is_low in zip(pts, low))
 
 
 _HOLOMORPHY = {
@@ -370,24 +408,28 @@ def _holomorphy_rows(g, points, d, cfg=None, tol=None):
     tol = tol or ToleranceConfig()
     conjugate = young_conjugate(d)
 
-    def row(z, s):
-        jet = wirtinger_jet(g, z)
-        mod = abs(jet.value)
-        conj_slope = float(conjugate.deriv(mod))
-        lam = float(lambda_of(d, conj_slope))
-        predicted = 2.0 / (1.0 + lam) * (conj_slope / mod) * jet.dzbar
-        est = extrapolate(s, tol)
+    def analytic(jets):
+        mod = _modulus(jets.value)
+        conj_slope, errors = _per_point(conjugate.deriv, mod)
+        lam, lam_errors = _per_point(lambda s: lambda_of(d, s), conj_slope)
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN where a point failed
+            predicted = 2.0 / (1.0 + lam) * (conj_slope / mod) * jets.dzbar
+        return predicted, [a or b for a, b in zip(errors, lam_errors)]
+
+    def row(z, est, predicted):
+        predicted = complex(predicted)
         gap = abs(est.limit - predicted)
         return HolomorphyVerdict(
             point=z,
             verdict=_HOLOMORPHY[est.verdict],
             estimate=est,
-            predicted_limit=complex(predicted),
+            predicted_limit=predicted,
             prediction_gap=float(gap),
             consistent=bool(est.verdict != "inconclusive" and gap <= tol.match_tol),
         )
 
-    return _verdict_rows("conjugate", g, points, d, cfg, tol, row, HolomorphyVerdict)
+    return _verdict_rows("conjugate", g, points, d, cfg, tol, analytic, row,
+                         HolomorphyVerdict)
 
 
 def system_verdict(f, points, d, cfg=None, tol=None):
@@ -407,22 +449,22 @@ def _system_rows(f, points, d, cfg=None, tol=None):
     """Rows of :func:`system_verdict`, a failing point's error in its slot."""
     tol = tol or ToleranceConfig()
 
-    def row(z, s):
-        residual = cr_residual(wirtinger_jet(f, z), d)
+    def row(z, est, residual):
+        residual = complex(residual)
         analytic_ok = abs(residual) <= tol.residual_tol
-        est = extrapolate(s, tol)
         sweep_ok = _SYSTEM[est.verdict]
         return SystemVerdict(
             point=z,
             status=_SYSTEM_STATUS[sweep_ok],
             estimate=est,
-            analytic_residual=complex(residual),
+            analytic_residual=residual,
             sweep_satisfied=sweep_ok,
             analytic_satisfied=bool(analytic_ok),
             consistent=bool(sweep_ok is not None and sweep_ok == analytic_ok),
         )
 
-    return _verdict_rows("variational", f, points, d, cfg, tol, row, SystemVerdict)
+    return _verdict_rows("variational", f, points, d, cfg, tol,
+                         lambda jets: _cr_residuals(jets, d), row, SystemVerdict)
 
 
 def amvp_verdict(f, points, d, cfg=None, tol=None):
@@ -448,9 +490,8 @@ def _amvp_rows(f, points, d, cfg=None, tol=None):
             "amvp verdict needs a density with declared small-argument behaviour"
         )
 
-    def row(z, s):
-        bracket = cr_residual(wirtinger_jet(f, z), d)
-        est = extrapolate(*_increment_ratios(s), tol)
+    def row(z, est, bracket):
+        bracket = complex(bracket)
         holds = abs(est.limit) <= tol.amvp_tol
         gap = abs(est.limit - bracket)
         return AmvpVerdict(
@@ -458,9 +499,10 @@ def _amvp_rows(f, points, d, cfg=None, tol=None):
             status="holds" if holds else "fails",
             estimate=est,
             holds=bool(holds),
-            bracket=complex(bracket),
+            bracket=bracket,
             bracket_gap=float(gap),
             consistent=bool(gap <= tol.match_tol),
         )
 
-    return _verdict_rows("pair_increment", f, points, d, cfg, tol, row, AmvpVerdict)
+    return _verdict_rows("pair_increment", f, points, d, cfg, tol,
+                         lambda jets: _cr_residuals(jets, d), row, AmvpVerdict)

@@ -20,7 +20,10 @@ which the verdicts cross-check.  The full-field report evaluates every
 direction of a uniform fan at every sample point from one radius sweep of
 all points' affine surrogates together (one batched circle-mean solve for
 the whole ladder); each point's sweep serves all its directions, since
-projection onto a direction commutes with the linear extrapolation.
+projection onto a direction commutes with the linear extrapolation.  The
+rows are assembled in array passes over (points, directions): projected
+limits, fit residuals, envelopes (one convexity-ratio evaluation for every
+point), gaps and decisions.
 """
 
 from __future__ import annotations
@@ -33,7 +36,10 @@ from .asymptotics import (
     LimitEstimate,
     SweepConfig,
     ToleranceConfig,
+    _extrapolate_rows,
+    _fitted,
     _increment_ratios,
+    _ladder_groups,
     _raise_first,
     _sweeps,
     extrapolate,
@@ -43,13 +49,14 @@ from .density import lambda_of
 from .errors import InvalidParameterError
 from .geometry import (
     Jet,
+    _modulus,
+    _wirtinger_jets,
     affine_eval,
     circle_rule,
     field_values,
     sample_field,
-    wirtinger_jet,
 )
-from .pdesystem import cr_residual
+from .pdesystem import _cr_residuals
 
 __all__ = [
     "ContactProbe",
@@ -142,13 +149,25 @@ def xi_envelope(omega, sigma, tau, xi, d):
                      + mu(|omega|) Re((omega / conj omega) conj(xi sigma))
         omega == 0:  Re(conj(xi) tau) + |(a - 1) / (a + 1)| |sigma|,
                      a = small-argument convexity ratio.
+
+    The one-jet, one-direction call of the envelope fan.
     """
     xi = _check_unit(xi)
-    omega = complex(omega)
-    sigma = complex(sigma)
-    tau = complex(tau)
-    head = (xi.conjugate() * tau).real
-    if abs(omega) < ZERO_FLOOR:
+    return float(_xi_envelopes([omega], [sigma], [tau], np.array([xi]), d)[0, 0])
+
+
+def _xi_envelopes(omega, sigma, tau, xi, d):
+    """:func:`xi_envelope` of every jet along every direction, (jets, directions).
+
+    ``omega``, ``sigma`` and ``tau`` hold one jet per entry; the
+    convexity ratio of every nonzero ``|omega|`` comes from one
+    :func:`lambda_of` call.
+    """
+    omega, sigma, tau = (np.asarray(a, dtype=complex) for a in (omega, sigma, tau))
+    mod = _modulus(omega)
+    zero = mod < ZERO_FLOOR
+    tail = np.empty((omega.size, np.size(xi)))
+    if np.any(zero):
         alpha = d.lambda_at_zero
         if not (np.isfinite(alpha) and alpha > 0.0):
             raise InvalidParameterError(
@@ -156,11 +175,12 @@ def xi_envelope(omega, sigma, tau, xi, d):
                 "declared small-argument behaviour"
             )
         coeff = abs((alpha - 1.0) / (alpha + 1.0))
-        return float(head + coeff * abs(sigma))
-    lam = lambda_of(d, abs(omega))
+        tail[zero] = coeff * _modulus(sigma[zero])[:, None]
+    w = omega[~zero, None]
+    lam = lambda_of(d, mod[~zero, None])
     mu = (lam - 1.0) / (lam + 1.0)
-    phase = omega / omega.conjugate()
-    return float(head + mu * (phase * (xi * sigma).conjugate()).real)
+    tail[~zero] = mu * (w / np.conj(w) * np.conj(xi * sigma[~zero, None])).real
+    return (np.conj(xi) * tau[:, None]).real + tail
 
 
 @dataclass(frozen=True)
@@ -202,19 +222,13 @@ def jet_membership(
     fz = _field_value(f, z)
     radii = cfg.radii()
 
-    ratios = []
-    for r in radii:
-        q = circle_rule(z, r, cfg.node_count)
-        values = sample_field(f, q.nodes)
-        affine = (
-            fz
-            + probe.sigma * (q.nodes - z)
-            + probe.tau * np.conj(q.nodes - z)
-        )
-        remainder = values - affine
-        top = 0.5 * ((np.conj(xi) * remainder).real + np.abs(remainder))
-        ratios.append(float(np.max(top)) / r)
-    ratios = np.asarray(ratios, dtype=float)
+    # Every circle of the ladder in one field call, row k at radius k.
+    nodes = z + radii[:, None] * circle_rule(0j, 1.0, cfg.node_count).nodes
+    values = sample_field(f, nodes)
+    affine = fz + probe.sigma * (nodes - z) + probe.tau * np.conj(nodes - z)
+    remainder = values - affine
+    top = 0.5 * ((np.conj(xi) * remainder).real + np.abs(remainder))
+    ratios = np.max(top, axis=1) / radii
 
     est = extrapolate(radii, ratios.astype(complex), tol)
     limit = est.limit.real
@@ -252,39 +266,50 @@ class ContactAmvpResult:
     consistent: bool = False
 
 
-def _direction_rows(z, xi_list, s, jet, d, tol):
-    """Project one pair-increment sweep onto every direction and classify.
+def _direction_rows(points, xi, sweeps, jets, d, tol):
+    """Project every point's pair-increment sweep onto every direction and classify.
 
-    The decision is one-sided and decisive: the property holds along xi
-    exactly when the projected limit stays above ``-amvp_tol``.  Fit quality
-    is reported per direction but does not gate the decision.
+    ``points``, ``sweeps`` and the :class:`Jet` of arrays ``jets`` run over
+    the points, ``xi`` over the directions; limits, fit residuals, envelopes,
+    gaps and decisions are (points, directions) arrays.  The decision is
+    one-sided and decisive: the property holds along xi exactly when the
+    projected limit stays above ``-amvp_tol``.  Fit quality is reported per
+    direction but does not gate the decision.  Returns the rows point by
+    point, each point's directions in order.
     """
-    radii, ratios = _increment_ratios(s)
-    est = extrapolate(radii, ratios, tol)
-    design = np.stack([np.ones_like(radii), radii], axis=1)
-    fitted = design @ np.array([est.limit, est.slope])
-    residual_vec = ratios - fitted
-
+    series = [_increment_ratios(s) for s in sweeps]
+    radii_rows, ratio_rows = [r for r, _ in series], [v for _, v in series]
+    estimates = _raise_first(_extrapolate_rows(radii_rows, ratio_rows, tol))
+    limit = np.array([est.limit for est in estimates], dtype=complex)
+    slope = np.array([est.slope for est in estimates], dtype=complex)
+    conj_xi = np.conj(xi)
+    limits = (conj_xi * limit[:, None]).real
+    fit_residuals = np.empty(limits.shape)
+    for idx, radii in _ladder_groups(radii_rows):
+        ratios = np.array([ratio_rows[i] for i in idx])
+        residual = ratios - _fitted(limit[idx], slope[idx], radii)
+        projected = (conj_xi[:, None] * residual[:, None, :]).real
+        fit_residuals[idx] = np.sqrt(np.mean(projected ** 2, axis=-1))
+    envelopes = _xi_envelopes(jets.value, jets.dz, jets.dzbar, xi, d)
+    gaps = np.abs(limits - envelopes)
+    holds = limits >= -tol.amvp_tol
+    consistent = holds == (envelopes >= -tol.amvp_tol)
+    columns = (limits, fit_residuals, envelopes, gaps, holds, consistent)
+    xi_list = np.asarray(xi, dtype=complex).tolist()
     rows = []
-    for xi in xi_list:
-        limit = (np.conj(xi) * est.limit).real
-        fit_residual = float(np.sqrt(np.mean((np.conj(xi) * residual_vec).real ** 2)))
-        envelope = xi_envelope(jet.value, jet.dz, jet.dzbar, xi, d)
-        gap = abs(limit - envelope)
-        status = "holds" if limit >= -tol.amvp_tol else "fails"
-        env_says = envelope >= -tol.amvp_tol
-        rows.append(
-            ContactAmvpResult(
+    for z, *per_direction in zip(np.asarray(points, dtype=complex).tolist(),
+                                 *(c.tolist() for c in columns)):
+        for x, lim, res, env, gap, ok, agrees in zip(xi_list, *per_direction):
+            rows.append(ContactAmvpResult(
                 point=z,
-                xi=complex(xi),
-                status=status,
-                limit=float(limit),
-                fit_residual=fit_residual,
-                envelope=float(envelope),
-                envelope_gap=float(gap),
-                consistent=bool((status == "holds") == env_says),
-            )
-        )
+                xi=x,
+                status="holds" if ok else "fails",
+                limit=lim,
+                fit_residual=res,
+                envelope=env,
+                envelope_gap=gap,
+                consistent=agrees,
+            ))
     return rows
 
 
@@ -310,7 +335,8 @@ def camvp_verdict(f, probe, d, cfg=None, tol=None):
         return affine_eval(jet, pts)
 
     s = sweep("pair_increment", affine, z, d, cfg)
-    return _direction_rows(z, [xi], s, jet, d, tol)[0]
+    jets = Jet(*(np.array([part]) for part in (jet.base, jet.value, jet.dz, jet.dzbar)))
+    return _direction_rows([z], np.array([xi]), [s], jets, d, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -357,29 +383,23 @@ def contact_solution_verdict(
     pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
     low = np.abs(field_values(f, pts)) < tol.field_floor
     live = pts[~low]
-    jets = [wirtinger_jet(f, z) for z in live]
-    residual_ok = [abs(cr_residual(jet, d)) <= tol.residual_tol for jet in jets]
+    jets, errors = _wirtinger_jets(f, live)
+    _raise_first(errors)
+    residuals, errors = _cr_residuals(jets, d)
+    _raise_first(errors)
+    residual_ok = np.abs(residuals) <= tol.residual_tol
     # One affine touching surrogate per point, as a jet of (points, 1) arrays.
-    surrogate = Jet(
-        base=live[:, None],
-        value=np.array([jet.value for jet in jets], dtype=complex)[:, None],
-        dz=np.array([jet.dz for jet in jets], dtype=complex)[:, None],
-        dzbar=np.array([jet.dzbar for jet in jets], dtype=complex)[:, None],
-    )
+    surrogate = Jet(*(part[:, None] for part in (jets.base, jets.value, jets.dz, jets.dzbar)))
     sweeps = _sweeps("pair_increment", lambda zeta: affine_eval(surrogate, zeta),
                      live, d, cfg)
-    _raise_first(sweeps)
-
-    rows = []
-    for z, jet, s in zip(live, jets, sweeps):
-        rows.extend(_direction_rows(complex(z), xi_list, s, jet, d, tol))
+    rows = _direction_rows(live, xi_list, _raise_first(sweeps), jets, d, tol)
     untestable = [complex(z) for z in pts[low]]
 
     camvp_pass = bool(rows) and all(row.status == "holds" for row in rows)
     envelope_pass = bool(rows) and all(
         row.envelope >= -tol.amvp_tol for row in rows
     )
-    residual_pass = bool(residual_ok) and all(residual_ok)
+    residual_pass = bool(residual_ok.size) and bool(np.all(residual_ok))
     consistent = (
         bool(rows)
         and all(row.consistent for row in rows)

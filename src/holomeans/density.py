@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     DegenerateDensityError,
     DomainError,
+    HolomeansError,
     InvalidParameterError,
     SingularPointError,
 )
@@ -192,6 +193,28 @@ def lambda_of(d, s):
         )
     out = arr * np.asarray(d.second_deriv_fn(arr), dtype=float) / fp
     return _give_back(out, s)
+
+
+def _per_point(fn, s):
+    """``fn`` over the 1-d array ``s`` in one call, a failing entry's error in its slot.
+
+    Returns ``(values, errors)``.  If the one call raises a
+    :class:`HolomeansError`, each entry is evaluated on its own, so only the
+    entries that fail get NaN and their error.
+    """
+    s = np.asarray(s, dtype=float)
+    try:
+        return np.asarray(fn(s), dtype=float), [None] * s.size
+    except HolomeansError:
+        pass
+    values = np.full(s.size, np.nan)
+    errors = [None] * s.size
+    for i in range(s.size):
+        try:
+            values[i] = fn(s[i:i + 1])[0]
+        except HolomeansError as exc:
+            errors[i] = exc
+    return values, errors
 
 
 def complex_hessian(d, w):

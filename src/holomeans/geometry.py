@@ -165,28 +165,51 @@ def circle_integral(q, values):
     return values @ q.weights
 
 
+def _modulus(z):
+    """|z| of every entry, rounded as Python's ``abs(complex)`` rounds it.
+
+    This is libm's ``hypot``; numpy's complex ``abs`` can differ from it in
+    the last bit, so scalar and array paths would drift apart.
+    """
+    z = np.asarray(z, dtype=complex)
+    return np.hypot(z.real, z.imag)
+
+
+def _wirtinger_jets(f, points, step=None):
+    """First-order jets of ``f`` at every point from one field call.
+
+    Samples all the points' central-difference stencils at once and returns
+    a :class:`Jet` of 1-d arrays over the points, together with a list that
+    holds, per point, ``None`` or the :class:`NonFiniteSampleError` of its
+    stencil (whose jet entries are then not finite).
+    """
+    z = np.asarray(points, dtype=complex).ravel()
+    if step is None:
+        h = FD_STEP_SCALE * (1.0 + _modulus(z))
+    else:
+        h = float(step)
+        if h <= 0.0:
+            raise InvalidParameterError(f"finite-difference step must be positive, got {h}")
+    stencils = np.stack([z, z + h, z - h, z + 1j * h, z - 1j * h], axis=1)
+    w = field_values(f, stencils) if z.size else np.zeros(stencils.shape, dtype=complex)
+    bad = ~np.all(np.isfinite(w), axis=1)
+    errors = [nonfinite_error(s, v) if b else None for s, v, b in zip(stencils, w, bad)]
+    fx = (w[:, 1] - w[:, 2]) / (2.0 * h)
+    fy = (w[:, 3] - w[:, 4]) / (2.0 * h)
+    jets = Jet(base=z, value=w[:, 0], dz=0.5 * (fx - 1j * fy), dzbar=0.5 * (fx + 1j * fy))
+    return jets, errors
+
+
 def wirtinger_jet(f, z, step=None):
     """First-order jet of ``f`` at ``z`` by central finite differences.
 
     The default step is ``1e-5 * (1 + |z|)``; the scheme is second order
-    accurate in the step.
+    accurate in the step.  The one-point call of the batched jets.
     """
-    z = complex(z)
-    if step is None:
-        step = FD_STEP_SCALE * (1.0 + abs(z))
-    h = float(step)
-    if h <= 0.0:
-        raise InvalidParameterError(f"finite-difference step must be positive, got {h}")
-    pts = np.array([z, z + h, z - h, z + 1j * h, z - 1j * h])
-    w = sample_field(f, pts)
-    fx = (w[1] - w[2]) / (2.0 * h)
-    fy = (w[3] - w[4]) / (2.0 * h)
-    return Jet(
-        base=z,
-        value=complex(w[0]),
-        dz=complex(0.5 * (fx - 1j * fy)),
-        dzbar=complex(0.5 * (fx + 1j * fy)),
-    )
+    jets, (error,) = _wirtinger_jets(f, [complex(z)], step)
+    if error is not None:
+        raise error
+    return Jet(*(complex(part[0]) for part in (jets.base, jets.value, jets.dz, jets.dzbar)))
 
 
 def affine_eval(jet, zeta):

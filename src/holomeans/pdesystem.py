@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import lambda_of
+from .density import _per_point, lambda_of
 from .errors import InvalidParameterError, ZeroFieldError
-from .geometry import Jet, wirtinger_jet
+from .geometry import Jet, _modulus, wirtinger_jet
 
 __all__ = [
     "DilatationReport",
@@ -53,20 +53,45 @@ def mu_of(d, s):
     return (lam - 1.0) / (lam + 1.0)
 
 
+def _cr_residuals(jets, d):
+    """:func:`cr_residual` over a :class:`Jet` of 1-d arrays, in one pass.
+
+    Returns ``(residuals, errors)``: a point whose jet value falls below
+    ``FIELD_FLOOR``, or whose coefficient cannot be evaluated, gets NaN and
+    its error in its slot; every other error slot is ``None``.
+    """
+    w = np.asarray(jets.value, dtype=complex)
+    mod = _modulus(w)
+    low = mod < FIELD_FLOOR
+    errors = [
+        ZeroFieldError(
+            f"system residual needs |f(z)| >= {FIELD_FLOOR:g}, "
+            f"got {m:.3e} at {complex(z)}"
+        ) if lo else None
+        for z, m, lo in zip(np.asarray(jets.base).ravel(), mod, low)
+    ]
+    keep = np.flatnonzero(~low)
+    mu, mu_errors = _per_point(lambda s: mu_of(d, s), mod[keep])
+    for i, error in zip(keep, mu_errors):
+        errors[i] = error
+    residuals = np.full(w.shape, complex(np.nan, np.nan))
+    wk = w[keep]
+    residuals[keep] = jets.dzbar[keep] + mu * (wk / np.conj(wk)) * np.conj(jets.dz[keep])
+    return residuals, errors
+
+
 def cr_residual(jet, d):
     """Residual of the nonlinear Cauchy-Riemann system on a first-order jet.
 
     Zero exactly when the jet satisfies the system at its base point.  The
     coefficient needs the field modulus, so a vanishing jet value is refused.
+    The one-jet call of the array form.
     """
-    w = complex(jet.value)
-    if abs(w) < FIELD_FLOOR:
-        raise ZeroFieldError(
-            f"system residual needs |f(z)| >= {FIELD_FLOOR:g}, "
-            f"got {abs(w):.3e} at {jet.base}"
-        )
-    mu = mu_of(d, abs(w))
-    return complex(jet.dzbar + mu * (w / w.conjugate()) * jet.dz.conjugate())
+    parts = (jet.base, jet.value, jet.dz, jet.dzbar)
+    residuals, (error,) = _cr_residuals(Jet(*(np.array([complex(p)]) for p in parts)), d)
+    if error is not None:
+        raise error
+    return complex(residuals[0])
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import holomeans as hm
-from holomeans.errors import InsufficientDataError, InvalidParameterError
+from holomeans.asymptotics import _extrapolate_rows, _increment_ratios, _sweeps
+from holomeans.errors import InsufficientDataError, InvalidParameterError, NonFiniteSampleError
 
 D2 = hm.power_density(2)
 D3 = hm.power_density(3)
@@ -208,3 +209,88 @@ def test_verdicts_accept_point_arrays():
     rows = hm.amvp_verdict(np.exp, pts, D2, hm.SweepConfig(r0=0.02))
     assert len(rows) == 2
     assert all(r.status == "holds" for r in rows)
+
+
+def test_extrapolate_rejects_mismatched_shapes():
+    radii = hm.SweepConfig().radii()
+    with pytest.raises(hm.InvalidSweepError, match="matching 1-d"):
+        hm.extrapolate(radii, radii[:-1].astype(complex))
+    with pytest.raises(hm.InvalidSweepError, match="matching 1-d"):
+        hm.extrapolate(radii[None, :], radii[None, :].astype(complex))
+
+
+@pytest.mark.parametrize("verdict", (hm.holomorphy_verdict, hm.system_verdict, hm.amvp_verdict))
+def test_verdicts_need_at_least_one_point(verdict):
+    with pytest.raises(InvalidParameterError, match="at least one point"):
+        verdict(np.exp, [], D3)
+
+
+def test_batched_extrapolation_keeps_a_short_ladder_in_its_own_group():
+    radii = hm.SweepConfig().radii()
+    rows = [radii, radii[1:], radii, radii[:1]]
+    values = [(0.3 + 0.1j) + (1.0 - 2.0j) * r + 0.4 * r**2 for r in rows]
+    got = _extrapolate_rows(rows, values, hm.ToleranceConfig())
+    for r, v, est in zip(rows[:3], values[:3], got[:3]):
+        assert est == hm.extrapolate(r, v)
+    assert isinstance(got[3], hm.InvalidSweepError)
+
+
+_HOLE = 0.5 + 0.5j
+
+
+def _holed_exp(zeta):
+    # exp with a NaN disk: circles of radius 0.1 about _HOLE + 0.13 cross it
+    zeta = np.asarray(zeta, dtype=complex)
+    return np.where(np.abs(zeta - _HOLE) < 0.06, np.nan, np.exp(zeta))
+
+
+@pytest.mark.parametrize("kind, rows_fn", (
+    ("conjugate", hm.asymptotics._holomorphy_rows),
+    ("variational", hm.asymptotics._system_rows),
+    ("pair_increment", hm.asymptotics._amvp_rows),
+))
+def test_batched_rows_give_each_point_the_estimate_of_its_own_sweep(kind, rows_fn):
+    pts = [0.2 + 0.3j, _HOLE + 0.13, 0.8 + 0.2j]
+    sweeps = _sweeps(kind, _holed_exp, pts, D3, None)
+    assert [len(s.radii) for s in sweeps] == [8, 7, 8]
+    rows = rows_fn(_holed_exp, pts, D3)
+    for s, row in zip(sweeps, rows):
+        series = _increment_ratios(s) if kind == "pair_increment" else (s.radii, s.values)
+        assert row.estimate == hm.extrapolate(*series)
+
+
+@pytest.mark.parametrize("rows_fn", (
+    hm.asymptotics._holomorphy_rows,
+    hm.asymptotics._system_rows,
+    hm.asymptotics._amvp_rows,
+))
+def test_a_point_whose_jet_samples_nan_is_an_error_row_alone(rows_fn):
+    z = 0.4 + 0.3j
+    step = 1e-5 * (1.0 + abs(z))
+
+    def stencil_hole(zeta):
+        # NaN only next to the jet's stencil node z + h, far inside every circle
+        zeta = np.asarray(zeta, dtype=complex)
+        return np.where(np.abs(zeta - (z + step)) < 1e-7, np.nan, np.exp(zeta))
+
+    pts = [0.2 + 0.6j, z, 0.7 - 0.1j]
+    rows = rows_fn(stencil_hole, pts, D3)
+    assert isinstance(rows[1], NonFiniteSampleError)
+    # the fields agree on every circle, so the neighbours' rows are unchanged
+    clean = rows_fn(np.exp, pts, D3)
+    assert not isinstance(clean[1], NonFiniteSampleError)
+    assert (rows[0], rows[2]) == (clean[0], clean[2])
+
+
+@pytest.mark.parametrize("rows_fn, error", (
+    (hm.asymptotics._holomorphy_rows, hm.DomainError),
+    (hm.asymptotics._system_rows, hm.ZeroFieldError),
+    (hm.asymptotics._amvp_rows, hm.ZeroFieldError),
+))
+def test_a_failing_prediction_is_an_error_row_alone(rows_fn, error):
+    # with no field floor, the zero of z is swept, and its prediction fails
+    tol = hm.ToleranceConfig(field_floor=0.0)
+    rows = rows_fn(lambda z: z, [0j, 0.5 + 0j], D2, None, tol)
+    assert isinstance(rows[0], error)
+    assert not isinstance(rows[1], hm.HolomeansError)
+    assert rows[1] == rows_fn(lambda z: z, [0.5 + 0j], D2, None, tol)[0]

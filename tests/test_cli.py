@@ -342,3 +342,35 @@ def test_shipped_scenarios_are_valid():
     assert names, "scenario directory is empty"
     for name in names:
         load_scenario(str(root / name))
+
+
+_VERIFY_BASE = "field.spec = exp\ndensity.spec = power:p=3\n"
+_MEAN_BASE = "field.spec = exp\ndensity.spec = power:p=3\nmean.point = 0.3+0.4i\n"
+
+
+# (command, scenario text, --out path under tmp_path or None, message)
+@pytest.mark.parametrize("command, text, out, message", (
+    ("verify-holo", "field.spec = exp\ndensity.spec = power:p\npoints.list = 0.5\n", None,
+     "density parameter 'p' is not key=value"),
+    ("verify-holo", _VERIFY_BASE + "points list = 0.5\n", None,
+     "line 3: bad key 'points list'"),
+    ("verify-holo", _VERIFY_BASE + "points.grid = 0,1,2\n", None,
+     "grid spec needs x0,x1,nx,y0,y1,ny"),
+    ("verify-holo", _VERIFY_BASE + "points.grid = 0,1,0,0,1,2\n", None,
+     "grid counts must be positive"),
+    ("verify-holo", _VERIFY_BASE + "points.list = 0.5\npoints.grid = 0,1,2,0,1,2\n", None,
+     "give either points.list or points.grid, not both"),
+    ("verify-holo", _VERIFY_BASE, None, "missing points: set points.list or points.grid"),
+    ("mean", _MEAN_BASE + "mean.r = 0.25\n", "missing-dir/mean.csv", "cannot write output"),
+    ("mean", _MEAN_BASE + "mean.r = 0.25\nmean.kind = bogus\n", None,
+     "mean.kind must be one of"),
+    ("mean", _MEAN_BASE + "mean.r = 0\n", None, "mean.r must be positive, got 0.0"),
+))
+def test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, command, text, out,
+                                                      message):
+    cfg = write(tmp_path, "bad.ini", text)
+    args = [command, "--config", cfg] + (["--out", tmp_path / out] if out else [])
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert message in err

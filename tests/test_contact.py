@@ -1,5 +1,7 @@
 """Directional probes: envelope identity, jet membership, one-sided verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -192,3 +194,66 @@ def test_contact_solution_verdict_rejects_non_unit_direction():
         hm.contact_solution_verdict(
             np.exp, [0.4 + 0.2j], D2, directions=[0.5 + 0j], cfg=CFG
         )
+
+
+def test_contact_rows_equal_one_direction_calls():
+    # the (points, directions) array pass gives every row the values of a
+    # one-direction camvp_verdict on the point's jet and of xi_envelope
+    f = hm.make_field("pharm-radial:3")
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.2, 0.8, 10) + 1j * rng.uniform(0.2, 0.8, 10)
+    report = hm.contact_solution_verdict(f, pts, D3, directions=16)
+    assert len(report.rows) == 160
+    for row in report.rows:
+        jet = hm.wirtinger_jet(f, row.point)
+        envelope = hm.xi_envelope(jet.value, jet.dz, jet.dzbar, row.xi, D3)
+        assert abs(row.envelope - envelope) <= 1e-15
+        one = hm.camvp_verdict(f, hm.ContactProbe(row.point, row.xi, jet.dz, jet.dzbar), D3)
+        assert (one.status, one.consistent) == (row.status, row.consistent)
+        for name in ("limit", "fit_residual", "envelope", "envelope_gap"):
+            assert abs(getattr(one, name) - getattr(row, name)) <= 1e-15, name
+
+
+def test_contact_solution_verdict_without_live_points_is_empty():
+    report = hm.contact_solution_verdict(lambda z: z, [0j], D2, directions=4, cfg=CFG)
+    assert report.rows == ()
+    assert report.untestable_points == (0j,)
+    assert not (report.camvp_pass or report.envelope_pass or report.residual_pass)
+    assert not report.consistent
+
+
+def test_unit_directions_needs_one_direction():
+    with pytest.raises(InvalidParameterError, match="at least one direction"):
+        hm.unit_directions(0)
+
+
+def test_contact_solution_verdict_rejects_an_empty_direction_list():
+    with pytest.raises(InvalidParameterError, match="at least one direction"):
+        hm.contact_solution_verdict(np.exp, [0.4 + 0.2j], D2, directions=[], cfg=CFG)
+
+
+def test_envelope_at_a_zero_needs_declared_small_argument_behaviour():
+    undeclared = dataclasses.replace(D3, small_exponent=float("nan"))
+    # away from a zero the envelope does not use the declaration
+    assert np.isfinite(hm.xi_envelope(1.0 + 0j, 0.5j, 0.2, 1 + 0j, undeclared))
+    with pytest.raises(InvalidParameterError, match="small-argument"):
+        hm.xi_envelope(0j, 0.5j, 0.2, 1 + 0j, undeclared)
+
+
+def test_jet_membership_ratios_match_a_field_call_per_radius():
+    # one field call for the whole ladder gives the ratios of sampling
+    # each radius's circle on its own, bit for bit
+    f = hm.make_field("pharm-radial:3")
+    z = 0.4 + 0.3j
+    jet = hm.wirtinger_jet(f, z)
+    probe = hm.ContactProbe(base=z, xi=unit(0.8), sigma=jet.dz, tau=jet.dzbar + 1e-3)
+    res = hm.jet_membership(f, probe, CFG)
+    expected = []
+    for r in CFG.radii():
+        q = hm.circle_rule(z, r, CFG.node_count)
+        remainder = hm.sample_field(f, q.nodes) - (
+            f(np.array([z]))[0] + probe.sigma * (q.nodes - z) + probe.tau * np.conj(q.nodes - z)
+        )
+        top = 0.5 * ((np.conj(probe.xi) * remainder).real + np.abs(remainder))
+        expected.append(float(np.max(top)) / r)
+    assert res.ratios == tuple(expected)

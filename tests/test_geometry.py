@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import holomeans as hm
 from holomeans.errors import InvalidParameterError, NonFiniteSampleError
+from holomeans.geometry import _wirtinger_jets
 
 CENTER = 0.3 - 0.4j
 RADIUS = 0.7
@@ -123,3 +124,29 @@ def test_sample_field_rejects_non_finite_values():
 def test_sample_field_rejects_shape_mismatch():
     with pytest.raises(InvalidParameterError):
         hm.sample_field(lambda z: np.ones(3, dtype=complex), np.array([0j, 1j]))
+
+
+@pytest.mark.parametrize("name", ("exp", "conj", "cube", "pharm-radial:3"))
+def test_batched_jets_equal_one_point_jets_bit_for_bit(name):
+    f = hm.make_field(name)
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1.5, 1.5, 25) + 1j * rng.uniform(-1.5, 1.5, 25)
+    jets, errors = _wirtinger_jets(f, pts)
+    assert errors == [None] * pts.size
+    for i, z in enumerate(pts):
+        one = hm.wirtinger_jet(f, z)
+        assert (jets.base[i], jets.value[i], jets.dz[i], jets.dzbar[i]) == (
+            one.base, one.value, one.dz, one.dzbar)
+
+
+def test_batched_jets_keep_a_non_finite_stencil_in_its_slot():
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        return np.where(z.real > 0.9, np.nan, z**2)
+
+    jets, errors = _wirtinger_jets(f, [0.2 + 0.1j, 0.9 - 1e-6 + 0j, 0.5j])
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], NonFiniteSampleError)
+    assert jets.dz[0] == hm.wirtinger_jet(f, 0.2 + 0.1j).dz
+    with pytest.raises(NonFiniteSampleError):
+        hm.wirtinger_jet(f, 0.9 - 1e-6)

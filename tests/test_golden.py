@@ -3,8 +3,9 @@
 The stored CSVs under ``tests/golden/`` pin the output of each command for
 seed 0.  Besides the shipped scenarios, each ``verify-*`` command has one
 case whose sweeps are starved (``sweep.min_successes`` above the radius
-count, so every point becomes an ``error`` row) and one case with a field
-zero (``square`` at 0, an ``untestable`` row next to a normal one).
+count, so every point becomes an ``error`` row), and each ``verify-*``
+command and ``contact`` have one case with a field zero (``square`` at 0,
+an ``untestable`` row next to normal ones).
 
 Regenerate after an intended output change with::
 
@@ -45,6 +46,7 @@ INLINE_CASES = {
     for command in ("verify-holo", "verify-system", "verify-amvp")
     for kind, text in (("error", _STARVED), ("untestable", _ZERO))
 }
+INLINE_CASES["contact_untestable"] = ("contact", _ZERO, 1)
 
 CASES = {**SCENARIO_CASES, **INLINE_CASES}
 
