@@ -417,13 +417,12 @@ def _holomorphy_rows(g, points, d, cfg=None, tol=None):
         return predicted, [a or b for a, b in zip(errors, lam_errors)]
 
     def row(z, est, predicted):
-        predicted = complex(predicted)
         gap = abs(est.limit - predicted)
         return HolomorphyVerdict(
             point=z,
             verdict=_HOLOMORPHY[est.verdict],
             estimate=est,
-            predicted_limit=predicted,
+            predicted_limit=complex(predicted),
             prediction_gap=float(gap),
             consistent=bool(est.verdict != "inconclusive" and gap <= tol.match_tol),
         )
@@ -450,14 +449,13 @@ def _system_rows(f, points, d, cfg=None, tol=None):
     tol = tol or ToleranceConfig()
 
     def row(z, est, residual):
-        residual = complex(residual)
         analytic_ok = abs(residual) <= tol.residual_tol
         sweep_ok = _SYSTEM[est.verdict]
         return SystemVerdict(
             point=z,
             status=_SYSTEM_STATUS[sweep_ok],
             estimate=est,
-            analytic_residual=residual,
+            analytic_residual=complex(residual),
             sweep_satisfied=sweep_ok,
             analytic_satisfied=bool(analytic_ok),
             consistent=bool(sweep_ok is not None and sweep_ok == analytic_ok),
@@ -491,7 +489,6 @@ def _amvp_rows(f, points, d, cfg=None, tol=None):
         )
 
     def row(z, est, bracket):
-        bracket = complex(bracket)
         holds = abs(est.limit) <= tol.amvp_tol
         gap = abs(est.limit - bracket)
         return AmvpVerdict(
@@ -499,7 +496,7 @@ def _amvp_rows(f, points, d, cfg=None, tol=None):
             status="holds" if holds else "fails",
             estimate=est,
             holds=bool(holds),
-            bracket=bracket,
+            bracket=complex(bracket),
             bracket_gap=float(gap),
             consistent=bool(gap <= tol.match_tol),
         )
