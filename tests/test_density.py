@@ -106,6 +106,18 @@ def test_power_conjugate_slope_is_exact_and_the_general_path_agrees(p):
     np.testing.assert_allclose(general, closed, rtol=1e-12, atol=0.0)
 
 
+def test_numerical_conjugate_slope_of_zeros_and_of_an_underflowing_root():
+    # Bounds around p - 1 force the numerical inverse.  The root of
+    # F'(s) = 1e-300 at p = 1.2 is 1e-1500, which underflows: the inverse
+    # returns the smallest subnormal, the smallest float with F'(s) >= t.
+    d = hm.power_density(1.2)
+    g = hm.young_conjugate(_declared(d, 0.1, 0.3, "wide"))
+    zeros = g.deriv(np.zeros((2, 3)))
+    assert zeros.shape == (2, 3)
+    np.testing.assert_array_equal(zeros, 0.0)
+    assert g.deriv(1e-300) == 5e-324
+
+
 def test_constant_pinching_without_the_declared_power_law_inverts_numerically():
     # F'(s) = 2 s**2 has constant ratio 2, but small_coeff = 1 misstates it:
     # the closed form would give sqrt(t) instead of sqrt(t / 2).

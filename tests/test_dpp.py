@@ -236,6 +236,26 @@ def test_zero_policy_freeze_pins_dead_regions():
     assert np.all(res.field.frozen[res.field.interior_mask()])
 
 
+@pytest.mark.parametrize("p", (2.0, 3.0))
+def test_sweep_without_an_active_node_leaves_the_grid_as_it_is(p):
+    # Under the skip policy identically zero data makes every interior node
+    # dead, so the pair means (closed form at p = 2, Newton fits at p = 3)
+    # run on an empty batch.
+    g = hm.grid_from_function(
+        0.0, 0.4, 0.0, 0.4, 0.1, 0.2, lambda z: np.zeros(z.shape, dtype=complex)
+    )
+    d = hm.power_density(p)
+    cfg = hm.DppConfig(radius=0.2, zero_policy="skip", residual_tol=1e-12)
+    stepped, diag = hm.dpp_step(g, d, cfg)
+    np.testing.assert_array_equal(stepped.values, g.values)
+    assert diag == hm.StepDiagnostics(0.0, 0, int(g.interior_mask().sum()))
+    assert stepped.frozen is None
+    res = hm.dpp_solve(g, d, cfg)
+    assert res.converged
+    assert res.iterations == 1
+    assert res.residual_history == (0.0,)
+
+
 def test_callback_sees_every_sweep():
     g = small_grid(h=0.1, r=0.2)
     g = hm.with_interior(g, 0j)

@@ -171,6 +171,27 @@ def test_solver_reports_finite_diagnostics_under_tiny_budget():
     assert res.iterations >= 0
 
 
+@pytest.mark.parametrize("max_iterations", (0, 1, 2))
+@pytest.mark.parametrize("p", (1.5, 3.0))
+def test_iteration_budget_fails_far_rows_and_keeps_rows_at_their_optimum(p, max_iterations, rng):
+    # Row 0 is the unit ring, whose constant-model optimum 0 is its start;
+    # row 1 starts far from its optimum and needs more Newton steps.
+    n = 16
+    ring = np.exp(2j * np.pi * np.arange(n) / n)
+    far = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    fit = fit_model_coefficient(
+        hm.power_density(p),
+        np.stack([ring, far]),
+        np.full(n, 2.0 * np.pi / n),
+        np.ones(n, dtype=complex),
+        np.array([0j, 3.0 + 3.0j]),
+        hm.SolverConfig(max_iterations=max_iterations),
+    )
+    assert fit["status"].tolist() == [1, 3]
+    assert fit["iterations"].tolist() == [0, max_iterations]
+    assert fit["minimizer"][0] == 0j
+
+
 @pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
 def test_newton_converges_from_a_residual_exactly_at_zero(p, rng):
     # The initial iterate equals one sample, so one pointwise residual is an
