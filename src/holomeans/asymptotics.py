@@ -47,6 +47,7 @@ from .errors import (
     InsufficientDataError,
     InvalidParameterError,
     InvalidSweepError,
+    _raise_first,
 )
 from .geometry import Jet, _modulus, _wirtinger_jets, field_values
 from .means import SolverConfig, _ladder_means
@@ -244,14 +245,6 @@ def _sweeps(kind, f, points, d, cfg):
         out.append(RadiusSweep(kind, complex(z), radii, values, statuses,
                                tuple(failed), extras))
     return out
-
-
-def _raise_first(results):
-    """Return ``results`` unchanged, unless one is an error: raise the first."""
-    for res in results:
-        if isinstance(res, HolomeansError):
-            raise res
-    return results
 
 
 def sweep(kind, f, z, d, cfg=None):

@@ -50,7 +50,7 @@ from .dpp import (
     with_interior,
     write_checkpoint,
 )
-from .errors import ConfigError, DivergenceError, HolomeansError
+from .errors import ConfigError, DivergenceError, HolomeansError, _raise_first
 from .fields import make_field, parse_complex
 from .means import MEAN_KINDS, SolverConfig, circle_means
 
@@ -302,9 +302,7 @@ def _cmd_mean(sc, seed, out):
     if r <= 0:
         raise ConfigError(f"mean.r must be positive, got {r}")
 
-    (res,) = circle_means(kind, field, [z], r, density, nodes, solver, seed)
-    if isinstance(res, HolomeansError):
-        raise res
+    (res,) = _raise_first(circle_means(kind, field, [z], r, density, nodes, solver, seed))
     extras = _MEAN_COLUMNS.get(kind, _NEWTON_COLUMNS)
     columns = ("r",) + tuple(name for name, _ in extras) + ("status",)
     row = (r,) + tuple(get(res) for _, get in extras) + (res.status,)
@@ -341,19 +339,15 @@ def _cmd_sweep(sc, seed, out):
     columns = ("r", "re_c", "im_c", "foc_residual", "status")
     if kind == "infinity":
         columns = columns + ("support_count",)
+    failed = (complex(float("nan"), float("nan")), "failed", {})
     rows = []
     for r in cfg.radii():
         r = float(r)
-        if r in by_radius:
-            value, status, extra = by_radius[r]
-            foc = extra.get("foc_residual", float("nan"))
-            row = (r, value.real, value.imag, foc, status)
-            if kind == "infinity":
-                row = row + (extra.get("support_count", 0),)
-        else:
-            row = (r, float("nan"), float("nan"), float("nan"), "failed")
-            if kind == "infinity":
-                row = row + (0,)
+        value, status, extra = by_radius.get(r, failed)
+        foc = extra.get("foc_residual", float("nan"))
+        row = (r, value.real, value.imag, foc, status)
+        if kind == "infinity":
+            row = row + (extra.get("support_count", 0),)
         rows.append(row)
     _emit(out, header, columns, rows)
     return 0 if not result.failures else 1

@@ -40,13 +40,12 @@ from .asymptotics import (
     _fitted,
     _increment_ratios,
     _ladder_groups,
-    _raise_first,
     _sweeps,
     extrapolate,
     sweep,
 )
 from .density import lambda_of
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _raise_first
 from .geometry import (
     Jet,
     _modulus,
@@ -75,10 +74,6 @@ __all__ = [
 UNIT_TOL = 1e-12
 ZERO_FLOOR = 1e-12
 DEFAULT_DIRECTION_COUNT = 16
-
-
-def _field_value(f, z):
-    return complex(field_values(f, [z])[0])
 
 
 def _check_unit(xi):
@@ -219,7 +214,7 @@ def jet_membership(
     tol = tol or ToleranceConfig()
     xi = _check_unit(probe.xi)
     z = complex(probe.base)
-    fz = _field_value(f, z)
+    fz = complex(field_values(f, [z])[0])
     radii = cfg.radii()
 
     # Every circle of the ladder in one field call, row k at radius k.
@@ -326,7 +321,7 @@ def camvp_verdict(f, probe, d, cfg=None, tol=None):
     tol = tol or ToleranceConfig()
     xi = _check_unit(probe.xi)
     z = complex(probe.base)
-    fz = _field_value(f, z)
+    fz = complex(field_values(f, [z])[0])
     if abs(fz) < tol.field_floor:
         return ContactAmvpResult(z, xi)
     jet = Jet(base=z, value=fz, dz=complex(probe.sigma), dzbar=complex(probe.tau))

@@ -247,7 +247,10 @@ def _invert_deriv(d, t):
     Bracket [0, hi] with hi grown geometrically from max(1, t**(1/lambda_lo)),
     then bisect on the bit patterns of the floats in it: these order like
     the values and space them about evenly in log s, so at most 63 halvings
-    leave the smallest float with F'(s) >= t, for t of any magnitude.
+    leave the smallest float with F'(s) >= t, for t of any magnitude.  A
+    root that underflows therefore gives the smallest subnormal, 5e-324, not
+    0: G'(t) stays positive for t > 0, as :func:`lambda_of` needs when it is
+    evaluated at the slope.  t = 0 gives 0.
     """
     t = np.asarray(t, dtype=float)
     shape = t.shape
@@ -256,9 +259,6 @@ def _invert_deriv(d, t):
         raise DomainError(f"{d.label}: conjugate slope needs t >= 0")
     out = np.zeros_like(flat)
     pos = flat > 0.0
-    if not np.any(pos):
-        return out.reshape(shape)
-
     tv = flat[pos]
     with np.errstate(over="ignore"):
         hi = np.maximum(1.0, tv ** (1.0 / d.lambda_lo))

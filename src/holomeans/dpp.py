@@ -373,31 +373,14 @@ def dpp_step(grid, d, cfg):
 def _sweep(grid, d, cfg, stencil):
     """:func:`dpp_step` on a stencil built by :func:`_circle_stencil`."""
     interior = stencil.interior
-    frozen = (
-        grid.frozen.copy()
-        if grid.frozen is not None
-        else np.zeros_like(interior)
-    )
+    frozen = grid.frozen if grid.frozen is not None else np.zeros_like(interior)
     near_zero = (np.abs(grid.values) < cfg.zero_floor) & interior & ~frozen
     dead = np.zeros_like(near_zero)
     if np.any(near_zero):
         circle = _circle_samples(grid, stencil, near_zero[interior])
         dead[near_zero] = np.max(np.abs(circle), axis=1) < cfg.zero_floor
-    if cfg.zero_policy == "freeze":
-        frozen = frozen | dead
-        active = interior & ~frozen
-    else:
-        active = interior & ~frozen & ~dead
+    active = interior & ~frozen & ~dead
     skipped = int(np.count_nonzero(interior & ~active))
-
-    new_values = grid.values.copy()
-    if not np.any(active):
-        out = replace(
-            grid,
-            values=new_values,
-            frozen=frozen if cfg.zero_policy == "freeze" else grid.frozen,
-        )
-        return out, StepDiagnostics(0.0, 0, skipped)
 
     rows = slice(None) if skipped == 0 else active[interior]
     samples = _circle_samples(grid, stencil, rows)
@@ -426,12 +409,13 @@ def _sweep(grid, d, cfg, stencil):
     if np.any(bad):
         mean = np.where(bad, old, mean)
     residual_sup = float(np.max(np.abs(mean - old))) if mean.size else 0.0
+    new_values = grid.values.copy()
     new_values[active] = (1.0 - cfg.damping) * old + cfg.damping * mean
 
     out = replace(
         grid,
         values=new_values,
-        frozen=frozen if cfg.zero_policy == "freeze" else grid.frozen,
+        frozen=frozen | dead if cfg.zero_policy == "freeze" else grid.frozen,
     )
     return out, StepDiagnostics(
         residual_sup=residual_sup,

@@ -56,3 +56,11 @@ class DivergenceError(HolomeansError, RuntimeError):
 
 class ConfigError(HolomeansError, ValueError):
     """A scenario configuration file is malformed."""
+
+
+def _raise_first(results):
+    """Return ``results`` unchanged, unless one is an error: raise the first."""
+    for res in results:
+        if isinstance(res, HolomeansError):
+            raise res
+    return results

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NonFiniteSampleError
+from .errors import InvalidParameterError, NonFiniteSampleError, _raise_first
 
 __all__ = [
     "CircleQuadrature",
@@ -142,9 +142,7 @@ def sample_field(f, points):
     """Evaluate a vectorized field and fail loudly on non-finite samples."""
     pts = np.asarray(points, dtype=complex)
     vals = field_values(f, pts)
-    error = nonfinite_error(pts, vals)
-    if error is not None:
-        raise error
+    _raise_first([nonfinite_error(pts, vals)])
     return vals
 
 
@@ -206,9 +204,8 @@ def wirtinger_jet(f, z, step=None):
     The default step is ``1e-5 * (1 + |z|)``; the scheme is second order
     accurate in the step.  The one-point call of the batched jets.
     """
-    jets, (error,) = _wirtinger_jets(f, [complex(z)], step)
-    if error is not None:
-        raise error
+    jets, errors = _wirtinger_jets(f, [complex(z)], step)
+    _raise_first(errors)
     return Jet(*(complex(part[0]) for part in (jets.base, jets.value, jets.dz, jets.dzbar)))
 
 

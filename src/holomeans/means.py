@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import young_conjugate
-from .errors import HolomeansError, InvalidParameterError, ZeroFieldError
+from .errors import InvalidParameterError, ZeroFieldError, _raise_first
 from .geometry import circle_rule, field_values, nonfinite_error
 from .pdesystem import FIELD_FLOOR
 
@@ -93,6 +93,12 @@ class SolverConfig:
     backtrack_factor: float = 0.5
     max_backtracks: int = 60
     residual_floor: float = 1e-12
+
+    def __post_init__(self):
+        if self.max_iterations < 0:
+            raise InvalidParameterError(
+                f"max_iterations must be >= 0, got {self.max_iterations}"
+            )
 
 
 @dataclass(frozen=True)
@@ -161,13 +167,6 @@ class AffineIdentityResult:
     residual: float
 
 
-def _check_nodes(node_count):
-    n = int(node_count)
-    if n < 8:
-        raise InvalidParameterError(f"need at least 8 circle nodes, got {n}")
-    return n
-
-
 def _objective_rows(d, samples, weights, model, c):
     u = samples - c[:, None] * model
     return np.asarray(d.value_fn(np.abs(u)), dtype=float) @ weights
@@ -230,7 +229,7 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         g = -0.5 * ((fp * (u / au_safe) * per_row(conj_model, rows)) @ weights)
         return u, au, g
 
-    for it in range(cfg.max_iterations):
+    for it in range(cfg.max_iterations + 1):
         act = np.flatnonzero(state == _STATUS_ACTIVE)
         if act.size == 0:
             break
@@ -241,14 +240,20 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         foc_out[act] = foc
         iters[act] = it
         small_foc = foc <= foc_tol[act]
+        if it == cfg.max_iterations:
+            # Iteration budget exhausted.  Near a flat optimum the Newton step
+            # stalls at the float noise floor without ever satisfying step_tol;
+            # accept rows whose final iterate meets the first-order tolerance
+            # and fail only the rest.
+            state[act[small_foc]] = _STATUS_CONVERGED
+            state[act[~small_foc]] = _STATUS_FAILED
+            break
         # A row with an exactly-zero pointwise residual converges on the
         # gradient alone; otherwise it stays in Newton, whose Hessian clamps
         # that residual's modulus at the floor.
         done = small_foc & np.any(au < floor, axis=1)
         state[act[done]] = _STATUS_CONVERGED
         rem = ~done
-        if not np.any(rem):
-            continue
 
         rows = act[rem]
         small_foc = small_foc[rem]
@@ -282,8 +287,6 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         good &= np.isfinite(slope) & (slope < 0.0) & ~settled
         state[rows[~good & ~settled]] = _STATUS_FAILED
         rows, delta, slope = rows[good], delta[good], slope[good]
-        if rows.size == 0:
-            continue
 
         row_model = per_row(model, rows)
         obj0 = _objective_rows(d, samples[rows], weights, row_model, c[rows])
@@ -305,21 +308,6 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
             t = np.where(ok, t, t * cfg.backtrack_factor)
         c[rows[ok]] += (t * delta)[ok]
         state[rows[~ok]] = _STATUS_FAILED
-
-    act = np.flatnonzero(state == _STATUS_ACTIVE)
-    if act.size:
-        # Iteration budget exhausted.  Near a flat optimum the Newton step
-        # stalls at the float noise floor without ever satisfying step_tol;
-        # accept rows whose final iterate meets the first-order tolerance
-        # and fail only the rest.
-        u, au, g = gradient(act, c[act])
-        foc = np.abs(g) / (total_w * per_row(mscale, act))
-        foc = np.where(np.all(au < floor, axis=1), 0.0, foc)
-        foc_out[act] = foc
-        iters[act] = cfg.max_iterations
-        met = foc <= foc_tol[act]
-        state[act[met]] = _STATUS_CONVERGED
-        state[act[~met]] = _STATUS_FAILED
 
     return {
         "minimizer": c,
@@ -384,11 +372,16 @@ def _ladder_means(kind, f, points, radii, d, node_count=64, cfg=None, seed=0):
         raise InvalidParameterError(
             f"unknown mean kind {kind!r}; expected one of {MEAN_KINDS}"
         )
-    n = _check_nodes(node_count)
+    unit = circle_rule(0j, 1.0, node_count)
+    n = unit.nodes.size
     radii = np.asarray(radii, dtype=float)
-    circles = np.array([circle_rule(0j, r, n).nodes for r in radii])
+    bad = ~(np.isfinite(radii) & (radii > 0.0))
+    if np.any(bad):
+        raise InvalidParameterError(
+            f"circle radius must be positive, got {radii[np.argmax(bad)]}"
+        )
     z = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
-    nodes = z[None, :, None] + circles[:, None, :]
+    nodes = z[None, :, None] + (radii[:, None] * unit.nodes)[:, None, :]
     offsets = (nodes - z[None, :, None]).reshape(-1, n)
     samples = field_values(f, nodes).reshape(-1, n)
     nodes = nodes.reshape(-1, n)
@@ -433,7 +426,7 @@ def _ladder_means(kind, f, points, radii, d, node_count=64, cfg=None, seed=0):
         if kind == "conjugate":
             mod = mod[live]
             samples = young_conjugate(d).deriv_fn(mod) * samples / mod
-        w = circle_rule(0j, 1.0, n).weights
+        w = unit.weights
         if kind in ("center", "pair"):
             init = samples @ w / (2.0 * np.pi)
             ones = np.ones(n, dtype=complex)
@@ -457,10 +450,7 @@ def _ladder_means(kind, f, points, radii, d, node_count=64, cfg=None, seed=0):
 
 
 def _one_point(kind, f, z, r, d, node_count, cfg, seed=0):
-    res = circle_means(kind, f, [complex(z)], r, d, node_count, cfg, seed)[0]
-    if isinstance(res, HolomeansError):
-        raise res
-    return res
+    return _raise_first(circle_means(kind, f, [complex(z)], r, d, node_count, cfg, seed))[0]
 
 
 def variational_circle_mean(f, z, r, d, node_count=64, cfg=None):
@@ -595,15 +585,14 @@ def affine_mean_identity(jet, r, c, d, node_count=64, radial_nodes=32):
         raise ZeroFieldError(
             f"affine identity needs |value| >= {FIELD_FLOOR:g} at the base point"
         )
-    n = _check_nodes(node_count)
+    unit = circle_rule(0j, 1.0, node_count)
     m = int(radial_nodes)
     if m < 4:
         raise InvalidParameterError(f"need at least 4 segment nodes, got {m}")
     omega, sig, tau = complex(jet.value), complex(jet.dz), complex(jet.dzbar)
     c = complex(c)
 
-    theta = 2.0 * np.pi * np.arange(n) / n
-    zeta = np.exp(1j * theta)
+    zeta = unit.nodes
     x, v = np.polynomial.legendre.leggauss(m)
     t = 0.5 * (x + 1.0)
     t_w = 0.5 * v
@@ -628,7 +617,7 @@ def affine_mean_identity(jet, r, c, d, node_count=64, radial_nodes=32):
     lam = aw * np.asarray(d.second_deriv_fn(aw), dtype=float) / np.asarray(
         d.deriv_fn(aw), dtype=float
     )
-    meas = t_w[:, None] * np.full(n, 2.0 * np.pi / n)[None, :]
+    meas = t_w[:, None] * unit.weights[None, :]
     phase2 = w / np.conj(w)
 
     den = float(np.sum(kernel * (lam + 1.0) * meas).real)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import _per_point, lambda_of
-from .errors import InvalidParameterError, ZeroFieldError
+from .errors import InvalidParameterError, ZeroFieldError, _raise_first
 from .geometry import Jet, _modulus, wirtinger_jet
 
 __all__ = [
@@ -88,9 +88,8 @@ def cr_residual(jet, d):
     The one-jet call of the array form.
     """
     parts = (jet.base, jet.value, jet.dz, jet.dzbar)
-    residuals, (error,) = _cr_residuals(Jet(*(np.array([complex(p)]) for p in parts)), d)
-    if error is not None:
-        raise error
+    residuals, errors = _cr_residuals(Jet(*(np.array([complex(p)]) for p in parts)), d)
+    _raise_first(errors)
     return complex(residuals[0])
 
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import holomeans as hm
+from holomeans.errors import InvalidParameterError
 from holomeans.means import fit_model_coefficient
 
 D2 = hm.power_density(2)
@@ -190,6 +191,11 @@ def test_iteration_budget_fails_far_rows_and_keeps_rows_at_their_optimum(p, max_
     assert fit["status"].tolist() == [1, 3]
     assert fit["iterations"].tolist() == [0, max_iterations]
     assert fit["minimizer"][0] == 0j
+
+
+def test_solver_config_refuses_a_negative_iteration_budget():
+    with pytest.raises(InvalidParameterError, match="max_iterations must be >= 0"):
+        hm.SolverConfig(max_iterations=-1)
 
 
 @pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
