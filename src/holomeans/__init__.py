@@ -6,201 +6,26 @@ small-radius behaviour to decide holomorphy and membership in the
 associated nonlinear Cauchy-Riemann system, checks contact (one-sided)
 solution properties along probe directions, and approximates solutions by
 a dynamic-programming fixed-point iteration on grids.
+
+``holomeans`` re-exports the ``__all__`` of each of its library modules,
+so every public name is importable from the package itself.
 """
 
-from .asymptotics import (
-    AmvpVerdict,
-    HolomorphyVerdict,
-    LimitEstimate,
-    RadiusSweep,
-    SweepConfig,
-    SystemVerdict,
-    ToleranceConfig,
-    amvp_verdict,
-    extrapolate,
-    holomorphy_verdict,
-    sweep,
-    system_verdict,
-)
-from .contact import (
-    ContactAmvpResult,
-    ContactProbe,
-    ContactReport,
-    MembershipResult,
-    camvp_verdict,
-    contact_solution_verdict,
-    jet_membership,
-    unit_directions,
-    vee_eigenvalues,
-    vee_matrix,
-    xi_envelope,
-)
-from .density import (
-    ComplexHessian,
-    Density,
-    complex_hessian,
-    lambda_of,
-    power_density,
-    validate_density,
-    young_conjugate,
-)
-from .dpp import (
-    DppConfig,
-    DppResult,
-    GridField,
-    StepDiagnostics,
-    dpp_solve,
-    dpp_step,
-    grid_from_function,
-    interpolate,
-    make_grid,
-    read_checkpoint,
-    with_interior,
-    write_checkpoint,
-)
-from .errors import (
-    ConfigError,
-    DegenerateDensityError,
-    DivergenceError,
-    DomainError,
-    HolomeansError,
-    InsufficientDataError,
-    InvalidParameterError,
-    InvalidSweepError,
-    NonFiniteSampleError,
-    SingularPointError,
-    ZeroFieldError,
-)
-from .fields import Field, field_names, make_field, parse_complex, radial_potential_jet2
-from .geometry import (
-    CircleQuadrature,
-    DiskQuadrature,
-    Jet,
-    affine_eval,
-    circle_integral,
-    circle_rule,
-    disk_rule,
-    projection_pair,
-    sample_field,
-    weighted_holomorphic_mean,
-    wirtinger_jet,
-)
-from .means import (
-    AffineIdentityResult,
-    InfinityMeanResult,
-    MeanResult,
-    PairMeanResult,
-    SolverConfig,
-    affine_mean_identity,
-    center_circle_mean,
-    circle_means,
-    conjugate_transformed_mean,
-    infinity_mean,
-    pair_mean,
-    variational_circle_mean,
-)
-from .pdesystem import (
-    BeltramiReport,
-    DilatationReport,
-    RealJet2,
-    beltrami_residual,
-    cr_residual,
-    dilatation_check,
-    gradient_jet,
-    mu_of,
-    p_harmonic_gradient_residual,
-)
+from . import asymptotics, contact, density, dpp, errors, fields, geometry, means, pdesystem
+from .asymptotics import *  # noqa: F403
+from .contact import *  # noqa: F403
+from .density import *  # noqa: F403
+from .dpp import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fields import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .means import *  # noqa: F403
+from .pdesystem import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineIdentityResult",
-    "AmvpVerdict",
-    "BeltramiReport",
-    "CircleQuadrature",
-    "ComplexHessian",
-    "ConfigError",
-    "ContactAmvpResult",
-    "ContactProbe",
-    "ContactReport",
-    "DegenerateDensityError",
-    "Density",
-    "DilatationReport",
-    "DiskQuadrature",
-    "DivergenceError",
-    "DomainError",
-    "DppConfig",
-    "DppResult",
-    "Field",
-    "GridField",
-    "HolomeansError",
-    "HolomorphyVerdict",
-    "InfinityMeanResult",
-    "InsufficientDataError",
-    "InvalidParameterError",
-    "InvalidSweepError",
-    "Jet",
-    "LimitEstimate",
-    "MeanResult",
-    "MembershipResult",
-    "NonFiniteSampleError",
-    "PairMeanResult",
-    "RadiusSweep",
-    "RealJet2",
-    "SingularPointError",
-    "SolverConfig",
-    "StepDiagnostics",
-    "SweepConfig",
-    "SystemVerdict",
-    "ToleranceConfig",
-    "ZeroFieldError",
-    "affine_eval",
-    "affine_mean_identity",
-    "amvp_verdict",
-    "beltrami_residual",
-    "camvp_verdict",
-    "center_circle_mean",
-    "circle_means",
-    "circle_integral",
-    "circle_rule",
-    "complex_hessian",
-    "conjugate_transformed_mean",
-    "contact_solution_verdict",
-    "cr_residual",
-    "dilatation_check",
-    "disk_rule",
-    "dpp_solve",
-    "dpp_step",
-    "extrapolate",
-    "field_names",
-    "gradient_jet",
-    "grid_from_function",
-    "holomorphy_verdict",
-    "infinity_mean",
-    "interpolate",
-    "jet_membership",
-    "lambda_of",
-    "make_field",
-    "make_grid",
-    "mu_of",
-    "p_harmonic_gradient_residual",
-    "pair_mean",
-    "parse_complex",
-    "power_density",
-    "projection_pair",
-    "radial_potential_jet2",
-    "read_checkpoint",
-    "sample_field",
-    "sweep",
-    "system_verdict",
-    "unit_directions",
-    "validate_density",
-    "variational_circle_mean",
-    "vee_eigenvalues",
-    "vee_matrix",
-    "weighted_holomorphic_mean",
-    "wirtinger_jet",
-    "with_interior",
-    "write_checkpoint",
-    "xi_envelope",
+    name
+    for module in (asymptotics, contact, density, dpp, errors, fields, geometry, means, pdesystem)
+    for name in module.__all__
 ]

@@ -280,7 +280,7 @@ def extrapolate(radii, values=None, tol=None):
     values = np.asarray(values, dtype=complex)
     if radii.ndim != 1 or radii.shape != values.shape:
         raise InvalidSweepError("radii and values must be matching 1-d arrays")
-    return _raise_first(_extrapolate_rows([radii], [values], tol or ToleranceConfig()))[0]
+    return _raise_first(_extrapolate_rows([radii], [values], tol or ToleranceConfig())[0])[0]
 
 
 def _ladder_groups(radii_rows):
@@ -291,11 +291,6 @@ def _ladder_groups(radii_rows):
     return [(np.asarray(idx), np.asarray(key, dtype=float)) for key, idx in groups.items()]
 
 
-def _fitted(limit, slope, radii):
-    """Values of the linear models ``limit + slope * r``, laid out (rows, radii)."""
-    return limit[:, None] + slope[:, None] * radii
-
-
 def _extrapolate_rows(radii_rows, value_rows, tol):
     """:func:`extrapolate` of every row, one least-squares solve per radius ladder.
 
@@ -303,10 +298,13 @@ def _extrapolate_rows(radii_rows, value_rows, tol):
     ``lstsq``, which gives each row the coefficients of its own fit bit for
     bit.  Values are laid out (rows, radii), so the residual and scale
     reductions run along the contiguous last axis and keep each row's
-    summation order.  Returns one :class:`LimitEstimate` per row, or the
-    :class:`InvalidSweepError` of a ladder with fewer than two distinct radii.
+    summation order.  Returns two lists over the rows: one
+    :class:`LimitEstimate` per row, or the :class:`InvalidSweepError` of a
+    ladder with fewer than two distinct radii; and each row's residual
+    vector ``values - (limit + slope * r)`` over its radii, or None.
     """
     out = [None] * len(radii_rows)
+    residuals = [None] * len(radii_rows)
     for idx, radii in _ladder_groups(radii_rows):
         if radii.size < 2 or np.unique(radii).size < 2:
             error = InvalidSweepError("need at least two distinct radii to extrapolate")
@@ -316,8 +314,10 @@ def _extrapolate_rows(radii_rows, value_rows, tol):
         values = np.array([value_rows[i] for i in idx], dtype=complex)
         design = np.stack([np.ones_like(radii), radii], axis=1)
         limit, slope = np.linalg.lstsq(design, values.T, rcond=None)[0]
-        fit_residual = np.sqrt(np.mean(np.abs(values - _fitted(limit, slope, radii)) ** 2,
-                                       axis=-1))
+        residual = values - (limit[:, None] + slope[:, None] * radii)
+        for i, res in zip(idx.tolist(), residual):
+            residuals[i] = res
+        fit_residual = np.sqrt(np.mean(np.abs(residual) ** 2, axis=-1))
         scale = np.maximum(np.max(np.abs(values), axis=-1), tol.limit_tol)
         credible = fit_residual <= tol.fit_tol_coeff * scale
         vanishes = _modulus(limit) <= tol.limit_tol
@@ -325,7 +325,7 @@ def _extrapolate_rows(radii_rows, value_rows, tol):
         for i, lim, slo, res, ok, zero in zip(*(c.tolist() for c in columns)):
             verdict = ("vanishes" if zero else "converges_nonzero") if ok else "inconclusive"
             out[i] = LimitEstimate(lim, slo, res, verdict)
-    return out
+    return out, residuals
 
 
 def _increment_ratios(s):
@@ -358,7 +358,7 @@ def _verdict_rows(kind, f, points, d, cfg, tol, analytic, row, untestable):
     predicted, errors = analytic(Jet(jets.base[ok], jets.value[ok], jets.dz[ok], jets.dzbar[ok]))
     series = [_increment_ratios(sweeps[i]) if kind == "pair_increment"
               else (sweeps[i].radii, sweeps[i].values) for i in ok]
-    estimates = _extrapolate_rows([r for r, _ in series], [v for _, v in series], tol)
+    estimates, _ = _extrapolate_rows([r for r, _ in series], [v for _, v in series], tol)
     for i, prediction, error, est in zip(ok.tolist(), predicted.tolist(), errors, estimates):
         if error is None and not isinstance(est, HolomeansError):
             results[i] = row(complex(live[i]), est, prediction)

@@ -28,6 +28,7 @@ import argparse
 import dataclasses
 import functools
 import io
+import math
 import sys
 
 import numpy as np
@@ -55,18 +56,6 @@ from .fields import make_field, parse_complex
 from .means import MEAN_KINDS, SolverConfig, circle_means
 
 __all__ = ["main", "load_scenario", "parse_density_spec"]
-
-COMMANDS = (
-    "mean",
-    "sweep",
-    "verify-holo",
-    "verify-system",
-    "verify-amvp",
-    "contact",
-    "dpp",
-    "validate-density",
-)
-
 
 def parse_density_spec(text):
     """Build a density from a spec such as ``power:p=3``."""
@@ -299,8 +288,10 @@ def _cmd_mean(sc, seed, out):
 
     header = _header("mean", seed, sc)
     sc.finish()
-    if r <= 0:
+    if not r > 0:
         raise ConfigError(f"mean.r must be positive, got {r}")
+    if not math.isfinite(r):
+        raise ConfigError(f"mean.r must be finite, got {r}")
 
     (res,) = _raise_first(circle_means(kind, field, [z], r, density, nodes, solver, seed))
     extras = _MEAN_COLUMNS.get(kind, _NEWTON_COLUMNS)
@@ -533,7 +524,7 @@ def main(argv=None):
         prog="holomeans",
         description="Nonlinear variational circle means and their verdicts.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(_HANDLERS))
     parser.add_argument("--config", required=True, help="scenario file (key = value)")
     parser.add_argument("--out", default=None, help="CSV output path (default stdout)")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed override")

@@ -37,9 +37,7 @@ from .asymptotics import (
     SweepConfig,
     ToleranceConfig,
     _extrapolate_rows,
-    _fitted,
     _increment_ratios,
-    _ladder_groups,
     _sweeps,
     extrapolate,
     sweep,
@@ -266,25 +264,20 @@ def _direction_rows(points, xi, sweeps, jets, d, tol):
 
     ``points``, ``sweeps`` and the :class:`Jet` of arrays ``jets`` run over
     the points, ``xi`` over the directions; limits, fit residuals, envelopes,
-    gaps and decisions are (points, directions) arrays.  The decision is
-    one-sided and decisive: the property holds along xi exactly when the
-    projected limit stays above ``-amvp_tol``.  Fit quality is reported per
-    direction but does not gate the decision.  Returns the rows point by
-    point, each point's directions in order.
+    gaps and decisions are (points, directions) arrays.  Limits and fit
+    residuals project the limit and the residual vector of each point's one
+    linear fit.  The decision is one-sided and decisive: the property holds
+    along xi exactly when the projected limit stays above ``-amvp_tol``.
+    Fit quality is reported per direction but does not gate the decision.
+    Returns the rows point by point, each point's directions in order.
     """
     series = [_increment_ratios(s) for s in sweeps]
-    radii_rows, ratio_rows = [r for r, _ in series], [v for _, v in series]
-    estimates = _raise_first(_extrapolate_rows(radii_rows, ratio_rows, tol))
-    limit = np.array([est.limit for est in estimates], dtype=complex)
-    slope = np.array([est.slope for est in estimates], dtype=complex)
+    estimates, residuals = _extrapolate_rows([r for r, _ in series], [v for _, v in series], tol)
+    limit = np.array([est.limit for est in _raise_first(estimates)], dtype=complex)
     conj_xi = np.conj(xi)
     limits = (conj_xi * limit[:, None]).real
-    fit_residuals = np.empty(limits.shape)
-    for idx, radii in _ladder_groups(radii_rows):
-        ratios = np.array([ratio_rows[i] for i in idx])
-        residual = ratios - _fitted(limit[idx], slope[idx], radii)
-        projected = (conj_xi[:, None] * residual[:, None, :]).real
-        fit_residuals[idx] = np.sqrt(np.mean(projected ** 2, axis=-1))
+    fit_residuals = np.array([np.sqrt(np.mean((conj_xi[:, None] * res).real ** 2, axis=-1))
+                              for res in residuals]).reshape(limits.shape)
     envelopes = _xi_envelopes(jets.value, jets.dz, jets.dzbar, xi, d)
     gaps = np.abs(limits - envelopes)
     holds = limits >= -tol.amvp_tol

@@ -46,8 +46,6 @@ __all__ = [
 # Floor below which a complex argument counts as the singular origin.
 W_FLOOR = 1e-300
 
-_MAX_BRACKET_DOUBLINGS = 256
-
 
 def _as_float_array(s, allow_zero, what):
     arr = np.asarray(s, dtype=float)
@@ -242,48 +240,41 @@ def complex_hessian(d, w):
 
 
 def _invert_deriv(d, t):
-    """Solve F'(s) = t for s >= 0, vectorized.
+    """Solve F'(s) = t for finite t >= 0, vectorized.
 
-    Bracket [0, hi] with hi grown geometrically from max(1, t**(1/lambda_lo)),
-    then bisect on the bit patterns of the floats in it: these order like
-    the values and space them about evenly in log s, so at most 63 halvings
-    leave the smallest float with F'(s) >= t, for t of any magnitude.  A
-    root that underflows therefore gives the smallest subnormal, 5e-324, not
-    0: G'(t) stays positive for t > 0, as :func:`lambda_of` needs when it is
-    evaluated at the slope.  t = 0 gives 0.
+    Bisect [0, max float] on the bit patterns of the floats in it: these
+    order like the values and space them about evenly in log s, so at most
+    63 halvings leave the smallest float with F'(s) >= t, for t of any
+    magnitude.  A root that underflows therefore gives the smallest
+    subnormal, 5e-324, not 0: G'(t) stays positive for t > 0, as
+    :func:`lambda_of` needs when it is evaluated at the slope.  t = 0 gives
+    0.  F' may overflow to inf on the way, which still orders right; only a
+    t above F'(max float) cannot be bracketed.
     """
     t = np.asarray(t, dtype=float)
-    shape = t.shape
-    flat = t.ravel().copy()
-    if np.any(flat < 0.0):
-        raise DomainError(f"{d.label}: conjugate slope needs t >= 0")
+    flat = t.ravel()
+    if not np.all(np.isfinite(flat) & (flat >= 0.0)):
+        raise DomainError(f"{d.label}: conjugate slope needs finite t >= 0")
     out = np.zeros_like(flat)
     pos = flat > 0.0
     tv = flat[pos]
+    hi = np.full_like(tv, np.finfo(float).max)
     with np.errstate(over="ignore"):
-        hi = np.maximum(1.0, tv ** (1.0 / d.lambda_lo))
-    hi = np.where(np.isfinite(hi), hi, 1.0)
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        need = np.asarray(d.deriv_fn(hi), dtype=float) < tv
-        if not np.any(need):
-            break
-        hi = np.where(need, 2.0 * hi, hi)
-    else:
-        raise DegenerateDensityError(
-            f"{d.label}: could not bracket F'(s) = t; F' may be bounded"
-        )
-
-    # F'(lo) < t <= F'(hi) holds throughout, with lo and hi as float bits.
-    hi = hi.view(np.int64)
-    lo = np.zeros_like(hi)
-    while np.any(hi - lo > 1):
-        mid = lo + (hi - lo) // 2
-        below = np.asarray(d.deriv_fn(mid.view(float)), dtype=float) < tv
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        if np.any(np.asarray(d.deriv_fn(hi), dtype=float) < tv):
+            raise DegenerateDensityError(
+                f"{d.label}: could not bracket F'(s) = t; F' may be bounded"
+            )
+        # F'(lo) < t <= F'(hi) holds throughout, with lo and hi as float bits.
+        hi = hi.view(np.int64)
+        lo = np.zeros_like(hi)
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            below = np.asarray(d.deriv_fn(mid.view(float)), dtype=float) < tv
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
 
     out[pos] = hi.view(float)
-    return out.reshape(shape)
+    return out.reshape(t.shape)
 
 
 def young_conjugate(d):

@@ -79,12 +79,16 @@ class GridField:
     frozen: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise InvalidParameterError(f"lattice step must be positive, got {self.h}")
+        if not 0.0 < self.h < math.inf:
+            raise InvalidParameterError(
+                f"lattice step must be positive and finite, got {self.h}"
+            )
         for lo, hi, name in ((self.x0, self.x1, "x"), (self.y0, self.y1, "y")):
             span = (hi - lo) / self.h
-            if hi <= lo:
-                raise InvalidParameterError(f"{name} range is empty: [{lo}, {hi}]")
+            if not (hi > lo and math.isfinite(span)):
+                raise InvalidParameterError(
+                    f"{name} range must be finite and non-empty: [{lo}, {hi}]"
+                )
             if abs(span - round(span)) > GRID_SNAP_TOL * max(1.0, abs(span)):
                 raise InvalidParameterError(
                     f"{name} range [{lo}, {hi}] is not a whole number of steps "
@@ -143,10 +147,14 @@ def make_grid(x0, x1, y0, y1, h, radius):
     extra outer layers needed so circles of ``radius`` around any unknown
     node stay inside.
     """
-    if h <= 0.0:
-        raise InvalidParameterError(f"lattice step must be positive, got {h}")
-    if radius <= 0.0:
-        raise InvalidParameterError(f"radius must be positive, got {radius}")
+    if not 0.0 < h < math.inf:
+        raise InvalidParameterError(f"lattice step must be positive and finite, got {h}")
+    if not 0.0 < radius < math.inf:
+        raise InvalidParameterError(f"radius must be positive and finite, got {radius}")
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise InvalidParameterError(
+            f"lattice bounds must be finite: [{x0}, {x1}] x [{y0}, {y1}]"
+        )
     s = strip_cells_for(radius, h)
     nx = int(round((x1 - x0) / h)) + 1 + 2 * s
     ny = int(round((y1 - y0) / h)) + 1 + 2 * s
@@ -264,8 +272,8 @@ class DppConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ConfigError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise ConfigError(f"radius must be positive and finite, got {self.radius}")
         if not (0.0 < self.damping <= 1.0):
             raise ConfigError(f"damping must lie in (0, 1], got {self.damping}")
         if self.node_count < 8:

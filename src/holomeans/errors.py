@@ -6,6 +6,20 @@ additionally derive from the closest builtin so idiomatic ``except ValueError``
 style keeps working.
 """
 
+__all__ = [
+    "HolomeansError",
+    "InvalidParameterError",
+    "DomainError",
+    "SingularPointError",
+    "DegenerateDensityError",
+    "ZeroFieldError",
+    "NonFiniteSampleError",
+    "InsufficientDataError",
+    "InvalidSweepError",
+    "DivergenceError",
+    "ConfigError",
+]
+
 
 class HolomeansError(Exception):
     """Base class for all library errors."""

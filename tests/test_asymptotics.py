@@ -229,7 +229,7 @@ def test_batched_extrapolation_keeps_a_short_ladder_in_its_own_group():
     radii = hm.SweepConfig().radii()
     rows = [radii, radii[1:], radii, radii[:1]]
     values = [(0.3 + 0.1j) + (1.0 - 2.0j) * r + 0.4 * r**2 for r in rows]
-    got = _extrapolate_rows(rows, values, hm.ToleranceConfig())
+    got, _ = _extrapolate_rows(rows, values, hm.ToleranceConfig())
     for r, v, est in zip(rows[:3], values[:3], got[:3]):
         assert est == hm.extrapolate(r, v)
     assert isinstance(got[3], hm.InvalidSweepError)

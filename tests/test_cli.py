@@ -374,3 +374,31 @@ def test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("command, text, message", (
+    ("mean", _MEAN_BASE + "mean.r = nan\n", "mean.r must be positive, got nan"),
+    ("mean", _MEAN_BASE + "mean.r = inf\n", "mean.r must be finite, got inf"),
+    ("dpp", _SMALL_DPP.replace("dpp.radius = 0.2", "dpp.radius = nan"),
+     "radius must be positive and finite, got nan"),
+    ("dpp", _SMALL_DPP.replace("dpp.h = 0.1", "dpp.h = nan"),
+     "lattice step must be positive and finite, got nan"),
+    ("dpp", _SMALL_DPP.replace("dpp.x1 = 0.4", "dpp.x1 = inf"),
+     "lattice bounds must be finite"),
+))
+def test_nonfinite_radii_steps_and_bounds_exit_2(tmp_path, capsys, command, text, message):
+    test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, command, text, None,
+                                                     message)
+
+
+def test_commands_are_the_handler_table_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--config", "none.ini"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    choices = err[err.index("choose from"):]
+    commands = ("mean", "sweep", "verify-holo", "verify-system", "verify-amvp", "contact",
+                "dpp", "validate-density")
+    at = [choices.index(c) for c in commands]
+    assert at == sorted(at)

@@ -8,7 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import holomeans as hm
+from holomeans.asymptotics import _increment_ratios, _sweeps
+from holomeans.contact import _direction_rows
 from holomeans.errors import InvalidParameterError
+from holomeans.geometry import _wirtinger_jets
 
 D2 = hm.power_density(2)
 D3 = hm.power_density(3)
@@ -257,3 +260,35 @@ def test_jet_membership_ratios_match_a_field_call_per_radius():
         top = 0.5 * ((np.conj(probe.xi) * remainder).real + np.abs(remainder))
         expected.append(float(np.max(top)) / r)
     assert res.ratios == tuple(expected)
+
+
+_HOLE = 0.5 + 0.5j
+
+
+def _holed_exp(zeta):
+    # exp with a NaN disk: circles of radius 0.1 about _HOLE + 0.13 cross it
+    zeta = np.asarray(zeta, dtype=complex)
+    return np.where(np.abs(zeta - _HOLE) < 0.06, np.nan, np.exp(zeta))
+
+
+def test_direction_fit_residuals_come_from_each_point_s_own_fit():
+    # Ladders of 8 and 7 radii share one call; each point's per-direction
+    # fit residual is the RMS of its own linear fit's residuals projected
+    # onto the direction, as a refit of that point alone gives it.
+    pts = np.array([0.2 + 0.3j, _HOLE + 0.13, 0.8 + 0.2j, _HOLE - 0.13j])
+    sweeps = _sweeps("pair_increment", _holed_exp, pts, D3, None)
+    assert [len(s.radii) for s in sweeps] == [8, 7, 8, 7]
+    jets, _ = _wirtinger_jets(_holed_exp, pts)
+    xi = hm.unit_directions(16)
+    rows = _direction_rows(pts, xi, sweeps, jets, D3, hm.ToleranceConfig())
+    assert len(rows) == pts.size * xi.size
+    for i, s in enumerate(sweeps):
+        radii, ratios = _increment_ratios(s)
+        est = hm.extrapolate(radii, ratios)
+        residual = ratios - (est.limit + est.slope * radii)
+        projected = (np.conj(xi)[:, None] * residual).real
+        own = rows[i * xi.size:(i + 1) * xi.size]
+        assert [(row.point, row.xi) for row in own] == [(pts[i], x) for x in xi]
+        assert [row.limit for row in own] == (np.conj(xi) * est.limit).real.tolist()
+        assert [row.fit_residual for row in own] == np.sqrt(
+            np.mean(projected**2, axis=-1)).tolist()

@@ -1,12 +1,19 @@
 """Density profiles: closed forms, validation, conjugation, Wirtinger calculus."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import holomeans as hm
-from holomeans.errors import DegenerateDensityError, InvalidParameterError
+from holomeans.errors import (
+    DegenerateDensityError,
+    DomainError,
+    InvalidParameterError,
+    SingularPointError,
+)
 
 POWERS = (1.5, 2.0, 3.0, 4.0)
 
@@ -192,3 +199,107 @@ def test_complex_hessian_matches_finite_differences(re, im, p):
     scale = abs(w) ** (p - 2)
     assert abs(h.d_wbar_w - dw) <= 2e-4 * scale
     assert abs(h.d_wbar_wbar - dwbar2) <= 2e-4 * scale
+
+
+def test_numerical_conjugate_slope_brackets_over_the_whole_float_range():
+    # t**(1 / lambda_lo) overflows for t = 1e50 at lambda_lo = 0.1, yet the
+    # root 1e250 of F'(s) = s**0.2 = t is a float.
+    g = hm.young_conjugate(_declared(hm.power_density(1.2), 0.1, 0.3, "wide"))
+    assert g.deriv(1e50) == pytest.approx(1e250, rel=1e-12)
+    # F'(s) = s**2 overflows on the way to the root 1e150; nothing is reported.
+    cubic = hm.young_conjugate(_declared(hm.power_density(3), 1.0, 3.0, "wide"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cubic.deriv(1e300) == pytest.approx(1e150, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", (np.nan, np.inf, -1.0))
+def test_numerical_conjugate_slope_needs_a_finite_nonnegative_argument(t):
+    g = hm.young_conjugate(_declared(hm.power_density(3), 1.0, 3.0, "wide"))
+    with pytest.raises(DomainError, match="finite t >= 0"):
+        g.deriv_fn(np.array([0.5, t]))
+
+
+def test_numerical_conjugate_slope_refuses_a_bounded_derivative():
+    # F'(s) = s / (1 + s) stays below 1, so F'(s) = 2 has no root; the
+    # increasing probe grid lets the conjugate be built.
+    bounded = hm.Density(
+        value_fn=lambda s: s - np.log1p(s),
+        deriv_fn=lambda s: s / (1.0 + s),
+        second_deriv_fn=lambda s: 1.0 / (1.0 + s) ** 2,
+        lambda_lo=0.5,
+        lambda_hi=1.0,
+        small_exponent=1.0,
+        small_coeff=1.0,
+        label="bounded",
+    )
+    g = hm.young_conjugate(bounded)
+    assert g.deriv(0.5) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(DegenerateDensityError, match="could not bracket"):
+        g.deriv(2.0)
+
+
+@pytest.mark.parametrize("p", (1.5, 3.0, 8.0))
+@pytest.mark.parametrize("declared", ("power", "wide"))
+def test_conjugate_second_derivative_is_the_power_dual(p, declared):
+    # G'(t) = t**(1/(p-1)), so G''(t) = t**((2-p)/(p-1)) / (p-1), on both
+    # the closed-form and the numerical slope.
+    d = hm.power_density(p)
+    if declared == "wide":
+        d = _declared(d, p - 1.1, p - 0.9, "wide")
+    t = np.geomspace(1e-3, 1e3, 13)
+    np.testing.assert_allclose(
+        hm.young_conjugate(d).second_deriv(t),
+        t ** ((2.0 - p) / (p - 1.0)) / (p - 1.0),
+        rtol=1e-10,
+    )
+
+
+def test_density_evaluations_check_their_domain():
+    d = hm.power_density(3)
+    assert d.second_deriv(2.0) == pytest.approx(4.0, rel=1e-15)
+    np.testing.assert_allclose(d.second_deriv(np.array([0.5, 3.0])), [1.0, 6.0], rtol=1e-15)
+    with pytest.raises(DomainError, match="requires s > 0"):
+        d.second_deriv(0.0)
+    with pytest.raises(DomainError, match="s >= 0"):
+        d.value(-1.0)
+    with pytest.raises(DomainError, match="s >= 0"):
+        d.deriv(np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("lo, hi", ((0.0, 1.0), (2.0, 1.0), (-1.0, 2.0)))
+def test_density_refuses_disordered_or_nonpositive_bounds(lo, hi):
+    d = hm.power_density(2)
+    with pytest.raises(InvalidParameterError, match="0 < lambda_lo <= lambda_hi"):
+        _declared(d, lo, hi, "bad")
+
+
+def test_validation_report_names_the_failed_checks():
+    # The true ratio of s**3 / 3 is 2, outside the declared [1, 1.5].
+    report = hm.validate_density(_declared(hm.power_density(3), 1.0, 1.5, "narrow"))
+    assert isinstance(report, hm.ValidationReport)
+    assert not report.ok
+    (failed,) = report.failed()
+    assert isinstance(failed, hm.CheckResult)
+    assert failed.name == "lambda_bounds"
+    assert failed.message == "lam = 2 outside [1, 1.5]"
+    assert hm.validate_density(hm.power_density(3)).failed() == ()
+    with pytest.raises(InvalidParameterError, match="at least 16"):
+        hm.validate_density(hm.power_density(3), sample_count=15)
+
+
+def test_complex_hessian_and_pinching_ratio_refuse_degenerate_points():
+    with pytest.raises(SingularPointError, match="w = 0"):
+        hm.complex_hessian(hm.power_density(3), 0j)
+    falling = hm.Density(
+        value_fn=lambda s: -s,
+        deriv_fn=lambda s: -np.ones_like(s),
+        second_deriv_fn=lambda s: np.zeros_like(s),
+        lambda_lo=1.0,
+        lambda_hi=1.0,
+        small_exponent=1.0,
+        small_coeff=1.0,
+        label="falling",
+    )
+    with pytest.raises(DegenerateDensityError, match="F' must be positive"):
+        hm.lambda_of(falling, 1.0)

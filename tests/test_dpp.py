@@ -1,5 +1,7 @@
 """Grid fixed-point iteration: geometry, interpolation, checkpoints, solves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -376,3 +378,86 @@ def test_dpp_solve_repeats_dpp_step():
         history.append(diag.residual_sup)
     assert tuple(history) == res.residual_history
     assert grid.values.tobytes() == res.field.values.tobytes()
+
+
+def test_a_node_whose_fit_fails_keeps_its_value():
+    # Without a Newton iteration no pair-mean fit at p = 3 meets its
+    # first-order tolerance, so every node falls back to its old value
+    # (damping 1 makes the kept value exact) and counts as skipped.
+    g = small_grid(h=0.1, r=0.2)
+    cfg = hm.DppConfig(radius=0.2, damping=1.0, solver=hm.SolverConfig(max_iterations=0))
+    stepped, diag = hm.dpp_step(g, hm.power_density(3), cfg)
+    np.testing.assert_array_equal(stepped.values, g.values)
+    assert diag == hm.StepDiagnostics(0.0, 0, int(g.interior_mask().sum()))
+
+
+@pytest.mark.parametrize("h", (0.0, -0.1, np.nan, np.inf))
+def test_grid_refuses_a_step_that_is_not_positive_and_finite(h):
+    with pytest.raises(InvalidParameterError, match="lattice step must be positive"):
+        hm.make_grid(0.0, 0.4, 0.0, 0.4, h, 0.2)
+    with pytest.raises(InvalidParameterError, match="lattice step must be positive"):
+        hm.GridField(0.0, 0.4, 0.0, 0.4, h, 3, np.zeros((11, 11), dtype=complex))
+
+
+@pytest.mark.parametrize("radius", (0.0, np.nan, np.inf))
+def test_grid_and_config_refuse_a_radius_that_is_not_positive_and_finite(radius):
+    with pytest.raises(InvalidParameterError, match="radius must be positive and finite"):
+        hm.grid_from_function(0.0, 0.4, 0.0, 0.4, 0.1, radius, np.exp)
+    with pytest.raises(ConfigError, match="radius must be positive and finite"):
+        hm.DppConfig(radius=radius)
+
+
+@pytest.mark.parametrize("bounds", ((np.nan, 0.4, 0.0, 0.4), (0.0, 0.4, -np.inf, 0.4),
+                                    (0.0, np.inf, 0.0, 0.4)))
+def test_grid_refuses_bounds_that_are_not_finite(bounds):
+    with pytest.raises(InvalidParameterError, match="lattice bounds must be finite"):
+        hm.make_grid(*bounds, 0.1, 0.2)
+    with pytest.raises(InvalidParameterError, match="must be finite and non-empty"):
+        hm.GridField(*bounds, 0.1, 3, np.zeros((11, 11), dtype=complex))
+
+
+def test_grid_field_checks_its_strip_and_values():
+    g = small_grid(h=0.1, r=0.2)
+    with pytest.raises(InvalidParameterError, match="strip must be at least one cell, got 0"):
+        hm.GridField(0.0, 0.4, 0.0, 0.4, 0.1, 0, np.zeros((5, 5), dtype=complex))
+    with pytest.raises(InvalidParameterError, match=r"does not match lattice \(11, 11\)"):
+        hm.GridField(0.0, 0.4, 0.0, 0.4, 0.1, g.strip_cells, g.values[:, :-1])
+
+
+def test_strip_must_hold_every_circle():
+    # h = 0.1 and r = 0.2 give a strip of 3 cells; circles of radius 0.35
+    # need 5.
+    g = small_grid(h=0.1, r=0.2)
+    with pytest.raises(ConfigError, match="strip of 3 cells cannot contain circles"):
+        hm.dpp_step(g, D2, hm.DppConfig(radius=0.35))
+
+
+def test_dpp_step_refuses_nonfinite_circle_samples():
+    g = small_grid(h=0.1, r=0.2)
+    values = g.values.copy()
+    values[2, 5] = np.nan  # strip node next to the unknowns
+    with pytest.raises(hm.NonFiniteSampleError, match="not finite"):
+        hm.dpp_step(replace(g, values=values), D2, hm.DppConfig(radius=0.2))
+
+
+def test_checkpoint_round_trip_keeps_frozen_nodes(tmp_path):
+    g = small_grid()
+    frozen = np.zeros(g.values.shape, dtype=bool)
+    frozen[4, 5] = True
+    g = replace(g, frozen=frozen)
+    path = tmp_path / "frozen.csv"
+    hm.write_checkpoint(g, path)
+    assert path.read_text().count(",2\n") == 1
+    back = hm.read_checkpoint(path)
+    np.testing.assert_array_equal(back.frozen, frozen)
+    np.testing.assert_array_equal(back.values, g.values)
+
+
+def test_checkpoint_refuses_a_wrong_row_count(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(
+        "# lattice x0=0 x1=0.1 y0=0 y1=0.1 h=0.1 strip=1\nx,y,re,im,flag\n"
+        + "0,0,1,0,1\n" * 15
+    )
+    with pytest.raises(InvalidParameterError, match="has 15 rows, lattice needs 16"):
+        hm.read_checkpoint(path)

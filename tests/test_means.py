@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import holomeans as hm
 from holomeans.errors import InvalidParameterError
-from holomeans.means import fit_model_coefficient
+from holomeans.means import _circumcircle, fit_model_coefficient
 
 D2 = hm.power_density(2)
 POWERS = (1.5, 2.0, 3.0, 4.0)
@@ -255,3 +255,56 @@ def test_affine_identity_residual_small_for_true_mean():
     ident = hm.affine_mean_identity(jet, r, res.minimizer, d)
     assert ident.residual <= 1e-6
     assert np.isfinite(ident.alpha) and np.isfinite(ident.beta)
+
+
+def test_line_search_backtracks_from_a_far_start():
+    # At p = 1.2 the full Newton step from 10 overshoots: the fit converges
+    # only when the line search may shorten it.
+    n = 16
+    ring = np.exp(2j * np.pi * np.arange(n) / n)
+    args = (hm.power_density(1.2), ring[None, :], np.full(n, 2.0 * np.pi / n),
+            np.ones(n, dtype=complex), np.array([10.0 + 0j]))
+    fit = fit_model_coefficient(*args)
+    assert fit["status"].tolist() == [1]
+    assert abs(fit["minimizer"][0]) <= 1e-12
+    short = fit_model_coefficient(*args, hm.SolverConfig(max_backtracks=1))
+    assert short["status"].tolist() == [3]
+    assert short["minimizer"][0] == 10.0
+
+
+def test_fit_and_circle_means_refuse_unusable_input():
+    samples = np.ones((1, 4), dtype=complex)
+    with pytest.raises(InvalidParameterError, match="bounded away from zero"):
+        fit_model_coefficient(D2, samples, np.ones(4), np.array([1, 1j, 0, -1]), np.zeros(1))
+    with pytest.raises(InvalidParameterError, match="unknown mean kind 'bogus'"):
+        hm.circle_means("bogus", np.exp, [Z], R, D2)
+    for r in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="circle radius must be positive"):
+            hm.circle_means("variational", np.exp, [Z], r, D2)
+
+
+def test_circumcircle_of_collinear_points_is_none():
+    assert _circumcircle(0j, 1 + 1j, 2 + 2j) is None
+    center, radius = _circumcircle(1 + 0j, 1j, -1 + 0j)
+    assert abs(center) <= 1e-15
+    assert radius == pytest.approx(1.0, rel=1e-15)
+
+
+def test_affine_identity_refuses_a_vanishing_value_or_too_few_segment_nodes():
+    d = hm.power_density(3)
+    with pytest.raises(hm.ZeroFieldError, match="at the base point"):
+        hm.affine_mean_identity(hm.Jet(Z, 1e-9, 0.3, 0.1), R, 0j, d)
+    with pytest.raises(InvalidParameterError, match="at least 4 segment nodes, got 3"):
+        hm.affine_mean_identity(hm.Jet(Z, 0.9, 0.3, 0.1), R, 0j, d, radial_nodes=3)
+
+
+def test_affine_identity_nudges_a_segment_node_off_the_zero():
+    # With sigma = tau = 0 the segment argument at the circle node 1 is
+    # value - r t c, which vanishes at the second Gauss node t for this c.
+    value, r = 0.8 + 0.3j, 0.1
+    t = 0.5 * (np.polynomial.legendre.leggauss(4)[0] + 1.0)
+    with pytest.warns(RuntimeWarning, match="nudging by a half step"):
+        ident = hm.affine_mean_identity(
+            hm.Jet(Z, value, 0j, 0j), r, value / (r * t[1]), hm.power_density(3), radial_nodes=4
+        )
+    assert all(np.isfinite(v) for v in (ident.alpha, ident.beta, ident.gamma, ident.residual))
