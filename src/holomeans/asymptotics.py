@@ -4,12 +4,12 @@ A sweep computes one of the circle means at a geometric ladder of radii
 ``r_k = r0 * rho**k``; extrapolation fits the complex linear model
 ``value ~ limit + slope * r`` by least squares and classifies the limit:
 
-* ``vanishes``           |limit| <= limit_tol and the fit is credible
-* ``converges_nonzero``  |limit| >  limit_tol and the fit is credible
+* ``vanishes``           |limit| <= LIMIT_TOL and the fit is credible
+* ``converges_nonzero``  |limit| >  LIMIT_TOL and the fit is credible
 * ``inconclusive``       the residual of the fit exceeds its gate
 
-The fit gate is ``fit_tol_coeff * max(max_k |value_k|, limit_tol)``; the
-``limit_tol`` floor keeps sweeps whose values are uniformly at noise level
+The fit gate is ``FIT_TOL_COEFF * max(max_k |value_k|, LIMIT_TOL)``; the
+``LIMIT_TOL`` floor keeps sweeps whose values are uniformly at noise level
 (e.g. exactly holomorphic data) conclusive instead of comparing noise
 against a vanishing fraction of itself.
 
@@ -21,7 +21,7 @@ limit against the analytic first-order prediction computed from a finite
 difference jet, and flags disagreement instead of hiding it.
 
 A verdict sweeps all its points together: points where the field falls
-below ``field_floor`` are set aside as untestable, and the whole ladder of
+below ``FIELD_FLOOR`` are set aside as untestable, and the whole ladder of
 the others is one batched circle-mean solve.  A radius that fails for one
 point is recorded in that point's sweep alone.  The rows are then assembled
 in array passes over the points: one field call samples every jet, the
@@ -51,11 +51,10 @@ from .errors import (
 )
 from .geometry import Jet, _modulus, _wirtinger_jets, field_values
 from .means import SolverConfig, _ladder_means
-from .pdesystem import _cr_residuals
+from .pdesystem import FIELD_FLOOR, _cr_residuals
 
 __all__ = [
     "SweepConfig",
-    "ToleranceConfig",
     "RadiusSweep",
     "LimitEstimate",
     "HolomorphyVerdict",
@@ -67,6 +66,17 @@ __all__ = [
     "system_verdict",
     "amvp_verdict",
 ]
+
+# Decision thresholds of the verdicts.  LIMIT_TOL and FIT_TOL_COEFF classify
+# an extrapolated limit (module docstring); RESIDUAL_TOL bounds the analytic
+# system residual, AMVP_TOL the pair-mean increment limit, and MATCH_TOL the
+# gap between a sweep's limit and its analytic prediction.
+LIMIT_TOL = 1e-4
+FIT_TOL_COEFF = 1e-3
+RESIDUAL_TOL = 1e-4
+MATCH_TOL = 1e-3
+AMVP_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -88,18 +98,6 @@ class SweepConfig:
         if self.count < 2:
             raise InvalidParameterError(f"count must be >= 2, got {self.count}")
         return self.r0 * self.rho ** np.arange(self.count)
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Decision thresholds for extrapolated verdicts."""
-
-    limit_tol: float = 1e-4
-    fit_tol_coeff: float = 1e-3
-    residual_tol: float = 1e-4
-    match_tol: float = 1e-3
-    amvp_tol: float = 1e-4
-    field_floor: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -261,7 +259,7 @@ def sweep(kind, f, z, d, cfg=None):
     return _raise_first(_sweeps(kind, f, [complex(z)], d, cfg))[0]
 
 
-def extrapolate(radii, values=None, tol=None):
+def extrapolate(radii, values=None):
     """Least-squares linear extrapolation of sweep values to radius zero.
 
     Accepts a :class:`RadiusSweep` in place of the two arrays.  Returns a
@@ -269,18 +267,14 @@ def extrapolate(radii, values=None, tol=None):
     one-row call of the batched fit.
     """
     if isinstance(radii, RadiusSweep):
-        if values is not None and not isinstance(values, ToleranceConfig):
-            raise InvalidParameterError(
-                "pass either (sweep, tol) or (radii, values, tol)"
-            )
-        tol = values if isinstance(values, ToleranceConfig) else tol
-        values = np.asarray(radii.values, dtype=complex)
-        radii = np.asarray(radii.radii, dtype=float)
+        if values is not None:
+            raise InvalidParameterError("pass either a sweep or (radii, values)")
+        radii, values = radii.radii, radii.values
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=complex)
     if radii.ndim != 1 or radii.shape != values.shape:
         raise InvalidSweepError("radii and values must be matching 1-d arrays")
-    return _raise_first(_extrapolate_rows([radii], [values], tol or ToleranceConfig())[0])[0]
+    return _raise_first(_extrapolate_rows([radii], [values])[0])[0]
 
 
 def _ladder_groups(radii_rows):
@@ -291,7 +285,7 @@ def _ladder_groups(radii_rows):
     return [(np.asarray(idx), np.asarray(key, dtype=float)) for key, idx in groups.items()]
 
 
-def _extrapolate_rows(radii_rows, value_rows, tol):
+def _extrapolate_rows(radii_rows, value_rows):
     """:func:`extrapolate` of every row, one least-squares solve per radius ladder.
 
     The rows sharing a ladder are fitted together by one multi-right-hand-side
@@ -318,9 +312,9 @@ def _extrapolate_rows(radii_rows, value_rows, tol):
         for i, res in zip(idx.tolist(), residual):
             residuals[i] = res
         fit_residual = np.sqrt(np.mean(np.abs(residual) ** 2, axis=-1))
-        scale = np.maximum(np.max(np.abs(values), axis=-1), tol.limit_tol)
-        credible = fit_residual <= tol.fit_tol_coeff * scale
-        vanishes = _modulus(limit) <= tol.limit_tol
+        scale = np.maximum(np.max(np.abs(values), axis=-1), LIMIT_TOL)
+        credible = fit_residual <= FIT_TOL_COEFF * scale
+        vanishes = _modulus(limit) <= LIMIT_TOL
         columns = (idx, limit, slope, fit_residual, credible, vanishes)
         for i, lim, slo, res, ok, zero in zip(*(c.tolist() for c in columns)):
             verdict = ("vanishes" if zero else "converges_nonzero") if ok else "inconclusive"
@@ -334,10 +328,10 @@ def _increment_ratios(s):
     return radii, np.asarray(s.values, dtype=complex) / radii
 
 
-def _verdict_rows(kind, f, points, d, cfg, tol, analytic, row, untestable):
+def _verdict_rows(kind, f, points, d, cfg, analytic, row, untestable):
     """One verdict row per point, assembled in array passes over the points.
 
-    Points where |f(z)| falls below ``tol.field_floor`` get ``untestable(z)``.
+    Points where |f(z)| falls below ``FIELD_FLOOR`` get ``untestable(z)``.
     The rest are swept together in one batched solve and their jets come
     from one field call; ``analytic(jets)`` returns the first-order
     prediction as an array over the points given, with a list of per-point
@@ -349,7 +343,7 @@ def _verdict_rows(kind, f, points, d, cfg, tol, analytic, row, untestable):
     pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
     if pts.size == 0:
         raise InvalidParameterError("need at least one point")
-    low = np.abs(field_values(f, pts)) < tol.field_floor
+    low = np.abs(field_values(f, pts)) < FIELD_FLOOR
     live = pts[~low]
     sweeps = _sweeps(kind, f, live, d, cfg)
     jets, jet_errors = _wirtinger_jets(f, live)
@@ -358,7 +352,7 @@ def _verdict_rows(kind, f, points, d, cfg, tol, analytic, row, untestable):
     predicted, errors = analytic(Jet(jets.base[ok], jets.value[ok], jets.dz[ok], jets.dzbar[ok]))
     series = [_increment_ratios(sweeps[i]) if kind == "pair_increment"
               else (sweeps[i].radii, sweeps[i].values) for i in ok]
-    estimates, _ = _extrapolate_rows([r for r, _ in series], [v for _, v in series], tol)
+    estimates, _ = _extrapolate_rows([r for r, _ in series], [v for _, v in series])
     for i, prediction, error, est in zip(ok.tolist(), predicted.tolist(), errors, estimates):
         if error is None and not isinstance(est, HolomeansError):
             results[i] = row(complex(live[i]), est, prediction)
@@ -378,7 +372,7 @@ _SYSTEM = {"vanishes": True, "converges_nonzero": False, "inconclusive": None}
 _SYSTEM_STATUS = {True: "satisfied", False: "violated", None: "inconclusive"}
 
 
-def holomorphy_verdict(g, points, d, cfg=None, tol=None):
+def holomorphy_verdict(g, points, d, cfg=None):
     """Decide holomorphy of ``g`` at each point from conjugate-mean sweeps.
 
     The extrapolated limit of the conjugate-transformed mean vanishes exactly
@@ -389,16 +383,15 @@ def holomorphy_verdict(g, points, d, cfg=None, tol=None):
 
     is computed from a finite-difference jet and reported with its gap to
     the sweep's limit on every testable row; ``consistent`` says whether the
-    two agree within ``match_tol``.  Points where |g(z)| falls below the
-    field floor are marked untestable (the characterization only applies
+    two agree within ``MATCH_TOL``.  Points where |g(z)| falls below
+    ``FIELD_FLOOR`` are marked untestable (the characterization only applies
     away from zeroes of g).  Returns one verdict per point.
     """
-    return _raise_first(_holomorphy_rows(g, points, d, cfg, tol))
+    return _raise_first(_holomorphy_rows(g, points, d, cfg))
 
 
-def _holomorphy_rows(g, points, d, cfg=None, tol=None):
+def _holomorphy_rows(g, points, d, cfg=None):
     """Rows of :func:`holomorphy_verdict`, a failing point's error in its slot."""
-    tol = tol or ToleranceConfig()
     conjugate = young_conjugate(d)
 
     def analytic(jets):
@@ -417,32 +410,30 @@ def _holomorphy_rows(g, points, d, cfg=None, tol=None):
             estimate=est,
             predicted_limit=complex(predicted),
             prediction_gap=float(gap),
-            consistent=bool(est.verdict != "inconclusive" and gap <= tol.match_tol),
+            consistent=bool(est.verdict != "inconclusive" and gap <= MATCH_TOL),
         )
 
-    return _verdict_rows("conjugate", g, points, d, cfg, tol, analytic, row,
-                         HolomorphyVerdict)
+    return _verdict_rows("conjugate", g, points, d, cfg, analytic, row, HolomorphyVerdict)
 
 
-def system_verdict(f, points, d, cfg=None, tol=None):
+def system_verdict(f, points, d, cfg=None):
     """Compare sweep decisions against the analytic system residual per point.
 
     The derivative-detecting mean vanishes as r -> 0 exactly when the field
     satisfies the nonlinear Cauchy-Riemann system tied to the density; the
     analytic residual of that system is evaluated on a finite-difference jet
     and both decisions are reported with a consistency flag.  Points where
-    |f(z)| falls below the field floor are marked untestable.  Returns one
+    |f(z)| falls below ``FIELD_FLOOR`` are marked untestable.  Returns one
     verdict per point.
     """
-    return _raise_first(_system_rows(f, points, d, cfg, tol))
+    return _raise_first(_system_rows(f, points, d, cfg))
 
 
-def _system_rows(f, points, d, cfg=None, tol=None):
+def _system_rows(f, points, d, cfg=None):
     """Rows of :func:`system_verdict`, a failing point's error in its slot."""
-    tol = tol or ToleranceConfig()
 
     def row(z, est, residual):
-        analytic_ok = abs(residual) <= tol.residual_tol
+        analytic_ok = abs(residual) <= RESIDUAL_TOL
         sweep_ok = _SYSTEM[est.verdict]
         return SystemVerdict(
             point=z,
@@ -454,27 +445,26 @@ def _system_rows(f, points, d, cfg=None, tol=None):
             consistent=bool(sweep_ok is not None and sweep_ok == analytic_ok),
         )
 
-    return _verdict_rows("variational", f, points, d, cfg, tol,
+    return _verdict_rows("variational", f, points, d, cfg,
                          lambda jets: _cr_residuals(jets, d), row, SystemVerdict)
 
 
-def amvp_verdict(f, points, d, cfg=None, tol=None):
+def amvp_verdict(f, points, d, cfg=None):
     """Asymptotic mean value property of the pair mean at each point.
 
     Sweeps ``(pair mean value - f(z)) / r`` and extrapolates; the property
-    holds exactly when |limit| <= amvp_tol, with no inconclusive state (the
+    holds exactly when |limit| <= AMVP_TOL, with no inconclusive state (the
     fit quality is reported on the estimate but does not gate the decision).
     The limit is cross-checked against the first-order bracket (the system
     residual of the finite-difference jet), which is valid for densities
     with declared small-argument behaviour.  Points where |f(z)| falls below
-    the field floor are marked untestable.  Returns one verdict per point.
+    ``FIELD_FLOOR`` are marked untestable.  Returns one verdict per point.
     """
-    return _raise_first(_amvp_rows(f, points, d, cfg, tol))
+    return _raise_first(_amvp_rows(f, points, d, cfg))
 
 
-def _amvp_rows(f, points, d, cfg=None, tol=None):
+def _amvp_rows(f, points, d, cfg=None):
     """Rows of :func:`amvp_verdict`, a failing point's error in its slot."""
-    tol = tol or ToleranceConfig()
     if not (np.isfinite(d.small_coeff) and d.small_coeff > 0.0
             and np.isfinite(d.small_exponent) and d.small_exponent > 0.0):
         raise InvalidParameterError(
@@ -482,7 +472,7 @@ def _amvp_rows(f, points, d, cfg=None, tol=None):
         )
 
     def row(z, est, bracket):
-        holds = abs(est.limit) <= tol.amvp_tol
+        holds = abs(est.limit) <= AMVP_TOL
         gap = abs(est.limit - bracket)
         return AmvpVerdict(
             point=z,
@@ -491,8 +481,8 @@ def _amvp_rows(f, points, d, cfg=None, tol=None):
             holds=bool(holds),
             bracket=complex(bracket),
             bracket_gap=float(gap),
-            consistent=bool(gap <= tol.match_tol),
+            consistent=bool(gap <= MATCH_TOL),
         )
 
-    return _verdict_rows("pair_increment", f, points, d, cfg, tol,
+    return _verdict_rows("pair_increment", f, points, d, cfg,
                          lambda jets: _cr_residuals(jets, d), row, AmvpVerdict)

@@ -35,7 +35,6 @@ import numpy as np
 
 from .asymptotics import (
     SweepConfig,
-    ToleranceConfig,
     _amvp_rows,
     _holomorphy_rows,
     _system_rows,
@@ -208,11 +207,10 @@ def _take_config(sc, prefix, cls, fixed=None, rename=None):
         raise ConfigError(str(exc)) from exc
 
 
-def _sweep_configs(sc, seed):
+def _sweep_config(sc, seed):
     solver = _take_config(sc, "solver", SolverConfig)
-    cfg = _take_config(sc, "sweep", SweepConfig, {"seed": seed, "solver": solver},
-                       {"node_count": "nodes"})
-    return cfg, _take_config(sc, "tol", ToleranceConfig)
+    return _take_config(sc, "sweep", SweepConfig, {"seed": seed, "solver": solver},
+                        {"node_count": "nodes"})
 
 
 def _fmt(value):
@@ -305,7 +303,7 @@ def _cmd_sweep(sc, seed, out):
     kind = sc.take("sweep.kind", default="variational")
     field = sc.take("field.spec", cast=make_field, required=True)
     z = sc.take("sweep.point", cast=parse_complex, required=True)
-    cfg, tol = _sweep_configs(sc, seed)
+    cfg = _sweep_config(sc, seed)
     density = None
     if kind != "infinity":
         density = sc.take("density.spec", cast=parse_density_spec, required=True)
@@ -313,7 +311,7 @@ def _cmd_sweep(sc, seed, out):
     sc.finish()
 
     result = sweep(kind, field, z, density, cfg)
-    est = extrapolate(result, tol)
+    est = extrapolate(result)
     header.extend(
         [
             f"limit_re = {_fmt(est.limit.real)}",
@@ -371,12 +369,12 @@ def _cmd_verify(command, sc, seed, out):
     field = sc.take("field.spec", cast=make_field, required=True)
     density = sc.take("density.spec", cast=parse_density_spec, required=True)
     points = _take_points(sc)
-    cfg, tol = _sweep_configs(sc, seed)
+    cfg = _sweep_config(sc, seed)
     header = _header(command, seed, sc)
     sc.finish()
 
     try:
-        verdicts = rows_fn(field, points, density, cfg, tol)
+        verdicts = rows_fn(field, points, density, cfg)
     except HolomeansError as exc:
         verdicts = (exc,) * len(points)
     columns = ("x", "y", "verdict", "limit_re", "limit_im", "fit_residual")
@@ -405,11 +403,11 @@ def _cmd_contact(sc, seed, out):
     density = sc.take("density.spec", cast=parse_density_spec, required=True)
     points = _take_points(sc)
     directions = sc.take("contact.directions", cast=int, default=16)
-    cfg, tol = _sweep_configs(sc, seed)
+    cfg = _sweep_config(sc, seed)
     header = _header("contact", seed, sc)
     sc.finish()
 
-    report = contact_solution_verdict(field, points, density, directions, cfg, tol)
+    report = contact_solution_verdict(field, points, density, directions, cfg)
     columns = ("x", "y", "verdict", "limit_re", "limit_im", "fit_residual",
                "xi_re", "xi_im", "envelope", "consistent")
     rows = [

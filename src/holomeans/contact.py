@@ -33,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (
+    AMVP_TOL,
+    RESIDUAL_TOL,
     LimitEstimate,
     SweepConfig,
-    ToleranceConfig,
     _extrapolate_rows,
     _increment_ratios,
     _sweeps,
@@ -53,7 +54,7 @@ from .geometry import (
     field_values,
     sample_field,
 )
-from .pdesystem import _cr_residuals
+from .pdesystem import FIELD_FLOOR, _cr_residuals
 
 __all__ = [
     "ContactProbe",
@@ -72,6 +73,10 @@ __all__ = [
 UNIT_TOL = 1e-12
 ZERO_FLOOR = 1e-12
 DEFAULT_DIRECTION_COUNT = 16
+# Jet membership: a member at a limit of at most MEMBER_TOL, rejected at one
+# of at least REJECT_TOL; the gap between the two absorbs extrapolation noise.
+MEMBER_TOL = 1e-4
+REJECT_TOL = 1e-3
 
 
 def _check_unit(xi):
@@ -187,29 +192,16 @@ class MembershipResult:
     ratios: tuple
 
 
-def jet_membership(
-    f,
-    probe,
-    cfg=None,
-    member_tol=1e-4,
-    reject_tol=1e-3,
-    tol=None,
-):
+def jet_membership(f, probe, cfg=None):
     """Test whether the probe's slope pair touches ``f`` from the xi side.
 
     At each radius the remainder E = f - [f(base) + affine slopes] is
     sampled on the circle and the largest eigenvalue of xi v E, divided by
     the radius, is recorded; the sequence is extrapolated to radius zero.
-    The jet is a member when the limit is at most ``member_tol`` and
-    rejected when it is at least ``reject_tol``; the gap between the two
-    thresholds absorbs extrapolation noise.
+    The jet is a member when the limit is at most ``MEMBER_TOL`` and
+    rejected when it is at least ``REJECT_TOL``.
     """
-    if member_tol >= reject_tol:
-        raise InvalidParameterError(
-            f"member_tol ({member_tol:g}) must be below reject_tol ({reject_tol:g})"
-        )
     cfg = cfg or SweepConfig()
-    tol = tol or ToleranceConfig()
     xi = _check_unit(probe.xi)
     z = complex(probe.base)
     fz = complex(field_values(f, [z])[0])
@@ -223,13 +215,13 @@ def jet_membership(
     top = 0.5 * ((np.conj(xi) * remainder).real + np.abs(remainder))
     ratios = np.max(top, axis=1) / radii
 
-    est = extrapolate(radii, ratios.astype(complex), tol)
+    est = extrapolate(radii, ratios.astype(complex))
     limit = est.limit.real
     if est.verdict == "inconclusive":
         verdict = "inconclusive"
-    elif limit <= member_tol:
+    elif limit <= MEMBER_TOL:
         verdict = "member"
-    elif limit >= reject_tol:
+    elif limit >= REJECT_TOL:
         verdict = "rejected"
     else:
         verdict = "inconclusive"
@@ -259,7 +251,7 @@ class ContactAmvpResult:
     consistent: bool = False
 
 
-def _direction_rows(points, xi, sweeps, jets, d, tol):
+def _direction_rows(points, xi, sweeps, jets, d):
     """Project every point's pair-increment sweep onto every direction and classify.
 
     ``points``, ``sweeps`` and the :class:`Jet` of arrays ``jets`` run over
@@ -267,12 +259,12 @@ def _direction_rows(points, xi, sweeps, jets, d, tol):
     gaps and decisions are (points, directions) arrays.  Limits and fit
     residuals project the limit and the residual vector of each point's one
     linear fit.  The decision is one-sided and decisive: the property holds
-    along xi exactly when the projected limit stays above ``-amvp_tol``.
+    along xi exactly when the projected limit stays above ``-AMVP_TOL``.
     Fit quality is reported per direction but does not gate the decision.
     Returns the rows point by point, each point's directions in order.
     """
     series = [_increment_ratios(s) for s in sweeps]
-    estimates, residuals = _extrapolate_rows([r for r, _ in series], [v for _, v in series], tol)
+    estimates, residuals = _extrapolate_rows([r for r, _ in series], [v for _, v in series])
     limit = np.array([est.limit for est in _raise_first(estimates)], dtype=complex)
     conj_xi = np.conj(xi)
     limits = (conj_xi * limit[:, None]).real
@@ -280,8 +272,8 @@ def _direction_rows(points, xi, sweeps, jets, d, tol):
                               for res in residuals]).reshape(limits.shape)
     envelopes = _xi_envelopes(jets.value, jets.dz, jets.dzbar, xi, d)
     gaps = np.abs(limits - envelopes)
-    holds = limits >= -tol.amvp_tol
-    consistent = holds == (envelopes >= -tol.amvp_tol)
+    holds = limits >= -AMVP_TOL
+    consistent = holds == (envelopes >= -AMVP_TOL)
     columns = (limits, fit_residuals, envelopes, gaps, holds, consistent)
     xi_list = np.asarray(xi, dtype=complex).tolist()
     rows = []
@@ -301,21 +293,20 @@ def _direction_rows(points, xi, sweeps, jets, d, tol):
     return rows
 
 
-def camvp_verdict(f, probe, d, cfg=None, tol=None):
+def camvp_verdict(f, probe, d, cfg=None):
     """Contact asymptotic mean value property for one probe.
 
     The field value at the base point together with the probe's slope pair
     forms an affine touching surrogate; the xi projection of the surrogate's
     pair-mean increment, divided by the radius, must extrapolate to a limit
-    no lower than ``-amvp_tol``.  A vanishing field value makes the mean
-    undefined, reported as ``untestable``.
+    no lower than ``-AMVP_TOL``.  A field value below ``FIELD_FLOOR`` makes
+    the mean undefined, reported as ``untestable``.
     """
     cfg = cfg or SweepConfig()
-    tol = tol or ToleranceConfig()
     xi = _check_unit(probe.xi)
     z = complex(probe.base)
     fz = complex(field_values(f, [z])[0])
-    if abs(fz) < tol.field_floor:
+    if abs(fz) < FIELD_FLOOR:
         return ContactAmvpResult(z, xi)
     jet = Jet(base=z, value=fz, dz=complex(probe.sigma), dzbar=complex(probe.tau))
 
@@ -324,7 +315,7 @@ def camvp_verdict(f, probe, d, cfg=None, tol=None):
 
     s = sweep("pair_increment", affine, z, d, cfg)
     jets = Jet(*(np.array([part]) for part in (jet.base, jet.value, jet.dz, jet.dzbar)))
-    return _direction_rows([z], np.array([xi]), [s], jets, d, tol)[0]
+    return _direction_rows([z], np.array([xi]), [s], jets, d)[0]
 
 
 @dataclass(frozen=True)
@@ -339,14 +330,7 @@ class ContactReport:
     consistent: bool
 
 
-def contact_solution_verdict(
-    f,
-    points,
-    d,
-    directions=DEFAULT_DIRECTION_COUNT,
-    cfg=None,
-    tol=None,
-):
+def contact_solution_verdict(f, points, d, directions=DEFAULT_DIRECTION_COUNT, cfg=None):
     """Assess a field as a contact solution over a grid of probes.
 
     At every point the field's finite-difference jet is turned into a
@@ -360,7 +344,6 @@ def contact_solution_verdict(
     residuals; ``consistent`` asserts that all three agree everywhere.
     """
     cfg = cfg or SweepConfig()
-    tol = tol or ToleranceConfig()
     if np.isscalar(directions):
         xi_list = unit_directions(int(directions))
     else:
@@ -369,24 +352,22 @@ def contact_solution_verdict(
             raise InvalidParameterError("need at least one direction")
 
     pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
-    low = np.abs(field_values(f, pts)) < tol.field_floor
+    low = np.abs(field_values(f, pts)) < FIELD_FLOOR
     live = pts[~low]
     jets, errors = _wirtinger_jets(f, live)
     _raise_first(errors)
     residuals, errors = _cr_residuals(jets, d)
     _raise_first(errors)
-    residual_ok = np.abs(residuals) <= tol.residual_tol
+    residual_ok = np.abs(residuals) <= RESIDUAL_TOL
     # One affine touching surrogate per point, as a jet of (points, 1) arrays.
     surrogate = Jet(*(part[:, None] for part in (jets.base, jets.value, jets.dz, jets.dzbar)))
     sweeps = _sweeps("pair_increment", lambda zeta: affine_eval(surrogate, zeta),
                      live, d, cfg)
-    rows = _direction_rows(live, xi_list, _raise_first(sweeps), jets, d, tol)
+    rows = _direction_rows(live, xi_list, _raise_first(sweeps), jets, d)
     untestable = [complex(z) for z in pts[low]]
 
     camvp_pass = bool(rows) and all(row.status == "holds" for row in rows)
-    envelope_pass = bool(rows) and all(
-        row.envelope >= -tol.amvp_tol for row in rows
-    )
+    envelope_pass = bool(rows) and all(row.envelope >= -AMVP_TOL for row in rows)
     residual_pass = bool(residual_ok.size) and bool(np.all(residual_ok))
     consistent = (
         bool(rows)

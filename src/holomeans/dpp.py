@@ -16,9 +16,9 @@ is then a pair of batched one-dimensional Newton solves over every node at
 once; for a quadratic density (``lambda_lo == lambda_hi == 1``) it is the
 closed-form weighted projection, with no Newton run.
 
-Nodes where the field modulus falls below a floor make the mean ill-posed
-(the density may lose smoothness at zero); the ``zero_policy`` either skips
-them for the current sweep or freezes them permanently.
+Nodes where the field modulus falls below ``FIELD_FLOOR`` make the mean
+ill-posed (the density may lose smoothness at zero); the ``zero_policy``
+either skips them for the current sweep or freezes them permanently.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
 )
 from .geometry import circle_rule
 from .means import SolverConfig, fit_model_coefficient
+from .pdesystem import FIELD_FLOOR
 
 __all__ = [
     "GridField",
@@ -258,7 +259,11 @@ def interpolate(grid, pts):
 
 @dataclass(frozen=True)
 class DppConfig:
-    """Settings of the damped fixed-point iteration."""
+    """Settings of the damped fixed-point iteration.
+
+    ``zero_policy`` skips or freezes the nodes whose value and whole
+    sampling circle lie below ``FIELD_FLOOR``.
+    """
 
     radius: float
     damping: float = 0.8
@@ -266,7 +271,6 @@ class DppConfig:
     residual_tol: float = 1e-3
     node_count: int = 64
     zero_policy: str = "skip"
-    zero_floor: float = 1e-8
     divergence_window: int = 50
     divergence_factor: float = 10.0
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -370,7 +374,7 @@ def dpp_step(grid, d, cfg):
     Returns the updated grid and diagnostics.  The sup residual is the
     largest undamped update ``|mean - value|`` over nodes actually computed.
     A node counts as degenerate only when its value and its whole sampling
-    circle lie below the zero floor; such nodes are skipped or frozen per
+    circle lie below ``FIELD_FLOOR``; such nodes are skipped or frozen per
     the policy and do not contribute.  A merely zero-valued node with
     nonzero circle samples still has a well-posed update and is computed.
     """
@@ -382,11 +386,11 @@ def _sweep(grid, d, cfg, stencil):
     """:func:`dpp_step` on a stencil built by :func:`_circle_stencil`."""
     interior = stencil.interior
     frozen = grid.frozen if grid.frozen is not None else np.zeros_like(interior)
-    near_zero = (np.abs(grid.values) < cfg.zero_floor) & interior & ~frozen
+    near_zero = (np.abs(grid.values) < FIELD_FLOOR) & interior & ~frozen
     dead = np.zeros_like(near_zero)
     if np.any(near_zero):
         circle = _circle_samples(grid, stencil, near_zero[interior])
-        dead[near_zero] = np.max(np.abs(circle), axis=1) < cfg.zero_floor
+        dead[near_zero] = np.max(np.abs(circle), axis=1) < FIELD_FLOOR
     active = interior & ~frozen & ~dead
     skipped = int(np.count_nonzero(interior & ~active))
 
@@ -418,7 +422,7 @@ def _sweep(grid, d, cfg, stencil):
         mean = np.where(bad, old, mean)
     residual_sup = float(np.max(np.abs(mean - old))) if mean.size else 0.0
     new_values = grid.values.copy()
-    new_values[active] = (1.0 - cfg.damping) * old + cfg.damping * mean
+    new_values[active] = np.where(bad, old, (1.0 - cfg.damping) * old + cfg.damping * mean)
 
     out = replace(
         grid,
@@ -504,7 +508,12 @@ def read_checkpoint(path):
         if line.startswith("# lattice"):
             for token in line[len("# lattice") :].split():
                 key, _, val = token.partition("=")
-                meta[key] = float(val) if key != "strip" else int(val)
+                try:
+                    meta[key] = float(val) if key != "strip" else int(val)
+                except ValueError:
+                    raise InvalidParameterError(
+                        f"checkpoint {path} has a malformed lattice value {token!r}"
+                    ) from None
     rows = [
         line
         for line in lines
@@ -515,9 +524,14 @@ def read_checkpoint(path):
         raise InvalidParameterError(
             f"checkpoint {path} is missing lattice metadata {sorted(required - set(meta))}"
         )
-    s = int(meta["strip"])
-    nx = int(round((meta["x1"] - meta["x0"]) / meta["h"])) + 1 + 2 * s
-    ny = int(round((meta["y1"] - meta["y0"]) / meta["h"])) + 1 + 2 * s
+    s, h = meta["strip"], meta["h"]
+    if not 0.0 < h < math.inf:
+        raise InvalidParameterError(f"checkpoint {path} needs a positive finite step, got h={h}")
+    spans = ((meta["x1"] - meta["x0"]) / h, (meta["y1"] - meta["y0"]) / h)
+    if not all(map(math.isfinite, spans)):
+        raise InvalidParameterError(f"checkpoint {path} needs finite lattice bounds")
+    nx = int(round(spans[0])) + 1 + 2 * s
+    ny = int(round(spans[1])) + 1 + 2 * s
     if len(rows) != nx * ny:
         raise InvalidParameterError(
             f"checkpoint {path} has {len(rows)} rows, lattice needs {nx * ny}"

@@ -168,18 +168,15 @@ def radial_potential_jet2(p, z):
     )
 
 
-def _pharm_linear_field(p, direction=1 + 0j):
-    """Gradient field of the linear potential Re(conj(direction) z).
+def _pharm_linear_field(p):
+    """Gradient field of the linear potential Re(z).
 
     Affine potentials are p-harmonic for every p; the gradient field is the
-    constant ``direction``, giving an exact solution with zero derivatives.
+    constant 1, giving an exact solution with zero derivatives.
     """
     if p <= 1.0:
         raise InvalidParameterError(f"exponent must satisfy p > 1, got {p}")
-    direction = complex(direction)
-    if direction == 0j:
-        raise InvalidParameterError("direction must be nonzero")
-    return Field(f"pharm-linear:{p:g}", _const_field(direction).sample)
+    return Field(f"pharm-linear:{p:g}", _const_field(1.0).sample)
 
 
 _BUILDERS = {
@@ -192,7 +189,7 @@ _BUILDERS = {
     "modsq": (_modsq_field, 0),
     "affine": (_affine_field, 3),
     "pharm-radial": (_pharm_radial_field, 1),
-    "pharm-linear": (_pharm_linear_field, (1, 2)),
+    "pharm-linear": (_pharm_linear_field, 1),
 }
 
 _REAL_ARG_NAMES = {"pharm-radial": (0,), "pharm-linear": (0,)}
@@ -223,13 +220,7 @@ def make_field(spec):
         )
     builder, arity = _BUILDERS[name]
     args = [a for a in argtext.split(",") if a.strip()] if argtext else []
-    if isinstance(arity, tuple):
-        lo, hi = arity
-        if not (lo <= len(args) <= hi):
-            raise InvalidParameterError(
-                f"field {name!r} takes {lo} to {hi} arguments, got {len(args)}"
-            )
-    elif len(args) != arity:
+    if len(args) != arity:
         raise InvalidParameterError(
             f"field {name!r} takes {arity} argument(s), got {len(args)}"
         )

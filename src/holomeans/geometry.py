@@ -173,7 +173,7 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _wirtinger_jets(f, points, step=None):
+def _wirtinger_jets(f, points):
     """First-order jets of ``f`` at every point from one field call.
 
     Samples all the points' central-difference stencils at once and returns
@@ -182,12 +182,7 @@ def _wirtinger_jets(f, points, step=None):
     stencil (whose jet entries are then not finite).
     """
     z = np.asarray(points, dtype=complex).ravel()
-    if step is None:
-        h = FD_STEP_SCALE * (1.0 + _modulus(z))
-    else:
-        h = float(step)
-        if h <= 0.0:
-            raise InvalidParameterError(f"finite-difference step must be positive, got {h}")
+    h = FD_STEP_SCALE * (1.0 + _modulus(z))
     stencils = np.stack([z, z + h, z - h, z + 1j * h, z - 1j * h], axis=1)
     w = field_values(f, stencils) if z.size else np.zeros(stencils.shape, dtype=complex)
     bad = ~np.all(np.isfinite(w), axis=1)
@@ -198,13 +193,13 @@ def _wirtinger_jets(f, points, step=None):
     return jets, errors
 
 
-def wirtinger_jet(f, z, step=None):
+def wirtinger_jet(f, z):
     """First-order jet of ``f`` at ``z`` by central finite differences.
 
-    The default step is ``1e-5 * (1 + |z|)``; the scheme is second order
-    accurate in the step.  The one-point call of the batched jets.
+    The step is ``FD_STEP_SCALE * (1 + |z|)``, that is ``1e-5 * (1 + |z|)``;
+    the scheme is second order accurate in the step.  The one-point call of the batched jets.
     """
-    jets, errors = _wirtinger_jets(f, [complex(z)], step)
+    jets, errors = _wirtinger_jets(f, [complex(z)])
     _raise_first(errors)
     return Jet(*(complex(part[0]) for part in (jets.base, jets.value, jets.dz, jets.dzbar)))
 
@@ -221,7 +216,7 @@ def affine_eval(jet, zeta):
     return out
 
 
-def weighted_holomorphic_mean(f, z, r, quadrature=None):
+def weighted_holomorphic_mean(f, z, r):
     """Disk average of ``f`` against the holomorphy-detecting weight.
 
     Computes ``(1 / area) * integral of f(zeta) (1 + (2 / r)(zeta - z)) dA``
@@ -230,21 +225,21 @@ def weighted_holomorphic_mean(f, z, r, quadrature=None):
     closed disk.
     """
     z = complex(z)
-    q = quadrature if quadrature is not None else disk_rule(z, r)
+    q = disk_rule(z, r)
     vals = sample_field(f, q.nodes)
     kernel = 1.0 + (2.0 / q.radius) * (q.nodes - z)
     area = np.pi * q.radius**2
     return complex((vals * kernel) @ q.weights / area)
 
 
-def projection_pair(f, z, r, quadrature=None):
+def projection_pair(f, z, r):
     """Least-squares coefficients of ``f`` on ``{1, conj(zeta - z)}`` over a disk.
 
     Returns ``(a, b)`` with ``a`` the plain disk average and ``b`` scaled so
     the weighted mean above equals ``a + r * b``.
     """
     z = complex(z)
-    q = quadrature if quadrature is not None else disk_rule(z, r)
+    q = disk_rule(z, r)
     vals = sample_field(f, q.nodes)
     area = np.pi * q.radius**2
     a = vals @ q.weights / area

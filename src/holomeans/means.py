@@ -12,8 +12,8 @@ the pair mean.  The minimizer is unique (strict convexity plus growth), and
 the solver is a damped Newton iteration in the two real coordinates of c
 using the exact complex Hessian of H(w) = F(|w|), with an Armijo line search.
 Where an iterate puts a residual exactly at zero, H stops being twice
-differentiable; the Hessian then clamps that residual's modulus at a small
-floor, which keeps the Newton step a descent direction.
+differentiable; the Hessian then clamps that residual's modulus at
+``RESIDUAL_FLOOR``, which keeps the Newton step a descent direction.
 
 The sup-norm mean is different in kind: it reduces to a smallest enclosing
 circle problem and is solved exactly by a randomized incremental algorithm.
@@ -62,6 +62,17 @@ MEAN_KINDS = ("variational", "center", "conjugate", "pair", "infinity")
 # Transformed-field floor for the conjugate mean.
 TRANSFORM_FLOOR = 1e-12
 
+# Newton solver constants.  The first-order stopping tolerance is
+# FOC_TOL_COEFF * (1 + mean of F'(|f|) on the circle).  A pointwise residual
+# of modulus below RESIDUAL_FLOOR counts as an exact zero: the Hessian clamps
+# residual moduli at this floor, and a row whose residuals all lie below it
+# is an exact fit.  The line search accepts a step t when the objective drops
+# by ARMIJO_SLOPE * t * slope and otherwise shrinks t by BACKTRACK_FACTOR.
+FOC_TOL_COEFF = 1e-10
+ARMIJO_SLOPE = 1e-4
+BACKTRACK_FACTOR = 0.5
+RESIDUAL_FLOOR = 1e-12
+
 _STATUS_ACTIVE = 0
 _STATUS_CONVERGED = 1
 _STATUS_FAILED = 3
@@ -73,26 +84,19 @@ _STATUS_NAMES = {
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the Newton solver.
+    """Budgets and step tolerance of the Newton solver.
 
-    ``foc_tol_coeff`` scales the first-order stopping tolerance
-    ``foc_tol = foc_tol_coeff * (1 + mean of F'(|f|) on the circle)``.
-    Convergence additionally requires the pending Newton step to be at most
-    ``step_tol * (1 + |c|)``: when the density degenerates at small residuals
-    (growth exponent above 2) a small gradient alone does not bound the
-    parameter error, and the step length is the sound certificate.
-    ``residual_floor`` is the modulus below which a pointwise residual counts
-    as an exact zero: the Hessian clamps residual moduli at this floor, and
-    a row whose residuals all lie below it is an exact fit.
+    A row converges when its first-order residual is within the tolerance
+    set by ``FOC_TOL_COEFF`` and its pending Newton step is at most
+    ``step_tol * (1 + |c|)``: when the density degenerates at small
+    residuals (growth exponent above 2) a small gradient alone does not
+    bound the parameter error, and the step length is the sound certificate.
+    ``max_backtracks`` bounds the line search of every iteration.
     """
 
     max_iterations: int = 60
-    foc_tol_coeff: float = 1e-10
     step_tol: float = 1e-11
-    armijo_slope: float = 1e-4
-    backtrack_factor: float = 0.5
     max_backtracks: int = 60
-    residual_floor: float = 1e-12
 
     def __post_init__(self):
         if self.max_iterations < 0:
@@ -214,8 +218,7 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
     iters = np.zeros(nbatch, dtype=int)
 
     favg = (np.asarray(d.deriv_fn(np.abs(samples)), dtype=float) @ weights) / total_w
-    foc_tol = cfg.foc_tol_coeff * (1.0 + favg)
-    floor = cfg.residual_floor
+    foc_tol = FOC_TOL_COEFF * (1.0 + favg)
 
     def per_row(a, rows):
         # A shared (nodes,) model broadcasts as it is, without a copy.
@@ -235,7 +238,7 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
             break
         u, au, g = gradient(act, c[act])
         foc = np.abs(g) / (total_w * per_row(mscale, act))
-        exact = np.all(au < floor, axis=1)
+        exact = np.all(au < RESIDUAL_FLOOR, axis=1)
         foc = np.where(exact, 0.0, foc)
         foc_out[act] = foc
         iters[act] = it
@@ -251,14 +254,14 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         # A row with an exactly-zero pointwise residual converges on the
         # gradient alone; otherwise it stays in Newton, whose Hessian clamps
         # that residual's modulus at the floor.
-        done = small_foc & np.any(au < floor, axis=1)
+        done = small_foc & np.any(au < RESIDUAL_FLOOR, axis=1)
         state[act[done]] = _STATUS_CONVERGED
         rem = ~done
 
         rows = act[rem]
         small_foc = small_foc[rem]
         u_r, au_r, g_r = u[rem], au[rem], g[rem]
-        au_s = np.maximum(au_r, floor)
+        au_s = np.maximum(au_r, RESIDUAL_FLOOR)
         fp = np.asarray(d.deriv_fn(au_s), dtype=float)
         fpp = np.asarray(d.second_deriv_fn(au_s), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -301,11 +304,11 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
             cand = c[rows] + t * delta
             obj1 = _objective_rows(d, samples[rows], weights, row_model, cand)
             ok = np.isfinite(obj1) & (
-                obj1 <= obj0 + cfg.armijo_slope * t * slope + flat
+                obj1 <= obj0 + ARMIJO_SLOPE * t * slope + flat
             )
             if np.all(ok):
                 break
-            t = np.where(ok, t, t * cfg.backtrack_factor)
+            t = np.where(ok, t, t * BACKTRACK_FACTOR)
         c[rows[ok]] += (t * delta)[ok]
         state[rows[~ok]] = _STATUS_FAILED
 

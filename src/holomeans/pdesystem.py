@@ -41,6 +41,8 @@ __all__ = [
 
 # Field-modulus floor below which zero-sensitive operations refuse to run.
 FIELD_FLOOR = 1e-8
+# Absolute slack of the dilatation bound, for finite-difference jets.
+DILATATION_SLACK = 1e-6
 
 
 def mu_of(d, s):
@@ -104,13 +106,14 @@ class DilatationReport:
     defined: bool
 
 
-def dilatation_check(jet, d, slack=1e-6):
+def dilatation_check(jet, d):
     """Check |df/d(conj z)| <= bound * |df/dz| for the density's mu bound.
 
     The bound is the largest possible |mu| over the declared convexity band;
     ``distortion`` is the quasiregularity constant K = max(lam_hi, 1 / lam_lo).
     ``defined`` is False when both derivatives vanish (the ratio carries no
-    information); the check then passes vacuously.
+    information); the check then passes vacuously.  The bound holds up to
+    ``DILATATION_SLACK``.
     """
     mu_bound = max(
         (d.lambda_hi - 1.0) / (d.lambda_hi + 1.0),
@@ -128,7 +131,7 @@ def dilatation_check(jet, d, slack=1e-6):
             defined=False,
         )
     ratio = t / s if s > 0.0 else math.inf
-    ok = t <= mu_bound * s + slack
+    ok = t <= mu_bound * s + DILATATION_SLACK
     return DilatationReport(
         ratio=float(ratio),
         bound=float(mu_bound),
@@ -205,7 +208,7 @@ class BeltramiReport:
     jet: Jet
 
 
-def beltrami_residual(f, z, p, step=None):
+def beltrami_residual(f, z, p):
     """Residual of the constant-coefficient Beltrami equation for ``f``.
 
     The modulus rescaling g = |f|**(sqrt(p-1) - 1) * f of a solution of the
@@ -236,7 +239,7 @@ def beltrami_residual(f, z, p, step=None):
             )
         return mods ** (alpha - 1.0) * vals
 
-    jet = wirtinger_jet(rescaled, z, step)
+    jet = wirtinger_jet(rescaled, z)
     g = jet.value
     if abs(g) < FIELD_FLOOR:
         raise ZeroFieldError(

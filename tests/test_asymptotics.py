@@ -1,5 +1,7 @@
 """Radius sweeps, extrapolation to radius zero, and the three verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -229,7 +231,7 @@ def test_batched_extrapolation_keeps_a_short_ladder_in_its_own_group():
     radii = hm.SweepConfig().radii()
     rows = [radii, radii[1:], radii, radii[:1]]
     values = [(0.3 + 0.1j) + (1.0 - 2.0j) * r + 0.4 * r**2 for r in rows]
-    got, _ = _extrapolate_rows(rows, values, hm.ToleranceConfig())
+    got, _ = _extrapolate_rows(rows, values)
     for r, v, est in zip(rows[:3], values[:3], got[:3]):
         assert est == hm.extrapolate(r, v)
     assert isinstance(got[3], hm.InvalidSweepError)
@@ -287,10 +289,33 @@ def test_a_point_whose_jet_samples_nan_is_an_error_row_alone(rows_fn):
     (hm.asymptotics._system_rows, hm.ZeroFieldError),
     (hm.asymptotics._amvp_rows, hm.ZeroFieldError),
 ))
-def test_a_failing_prediction_is_an_error_row_alone(rows_fn, error):
+def test_a_failing_prediction_is_an_error_row_alone(rows_fn, error, monkeypatch):
     # with no field floor, the zero of z is swept, and its prediction fails
-    tol = hm.ToleranceConfig(field_floor=0.0)
-    rows = rows_fn(lambda z: z, [0j, 0.5 + 0j], D2, None, tol)
+    monkeypatch.setattr(hm.asymptotics, "FIELD_FLOOR", 0.0)
+    rows = rows_fn(lambda z: z, [0j, 0.5 + 0j], D2)
     assert isinstance(rows[0], error)
     assert not isinstance(rows[1], hm.HolomeansError)
-    assert rows[1] == rows_fn(lambda z: z, [0.5 + 0j], D2, None, tol)[0]
+    assert rows[1] == rows_fn(lambda z: z, [0.5 + 0j], D2)[0]
+
+
+@pytest.mark.parametrize("cfg, reason", (
+    # four nodes fail the whole engine call, so every radius of every point
+    (hm.SweepConfig(node_count=4), "need at least 8 circle nodes"),
+    # with no Newton iteration no fit at p = 3 meets its first-order tolerance
+    (hm.SweepConfig(solver=hm.SolverConfig(max_iterations=0)), "solver reported failure"),
+))
+def test_a_starved_sweep_names_why_its_radii_failed(cfg, reason):
+    with pytest.raises(InsufficientDataError, match=f"only 0 of 8 radii.*{reason}"):
+        hm.sweep("variational", np.exp, 0.3 + 0.2j, D3, cfg)
+
+
+def test_extrapolate_takes_a_sweep_or_two_arrays_but_not_both():
+    sw = hm.sweep("variational", np.exp, 0.4 + 0.1j, D2)
+    with pytest.raises(InvalidParameterError, match="pass either a sweep or"):
+        hm.extrapolate(sw, sw.values)
+
+
+def test_amvp_verdict_needs_a_declared_small_argument_law():
+    undeclared = dataclasses.replace(D3, small_coeff=float("nan"))
+    with pytest.raises(InvalidParameterError, match="declared small-argument behaviour"):
+        hm.amvp_verdict(np.exp, [0.3 + 0.2j], undeclared)

@@ -365,6 +365,20 @@ _MEAN_BASE = "field.spec = exp\ndensity.spec = power:p=3\nmean.point = 0.3+0.4i\
     ("mean", _MEAN_BASE + "mean.r = 0.25\nmean.kind = bogus\n", None,
      "mean.kind must be one of"),
     ("mean", _MEAN_BASE + "mean.r = 0\n", None, "mean.r must be positive, got 0.0"),
+    ("verify-holo", "field.spec = exp\ndensity.spec = power:p=0.5\npoints.list = 0.5\n", None,
+     "power density needs p > 1, got 0.5"),
+    ("verify-holo", "density.spec = power:p=3\npoints.list = 0.5\n", None,
+     "missing required key 'field.spec'"),
+    ("verify-holo", _VERIFY_BASE + "points.list = ;\n", None, "cannot parse ';' (no points given)"),
+    ("dpp", _SMALL_DPP + "dpp.init = zero\n", None,
+     "dpp.init must be 'field' or 'const:<complex>', got 'zero'"),
+    # settings that are module constants, not scenario keys
+    ("verify-holo", _VERIFY_BASE + "points.list = 0.5\ntol.limit_tol = 1e-3\n", None,
+     "unknown keys for this command: 'tol.limit_tol' (line 4)"),
+    ("mean", _MEAN_BASE + "mean.r = 0.25\nsolver.armijo_slope = 0.1\n", None,
+     "unknown keys for this command: 'solver.armijo_slope' (line 5)"),
+    ("dpp", _SMALL_DPP + "dpp.zero_floor = 1e-6\n", None,
+     "unknown keys for this command: 'dpp.zero_floor' (line 9)"),
 ))
 def test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, command, text, out,
                                                       message):
@@ -389,6 +403,17 @@ def test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, command, 
 def test_nonfinite_radii_steps_and_bounds_exit_2(tmp_path, capsys, command, text, message):
     test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, command, text, None,
                                                      message)
+
+
+def test_a_library_error_exits_1_with_its_class_name(tmp_path, capsys):
+    cfg = write(
+        tmp_path,
+        "zero.ini",
+        "field.spec = const:0\ndensity.spec = power:p=3\n"
+        "mean.kind = conjugate\nmean.point = 0.3\nmean.r = 0.1\n",
+    )
+    assert run(["mean", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("ZeroFieldError: conjugate transform needs")
 
 
 def test_commands_are_the_handler_table_in_order(capsys):

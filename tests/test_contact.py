@@ -280,7 +280,7 @@ def test_direction_fit_residuals_come_from_each_point_s_own_fit():
     assert [len(s.radii) for s in sweeps] == [8, 7, 8, 7]
     jets, _ = _wirtinger_jets(_holed_exp, pts)
     xi = hm.unit_directions(16)
-    rows = _direction_rows(pts, xi, sweeps, jets, D3, hm.ToleranceConfig())
+    rows = _direction_rows(pts, xi, sweeps, jets, D3)
     assert len(rows) == pts.size * xi.size
     for i, s in enumerate(sweeps):
         radii, ratios = _increment_ratios(s)

@@ -1,5 +1,6 @@
 """Grid fixed-point iteration: geometry, interpolation, checkpoints, solves."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from holomeans.errors import (
     InvalidParameterError,
 )
 from holomeans.means import fit_model_coefficient
+from holomeans.pdesystem import FIELD_FLOOR
 
 D2 = hm.power_density(2)
 
@@ -304,11 +306,11 @@ def reference_step(grid, d, cfg):
     frozen = grid.frozen.copy() if grid.frozen is not None else np.zeros_like(interior)
     angles = 2.0 * np.pi * np.arange(cfg.node_count) / cfg.node_count
     offsets = cfg.radius * np.exp(1j * angles)
-    near_zero = (np.abs(grid.values) < cfg.zero_floor) & interior & ~frozen
+    near_zero = (np.abs(grid.values) < FIELD_FLOOR) & interior & ~frozen
     dead = np.zeros_like(near_zero)
     if np.any(near_zero):
         circle = hm.interpolate(grid, grid.points()[near_zero][:, None] + offsets[None, :])
-        dead[near_zero] = np.max(np.abs(circle), axis=1) < cfg.zero_floor
+        dead[near_zero] = np.max(np.abs(circle), axis=1) < FIELD_FLOOR
     if cfg.zero_policy == "freeze":
         frozen = frozen | dead
         active = interior & ~frozen
@@ -380,12 +382,13 @@ def test_dpp_solve_repeats_dpp_step():
     assert grid.values.tobytes() == res.field.values.tobytes()
 
 
-def test_a_node_whose_fit_fails_keeps_its_value():
+@pytest.mark.parametrize("damping", (1.0, 0.8))
+def test_a_node_whose_fit_fails_keeps_its_value(damping):
     # Without a Newton iteration no pair-mean fit at p = 3 meets its
-    # first-order tolerance, so every node falls back to its old value
-    # (damping 1 makes the kept value exact) and counts as skipped.
+    # first-order tolerance, so every node keeps its old value exactly, at
+    # any damping, and counts as skipped.
     g = small_grid(h=0.1, r=0.2)
-    cfg = hm.DppConfig(radius=0.2, damping=1.0, solver=hm.SolverConfig(max_iterations=0))
+    cfg = hm.DppConfig(radius=0.2, damping=damping, solver=hm.SolverConfig(max_iterations=0))
     stepped, diag = hm.dpp_step(g, hm.power_density(3), cfg)
     np.testing.assert_array_equal(stepped.values, g.values)
     assert diag == hm.StepDiagnostics(0.0, 0, int(g.interior_mask().sum()))
@@ -451,6 +454,23 @@ def test_checkpoint_round_trip_keeps_frozen_nodes(tmp_path):
     back = hm.read_checkpoint(path)
     np.testing.assert_array_equal(back.frozen, frozen)
     np.testing.assert_array_equal(back.values, g.values)
+
+
+@pytest.mark.parametrize("token, message", (
+    ("h=nan", "positive finite step"),
+    ("h=0", "positive finite step"),
+    ("h=-0.1", "positive finite step"),
+    ("x1=inf", "finite lattice bounds"),
+    ("h=abc", "malformed lattice value 'h=abc'"),
+    ("strip=x", "malformed lattice value 'strip=x'"),
+))
+def test_checkpoint_refuses_bad_lattice_metadata(tmp_path, token, message):
+    path = tmp_path / "bad.csv"
+    hm.write_checkpoint(small_grid(), path)
+    key = token.partition("=")[0]
+    path.write_text(re.sub(rf" {key}=\S+", f" {token}", path.read_text(), count=1))
+    with pytest.raises(InvalidParameterError, match=message):
+        hm.read_checkpoint(path)
 
 
 def test_checkpoint_refuses_a_wrong_row_count(tmp_path):

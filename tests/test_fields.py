@@ -1,5 +1,7 @@
 """Field catalogue: spec parsing, closed-form values, gradient profiles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,19 @@ def test_radial_potential_jet_matches_gradient_field():
         jet = hm.gradient_jet(u2)
         assert jet.base == z
         assert jet.value == pytest.approx(complex(f(np.array([z]))[0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, message", (
+    ("pharm-radial:2", "p = 2 gives a constant potential"),
+    ("pharm-linear:1", "exponent must satisfy p > 1, got 1.0"),
+    ("pharm-linear:3,1", "takes 1 argument(s), got 2"),
+    ("pharm-radial:3+1i", "argument 1 of field 'pharm-radial' must be real"),
+))
+def test_make_field_says_what_is_wrong_with_a_spec(spec, message):
+    with pytest.raises(hm.InvalidParameterError, match=re.escape(message)):
+        hm.make_field(spec)
+
+
+def test_radial_potential_jet_is_undefined_at_the_origin():
+    with pytest.raises(hm.InvalidParameterError, match="undefined at 0"):
+        hm.radial_potential_jet2(3.0, 0)

@@ -150,3 +150,25 @@ def test_batched_jets_keep_a_non_finite_stencil_in_its_slot():
     assert jets.dz[0] == hm.wirtinger_jet(f, 0.2 + 0.1j).dz
     with pytest.raises(NonFiniteSampleError):
         hm.wirtinger_jet(f, 0.9 - 1e-6)
+
+
+@pytest.mark.parametrize("radius, radial_nodes, node_count, message", (
+    (0.0, 32, 64, "disk radius must be positive"),
+    (np.nan, 32, 64, "disk radius must be positive"),
+    (0.5, 3, 64, "need at least 4 radial and 8 angular nodes"),
+    (0.5, 32, 4, "need at least 4 radial and 8 angular nodes"),
+))
+def test_disk_rule_rejects_bad_parameters(radius, radial_nodes, node_count, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        hm.disk_rule(CENTER, radius, radial_nodes, node_count)
+
+
+def test_circle_integral_samples_a_callable_and_checks_given_samples():
+    q = hm.circle_rule(CENTER, RADIUS, 16)
+    assert hm.circle_integral(q, np.exp) == hm.circle_integral(q, np.exp(q.nodes))
+    with pytest.raises(InvalidParameterError, match="sample count does not match"):
+        hm.circle_integral(q, np.ones(15))
+    values = np.ones(16)
+    values[3] = np.nan
+    with pytest.raises(NonFiniteSampleError, match="non-finite integrand at node 3"):
+        hm.circle_integral(q, values)

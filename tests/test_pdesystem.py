@@ -1,5 +1,7 @@
 """Nonlinear system residuals, dilatation bounds, and potential-field jets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,23 @@ def test_vee_matrix_is_real_bilinear():
     left = hm.vee_matrix(xi, a * e1 + b * e2)
     right = a * hm.vee_matrix(xi, e1) + b * hm.vee_matrix(xi, e2)
     np.testing.assert_allclose(left, right, atol=1e-14)
+
+
+def test_p_harmonic_gradient_residual_refuses_p_at_most_1_and_a_zero_gradient():
+    u2 = hm.radial_potential_jet2(3.0, 0.5 + 0.2j)
+    with pytest.raises(InvalidParameterError, match="p > 1, got 1.0"):
+        hm.p_harmonic_gradient_residual(u2, 1.0)
+    flat = dataclasses.replace(u2, dx=0.0, dy=0.0)
+    with pytest.raises(ZeroFieldError, match="needs a nonvanishing gradient"):
+        hm.p_harmonic_gradient_residual(flat, 3.0)
+
+
+@pytest.mark.parametrize("spec, p, error, message", (
+    ("pharm-radial:3", 1.0, InvalidParameterError, "p > 1, got 1.0"),
+    ("const:0", 3.0, ZeroFieldError, "modulus rescaling needs"),
+    # |f| = 1e-7 passes the field floor, but |g| = |f|**sqrt(p - 1) = 1e-14 does not
+    ("const:1e-7", 5.0, ZeroFieldError, "Beltrami residual needs"),
+))
+def test_beltrami_residual_refuses_p_at_most_1_and_a_vanishing_field(spec, p, error, message):
+    with pytest.raises(error, match=message):
+        hm.beltrami_residual(hm.make_field(spec), 0.5 + 0.2j, p)
