@@ -443,6 +443,31 @@ def test_dpp_step_refuses_nonfinite_circle_samples():
         hm.dpp_step(replace(g, values=values), D2, hm.DppConfig(radius=0.2))
 
 
+@pytest.mark.parametrize("p", (2.0, 3.0))
+def test_a_nan_read_only_through_a_zero_weight_corner_still_raises(p):
+    # At h = 0.1 and r = 0.2 the outermost strip column is reached only by
+    # the corners of the theta = 0 circle node, which lies on the lattice
+    # column before it, so their weights are exactly 0; 0 * nan is nan.
+    g = small_grid(h=0.1, r=0.2)
+    values = g.values.copy()
+    values[5, -1] = np.nan
+    with pytest.raises(hm.NonFiniteSampleError, match="not finite"):
+        hm.dpp_step(replace(g, values=values), hm.power_density(p), hm.DppConfig(radius=0.2))
+
+
+@pytest.mark.parametrize("p", (2.0, 3.0))
+def test_a_nan_on_a_strip_node_no_circle_reads_does_not_raise(p):
+    g = small_grid(h=0.1, r=0.2)
+    values = g.values.copy()
+    values[0, 0] = np.nan  # strip corner, farther than r from every unknown
+    stepped, diag = hm.dpp_step(
+        replace(g, values=values), hm.power_density(p), hm.DppConfig(radius=0.2)
+    )
+    mask = g.interior_mask()
+    assert np.all(np.isfinite(stepped.values[mask]))
+    assert diag.updated_count == int(mask.sum())
+
+
 def test_checkpoint_round_trip_keeps_frozen_nodes(tmp_path):
     g = small_grid()
     frozen = np.zeros(g.values.shape, dtype=bool)

@@ -5,7 +5,8 @@ seed 0.  Besides the shipped scenarios, each ``verify-*`` command has one
 case whose sweeps are starved (``sweep.min_successes`` above the radius
 count, so every point becomes an ``error`` row), and each ``verify-*``
 command and ``contact`` have one case with a field zero (``square`` at 0,
-an ``untestable`` row next to normal ones).
+an ``untestable`` row next to normal ones).  ``dpp_power3`` pins a DPP solve
+off the quadratic density, where every sweep runs the Newton fits.
 
 Regenerate after an intended output change with::
 
@@ -47,6 +48,13 @@ INLINE_CASES = {
     for kind, text in (("error", _STARVED), ("untestable", _ZERO))
 }
 INLINE_CASES["contact_untestable"] = ("contact", _ZERO, 1)
+INLINE_CASES["dpp_power3"] = (
+    "dpp",
+    "field.spec = pharm-radial:3\ndensity.spec = power:p=3\n"
+    "dpp.x0 = 0.5\ndpp.x1 = 1.1\ndpp.y0 = 0.5\ndpp.y1 = 1.1\n"
+    "dpp.h = 0.1\ndpp.radius = 0.2\ndpp.init = const:1\ndpp.max_iterations = 40\n",
+    0,
+)
 
 CASES = {**SCENARIO_CASES, **INLINE_CASES}
 
