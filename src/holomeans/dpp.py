@@ -9,12 +9,16 @@ The solver damps the natural fixed-point map
 
 and stops when the sup update over computed nodes drops below a tolerance.
 Circle samples between lattice nodes are obtained by bilinear interpolation.
-The lattice and the circle offsets are fixed for the whole solve, so the
-gather indices and corner weights of every interior circle are built once
-per solve and each sweep only re-weights the current values.  The pair mean
-is then a pair of batched one-dimensional Newton solves over every node at
-once; for a quadratic density (``lambda_lo == lambda_hi == 1``) it is the
-closed-form weighted projection, with no Newton run.
+Every unknown is a lattice node, so each circle node's bilinear cell lies
+at the same lattice shift from every unknown: the four corner shifts and
+weights of each circle node come once per solve from ``offsets / h``.  The
+centre and slope projections of the samples are summed over equal shifts
+into one coefficient per distinct shift (a tap), and a sweep gets them as a
+sum over the taps of coefficient times the shifted window of lattice
+values.  For a quadratic density (``lambda_lo == lambda_hi == 1``) the pair
+mean is that closed-form weighted projection, with no Newton run; otherwise
+the projections start a pair of batched one-dimensional Newton solves over
+every node at once, on circle samples gathered through the same shifts.
 
 Nodes where the field modulus falls below ``FIELD_FLOOR`` make the mean
 ill-posed (the density may lose smoothness at zero); the ``zero_policy``
@@ -193,13 +197,10 @@ def with_interior(grid, filler):
     return replace(grid, values=values)
 
 
-def _bilinear_stencil(grid, pts):
-    """Flat gather indices and corner weights of bilinear interpolation.
+def interpolate(grid, pts):
+    """Bilinear interpolation of the grid field at complex points.
 
-    Returns ``(index, weight)``, each of shape ``(4,) + pts.shape``: the
-    lower-left, lower-right, upper-left and upper-right corner of the cell
-    holding each point, as flat indices into ``grid.values``, and their
-    weights.  Raises when a point lies outside the lattice hull.
+    Raises when a point lies outside the lattice hull.
     """
     pts = np.asarray(pts, dtype=complex)
     nx, ny = grid.shape
@@ -207,54 +208,21 @@ def _bilinear_stencil(grid, pts):
     oy = grid.y0 - grid.strip_cells * grid.h
     gx = (pts.real - ox) / grid.h
     gy = (pts.imag - oy) / grid.h
-    pad = GRID_SNAP_TOL
-    if np.any(gx < -pad) or np.any(gx > nx - 1 + pad) or np.any(
-        gy < -pad
-    ) or np.any(gy > ny - 1 + pad):
-        bad = pts.ravel()[
-            int(
-                np.argmax(
-                    np.maximum(
-                        np.maximum(-gx, gx - (nx - 1)),
-                        np.maximum(-gy, gy - (ny - 1)),
-                    ).ravel()
-                )
-            )
-        ]
+    outside = np.maximum(np.maximum(-gx, gx - (nx - 1)), np.maximum(-gy, gy - (ny - 1)))
+    if np.any(outside > GRID_SNAP_TOL):
+        bad = pts.ravel()[int(np.argmax(outside.ravel()))]
         raise InvalidParameterError(f"point {bad} lies outside the lattice hull")
     ix = np.clip(np.floor(gx).astype(int), 0, nx - 2)
     iy = np.clip(np.floor(gy).astype(int), 0, ny - 2)
     fx = gx - ix
     fy = gy - iy
-    # Filled in place: a DPP stencil holds every interior circle at once.
-    index = np.empty((4,) + pts.shape, dtype=np.intp)
-    np.add(iy * nx, ix, out=index[0])
-    np.add(index[0], 1, out=index[1])
-    np.add(index[0], nx, out=index[2])
-    np.add(index[2], 1, out=index[3])
-    weight = np.empty((4,) + pts.shape)
-    np.multiply(1.0 - fx, 1.0 - fy, out=weight[0])
-    np.multiply(fx, 1.0 - fy, out=weight[1])
-    np.multiply(1.0 - fx, fy, out=weight[2])
-    np.multiply(fx, fy, out=weight[3])
-    return index, weight
-
-
-def _bilinear_apply(values, stencil):
-    """The bilinear four-corner sum of ``values`` over a built stencil."""
-    index, weight = stencil
-    v = values.ravel()
+    v = grid.values
     return (
-        weight[0] * v[index[0]]
-        + weight[1] * v[index[1]]
-        + weight[2] * v[index[2]]
-        + weight[3] * v[index[3]]
+        (1.0 - fx) * (1.0 - fy) * v[iy, ix]
+        + fx * (1.0 - fy) * v[iy, ix + 1]
+        + (1.0 - fx) * fy * v[iy + 1, ix]
+        + fx * fy * v[iy + 1, ix + 1]
     )
-
-
-def interpolate(grid, pts):
-    """Bilinear interpolation of the grid field at complex points."""
-    return _bilinear_apply(grid.values, _bilinear_stencil(grid, pts))
 
 
 @dataclass(frozen=True)
@@ -285,6 +253,18 @@ class DppConfig:
         if self.zero_policy not in ("skip", "freeze"):
             raise ConfigError(
                 f"zero_policy must be 'skip' or 'freeze', got {self.zero_policy!r}"
+            )
+        if self.max_iterations < 0:
+            raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        if not self.residual_tol >= 0.0:
+            raise ConfigError(f"residual_tol must be >= 0, got {self.residual_tol}")
+        if self.divergence_window < 1:
+            raise ConfigError(
+                f"divergence_window must be at least 1 sweep, got {self.divergence_window}"
+            )
+        if not 1.0 <= self.divergence_factor < math.inf:
+            raise ConfigError(
+                f"divergence_factor must be finite and at least 1, got {self.divergence_factor}"
             )
 
 
@@ -346,26 +326,84 @@ def _check_geometry(grid, cfg):
 
 
 class _CircleStencil(NamedTuple):
-    """Everything a sweep needs that is fixed for the whole solve."""
+    """Everything a sweep needs that is fixed for the whole solve.
+
+    Every unknown is a lattice node, so each circle node's bilinear cell
+    lies at the same lattice shift from every unknown.  ``corners`` holds
+    the four corner shifts of each circle node as flat offsets into the
+    lattice and ``corner_weights`` their weights.  The centre projection
+    (``1/n`` per node) and the slope projection (``offset * w0 / (2 pi
+    r^3)`` per node) are summed over equal shifts into one coefficient per
+    distinct shift, a tap; ``windows`` holds each tap's shifted view of the
+    unknown rectangle.  Corners of weight 0 stay taps, so a non-finite
+    value they touch still makes the sum non-finite.
+    """
 
     offsets: np.ndarray  # (nodes,) circle offsets from the centre
     weights: np.ndarray  # (nodes,) arc-length quadrature weights
     interior: np.ndarray  # (ny, nx) mask of the unknown nodes
-    gather: tuple  # bilinear stencil of every interior circle, (rows, nodes)
+    base: np.ndarray  # (rows,) flat lattice index of each unknown
+    corners: np.ndarray  # (4, nodes) flat lattice shift of each cell corner
+    corner_weights: np.ndarray  # (4, nodes) bilinear weight of each corner
+    windows: tuple  # (taps,) index pairs of the shifted unknown rectangle
+    centre: np.ndarray  # (taps,) real coefficients of the centre projection
+    slope: np.ndarray  # (taps,) complex coefficients of the slope projection
 
 
 def _circle_stencil(grid, cfg):
-    """Circle rule and bilinear gather for every interior node of the grid."""
+    """Corner shifts, weights and projection taps of the circle rule."""
     q = circle_rule(0j, cfg.radius, cfg.node_count)
+    nx, ny = grid.shape
+    s = grid.strip_cells
+    cells = q.nodes / grid.h
+    ix, iy = np.floor(cells.real), np.floor(cells.imag)
+    fx, fy = cells.real - ix, cells.imag - iy
+    dx = ix.astype(int) + np.array([0, 1, 0, 1])[:, None]
+    dy = iy.astype(int) + np.array([0, 0, 1, 1])[:, None]
+    corner_weights = np.stack(
+        [(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy), (1.0 - fx) * fy, fx * fy]
+    )
+    shifts, tap = np.unique(
+        np.column_stack([dy.ravel(), dx.ravel()]), axis=0, return_inverse=True
+    )
+    tap, taps = tap.ravel(), len(shifts)
+    centre = np.bincount(tap, corner_weights.ravel(), taps) / cfg.node_count
+    slope_terms = (corner_weights * q.nodes).ravel()
+    slope = (
+        np.bincount(tap, slope_terms.real, taps) + 1j * np.bincount(tap, slope_terms.imag, taps)
+    ) * (q.weights[0] / (2.0 * np.pi * cfg.radius**3))
+    windows = tuple(
+        (slice(s + sy, ny - s + sy), slice(s + sx, nx - s + sx)) for sy, sx in shifts.tolist()
+    )
     interior = grid.interior_mask()
-    circles = grid.points()[interior][:, None] + q.nodes[None, :]
-    return _CircleStencil(q.nodes, q.weights, interior, _bilinear_stencil(grid, circles))
+    return _CircleStencil(
+        q.nodes, q.weights, interior, np.flatnonzero(interior), dy * nx + dx,
+        corner_weights, windows, centre, slope,
+    )
 
 
-def _circle_samples(grid, stencil, rows):
-    """Interpolated circle samples of the interior nodes selected by ``rows``."""
-    index, weight = stencil.gather
-    return _bilinear_apply(grid.values, (index[:, rows], weight[:, rows]))
+def _tap_sum(values, stencil, coefficients):
+    """Sum over the taps of coefficient times shifted window, per unknown.
+
+    The entries follow ``values[stencil.interior]``.
+    """
+    total = 0.0
+    for window, c in zip(stencil.windows, coefficients.tolist()):
+        total = total + c * values[window]
+    return total.ravel()
+
+
+def _circle_samples(values, stencil, rows):
+    """Interpolated circle samples of the unknowns selected by ``rows``."""
+    v = values.ravel()
+    at = stencil.base[rows][:, None]
+    (w0, w1, w2, w3), (c0, c1, c2, c3) = stencil.corner_weights, stencil.corners
+    return w0 * v[at + c0] + w1 * v[at + c1] + w2 * v[at + c2] + w3 * v[at + c3]
+
+
+def _require_finite(samples):
+    if not np.all(np.isfinite(samples)):
+        raise NonFiniteSampleError("interpolated circle samples are not finite")
 
 
 def dpp_step(grid, d, cfg):
@@ -389,27 +427,25 @@ def _sweep(grid, d, cfg, stencil):
     near_zero = (np.abs(grid.values) < FIELD_FLOOR) & interior & ~frozen
     dead = np.zeros_like(near_zero)
     if np.any(near_zero):
-        circle = _circle_samples(grid, stencil, near_zero[interior])
+        circle = _circle_samples(grid.values, stencil, near_zero[interior])
         dead[near_zero] = np.max(np.abs(circle), axis=1) < FIELD_FLOOR
     active = interior & ~frozen & ~dead
     skipped = int(np.count_nonzero(interior & ~active))
 
     rows = slice(None) if skipped == 0 else active[interior]
-    samples = _circle_samples(grid, stencil, rows)
-    if not np.all(np.isfinite(samples)):
-        raise NonFiniteSampleError("interpolated circle samples are not finite")
-    offsets, weights = stencil.offsets, stencil.weights
-
-    init_a = samples.mean(axis=1)
-    init_b = (samples * offsets).sum(axis=1) * weights[0] / (
-        2.0 * np.pi * cfg.radius**3
-    )
+    values = grid.values
     if d.lambda_lo == d.lambda_hi == 1.0:
         # s F''/F' == 1 makes F = c s^2 + const, whose minimizers are the
-        # weighted projections themselves.
-        mean = init_a + cfg.radius * init_b
+        # weighted projections themselves: one pass over the taps.
+        mean = _tap_sum(values, stencil, stencil.centre + cfg.radius * stencil.slope)[rows]
+        _require_finite(mean)
         bad = np.zeros(mean.shape, dtype=bool)
     else:
+        samples = _circle_samples(values, stencil, rows)
+        _require_finite(samples)
+        init_a = _tap_sum(values, stencil, stencil.centre)[rows]
+        init_b = _tap_sum(values, stencil, stencil.slope)[rows]
+        offsets, weights = stencil.offsets, stencil.weights
         ones = np.ones_like(offsets)
         res_a = fit_model_coefficient(d, samples, weights, ones, init_a, cfg.solver)
         res_b = fit_model_coefficient(

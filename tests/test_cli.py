@@ -271,19 +271,23 @@ def test_dpp_command_writes_header_to_stdout_without_out(tmp_path, capsys):
 
 
 def test_dpp_command_reports_divergence(tmp_path):
-    # an impossibly strict progress factor turns slow decay into a
-    # divergence report after the first window
+    # conj data is no fixed point of the pair-mean map: undamped on
+    # [0, 1.6]^2 its sup residual stays at r = 0.2 for three sweeps and then
+    # grows: the sixth is more than 1.1 times the third
     cfg = write(
         tmp_path,
         "div.ini",
-        _SMALL_DPP + "dpp.init = const:0\ndpp.damping = 0.05\n"
-        "dpp.residual_tol = 1e-14\ndpp.divergence_window = 1\n"
-        "dpp.divergence_factor = 0.1\n",
+        "field.spec = conj\ndensity.spec = power:p=2\n"
+        "dpp.x0 = 0\ndpp.x1 = 1.6\ndpp.y0 = 0\ndpp.y1 = 1.6\n"
+        "dpp.h = 0.1\ndpp.radius = 0.2\ndpp.damping = 1\n"
+        "dpp.residual_tol = 1e-14\ndpp.divergence_window = 3\n"
+        "dpp.divergence_factor = 1.1\n",
     )
     out = tmp_path / "div.csv"
     assert run(["dpp", "--config", cfg, "--out", out]) == 1
     text = out.read_text()
     assert "# converged = false" in text
+    assert "# iterations = 6" in text
     (line,) = [l for l in text.splitlines() if l.startswith("# diverged = ")]
     assert "residual grew" in line
     assert hm.read_checkpoint(out).h == pytest.approx(0.1)
@@ -403,6 +407,17 @@ def test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, command, 
 def test_nonfinite_radii_steps_and_bounds_exit_2(tmp_path, capsys, command, text, message):
     test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, command, text, None,
                                                      message)
+
+
+@pytest.mark.parametrize("line, message", (
+    ("dpp.divergence_window = -3", "divergence_window must be at least 1 sweep, got -3"),
+    ("dpp.divergence_factor = 0.5", "divergence_factor must be finite and at least 1"),
+    ("dpp.max_iterations = -1", "max_iterations must be >= 0, got -1"),
+    ("dpp.residual_tol = nan", "residual_tol must be >= 0, got nan"),
+))
+def test_dpp_iteration_settings_out_of_range_exit_2(tmp_path, capsys, line, message):
+    test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, "dpp",
+                                                     _SMALL_DPP + line + "\n", None, message)
 
 
 def test_a_library_error_exits_1_with_its_class_name(tmp_path, capsys):
