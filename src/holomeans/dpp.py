@@ -200,7 +200,7 @@ def with_interior(grid, filler):
 def interpolate(grid, pts):
     """Bilinear interpolation of the grid field at complex points.
 
-    Raises when a point lies outside the lattice hull.
+    Raises when a point is not finite or lies outside the lattice hull.
     """
     pts = np.asarray(pts, dtype=complex)
     nx, ny = grid.shape
@@ -209,7 +209,7 @@ def interpolate(grid, pts):
     gx = (pts.real - ox) / grid.h
     gy = (pts.imag - oy) / grid.h
     outside = np.maximum(np.maximum(-gx, gx - (nx - 1)), np.maximum(-gy, gy - (ny - 1)))
-    if np.any(outside > GRID_SNAP_TOL):
+    if not np.all(outside <= GRID_SNAP_TOL):
         bad = pts.ravel()[int(np.argmax(outside.ravel()))]
         raise InvalidParameterError(f"point {bad} lies outside the lattice hull")
     ix = np.clip(np.floor(gx).astype(int), 0, nx - 2)
@@ -328,15 +328,8 @@ def _check_geometry(grid, cfg):
 class _CircleStencil(NamedTuple):
     """Everything a sweep needs that is fixed for the whole solve.
 
-    Every unknown is a lattice node, so each circle node's bilinear cell
-    lies at the same lattice shift from every unknown.  ``corners`` holds
-    the four corner shifts of each circle node as flat offsets into the
-    lattice and ``corner_weights`` their weights.  The centre projection
-    (``1/n`` per node) and the slope projection (``offset * w0 / (2 pi
-    r^3)`` per node) are summed over equal shifts into one coefficient per
-    distinct shift, a tap; ``windows`` holds each tap's shifted view of the
-    unknown rectangle.  Corners of weight 0 stay taps, so a non-finite
-    value they touch still makes the sum non-finite.
+    Corners of weight 0 stay taps, so a non-finite value they touch still
+    makes the tap sum non-finite.
     """
 
     offsets: np.ndarray  # (nodes,) circle offsets from the centre

@@ -383,6 +383,14 @@ _MEAN_BASE = "field.spec = exp\ndensity.spec = power:p=3\nmean.point = 0.3+0.4i\
      "unknown keys for this command: 'solver.armijo_slope' (line 5)"),
     ("dpp", _SMALL_DPP + "dpp.zero_floor = 1e-6\n", None,
      "unknown keys for this command: 'dpp.zero_floor' (line 9)"),
+    # iteration settings out of range
+    ("dpp", _SMALL_DPP + "dpp.divergence_window = -3\n", None,
+     "divergence_window must be at least 1 sweep, got -3"),
+    ("dpp", _SMALL_DPP + "dpp.divergence_factor = 0.5\n", None,
+     "divergence_factor must be finite and at least 1, got 0.5"),
+    ("dpp", _SMALL_DPP + "dpp.max_iterations = -1\n", None,
+     "max_iterations must be >= 0, got -1"),
+    ("dpp", _SMALL_DPP + "dpp.residual_tol = nan\n", None, "residual_tol must be >= 0, got nan"),
 ))
 def test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, command, text, out,
                                                       message):
@@ -407,17 +415,6 @@ def test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, command, 
 def test_nonfinite_radii_steps_and_bounds_exit_2(tmp_path, capsys, command, text, message):
     test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, command, text, None,
                                                      message)
-
-
-@pytest.mark.parametrize("line, message", (
-    ("dpp.divergence_window = -3", "divergence_window must be at least 1 sweep, got -3"),
-    ("dpp.divergence_factor = 0.5", "divergence_factor must be finite and at least 1"),
-    ("dpp.max_iterations = -1", "max_iterations must be >= 0, got -1"),
-    ("dpp.residual_tol = nan", "residual_tol must be >= 0, got nan"),
-))
-def test_dpp_iteration_settings_out_of_range_exit_2(tmp_path, capsys, line, message):
-    test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, "dpp",
-                                                     _SMALL_DPP + line + "\n", None, message)
 
 
 def test_a_library_error_exits_1_with_its_class_name(tmp_path, capsys):

@@ -101,6 +101,12 @@ def test_interpolation_rejects_points_off_the_lattice():
         hm.interpolate(g, np.array([10.0 + 0j]))
 
 
+@pytest.mark.parametrize("point", (complex(np.nan, 0.1), complex(0.1, np.inf)))
+def test_interpolation_refuses_points_that_are_not_finite(point):
+    with pytest.raises(InvalidParameterError, match="lies outside the lattice hull"):
+        hm.interpolate(small_grid(), np.array([0.1 + 0.1j, point]))
+
+
 def test_checkpoint_round_trip(tmp_path):
     g = small_grid()
     g = hm.with_interior(g, 0.25 + 0.5j)
