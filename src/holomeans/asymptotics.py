@@ -4,14 +4,18 @@ A sweep computes one of the circle means at a geometric ladder of radii
 ``r_k = r0 * rho**k``; extrapolation fits the complex linear model
 ``value ~ limit + slope * r`` by least squares and classifies the limit:
 
-* ``vanishes``           |limit| <= LIMIT_TOL and the fit is credible
-* ``converges_nonzero``  |limit| >  LIMIT_TOL and the fit is credible
+* ``vanishes``           |limit| <= ZERO_TOL and the fit is credible
+* ``converges_nonzero``  |limit| >  ZERO_TOL and the fit is credible
 * ``inconclusive``       the residual of the fit exceeds its gate
 
-The fit gate is ``FIT_TOL_COEFF * max(max_k |value_k|, LIMIT_TOL)``; the
-``LIMIT_TOL`` floor keeps sweeps whose values are uniformly at noise level
+The fit gate is ``FIT_TOL_COEFF * max(max_k |value_k|, ZERO_TOL)``; the
+``ZERO_TOL`` floor keeps sweeps whose values are uniformly at noise level
 (e.g. exactly holomorphic data) conclusive instead of comparing noise
 against a vanishing fraction of itself.
+
+Every verdict decides this way, through :func:`_decide`, on the modulus of
+a limit or residual, or on minus a one-sided limit; jet membership also
+leaves sizes below ``REJECT_TOL`` undecided.
 
 Three verdicts build on sweeps: holomorphy of a field through the
 conjugate-transformed mean, membership in the nonlinear Cauchy-Riemann
@@ -37,6 +41,7 @@ the one-point calls.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,15 +72,25 @@ __all__ = [
     "amvp_verdict",
 ]
 
-# Decision thresholds of the verdicts.  LIMIT_TOL and FIT_TOL_COEFF classify
-# an extrapolated limit (module docstring); RESIDUAL_TOL bounds the analytic
-# system residual, AMVP_TOL the pair-mean increment limit, and MATCH_TOL the
-# gap between a sweep's limit and its analytic prediction.
-LIMIT_TOL = 1e-4
+# Decision thresholds (module docstring).  Jet membership's undecided band up to
+# REJECT_TOL absorbs extrapolation noise; MATCH_TOL bounds the gap between a
+# sweep's limit and its analytic prediction for a ``consistent`` row.
+ZERO_TOL = 1e-4
+REJECT_TOL = 1e-3
 FIT_TOL_COEFF = 1e-3
-RESIDUAL_TOL = 1e-4
 MATCH_TOL = 1e-3
-AMVP_TOL = 1e-4
+
+
+def _decide(size, credible=True, reject=ZERO_TOL):
+    """Sort sizes, elementwise, into ``vanishes`` (up to ``ZERO_TOL``),
+    ``converges_nonzero`` (from ``reject`` on, and NaN) or ``inconclusive``
+    (in between, and wherever ``credible`` is false)."""
+    decided = np.where(size <= ZERO_TOL, "vanishes",
+                       np.where(size < reject, "inconclusive", "converges_nonzero"))
+    return np.where(credible, decided, "inconclusive")
+
+
+_decide_membership = functools.partial(_decide, reject=REJECT_TOL)
 
 
 @dataclass(frozen=True)
@@ -312,13 +327,11 @@ def _extrapolate_rows(radii_rows, value_rows):
         for i, res in zip(idx.tolist(), residual):
             residuals[i] = res
         fit_residual = np.sqrt(np.mean(np.abs(residual) ** 2, axis=-1))
-        scale = np.maximum(np.max(np.abs(values), axis=-1), LIMIT_TOL)
-        credible = fit_residual <= FIT_TOL_COEFF * scale
-        vanishes = _modulus(limit) <= LIMIT_TOL
-        columns = (idx, limit, slope, fit_residual, credible, vanishes)
-        for i, lim, slo, res, ok, zero in zip(*(c.tolist() for c in columns)):
-            verdict = ("vanishes" if zero else "converges_nonzero") if ok else "inconclusive"
-            out[i] = LimitEstimate(lim, slo, res, verdict)
+        scale = np.maximum(np.max(np.abs(values), axis=-1), ZERO_TOL)
+        verdict = _decide(_modulus(limit), fit_residual <= FIT_TOL_COEFF * scale)
+        columns = (idx, limit, slope, fit_residual, verdict)
+        for i, *fields in zip(*(c.tolist() for c in columns)):
+            out[i] = LimitEstimate(*fields)
     return out, residuals
 
 
@@ -433,7 +446,7 @@ def _system_rows(f, points, d, cfg=None):
     """Rows of :func:`system_verdict`, a failing point's error in its slot."""
 
     def row(z, est, residual):
-        analytic_ok = abs(residual) <= RESIDUAL_TOL
+        analytic_ok = _SYSTEM[str(_decide(abs(residual)))]
         sweep_ok = _SYSTEM[est.verdict]
         return SystemVerdict(
             point=z,
@@ -441,7 +454,7 @@ def _system_rows(f, points, d, cfg=None):
             estimate=est,
             analytic_residual=complex(residual),
             sweep_satisfied=sweep_ok,
-            analytic_satisfied=bool(analytic_ok),
+            analytic_satisfied=analytic_ok,
             consistent=bool(sweep_ok is not None and sweep_ok == analytic_ok),
         )
 
@@ -453,7 +466,7 @@ def amvp_verdict(f, points, d, cfg=None):
     """Asymptotic mean value property of the pair mean at each point.
 
     Sweeps ``(pair mean value - f(z)) / r`` and extrapolates; the property
-    holds exactly when |limit| <= AMVP_TOL, with no inconclusive state (the
+    holds exactly when |limit| <= ZERO_TOL, with no inconclusive state (the
     fit quality is reported on the estimate but does not gate the decision).
     The limit is cross-checked against the first-order bracket (the system
     residual of the finite-difference jet), which is valid for densities
@@ -472,13 +485,13 @@ def _amvp_rows(f, points, d, cfg=None):
         )
 
     def row(z, est, bracket):
-        holds = abs(est.limit) <= AMVP_TOL
+        holds = str(_decide(abs(est.limit))) == "vanishes"
         gap = abs(est.limit - bracket)
         return AmvpVerdict(
             point=z,
             status="holds" if holds else "fails",
             estimate=est,
-            holds=bool(holds),
+            holds=holds,
             bracket=complex(bracket),
             bracket_gap=float(gap),
             consistent=bool(gap <= MATCH_TOL),

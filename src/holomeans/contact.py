@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import (
-    AMVP_TOL,
-    RESIDUAL_TOL,
     LimitEstimate,
     SweepConfig,
+    _decide,
+    _decide_membership,
     _extrapolate_rows,
     _increment_ratios,
     _sweeps,
@@ -73,10 +73,8 @@ __all__ = [
 UNIT_TOL = 1e-12
 ZERO_FLOOR = 1e-12
 DEFAULT_DIRECTION_COUNT = 16
-# Jet membership: a member at a limit of at most MEMBER_TOL, rejected at one
-# of at least REJECT_TOL; the gap between the two absorbs extrapolation noise.
-MEMBER_TOL = 1e-4
-REJECT_TOL = 1e-3
+_MEMBERSHIP = {"vanishes": "member", "converges_nonzero": "rejected",
+               "inconclusive": "inconclusive"}
 
 
 def _check_unit(xi):
@@ -198,8 +196,8 @@ def jet_membership(f, probe, cfg=None):
     At each radius the remainder E = f - [f(base) + affine slopes] is
     sampled on the circle and the largest eigenvalue of xi v E, divided by
     the radius, is recorded; the sequence is extrapolated to radius zero.
-    The jet is a member when the limit is at most ``MEMBER_TOL`` and
-    rejected when it is at least ``REJECT_TOL``.
+    The jet is a member when the limit is at most ``ZERO_TOL`` and
+    rejected when it is at least ``REJECT_TOL``; a poor fit is inconclusive.
     """
     cfg = cfg or SweepConfig()
     xi = _check_unit(probe.xi)
@@ -216,19 +214,11 @@ def jet_membership(f, probe, cfg=None):
     ratios = np.max(top, axis=1) / radii
 
     est = extrapolate(radii, ratios.astype(complex))
-    limit = est.limit.real
-    if est.verdict == "inconclusive":
-        verdict = "inconclusive"
-    elif limit <= MEMBER_TOL:
-        verdict = "member"
-    elif limit >= REJECT_TOL:
-        verdict = "rejected"
-    else:
-        verdict = "inconclusive"
     return MembershipResult(
         point=z,
         xi=xi,
-        verdict=verdict,
+        verdict=_MEMBERSHIP[str(_decide_membership(est.limit.real,
+                                                   est.verdict != "inconclusive"))],
         estimate=est,
         ratios=tuple(float(v) for v in ratios),
     )
@@ -259,9 +249,10 @@ def _direction_rows(points, xi, sweeps, jets, d):
     gaps and decisions are (points, directions) arrays.  Limits and fit
     residuals project the limit and the residual vector of each point's one
     linear fit.  The decision is one-sided and decisive: the property holds
-    along xi exactly when the projected limit stays above ``-AMVP_TOL``.
-    Fit quality is reported per direction but does not gate the decision.
-    Returns the rows point by point, each point's directions in order.
+    along xi exactly when the projected limit is at least ``-ZERO_TOL``, and
+    a row is consistent when its envelope is decided alike.  Fit quality is
+    reported per direction but does not gate the decision.  Returns the rows
+    point by point, each point's directions in order.
     """
     series = [_increment_ratios(s) for s in sweeps]
     estimates, residuals = _extrapolate_rows([r for r, _ in series], [v for _, v in series])
@@ -272,8 +263,8 @@ def _direction_rows(points, xi, sweeps, jets, d):
                               for res in residuals]).reshape(limits.shape)
     envelopes = _xi_envelopes(jets.value, jets.dz, jets.dzbar, xi, d)
     gaps = np.abs(limits - envelopes)
-    holds = limits >= -AMVP_TOL
-    consistent = holds == (envelopes >= -AMVP_TOL)
+    holds = _decide(-limits) == "vanishes"
+    consistent = holds == (_decide(-envelopes) == "vanishes")
     columns = (limits, fit_residuals, envelopes, gaps, holds, consistent)
     xi_list = np.asarray(xi, dtype=complex).tolist()
     rows = []
@@ -299,7 +290,7 @@ def camvp_verdict(f, probe, d, cfg=None):
     The field value at the base point together with the probe's slope pair
     forms an affine touching surrogate; the xi projection of the surrogate's
     pair-mean increment, divided by the radius, must extrapolate to a limit
-    no lower than ``-AMVP_TOL``.  A field value below ``FIELD_FLOOR`` makes
+    no lower than ``-ZERO_TOL``.  A field value below ``FIELD_FLOOR`` makes
     the mean undefined, reported as ``untestable``.
     """
     cfg = cfg or SweepConfig()
@@ -358,28 +349,22 @@ def contact_solution_verdict(f, points, d, directions=DEFAULT_DIRECTION_COUNT, c
     _raise_first(errors)
     residuals, errors = _cr_residuals(jets, d)
     _raise_first(errors)
-    residual_ok = np.abs(residuals) <= RESIDUAL_TOL
     # One affine touching surrogate per point, as a jet of (points, 1) arrays.
     surrogate = Jet(*(part[:, None] for part in (jets.base, jets.value, jets.dz, jets.dzbar)))
     sweeps = _sweeps("pair_increment", lambda zeta: affine_eval(surrogate, zeta),
                      live, d, cfg)
     rows = _direction_rows(live, xi_list, _raise_first(sweeps), jets, d)
-    untestable = [complex(z) for z in pts[low]]
-
-    camvp_pass = bool(rows) and all(row.status == "holds" for row in rows)
-    envelope_pass = bool(rows) and all(row.envelope >= -AMVP_TOL for row in rows)
-    residual_pass = bool(residual_ok.size) and bool(np.all(residual_ok))
-    consistent = (
-        bool(rows)
-        and all(row.consistent for row in rows)
-        and camvp_pass == envelope_pass
-        and camvp_pass == residual_pass
-    )
+    holds = np.array([row.status == "holds" for row in rows])
+    agrees = np.array([row.consistent for row in rows])
+    # a row is consistent exactly when its envelope is decided as its limit is
+    camvp_pass, envelope_pass, residual_pass, agree = (
+        bool(flags.size) and bool(flags.all())
+        for flags in (holds, holds == agrees, _decide(np.abs(residuals)) == "vanishes", agrees))
     return ContactReport(
         rows=tuple(rows),
-        untestable_points=tuple(untestable),
+        untestable_points=tuple(complex(z) for z in pts[low]),
         camvp_pass=camvp_pass,
         envelope_pass=envelope_pass,
         residual_pass=residual_pass,
-        consistent=bool(consistent),
+        consistent=agree and camvp_pass == envelope_pass == residual_pass,
     )
