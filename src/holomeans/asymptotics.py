@@ -105,13 +105,19 @@ class SweepConfig:
     seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
 
-    def radii(self):
-        if not (0.0 < self.rho < 1.0):
+    def __post_init__(self):
+        if not 0.0 < self.r0 < np.inf:
+            raise InvalidParameterError(f"r0 must be positive and finite, got {self.r0}")
+        if not 0.0 < self.rho < 1.0:
             raise InvalidParameterError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.r0 <= 0.0:
-            raise InvalidParameterError(f"r0 must be positive, got {self.r0}")
         if self.count < 2:
             raise InvalidParameterError(f"count must be >= 2, got {self.count}")
+        if self.node_count < 8:
+            raise InvalidParameterError(f"need at least 8 circle nodes, got {self.node_count}")
+        if self.min_successes < 1:
+            raise InvalidParameterError(f"min_successes must be >= 1, got {self.min_successes}")
+
+    def radii(self):
         return self.r0 * self.rho ** np.arange(self.count)
 
 
@@ -204,10 +210,6 @@ def _sweeps(kind, f, points, d, cfg):
             f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}"
         )
     cfg = cfg or SweepConfig()
-    if cfg.min_successes < 1:
-        raise InvalidParameterError(
-            f"min_successes must be >= 1, got {cfg.min_successes}"
-        )
     radii_all = cfg.radii()
     if cfg.min_successes > radii_all.size:
         raise InsufficientDataError(

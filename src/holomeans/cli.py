@@ -34,6 +34,7 @@ import sys
 import numpy as np
 
 from .asymptotics import (
+    SWEEP_KINDS,
     SweepConfig,
     _amvp_rows,
     _holomorphy_rows,
@@ -41,7 +42,7 @@ from .asymptotics import (
     extrapolate,
     sweep,
 )
-from .contact import contact_solution_verdict
+from .contact import contact_solution_verdict, unit_directions
 from .density import power_density, validate_density
 from .dpp import (
     DppConfig,
@@ -52,9 +53,19 @@ from .dpp import (
 )
 from .errors import ConfigError, DivergenceError, HolomeansError, _raise_first
 from .fields import make_field, parse_complex
+from .geometry import circle_rule
 from .means import MEAN_KINDS, SolverConfig, circle_means
 
 __all__ = ["main", "load_scenario", "parse_density_spec"]
+
+
+def _configured(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, a library refusal raised as a configuration error."""
+    try:
+        return call(*args, **kwargs)
+    except HolomeansError as exc:
+        raise ConfigError(str(exc)) from exc
+
 
 def parse_density_spec(text):
     """Build a density from a spec such as ``power:p=3``."""
@@ -82,10 +93,7 @@ def parse_density_spec(text):
         p = float(params["p"])
     except ValueError as exc:
         raise ConfigError(f"density parameter p={params['p']!r} is not a number") from exc
-    try:
-        return power_density(p)
-    except HolomeansError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _configured(power_density, p)
 
 
 class Scenario:
@@ -201,10 +209,7 @@ def _take_config(sc, prefix, cls, fixed=None, rename=None):
         val = sc.take(key, cast=type(fld.default))
         if val is not None:
             kwargs[fld.name] = val
-    try:
-        return cls(**kwargs)
-    except HolomeansError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _configured(cls, **kwargs)
 
 
 def _sweep_config(sc, seed):
@@ -279,6 +284,7 @@ def _cmd_mean(sc, seed, out):
     z = sc.take("mean.point", cast=parse_complex, required=True)
     r = sc.take("mean.r", cast=float, required=True)
     nodes = sc.take("mean.nodes", cast=int, default=64)
+    _configured(circle_rule, 0j, 1.0, nodes)
     solver = _take_config(sc, "solver", SolverConfig)
     density = None
     if kind != "infinity":
@@ -301,6 +307,8 @@ def _cmd_mean(sc, seed, out):
 
 def _cmd_sweep(sc, seed, out):
     kind = sc.take("sweep.kind", default="variational")
+    if kind not in SWEEP_KINDS:
+        raise ConfigError(f"sweep.kind must be one of {SWEEP_KINDS}, got {kind!r}")
     field = sc.take("field.spec", cast=make_field, required=True)
     z = sc.take("sweep.point", cast=parse_complex, required=True)
     cfg = _sweep_config(sc, seed)
@@ -403,6 +411,7 @@ def _cmd_contact(sc, seed, out):
     density = sc.take("density.spec", cast=parse_density_spec, required=True)
     points = _take_points(sc)
     directions = sc.take("contact.directions", cast=int, default=16)
+    _configured(unit_directions, directions)
     cfg = _sweep_config(sc, seed)
     header = _header("contact", seed, sc)
     sc.finish()
@@ -449,10 +458,7 @@ def _cmd_dpp(sc, seed, out):
     header = _header("dpp", seed, sc)
     sc.finish()
 
-    try:
-        grid = grid_from_function(x0, x1, y0, y1, h, radius, field)
-    except HolomeansError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = _configured(grid_from_function, x0, x1, y0, y1, h, radius, field)
     if init_spec != "field":
         if not init_spec.startswith("const:"):
             raise ConfigError(
@@ -497,7 +503,7 @@ def _cmd_validate_density(sc, seed, out):
     header = _header("validate-density", seed, sc)
     sc.finish()
 
-    report = validate_density(density, samples)
+    report = _configured(validate_density, density, samples)
     columns = ("check", "passed", "worst", "location", "message")
     rows = [
         (c.name, c.passed, c.worst, c.location, c.message) for c in report.checks

@@ -91,7 +91,8 @@ class SolverConfig:
     ``step_tol * (1 + |c|)``: when the density degenerates at small
     residuals (growth exponent above 2) a small gradient alone does not
     bound the parameter error, and the step length is the sound certificate.
-    ``max_backtracks`` bounds the line search of every iteration.
+    ``max_backtracks`` bounds the trial steps of every line search, the full
+    Newton step first, so it is at least 1.
     """
 
     max_iterations: int = 60
@@ -102,6 +103,14 @@ class SolverConfig:
         if self.max_iterations < 0:
             raise InvalidParameterError(
                 f"max_iterations must be >= 0, got {self.max_iterations}"
+            )
+        if not 0.0 <= self.step_tol < np.inf:
+            raise InvalidParameterError(
+                f"step_tol must be finite and >= 0, got {self.step_tol}"
+            )
+        if self.max_backtracks < 1:
+            raise InvalidParameterError(
+                f"max_backtracks must be >= 1, got {self.max_backtracks}"
             )
 
 

@@ -1,6 +1,7 @@
 """Radius sweeps, extrapolation to radius zero, and the three verdicts."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ def test_default_ladder_is_geometric():
 
 
 def test_sweep_config_validation():
-    # the ladder parameters are validated where they are consumed
+    # the ladder parameters are validated when the config is built
     with pytest.raises(InvalidParameterError):
         hm.SweepConfig(r0=0.0).radii()
     with pytest.raises(InvalidParameterError):
@@ -31,6 +32,18 @@ def test_sweep_config_validation():
         hm.SweepConfig(count=1).radii()
     with pytest.raises(InvalidParameterError):
         hm.sweep("variational", np.exp, 0j, D2, hm.SweepConfig(min_successes=0))
+
+
+@pytest.mark.parametrize("fields, message", (
+    ({"r0": float("nan")}, "r0 must be positive and finite, got nan"),
+    ({"r0": float("inf")}, "r0 must be positive and finite, got inf"),
+    ({"rho": float("nan")}, "rho must lie in (0, 1), got nan"),
+    ({"node_count": 4}, "need at least 8 circle nodes, got 4"),
+    ({"min_successes": 0}, "min_successes must be >= 1, got 0"),
+))
+def test_sweep_config_refuses_out_of_range_fields_when_built(fields, message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        hm.SweepConfig(**fields)
 
 
 def test_extrapolate_exact_linear_series():
@@ -298,15 +311,16 @@ def test_a_failing_prediction_is_an_error_row_alone(rows_fn, error, monkeypatch)
     assert rows[1] == rows_fn(lambda z: z, [0.5 + 0j], D2)[0]
 
 
-@pytest.mark.parametrize("cfg, reason", (
-    # four nodes fail the whole engine call, so every radius of every point
-    (hm.SweepConfig(node_count=4), "need at least 8 circle nodes"),
+@pytest.mark.parametrize("f, cfg, reason", (
+    # a field of the wrong shape fails the whole engine call, so every radius
+    (lambda z: np.zeros(3, dtype=complex), hm.SweepConfig(), "field returned shape"),
     # with no Newton iteration no fit at p = 3 meets its first-order tolerance
-    (hm.SweepConfig(solver=hm.SolverConfig(max_iterations=0)), "solver reported failure"),
+    (np.exp, hm.SweepConfig(solver=hm.SolverConfig(max_iterations=0)),
+     "solver reported failure"),
 ))
-def test_a_starved_sweep_names_why_its_radii_failed(cfg, reason):
+def test_a_starved_sweep_names_why_its_radii_failed(f, cfg, reason):
     with pytest.raises(InsufficientDataError, match=f"only 0 of 8 radii.*{reason}"):
-        hm.sweep("variational", np.exp, 0.3 + 0.2j, D3, cfg)
+        hm.sweep("variational", f, 0.3 + 0.2j, D3, cfg)
 
 
 def test_extrapolate_takes_a_sweep_or_two_arrays_but_not_both():

@@ -391,6 +391,31 @@ _MEAN_BASE = "field.spec = exp\ndensity.spec = power:p=3\nmean.point = 0.3+0.4i\
     ("dpp", _SMALL_DPP + "dpp.max_iterations = -1\n", None,
      "max_iterations must be >= 0, got -1"),
     ("dpp", _SMALL_DPP + "dpp.residual_tol = nan\n", None, "residual_tol must be >= 0, got nan"),
+    # sweep ladders, solver budgets and counts the library refuses
+    ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.rho = 2\n", None,
+     "rho must lie in (0, 1), got 2.0"),
+    ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.count = 1\n", None,
+     "count must be >= 2, got 1"),
+    ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.min_successes = 0\n", None,
+     "min_successes must be >= 1, got 0"),
+    ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.r0 = nan\n", None,
+     "r0 must be positive and finite, got nan"),
+    ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.nodes = 4\n", None,
+     "need at least 8 circle nodes, got 4"),
+    ("sweep", _VERIFY_BASE + "sweep.point = 0.3+0.4i\nsweep.kind = bogus\n", None,
+     "sweep.kind must be one of"),
+    ("mean", _MEAN_BASE + "mean.r = 0.25\nsolver.max_backtracks = 0\n", None,
+     "max_backtracks must be >= 1, got 0"),
+    ("mean", _MEAN_BASE + "mean.r = 0.25\nsolver.step_tol = nan\n", None,
+     "step_tol must be finite and >= 0, got nan"),
+    ("mean", _MEAN_BASE + "mean.r = 0.25\nsolver.step_tol = -1\n", None,
+     "step_tol must be finite and >= 0, got -1.0"),
+    ("mean", _MEAN_BASE + "mean.r = 0.25\nmean.nodes = 4\n", None,
+     "need at least 8 circle nodes, got 4"),
+    ("contact", _VERIFY_BASE + "points.list = 0.5\ncontact.directions = 0\n", None,
+     "need at least one direction, got 0"),
+    ("validate-density", "density.spec = power:p=3\ndensity.samples = 5\n", None,
+     "sample_count must be at least 16"),
 ))
 def test_config_errors_exit_2_with_their_own_message(tmp_path, capsys, command, text, out,
                                                       message):

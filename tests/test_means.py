@@ -198,6 +198,19 @@ def test_solver_config_refuses_a_negative_iteration_budget():
         hm.SolverConfig(max_iterations=-1)
 
 
+@pytest.mark.parametrize("fields, message", (
+    # no trial step: every Newton iteration would fail before moving
+    ({"max_backtracks": 0}, "max_backtracks must be >= 1, got 0"),
+    # a step test that no step can pass, or that every step passes
+    ({"step_tol": float("nan")}, "step_tol must be finite and >= 0, got nan"),
+    ({"step_tol": -1e-11}, "step_tol must be finite and >= 0, got -1e-11"),
+    ({"step_tol": float("inf")}, "step_tol must be finite and >= 0, got inf"),
+))
+def test_solver_config_refuses_an_empty_line_search_and_a_broken_step_test(fields, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        hm.SolverConfig(**fields)
+
+
 @pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
 def test_newton_converges_from_a_residual_exactly_at_zero(p, rng):
     # The initial iterate equals one sample, so one pointwise residual is an
