@@ -284,7 +284,7 @@ def _cmd_mean(sc, seed, out):
     z = sc.take("mean.point", cast=parse_complex, required=True)
     r = sc.take("mean.r", cast=float, required=True)
     nodes = sc.take("mean.nodes", cast=int, default=64)
-    _configured(circle_rule, 0j, 1.0, nodes)
+    _configured(circle_rule, 0j, 1.0, nodes)  # the quadrature's node-count check
     solver = _take_config(sc, "solver", SolverConfig)
     density = None
     if kind != "infinity":
@@ -411,7 +411,7 @@ def _cmd_contact(sc, seed, out):
     density = sc.take("density.spec", cast=parse_density_spec, required=True)
     points = _take_points(sc)
     directions = sc.take("contact.directions", cast=int, default=16)
-    _configured(unit_directions, directions)
+    _configured(unit_directions, directions)  # the fan's direction-count check
     cfg = _sweep_config(sc, seed)
     header = _header("contact", seed, sc)
     sc.finish()
