@@ -343,7 +343,7 @@ def _increment_ratios(s):
     return radii, np.asarray(s.values, dtype=complex) / radii
 
 
-def _verdict_rows(kind, f, points, d, cfg, analytic, row, untestable):
+def _verdict_rows(kind, f, points, d, cfg, analytic, rows, untestable):
     """One verdict row per point, assembled in array passes over the points.
 
     Points where |f(z)| falls below ``FIELD_FLOOR`` get ``untestable(z)``.
@@ -351,9 +351,12 @@ def _verdict_rows(kind, f, points, d, cfg, analytic, row, untestable):
     from one field call; ``analytic(jets)`` returns the first-order
     prediction as an array over the points given, with a list of per-point
     errors, and the sweeps are extrapolated together (increment ratios for
-    ``pair_increment``).  A point then gets ``row(z, estimate, prediction)``,
-    or the first :class:`HolomeansError` met for it: that of its sweep, its
-    jet, its prediction or its fit, in this order.
+    ``pair_increment``).  A point gets the first :class:`HolomeansError`
+    met for it: that of its sweep, its jet, its prediction or its fit, in
+    this order.  The points with none get their rows from one
+    ``rows(zs, estimates, predictions)`` call over all of them, with
+    ``zs`` a list of complex, ``estimates`` a list of
+    :class:`LimitEstimate` and ``predictions`` a complex array.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
     if pts.size == 0:
@@ -368,11 +371,16 @@ def _verdict_rows(kind, f, points, d, cfg, analytic, row, untestable):
     series = [_increment_ratios(sweeps[i]) if kind == "pair_increment"
               else (sweeps[i].radii, sweeps[i].values) for i in ok]
     estimates, _ = _extrapolate_rows([r for r, _ in series], [v for _, v in series])
-    for i, prediction, error, est in zip(ok.tolist(), predicted.tolist(), errors, estimates):
+    passed = []
+    for j, (i, error, est) in enumerate(zip(ok.tolist(), errors, estimates)):
         if error is None and not isinstance(est, HolomeansError):
-            results[i] = row(complex(live[i]), est, prediction)
+            passed.append(j)
         else:
             results[i] = error or est
+    done = ok[passed]
+    made = rows(live[done].tolist(), [estimates[j] for j in passed], predicted[passed])
+    for i, result in zip(done.tolist(), made):
+        results[i] = result
     live_rows = iter(results)
     return tuple(untestable(complex(z)) if is_low else next(live_rows)
                  for z, is_low in zip(pts, low))
@@ -428,7 +436,10 @@ def _holomorphy_rows(g, points, d, cfg=None):
             consistent=bool(est.verdict != "inconclusive" and gap <= MATCH_TOL),
         )
 
-    return _verdict_rows("conjugate", g, points, d, cfg, analytic, row, HolomorphyVerdict)
+    def rows(zs, estimates, predictions):
+        return list(map(row, zs, estimates, predictions.tolist()))
+
+    return _verdict_rows("conjugate", g, points, d, cfg, analytic, rows, HolomorphyVerdict)
 
 
 def system_verdict(f, points, d, cfg=None):
@@ -447,8 +458,8 @@ def system_verdict(f, points, d, cfg=None):
 def _system_rows(f, points, d, cfg=None):
     """Rows of :func:`system_verdict`, a failing point's error in its slot."""
 
-    def row(z, est, residual):
-        analytic_ok = _SYSTEM[str(_decide(abs(residual)))]
+    def row(z, est, residual, analytic):
+        analytic_ok = _SYSTEM[analytic]
         sweep_ok = _SYSTEM[est.verdict]
         return SystemVerdict(
             point=z,
@@ -460,8 +471,12 @@ def _system_rows(f, points, d, cfg=None):
             consistent=bool(sweep_ok is not None and sweep_ok == analytic_ok),
         )
 
+    def rows(zs, estimates, residuals):
+        analytic = _decide(np.abs(residuals)).tolist()
+        return list(map(row, zs, estimates, residuals.tolist(), analytic))
+
     return _verdict_rows("variational", f, points, d, cfg,
-                         lambda jets: _cr_residuals(jets, d), row, SystemVerdict)
+                         lambda jets: _cr_residuals(jets, d), rows, SystemVerdict)
 
 
 def amvp_verdict(f, points, d, cfg=None):
@@ -486,8 +501,7 @@ def _amvp_rows(f, points, d, cfg=None):
             "amvp verdict needs a density with declared small-argument behaviour"
         )
 
-    def row(z, est, bracket):
-        holds = str(_decide(abs(est.limit))) == "vanishes"
+    def row(z, est, bracket, holds):
         gap = abs(est.limit - bracket)
         return AmvpVerdict(
             point=z,
@@ -499,5 +513,10 @@ def _amvp_rows(f, points, d, cfg=None):
             consistent=bool(gap <= MATCH_TOL),
         )
 
+    def rows(zs, estimates, brackets):
+        limits = np.array([est.limit for est in estimates], dtype=complex)
+        holding = (_decide(np.abs(limits)) == "vanishes").tolist()
+        return list(map(row, zs, estimates, brackets.tolist(), holding))
+
     return _verdict_rows("pair_increment", f, points, d, cfg,
-                         lambda jets: _cr_residuals(jets, d), row, AmvpVerdict)
+                         lambda jets: _cr_residuals(jets, d), rows, AmvpVerdict)

@@ -15,10 +15,13 @@ weights of each circle node come once per solve from ``offsets / h``.  The
 centre and slope projections of the samples are summed over equal shifts
 into one coefficient per distinct shift (a tap), and a sweep gets them as a
 sum over the taps of coefficient times the shifted window of lattice
-values.  For a quadratic density (``lambda_lo == lambda_hi == 1``) the pair
-mean is that closed-form weighted projection, with no Newton run; otherwise
-the projections start a pair of batched one-dimensional Newton solves over
-every node at once, on circle samples gathered through the same shifts.
+values.  On the flattened lattice a tap's window is one contiguous run
+through the unknown rows; the wrap entries between rows that the run also
+covers are computed and dropped.  For a quadratic density
+(``lambda_lo == lambda_hi == 1``) the pair mean is that closed-form
+weighted projection, with no Newton run; otherwise the projections start a
+pair of batched one-dimensional Newton solves over every node at once, on
+circle samples gathered through the same shifts.
 
 Nodes where the field modulus falls below ``FIELD_FLOOR`` make the mean
 ill-posed (the density may lose smoothness at zero); the ``zero_policy``
@@ -337,17 +340,20 @@ def _check_geometry(grid, cfg):
 class _CircleStencil(NamedTuple):
     """Everything a sweep needs that is fixed for the whole solve.
 
-    Corners of weight 0 stay taps, so a non-finite value they touch still
-    makes the tap sum non-finite.
+    A tap's window of the flattened lattice is one contiguous run that
+    starts at ``starts[k]`` and covers the unknown rows end to end, so each
+    run also holds ``nx - nj`` wrap entries per row (strip nodes) that the
+    tap sum computes and drops.  Corners of weight 0 stay taps, so a
+    non-finite value they touch still makes the tap sum non-finite.
     """
 
     offsets: np.ndarray  # (nodes,) circle offsets from the centre
     weights: np.ndarray  # (nodes,) arc-length quadrature weights
-    interior: np.ndarray  # (ny, nx) mask of the unknown nodes
+    box: tuple  # (row, column) slices of the unknown rectangle
     base: np.ndarray  # (rows,) flat lattice index of each unknown
     corners: np.ndarray  # (4, nodes) flat lattice shift of each cell corner
     corner_weights: np.ndarray  # (4, nodes) bilinear weight of each corner
-    windows: tuple  # (taps,) index pairs of the shifted unknown rectangle
+    starts: np.ndarray  # (taps,) flat lattice index where each tap's run starts
     centre: np.ndarray  # (taps,) real coefficients of the centre projection
     slope: np.ndarray  # (taps,) complex coefficients of the slope projection
 
@@ -374,33 +380,46 @@ def _circle_stencil(grid, cfg):
     slope = (
         np.bincount(tap, slope_terms.real, taps) + 1j * np.bincount(tap, slope_terms.imag, taps)
     ) * (q.weights[0] / (2.0 * np.pi * cfg.radius**3))
-    windows = tuple(
-        (slice(s + sy, ny - s + sy), slice(s + sx, nx - s + sx)) for sy, sx in shifts.tolist()
-    )
-    interior = grid.interior_mask()
+    box = (slice(s, ny - s), slice(s, nx - s))
     return _CircleStencil(
-        q.nodes, q.weights, interior, np.flatnonzero(interior), dy * nx + dx,
-        corner_weights, windows, centre, slope,
+        q.nodes, q.weights, box, np.flatnonzero(grid.interior_mask()), dy * nx + dx,
+        corner_weights, (s + shifts[:, 0]) * nx + (s + shifts[:, 1]), centre, slope,
     )
 
 
 def _tap_sum(values, stencil, coefficients):
     """Sum over the taps of coefficient times shifted window, per unknown.
 
-    The entries follow ``values[stencil.interior]``.
+    On the flattened lattice a tap's window is one contiguous run from its
+    start through the last unknown row; the run's ``nx - nj`` wrap entries
+    per row are computed and dropped.  The entries follow the unknowns in
+    row-major order.  Non-finite data gives non-finite sums without a
+    warning, also in wrap entries, which never reach the result; the caller
+    raises the typed error.
     """
-    total = 0.0
-    for window, c in zip(stencil.windows, coefficients.tolist()):
-        total = total + c * values[window]
-    return total.ravel()
+    ni, nj = values[stencil.box].shape
+    nx = values.shape[1]
+    span = (ni - 1) * nx + nj
+    flat = values.ravel()
+    buf = np.zeros(ni * nx, dtype=complex)
+    total, term = buf[:span], np.empty(span, dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start, c in zip(stencil.starts.tolist(), coefficients.tolist()):
+            np.multiply(c, flat[start : start + span], out=term)
+            np.add(total, term, out=total)
+    return buf.reshape(ni, nx)[:, :nj].ravel()
 
 
 def _circle_samples(values, stencil, rows):
-    """Interpolated circle samples of the unknowns selected by ``rows``."""
+    """Interpolated circle samples of the unknowns selected by ``rows``.
+
+    Non-finite data gives non-finite samples silently; the caller raises.
+    """
     v = values.ravel()
     at = stencil.base[rows][:, None]
     (w0, w1, w2, w3), (c0, c1, c2, c3) = stencil.corner_weights, stencil.corners
-    return w0 * v[at + c0] + w1 * v[at + c1] + w2 * v[at + c2] + w3 * v[at + c3]
+    with np.errstate(invalid="ignore", over="ignore"):
+        return w0 * v[at + c0] + w1 * v[at + c1] + w2 * v[at + c2] + w3 * v[at + c3]
 
 
 def _require_finite(samples):
@@ -423,19 +442,26 @@ def dpp_step(grid, d, cfg):
 
 
 def _sweep(grid, d, cfg, stencil):
-    """:func:`dpp_step` on a stencil built by :func:`_circle_stencil`."""
-    interior = stencil.interior
-    frozen = grid.frozen if grid.frozen is not None else np.zeros_like(interior)
-    near_zero = (np.abs(grid.values) < FIELD_FLOOR) & interior & ~frozen
-    dead = np.zeros_like(near_zero)
-    if np.any(near_zero):
-        circle = _circle_samples(grid.values, stencil, near_zero[interior])
-        dead[near_zero] = np.max(np.abs(circle), axis=1) < FIELD_FLOOR
-    active = interior & ~frozen & ~dead
-    skipped = int(np.count_nonzero(interior & ~active))
+    """:func:`dpp_step` on a stencil built by :func:`_circle_stencil`.
 
-    rows = slice(None) if skipped == 0 else active[interior]
-    values = grid.values
+    The unknowns are read and written through the rectangle ``stencil.box``,
+    flattened in row-major order; ``rows`` selects the computed ones.
+    """
+    box, values = stencil.box, grid.values
+    inner = values[box].flatten()
+    held = None if grid.frozen is None else grid.frozen[box].ravel()
+    near_zero = np.abs(inner) < FIELD_FLOOR
+    if held is not None:
+        near_zero &= ~held
+    dead = None
+    if np.any(near_zero):
+        circle = _circle_samples(values, stencil, near_zero)
+        dead = np.zeros_like(near_zero)
+        dead[near_zero] = np.max(np.abs(circle), axis=1) < FIELD_FLOOR
+        held = dead if held is None else held | dead
+    skipped = 0 if held is None else int(np.count_nonzero(held))
+
+    rows = slice(None) if skipped == 0 else ~held
     if d.lambda_lo == d.lambda_hi == 1.0:
         # s F''/F' == 1 makes F = c s^2 + const, whose minimizers are the
         # weighted projections themselves: one pass over the taps.
@@ -455,21 +481,23 @@ def _sweep(grid, d, cfg, stencil):
         )
         mean = res_a["minimizer"] + cfg.radius * res_b["minimizer"]
         bad = (res_a["status"] == 3) | (res_b["status"] == 3)
-    old = grid.values[active]
+    old = inner[rows]
     if np.any(bad):
         mean = np.where(bad, old, mean)
     residual_sup = float(np.max(np.abs(mean - old))) if mean.size else 0.0
-    new_values = grid.values.copy()
-    new_values[active] = np.where(bad, old, (1.0 - cfg.damping) * old + cfg.damping * mean)
+    inner[rows] = np.where(bad, old, (1.0 - cfg.damping) * old + cfg.damping * mean)
+    new_values = values.copy()
+    new_values[box] = inner.reshape(values[box].shape)
 
-    out = replace(
-        grid,
-        values=new_values,
-        frozen=frozen | dead if cfg.zero_policy == "freeze" else grid.frozen,
-    )
+    frozen = grid.frozen
+    if cfg.zero_policy == "freeze":
+        frozen = np.zeros(values.shape, dtype=bool) if frozen is None else frozen.copy()
+        if dead is not None:
+            frozen[box] |= dead.reshape(frozen[box].shape)
+    out = replace(grid, values=new_values, frozen=frozen)
     return out, StepDiagnostics(
         residual_sup=residual_sup,
-        updated_count=int(np.count_nonzero(active) - np.count_nonzero(bad)),
+        updated_count=int(inner.size - skipped - np.count_nonzero(bad)),
         skipped_count=skipped + int(np.count_nonzero(bad)),
     )
 

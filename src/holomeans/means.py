@@ -228,6 +228,9 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
 
     favg = (np.asarray(d.deriv_fn(np.abs(samples)), dtype=float) @ weights) / total_w
     foc_tol = FOC_TOL_COEFF * (1.0 + favg)
+    # The objective at every row's current iterate, which starts each line
+    # search; accepted steps update it.
+    obj = _objective_rows(d, samples, weights, model, c)
 
     def per_row(a, rows):
         # A shared (nodes,) model broadcasts as it is, without a copy.
@@ -301,7 +304,7 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         rows, delta, slope = rows[good], delta[good], slope[good]
 
         row_model = per_row(model, rows)
-        obj0 = _objective_rows(d, samples[rows], weights, row_model, c[rows])
+        obj0 = obj[rows]
         # Near the optimum the true decrease of a Newton step can drop below
         # the float resolution of the objective; a few-ulp allowance keeps
         # the line search from rejecting such steps, and the gradient-based
@@ -319,8 +322,11 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
                 break
             t = np.where(ok, t, t * BACKTRACK_FACTOR)
         c[rows[ok]] += (t * delta)[ok]
+        obj[rows[ok]] = obj1[ok]
         state[rows[~ok]] = _STATUS_FAILED
 
+    # One pass over all rows, not the carried ``obj``: a row's ``@ weights``
+    # sum can differ in the last bit with the row's place in the batch.
     return {
         "minimizer": c,
         "objective": _objective_rows(d, samples, weights, model, c),

@@ -1,6 +1,7 @@
 """Grid fixed-point iteration: geometry, interpolation, checkpoints, solves."""
 
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -472,6 +473,51 @@ def test_the_newton_sweep_fits_interpolated_samples(rng, monkeypatch, h, nodes, 
         np.testing.assert_allclose(init, want, rtol=0, atol=1e-13)
 
 
+def window_tap_sum(values, stencil, coefficients):
+    """The tap sum as one 2-D window of the lattice per tap, each added to a
+    running total: the reference the flat-run sum must match bit for bit."""
+    ni, nj = values[stencil.box].shape
+    total = 0.0
+    for start, c in zip(stencil.starts.tolist(), coefficients.tolist()):
+        i, j = divmod(start, values.shape[1])
+        total = total + c * values[i : i + ni, j : j + nj]
+    return total.ravel()
+
+
+TAP_SUM_LATTICES = {
+    # name: (bounds, h, radius the strip is built for, radius solved at)
+    "dpp-quadratic": ((0.0, 1.0, 0.0, 1.0), 0.02, 0.1, 0.1),
+    "non-square": ((0.0, 0.3, 0.0, 0.24), 0.02, 0.1, 0.1),
+    "r/h not whole": ((0.0, 0.3, 0.0, 0.24), 0.03, 0.1, 0.1),
+    "wide strip": ((0.0, 0.3, 0.0, 0.24), 0.02, 0.2, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", TAP_SUM_LATTICES)
+def test_the_flat_tap_sum_has_the_bits_of_the_window_sum(rng, name):
+    from holomeans.dpp import _circle_stencil, _tap_sum
+
+    bounds, h, built_for, radius = TAP_SUM_LATTICES[name]
+    grid = hm.make_grid(*bounds, h, built_for)
+    shape = grid.values.shape
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # a block of signed zeros holds whole stencils, whose sums are zeros
+    values[: 2 * shape[0] // 3, : 2 * shape[1] // 3] = complex(-0.0, -0.0)
+    grid = replace(grid, values=values)
+    cfg = hm.DppConfig(radius=radius)
+    stencil = _circle_stencil(grid, cfg)
+    nx, s = shape[1], grid.strip_cells
+    # one run per distinct corner shift, in the order of the shifts
+    np.testing.assert_array_equal(stencil.starts, s * nx + s + np.unique(stencil.corners))
+    for coefficients in (stencil.centre, stencil.slope, stencil.centre + radius * stencil.slope):
+        got = _tap_sum(values, stencil, coefficients)
+        want = window_tap_sum(values, stencil, coefficients)
+        assert got.shape == (int(grid.interior_mask().sum()),)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
 @pytest.mark.parametrize("damping", (1.0, 0.8))
 def test_a_node_whose_fit_fails_keeps_its_value(damping):
     # Without a Newton iteration no pair-mean fit at p = 3 meets its
@@ -543,6 +589,37 @@ def test_a_nan_read_only_through_a_zero_weight_corner_still_raises(p):
     values[5, -1] = np.nan
     with pytest.raises(hm.NonFiniteSampleError, match="not finite"):
         hm.dpp_step(replace(g, values=values), hm.power_density(p), hm.DppConfig(radius=0.2))
+
+
+def nonfinite_strip_step(p, node, bad):
+    """``dpp_step`` on 13 x 13 lattice nodes (h = 0.1, r = 0.2) with one
+    non-finite strip value, warnings raised as errors."""
+    g = hm.grid_from_function(0.5, 1.1, 0.5, 1.1, 0.1, 0.2, np.exp)
+    values = g.values.copy()
+    values[node(g.strip_cells, g.shape[0])] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return g, hm.dpp_step(replace(g, values=values), hm.power_density(p), hm.DppConfig(radius=0.2))
+
+
+@pytest.mark.parametrize("bad", (np.inf, np.nan))
+@pytest.mark.parametrize("p", (2.0, 3.0))
+def test_a_nonfinite_strip_node_a_circle_reads_raises_the_typed_error_only(p, bad):
+    # (s + 2, nx - 1) is read through a zero-weight corner: 0 * inf is nan.
+    with pytest.raises(hm.NonFiniteSampleError, match="not finite"):
+        nonfinite_strip_step(p, lambda s, nx: (s + 2, nx - 1), bad)
+
+
+@pytest.mark.parametrize("bad", (np.inf, np.nan))
+@pytest.mark.parametrize("p", (2.0, 3.0))
+def test_a_nonfinite_strip_node_only_wrap_entries_read_leaves_the_step_as_it_is(p, bad):
+    # No circle reaches column 0, but the flat tap runs pass over (s + 1, 0)
+    # in the wrap entries they drop.
+    g, (stepped, diag) = nonfinite_strip_step(p, lambda s, nx: (s + 1, 0), bad)
+    clean, clean_diag = hm.dpp_step(g, hm.power_density(p), hm.DppConfig(radius=0.2))
+    mask = g.interior_mask()
+    assert np.array_equal(stepped.values[mask], clean.values[mask])
+    assert diag == clean_diag
 
 
 @pytest.mark.parametrize("p", (2.0, 3.0))
