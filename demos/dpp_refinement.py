@@ -2,8 +2,8 @@
 
 Measures how the interior sup error of the converged lattice field depends
 on the lattice step h, the circle radius r, and the stopping tolerance.
-Findings from the full sweep (run with --full; about 12 s on a 2-core
-machine, 10 s without it, most of it the p = 4 case):
+Findings from the full sweep at p = 2 on exp data (run with --full; about
+12 s on a 2-core machine, 10 s without it, most of it the p = 4 case):
 
   * the error is flat in h (2.2e-2 to 2.6e-2 over h in [0.02, 0.05] at
     r = 0.1, tol = 1e-3): the lattice step is not the binding term;
@@ -15,6 +15,14 @@ machine, 10 s without it, most of it the p = 4 case):
 These numbers calibrate the 5e-2 acceptance threshold for the exponential
 boundary-value problem at h = 0.02, r = 0.1, tol = 1e-3 (measured 2.3e-2,
 about 2x headroom).
+
+These findings hold at p = 2 only.  At p = 3 on pharm-radial:3 data, an
+exact solution, on [0.5, 1.5]^2 with damping 0.5 and tolerance 1e-5, the
+error from the exact start is flat at about 1e-2 across (h, r): 9.0e-3 at
+(h, r) = (0.05, 0.2), 1.3e-2 at (0.05, 0.1) after 262 sweeps, 1.1e-2 at
+(0.025, 0.1).  The mean start at (0.05, 0.1) reaches a second fixed point,
+with sup error 0.87.  The p = 4 case below checks only the residual decay:
+its exp data does not solve the p = 4 system.
 """
 
 import argparse

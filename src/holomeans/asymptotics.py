@@ -42,7 +42,7 @@ the one-point calls.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .errors import (
     _raise_first,
 )
 from .geometry import Jet, _modulus, _wirtinger_jets, field_values
-from .means import SolverConfig, _ladder_means
+from .means import _ladder_means
 from .pdesystem import FIELD_FLOOR, _cr_residuals
 
 __all__ = [
@@ -95,7 +95,7 @@ _decide_membership = functools.partial(_decide, reject=REJECT_TOL)
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Geometric radius ladder and solver settings for sweeps."""
+    """Geometric radius ladder and circle rule of a sweep."""
 
     r0: float = 0.1
     rho: float = 0.5
@@ -103,7 +103,6 @@ class SweepConfig:
     node_count: int = 64
     min_successes: int = 4
     seed: int = 0
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if not 0.0 < self.r0 < np.inf:
@@ -222,7 +221,7 @@ def _sweeps(kind, f, points, d, cfg):
 
     try:
         ladder = _ladder_means(_SWEEP_MEANS[kind], f, pts, radii_all, d,
-                               cfg.node_count, cfg.solver, cfg.seed)
+                               cfg.node_count, cfg.seed)
     except HolomeansError as exc:
         ladder = ((exc,) * pts.size,) * radii_all.size
     found = [[] for _ in pts]  # per point: (radius, value, status, extras)

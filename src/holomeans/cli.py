@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import io
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -54,7 +55,7 @@ from .dpp import (
 from .errors import ConfigError, DivergenceError, HolomeansError, _raise_first
 from .fields import make_field, parse_complex
 from .geometry import circle_rule
-from .means import MEAN_KINDS, SolverConfig, circle_means
+from .means import MEAN_KINDS, circle_means
 
 __all__ = ["main", "load_scenario", "parse_density_spec"]
 
@@ -213,9 +214,7 @@ def _take_config(sc, prefix, cls, fixed=None, rename=None):
 
 
 def _sweep_config(sc, seed):
-    solver = _take_config(sc, "solver", SolverConfig)
-    return _take_config(sc, "sweep", SweepConfig, {"seed": seed, "solver": solver},
-                        {"node_count": "nodes"})
+    return _take_config(sc, "sweep", SweepConfig, {"seed": seed}, {"node_count": "nodes"})
 
 
 def _fmt(value):
@@ -239,11 +238,15 @@ def _emit(out_path, header_lines, columns, rows):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(out_path, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
+        _write_output(lambda path: pathlib.Path(path).write_text(text, newline=""), out_path)
+
+
+def _write_output(write, out_path):
+    """``write(out_path)``, a file system refusal raised as a configuration error."""
+    try:
+        write(out_path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
 
 
 def _header(command, seed, sc):
@@ -285,7 +288,6 @@ def _cmd_mean(sc, seed, out):
     r = sc.take("mean.r", cast=float, required=True)
     nodes = sc.take("mean.nodes", cast=int, default=64)
     _configured(circle_rule, 0j, 1.0, nodes)  # the quadrature's node-count check
-    solver = _take_config(sc, "solver", SolverConfig)
     density = None
     if kind != "infinity":
         density = sc.take("density.spec", cast=parse_density_spec, required=True)
@@ -297,7 +299,7 @@ def _cmd_mean(sc, seed, out):
     if not math.isfinite(r):
         raise ConfigError(f"mean.r must be finite, got {r}")
 
-    (res,) = _raise_first(circle_means(kind, field, [z], r, density, nodes, solver, seed))
+    (res,) = _raise_first(circle_means(kind, field, [z], r, density, nodes, seed))
     extras = _MEAN_COLUMNS.get(kind, _NEWTON_COLUMNS)
     columns = ("r",) + tuple(name for name, _ in extras) + ("status",)
     row = (r,) + tuple(get(res) for _, get in extras) + (res.status,)
@@ -442,6 +444,15 @@ def _cmd_contact(sc, seed, out):
     return 0 if ok else 1
 
 
+def _dpp_init(text):
+    """The constant interior start of ``const:<complex>``, or None for ``field``."""
+    if text == "field":
+        return None
+    if not text.startswith("const:"):
+        raise ConfigError(f"dpp.init must be 'field' or 'const:<complex>', got {text!r}")
+    return parse_complex(text[len("const:") :])
+
+
 def _cmd_dpp(sc, seed, out):
     field = sc.take("field.spec", cast=make_field, required=True)
     density = sc.take("density.spec", cast=parse_density_spec, required=True)
@@ -451,20 +462,14 @@ def _cmd_dpp(sc, seed, out):
     y1 = sc.take("dpp.y1", cast=float, required=True)
     h = sc.take("dpp.h", cast=float, required=True)
     radius = sc.take("dpp.radius", cast=float, required=True)
-    init_spec = sc.take("dpp.init", default="field")
-    solver = _take_config(sc, "solver", SolverConfig)
-    cfg = _take_config(sc, "dpp", DppConfig, {"radius": radius, "solver": solver},
-                       {"node_count": "nodes"})
+    init = sc.take("dpp.init", cast=_dpp_init)
+    cfg = _take_config(sc, "dpp", DppConfig, {"radius": radius}, {"node_count": "nodes"})
     header = _header("dpp", seed, sc)
     sc.finish()
 
     grid = _configured(grid_from_function, x0, x1, y0, y1, h, radius, field)
-    if init_spec != "field":
-        if not init_spec.startswith("const:"):
-            raise ConfigError(
-                f"dpp.init must be 'field' or 'const:<complex>', got {init_spec!r}"
-            )
-        grid = with_interior(grid, parse_complex(init_spec[len("const:") :]))
+    if init is not None:
+        grid = with_interior(grid, init)
 
     diverged = None
     try:
@@ -493,7 +498,7 @@ def _cmd_dpp(sc, seed, out):
         for line in header:
             sys.stdout.write(f"# {line}\n")
     else:
-        write_checkpoint(final, out, extra_header=header)
+        _write_output(functools.partial(write_checkpoint, final, extra_header=header), out)
     return 0 if converged else 1
 
 

@@ -42,7 +42,6 @@ from .geometry import circle_rule, field_values, nonfinite_error
 from .pdesystem import FIELD_FLOOR
 
 __all__ = [
-    "SolverConfig",
     "MeanResult",
     "PairMeanResult",
     "InfinityMeanResult",
@@ -62,16 +61,24 @@ MEAN_KINDS = ("variational", "center", "conjugate", "pair", "infinity")
 # Transformed-field floor for the conjugate mean.
 TRANSFORM_FLOOR = 1e-12
 
-# Newton solver constants.  The first-order stopping tolerance is
-# FOC_TOL_COEFF * (1 + mean of F'(|f|) on the circle).  A pointwise residual
-# of modulus below RESIDUAL_FLOOR counts as an exact zero: the Hessian clamps
-# residual moduli at this floor, and a row whose residuals all lie below it
-# is an exact fit.  The line search accepts a step t when the objective drops
-# by ARMIJO_SLOPE * t * slope and otherwise shrinks t by BACKTRACK_FACTOR.
+# Newton solver constants.  A row converges when its first-order residual is
+# at most FOC_TOL_COEFF * (1 + mean of F'(|f|) on the circle) and its pending
+# step at most STEP_TOL * (1 + |c|): above growth exponent 2 the density
+# degenerates at small residuals, a small gradient alone does not bound the
+# parameter error, and the step length is the sound certificate.  A pointwise
+# residual of modulus below RESIDUAL_FLOOR counts as an exact zero: the Hessian
+# clamps residual moduli at this floor, and a row whose residuals all lie below
+# it is an exact fit.  A row gets MAX_NEWTON_ITERATIONS steps.  A line search
+# tries at most MAX_BACKTRACKS steps t, the full step first (so at least one);
+# it accepts t when the objective drops by ARMIJO_SLOPE * t * slope and
+# otherwise shrinks t by BACKTRACK_FACTOR.
 FOC_TOL_COEFF = 1e-10
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 RESIDUAL_FLOOR = 1e-12
+MAX_NEWTON_ITERATIONS = 60
+MAX_BACKTRACKS = 60
+STEP_TOL = 1e-11
 
 _STATUS_ACTIVE = 0
 _STATUS_CONVERGED = 1
@@ -80,38 +87,6 @@ _STATUS_NAMES = {
     _STATUS_CONVERGED: "converged",
     _STATUS_FAILED: "failed",
 }
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Budgets and step tolerance of the Newton solver.
-
-    A row converges when its first-order residual is within the tolerance
-    set by ``FOC_TOL_COEFF`` and its pending Newton step is at most
-    ``step_tol * (1 + |c|)``: when the density degenerates at small
-    residuals (growth exponent above 2) a small gradient alone does not
-    bound the parameter error, and the step length is the sound certificate.
-    ``max_backtracks`` bounds the trial steps of every line search, the full
-    Newton step first, so it is at least 1.
-    """
-
-    max_iterations: int = 60
-    step_tol: float = 1e-11
-    max_backtracks: int = 60
-
-    def __post_init__(self):
-        if self.max_iterations < 0:
-            raise InvalidParameterError(
-                f"max_iterations must be >= 0, got {self.max_iterations}"
-            )
-        if not 0.0 <= self.step_tol < np.inf:
-            raise InvalidParameterError(
-                f"step_tol must be finite and >= 0, got {self.step_tol}"
-            )
-        if self.max_backtracks < 1:
-            raise InvalidParameterError(
-                f"max_backtracks must be >= 1, got {self.max_backtracks}"
-            )
 
 
 @dataclass(frozen=True)
@@ -185,7 +160,7 @@ def _objective_rows(d, samples, weights, model, c):
     return np.asarray(d.value_fn(np.abs(u)), dtype=float) @ weights
 
 
-def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
+def fit_model_coefficient(d, samples, weights, model, init):
     """Batched minimization of ``sum_j w_j F(|samples_j - c model_j|)``.
 
     Parameters
@@ -196,7 +171,6 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
     model : complex array, shape (nodes,) shared by all rows or (batch, nodes)
         one per row; bounded away from zero
     init : complex array, shape (batch,)
-    cfg : SolverConfig, optional
 
     Returns
     -------
@@ -206,7 +180,6 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
     runs out of backtracks, or when the iteration budget ends above the
     first-order tolerance.
     """
-    cfg = cfg or SolverConfig()
     samples = np.asarray(samples, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     model = np.asarray(model, dtype=complex)
@@ -244,7 +217,7 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         g = -0.5 * ((fp * (u / au_safe) * per_row(conj_model, rows)) @ weights)
         return u, au, g
 
-    for it in range(cfg.max_iterations + 1):
+    for it in range(MAX_NEWTON_ITERATIONS + 1):
         act = np.flatnonzero(state == _STATUS_ACTIVE)
         if act.size == 0:
             break
@@ -255,9 +228,9 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         foc_out[act] = foc
         iters[act] = it
         small_foc = foc <= foc_tol[act]
-        if it == cfg.max_iterations:
+        if it == MAX_NEWTON_ITERATIONS:
             # Iteration budget exhausted.  Near a flat optimum the Newton step
-            # stalls at the float noise floor without ever satisfying step_tol;
+            # stalls at the float noise floor without ever satisfying STEP_TOL;
             # accept rows whose final iterate meets the first-order tolerance
             # and fail only the rest.
             state[act[small_foc]] = _STATUS_CONVERGED
@@ -295,7 +268,7 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         settled = (
             small_foc
             & good
-            & (np.abs(delta) <= cfg.step_tol * (1.0 + np.abs(c[rows])))
+            & (np.abs(delta) <= STEP_TOL * (1.0 + np.abs(c[rows])))
         )
         state[rows[settled]] = _STATUS_CONVERGED
         slope = 2.0 * np.real(np.conj(g_r) * delta)
@@ -312,7 +285,7 @@ def fit_model_coefficient(d, samples, weights, model, init, cfg=None):
         flat = 16.0 * np.finfo(float).eps * (1.0 + np.abs(obj0))
         t = np.ones(rows.size)
         ok = np.zeros(rows.size, dtype=bool)
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = c[rows] + t * delta
             obj1 = _objective_rows(d, samples[rows], weights, row_model, cand)
             ok = np.isfinite(obj1) & (
@@ -354,15 +327,15 @@ def _mean_results(fit, radii):
     ]
 
 
-def circle_means(kind, f, points, r, d, node_count=64, cfg=None, seed=0):
+def circle_means(kind, f, points, r, d, node_count=64, seed=0):
     """One circle mean of ``f`` at every point for the radius ``r``.
 
     ``kind`` is one of ``MEAN_KINDS``; each is documented at its one-point
     function (``variational_circle_mean``, ``center_circle_mean``,
     ``pair_mean``, ``conjugate_transformed_mean``, ``infinity_mean``).  All
     circles are sampled in one field call and each model is fitted in one
-    :func:`fit_model_coefficient` call over all points.  ``d`` and ``cfg``
-    are unused by the sup-norm mean, ``seed`` is used by it alone.
+    :func:`fit_model_coefficient` call over all points.  ``d`` is unused
+    by the sup-norm mean, ``seed`` is used by it alone.
 
     Returns a tuple with one entry per point: the mean's result, or the
     error its one-point function raises for that point alone.  These are a
@@ -373,10 +346,10 @@ def circle_means(kind, f, points, r, d, node_count=64, cfg=None, seed=0):
     below the float resolution at the point, so the slope model vanishes at
     a node.  Errors that concern every point are raised.
     """
-    return _ladder_means(kind, f, points, [r], d, node_count, cfg, seed)[0]
+    return _ladder_means(kind, f, points, [r], d, node_count, seed)[0]
 
 
-def _ladder_means(kind, f, points, radii, d, node_count=64, cfg=None, seed=0):
+def _ladder_means(kind, f, points, radii, d, node_count=64, seed=0):
     """:func:`circle_means` at every radius of ``radii``: one tuple per radius.
 
     Every circle of every (radius, point) row is sampled in one field call
@@ -448,10 +421,10 @@ def _ladder_means(kind, f, points, radii, d, node_count=64, cfg=None, seed=0):
         if kind in ("center", "pair"):
             init = samples @ w / (2.0 * np.pi)
             ones = np.ones(n, dtype=complex)
-            a_res = _mean_results(fit_model_coefficient(d, samples, w, ones, init, cfg), r)
+            a_res = _mean_results(fit_model_coefficient(d, samples, w, ones, init), r)
         if kind != "center":
             init = (samples * offsets) @ w / (2.0 * np.pi * r**2)
-            b_res = _mean_results(fit_model_coefficient(d, samples, w, model, init, cfg), r)
+            b_res = _mean_results(fit_model_coefficient(d, samples, w, model, init), r)
         for k, i in enumerate(live):
             if kind == "center":
                 out[i] = a_res[k]
@@ -467,29 +440,29 @@ def _ladder_means(kind, f, points, radii, d, node_count=64, cfg=None, seed=0):
     return tuple(tuple(out[k * z.size:(k + 1) * z.size]) for k in range(radii.size))
 
 
-def _one_point(kind, f, z, r, d, node_count, cfg, seed=0):
-    return _raise_first(circle_means(kind, f, [complex(z)], r, d, node_count, cfg, seed))[0]
+def _one_point(kind, f, z, r, d, node_count, seed=0):
+    return _raise_first(circle_means(kind, f, [complex(z)], r, d, node_count, seed))[0]
 
 
-def variational_circle_mean(f, z, r, d, node_count=64, cfg=None):
+def variational_circle_mean(f, z, r, d, node_count=64):
     """Derivative-detecting circle mean of ``f`` at ``z`` with radius ``r``.
 
     Minimizes ``integral of F(|f(zeta) - c conj(zeta - z)|)`` over the
     circle.  Initialized at the quadratic closed form, which is exact for
     the power density with p = 2.
     """
-    return _one_point("variational", f, z, r, d, node_count, cfg)
+    return _one_point("variational", f, z, r, d, node_count)
 
 
-def center_circle_mean(f, z, r, d, node_count=64, cfg=None):
+def center_circle_mean(f, z, r, d, node_count=64):
     """Constant-model circle mean: the F-barycenter of f on the circle.
 
     Initialized at the plain circle average.
     """
-    return _one_point("center", f, z, r, d, node_count, cfg)
+    return _one_point("center", f, z, r, d, node_count)
 
 
-def pair_mean(f, z, r, d, node_count=64, cfg=None):
+def pair_mean(f, z, r, d, node_count=64):
     """Pair mean: center a plus slope b with value a + r b.
 
     The pair mean is defined as two single-model solves: a is the
@@ -497,10 +470,10 @@ def pair_mean(f, z, r, d, node_count=64, cfg=None):
     on its own.  This is not the minimizer of the joint objective over
     (a, b): the two models decouple only for the quadratic density.
     """
-    return _one_point("pair", f, z, r, d, node_count, cfg)
+    return _one_point("pair", f, z, r, d, node_count)
 
 
-def conjugate_transformed_mean(g, z, r, d, node_count=64, cfg=None):
+def conjugate_transformed_mean(g, z, r, d, node_count=64):
     """Circle mean of the conjugate-slope transform of ``g``.
 
     The samples are mapped through ``t -> G'(|g|) g / |g|`` with G the Young
@@ -513,7 +486,7 @@ def conjugate_transformed_mean(g, z, r, d, node_count=64, cfg=None):
         If any circle sample has ``|g| < TRANSFORM_FLOOR``; the transform
         needs a nonvanishing field.
     """
-    return _one_point("conjugate", g, z, r, d, node_count, cfg)
+    return _one_point("conjugate", g, z, r, d, node_count)
 
 
 # -- sup-norm mean ----------------------------------------------------------
@@ -577,7 +550,7 @@ def infinity_mean(f, z, r, node_count=64, seed=0):
     i.e. a smallest enclosing circle, solved exactly.  The fixed shuffle seed
     makes the run deterministic.
     """
-    return _one_point("infinity", f, z, r, None, node_count, None, seed)
+    return _one_point("infinity", f, z, r, None, node_count, seed)
 
 
 def affine_mean_identity(jet, r, c, d, node_count=64, radial_nodes=32):

@@ -311,16 +311,17 @@ def test_a_failing_prediction_is_an_error_row_alone(rows_fn, error, monkeypatch)
     assert rows[1] == rows_fn(lambda z: z, [0.5 + 0j], D2)[0]
 
 
-@pytest.mark.parametrize("f, cfg, reason", (
+@pytest.mark.parametrize("f, max_iterations, reason", (
     # a field of the wrong shape fails the whole engine call, so every radius
-    (lambda z: np.zeros(3, dtype=complex), hm.SweepConfig(), "field returned shape"),
+    (lambda z: np.zeros(3, dtype=complex), hm.means.MAX_NEWTON_ITERATIONS,
+     "field returned shape"),
     # with no Newton iteration no fit at p = 3 meets its first-order tolerance
-    (np.exp, hm.SweepConfig(solver=hm.SolverConfig(max_iterations=0)),
-     "solver reported failure"),
+    (np.exp, 0, "solver reported failure"),
 ))
-def test_a_starved_sweep_names_why_its_radii_failed(f, cfg, reason):
+def test_a_starved_sweep_names_why_its_radii_failed(f, max_iterations, reason, monkeypatch):
+    monkeypatch.setattr(hm.means, "MAX_NEWTON_ITERATIONS", max_iterations)
     with pytest.raises(InsufficientDataError, match=f"only 0 of 8 radii.*{reason}"):
-        hm.sweep("variational", f, 0.3 + 0.2j, D3, cfg)
+        hm.sweep("variational", f, 0.3 + 0.2j, D3)
 
 
 def test_extrapolate_takes_a_sweep_or_two_arrays_but_not_both():

@@ -120,7 +120,7 @@ def _per_radius_sweeps(kind, f, points, d, cfg):
     failures = [[] for _ in points]
     for r in cfg.radii():
         results = hm.circle_means(_SWEEP_MEANS[kind], f, points, r, d,
-                                  cfg.node_count, cfg.solver, cfg.seed)
+                                  cfg.node_count, cfg.seed)
         for i, res in enumerate(results):
             if isinstance(res, hm.HolomeansError):
                 failures[i].append((float(r), f"{type(res).__name__}: {res}"))

@@ -199,18 +199,14 @@ def test_dpp_solve_reports_nonconvergence_under_budget():
     assert len(res.residual_history) == 3
 
 
-def test_dpp_divergence_detector_carries_history():
+def test_dpp_divergence_detector_carries_history(monkeypatch):
     # At p = 2 and damping 1 the sweep multiplies the mode exp(-i y / r) by
     # J0(1) + J1(1) = 1.2 away from the strip, so its sup residual rises
     # (0.184 to 0.218 here) before the strip damps it.
     g = small_grid(h=0.1, r=0.2, f=lambda z: np.exp(-1j * z.imag / 0.2))
-    cfg = hm.DppConfig(
-        radius=0.2,
-        damping=1.0,
-        residual_tol=1e-14,
-        divergence_window=1,
-        divergence_factor=1.1,
-    )
+    monkeypatch.setattr(hm.dpp, "DIVERGENCE_WINDOW", 1)
+    monkeypatch.setattr(hm.dpp, "DIVERGENCE_FACTOR", 1.1)
+    cfg = hm.DppConfig(radius=0.2, damping=1.0, residual_tol=1e-14)
     with pytest.raises(DivergenceError, match="grew from") as err:
         hm.dpp_solve(g, D2, cfg)
     assert len(err.value.history) == 2
@@ -278,11 +274,6 @@ def test_callback_sees_every_sweep():
 
 
 @pytest.mark.parametrize("settings, message", (
-    (dict(divergence_window=0), "divergence_window must be at least 1 sweep, got 0"),
-    (dict(divergence_window=-3), "divergence_window must be at least 1 sweep, got -3"),
-    (dict(divergence_factor=0.5), "divergence_factor must be finite and at least 1, got 0.5"),
-    (dict(divergence_factor=np.inf), "divergence_factor must be finite and at least 1"),
-    (dict(divergence_factor=np.nan), "divergence_factor must be finite and at least 1"),
     (dict(max_iterations=-1), "max_iterations must be >= 0, got -1"),
     (dict(residual_tol=-1e-3), "residual_tol must be >= 0, got -0.001"),
     (dict(residual_tol=np.nan), "residual_tol must be >= 0, got nan"),
@@ -292,9 +283,10 @@ def test_dpp_config_refuses_iteration_settings_out_of_range(settings, message):
         hm.DppConfig(radius=0.2, **settings)
 
 
-def test_dpp_config_accepts_the_edges_of_its_ranges():
-    cfg = hm.DppConfig(radius=0.2, max_iterations=0, residual_tol=0.0,
-                       divergence_window=1, divergence_factor=1.0)
+def test_dpp_config_accepts_the_edges_of_its_ranges(monkeypatch):
+    monkeypatch.setattr(hm.dpp, "DIVERGENCE_WINDOW", 1)
+    monkeypatch.setattr(hm.dpp, "DIVERGENCE_FACTOR", 1.0)
+    cfg = hm.DppConfig(radius=0.2, max_iterations=0, residual_tol=0.0)
     res = hm.dpp_solve(small_grid(h=0.1, r=0.2), D2, cfg)
     assert res.iterations == 0 and res.residual_history == () and not res.converged
 
@@ -350,13 +342,9 @@ def reference_step(grid, d, cfg):
     samples = hm.interpolate(grid, grid.points()[active][:, None] + offsets[None, :])
     weights = np.full(cfg.node_count, 2.0 * np.pi * cfg.radius / cfg.node_count)
     init_a = samples.mean(axis=1)
-    res_a = fit_model_coefficient(
-        d, samples, weights, np.ones_like(offsets), init_a, cfg.solver
-    )
+    res_a = fit_model_coefficient(d, samples, weights, np.ones_like(offsets), init_a)
     init_b = (samples * offsets).sum(axis=1) * weights[0] / (2.0 * np.pi * cfg.radius**3)
-    res_b = fit_model_coefficient(
-        d, samples, weights, np.conj(offsets), init_b, cfg.solver
-    )
+    res_b = fit_model_coefficient(d, samples, weights, np.conj(offsets), init_b)
     mean = res_a["minimizer"] + cfg.radius * res_b["minimizer"]
     bad = (res_a["status"] == 3) | (res_b["status"] == 3)
     old = grid.values[active]
@@ -460,9 +448,9 @@ def test_the_newton_sweep_fits_interpolated_samples(rng, monkeypatch, h, nodes, 
     cfg = hm.DppConfig(radius=0.1, node_count=nodes)
     calls = []
 
-    def recording_fit(d, samples, weights, model, init, solver):
+    def recording_fit(d, samples, weights, model, init):
         calls.append((samples, init))
-        return fit_model_coefficient(d, samples, weights, model, init, solver)
+        return fit_model_coefficient(d, samples, weights, model, init)
 
     monkeypatch.setattr("holomeans.dpp.fit_model_coefficient", recording_fit)
     hm.dpp_step(grid, hm.power_density(3), cfg)
@@ -519,12 +507,13 @@ def test_the_flat_tap_sum_has_the_bits_of_the_window_sum(rng, name):
 
 
 @pytest.mark.parametrize("damping", (1.0, 0.8))
-def test_a_node_whose_fit_fails_keeps_its_value(damping):
+def test_a_node_whose_fit_fails_keeps_its_value(damping, monkeypatch):
     # Without a Newton iteration no pair-mean fit at p = 3 meets its
     # first-order tolerance, so every node keeps its old value exactly, at
     # any damping, and counts as skipped.
     g = small_grid(h=0.1, r=0.2)
-    cfg = hm.DppConfig(radius=0.2, damping=damping, solver=hm.SolverConfig(max_iterations=0))
+    monkeypatch.setattr(hm.means, "MAX_NEWTON_ITERATIONS", 0)
+    cfg = hm.DppConfig(radius=0.2, damping=damping)
     stepped, diag = hm.dpp_step(g, hm.power_density(3), cfg)
     np.testing.assert_array_equal(stepped.values, g.values)
     assert diag == hm.StepDiagnostics(0.0, 0, int(g.interior_mask().sum()))

@@ -163,10 +163,11 @@ def test_zero_field_converges_to_zero():
         assert res.minimizer == 0
 
 
-def test_solver_reports_finite_diagnostics_under_tiny_budget():
-    cfg = hm.SolverConfig(max_iterations=1, max_backtracks=1)
+def test_solver_reports_finite_diagnostics_under_tiny_budget(monkeypatch):
+    monkeypatch.setattr(hm.means, "MAX_NEWTON_ITERATIONS", 1)
+    monkeypatch.setattr(hm.means, "MAX_BACKTRACKS", 1)
     f = lambda zeta: np.exp(zeta) + np.abs(zeta)
-    res = hm.variational_circle_mean(f, Z, R, hm.power_density(1.5), cfg=cfg)
+    res = hm.variational_circle_mean(f, Z, R, hm.power_density(1.5))
     assert res.status in ("converged", "failed")
     assert np.isfinite(res.foc_residual)
     assert res.iterations >= 0
@@ -174,7 +175,9 @@ def test_solver_reports_finite_diagnostics_under_tiny_budget():
 
 @pytest.mark.parametrize("max_iterations", (0, 1, 2))
 @pytest.mark.parametrize("p", (1.5, 3.0))
-def test_iteration_budget_fails_far_rows_and_keeps_rows_at_their_optimum(p, max_iterations, rng):
+def test_iteration_budget_fails_far_rows_and_keeps_rows_at_their_optimum(p, max_iterations, rng,
+                                                                         monkeypatch):
+    monkeypatch.setattr(hm.means, "MAX_NEWTON_ITERATIONS", max_iterations)
     # Row 0 is the unit ring, whose constant-model optimum 0 is its start;
     # row 1 starts far from its optimum and needs more Newton steps.
     n = 16
@@ -186,29 +189,10 @@ def test_iteration_budget_fails_far_rows_and_keeps_rows_at_their_optimum(p, max_
         np.full(n, 2.0 * np.pi / n),
         np.ones(n, dtype=complex),
         np.array([0j, 3.0 + 3.0j]),
-        hm.SolverConfig(max_iterations=max_iterations),
     )
     assert fit["status"].tolist() == [1, 3]
     assert fit["iterations"].tolist() == [0, max_iterations]
     assert fit["minimizer"][0] == 0j
-
-
-def test_solver_config_refuses_a_negative_iteration_budget():
-    with pytest.raises(InvalidParameterError, match="max_iterations must be >= 0"):
-        hm.SolverConfig(max_iterations=-1)
-
-
-@pytest.mark.parametrize("fields, message", (
-    # no trial step: every Newton iteration would fail before moving
-    ({"max_backtracks": 0}, "max_backtracks must be >= 1, got 0"),
-    # a step test that no step can pass, or that every step passes
-    ({"step_tol": float("nan")}, "step_tol must be finite and >= 0, got nan"),
-    ({"step_tol": -1e-11}, "step_tol must be finite and >= 0, got -1e-11"),
-    ({"step_tol": float("inf")}, "step_tol must be finite and >= 0, got inf"),
-))
-def test_solver_config_refuses_an_empty_line_search_and_a_broken_step_test(fields, message):
-    with pytest.raises(InvalidParameterError, match=message):
-        hm.SolverConfig(**fields)
 
 
 @pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
@@ -270,7 +254,7 @@ def test_affine_identity_residual_small_for_true_mean():
     assert np.isfinite(ident.alpha) and np.isfinite(ident.beta)
 
 
-def test_line_search_backtracks_from_a_far_start():
+def test_line_search_backtracks_from_a_far_start(monkeypatch):
     # At p = 1.2 the full Newton step from 10 overshoots: the fit converges
     # only when the line search may shorten it.
     n = 16
@@ -280,7 +264,8 @@ def test_line_search_backtracks_from_a_far_start():
     fit = fit_model_coefficient(*args)
     assert fit["status"].tolist() == [1]
     assert abs(fit["minimizer"][0]) <= 1e-12
-    short = fit_model_coefficient(*args, hm.SolverConfig(max_backtracks=1))
+    monkeypatch.setattr(hm.means, "MAX_BACKTRACKS", 1)
+    short = fit_model_coefficient(*args)
     assert short["status"].tolist() == [3]
     assert short["minimizer"][0] == 10.0
 
