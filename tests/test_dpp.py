@@ -213,6 +213,35 @@ def test_dpp_divergence_detector_carries_history(monkeypatch):
     assert err.value.history[1] > 1.1 * err.value.history[0]
 
 
+@pytest.mark.parametrize("window, factor, raises", (
+    # the one rise, sweep 1 to sweep 2, is by a factor 1.184
+    (1, 1.18, True),
+    (1, 1.19, False),
+    # every later sweep shrinks the residual, so no two sweeps apart grow
+    (2, 1.1, False),
+))
+def test_the_divergence_detector_compares_sweeps_a_window_apart(window, factor, raises,
+                                                                monkeypatch):
+    g = small_grid(h=0.1, r=0.2, f=lambda z: np.exp(-1j * z.imag / 0.2))
+    monkeypatch.setattr(hm.dpp, "DIVERGENCE_WINDOW", window)
+    monkeypatch.setattr(hm.dpp, "DIVERGENCE_FACTOR", factor)
+    cfg = hm.DppConfig(radius=0.2, damping=1.0, residual_tol=1e-14)
+    if raises:
+        with pytest.raises(DivergenceError, match=f"over {window} sweeps"):
+            hm.dpp_solve(g, D2, cfg)
+    else:
+        assert hm.dpp_solve(g, D2, cfg).converged
+
+
+def test_the_default_divergence_detector_lets_a_transient_rise_converge():
+    # The rise of the test above is far below DIVERGENCE_FACTOR and inside
+    # DIVERGENCE_WINDOW; the solve reaches its tolerance in 59 sweeps.
+    g = small_grid(h=0.1, r=0.2, f=lambda z: np.exp(-1j * z.imag / 0.2))
+    res = hm.dpp_solve(g, D2, hm.DppConfig(radius=0.2, damping=1.0, residual_tol=1e-14))
+    assert res.converged and res.iterations == 59
+    assert res.residual_history[1] > res.residual_history[0]
+
+
 def test_dpp_config_validation():
     with pytest.raises(ConfigError):
         hm.DppConfig(radius=0.0)

@@ -2,6 +2,8 @@
 
 import importlib
 
+import pytest
+
 import holomeans as hm
 
 MODULES = ("asymptotics", "contact", "density", "dpp", "errors", "fields", "geometry",
@@ -26,3 +28,17 @@ def test_conjugate_validation_and_fit_names_are_exported():
     for name in ("young_conjugate", "CheckResult", "ValidationReport", "fit_model_coefficient"):
         assert name in hm.__all__
     assert len(hm.__all__) == 91
+
+
+@pytest.mark.parametrize("config, field", (
+    (hm.SweepConfig, "solver"),
+    (hm.DppConfig, "solver"),
+    (hm.DppConfig, "divergence_window"),
+    (hm.DppConfig, "divergence_factor"),
+))
+def test_retired_solver_settings_are_module_constants_not_config_fields(config, field):
+    # The Newton budget and the divergence detector are set in ``means``
+    # and ``dpp``; no config carries them.
+    assert not hasattr(hm, "SolverConfig")
+    with pytest.raises(TypeError, match=field):
+        config(radius=0.2, **{field: 1}) if config is hm.DppConfig else config(**{field: 1})

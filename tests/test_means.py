@@ -195,6 +195,26 @@ def test_iteration_budget_fails_far_rows_and_keeps_rows_at_their_optimum(p, max_
     assert fit["minimizer"][0] == 0j
 
 
+@pytest.mark.parametrize("p, loose_error", ((3.0, 1e-9), (4.0, 1e-5)))
+def test_the_step_certificate_pins_a_flat_fit_above_growth_exponent_2(p, loose_error,
+                                                                      monkeypatch):
+    # Samples within 1e-3 of c0 make F = t**p flat near c0 for p > 2: the
+    # gradient meets its tolerance while c is still far from c0.  Only the
+    # STEP_TOL test on the pending step keeps Newton going to c0.
+    n = 32
+    c0 = 0.3 + 0.1j
+    ring = np.exp(2j * np.pi * np.arange(n) / n)
+    args = (hm.power_density(p), (c0 + 1e-3 * ring)[None, :], np.full(n, 2.0 * np.pi / n),
+            np.ones(n, dtype=complex), np.array([c0 + 0.05]))
+    fit = fit_model_coefficient(*args)
+    assert fit["status"].tolist() == [1]
+    assert abs(fit["minimizer"][0] - c0) <= 1e-15
+    monkeypatch.setattr(hm.means, "STEP_TOL", np.inf)
+    loose = fit_model_coefficient(*args)
+    assert loose["status"].tolist() == [1]
+    assert abs(loose["minimizer"][0] - c0) > loose_error
+
+
 @pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
 def test_newton_converges_from_a_residual_exactly_at_zero(p, rng):
     # The initial iterate equals one sample, so one pointwise residual is an
