@@ -2,10 +2,11 @@
 
 The stored CSVs under ``tests/golden/`` pin the output of each command for
 seed 0.  Besides the shipped scenarios, each ``verify-*`` command has one
-case whose sweeps are starved (``sweep.min_successes`` above the radius
-count, so every point becomes an ``error`` row), and each ``verify-*``
-command and ``contact`` have one case with a field zero (``square`` at 0,
-an ``untestable`` row next to normal ones).  ``dpp_power3`` pins a DPP solve
+case whose sweeps are starved (``sweep.count = 3``, fewer radii than the
+four a sweep needs, so every point becomes an ``error`` row before any
+solve), and each ``verify-*`` command and
+``contact`` have one case with a field zero (``square`` at 0, an
+``untestable`` row next to normal ones).  ``dpp_power3`` pins a DPP solve
 off the quadratic density, where every sweep runs the Newton fits.
 
 Regenerate after an intended output change with::
@@ -38,7 +39,7 @@ SCENARIO_CASES = {
 
 _STARVED = (
     "field.spec = exp\ndensity.spec = power:p=3\n"
-    "points.list = 0.4+0.1i\nsweep.min_successes = 9\n"
+    "points.list = 0.4+0.1i\nsweep.count = 3\n"
 )
 _ZERO = "field.spec = square\ndensity.spec = power:p=3\npoints.list = 0; 0.5+0.2i\n"
 
