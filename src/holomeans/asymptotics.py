@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .density import _per_point, lambda_of, young_conjugate
 from .errors import (
     HolomeansError,
@@ -74,8 +75,10 @@ __all__ = [
 
 # Decision thresholds (module docstring).  Jet membership's undecided band up to
 # REJECT_TOL absorbs extrapolation noise; MATCH_TOL bounds the gap between a
-# sweep's limit and its analytic prediction for a ``consistent`` row.
+# sweep's limit and its analytic prediction for a ``consistent`` row.  A sweep
+# needs values at MIN_SUCCESSES radii at least, else it raises.
 ZERO_TOL = 1e-4
+MIN_SUCCESSES = 4
 REJECT_TOL = 1e-3
 FIT_TOL_COEFF = 1e-3
 MATCH_TOL = 1e-3
@@ -95,13 +98,14 @@ _decide_membership = functools.partial(_decide, reject=REJECT_TOL)
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Geometric radius ladder and circle rule of a sweep."""
+    """Geometric radius ladder of a sweep; ``seed`` shuffles the sup mean.
+
+    Every circle has ``geometry.DEFAULT_CIRCLE_NODES`` nodes.
+    """
 
     r0: float = 0.1
     rho: float = 0.5
     count: int = 8
-    node_count: int = 64
-    min_successes: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -111,10 +115,6 @@ class SweepConfig:
             raise InvalidParameterError(f"rho must lie in (0, 1), got {self.rho}")
         if self.count < 2:
             raise InvalidParameterError(f"count must be >= 2, got {self.count}")
-        if self.node_count < 8:
-            raise InvalidParameterError(f"need at least 8 circle nodes, got {self.node_count}")
-        if self.min_successes < 1:
-            raise InvalidParameterError(f"min_successes must be >= 1, got {self.min_successes}")
 
     def radii(self):
         return self.r0 * self.rho ** np.arange(self.count)
@@ -210,9 +210,9 @@ def _sweeps(kind, f, points, d, cfg):
         )
     cfg = cfg or SweepConfig()
     radii_all = cfg.radii()
-    if cfg.min_successes > radii_all.size:
+    if MIN_SUCCESSES > radii_all.size:
         raise InsufficientDataError(
-            f"min_successes ({cfg.min_successes}) exceeds the "
+            f"MIN_SUCCESSES ({MIN_SUCCESSES}) exceeds the "
             f"{radii_all.size} radii of the ladder"
         )
     if kind == "pair_increment":
@@ -221,7 +221,7 @@ def _sweeps(kind, f, points, d, cfg):
 
     try:
         ladder = _ladder_means(_SWEEP_MEANS[kind], f, pts, radii_all, d,
-                               cfg.node_count, cfg.seed)
+                               geometry.DEFAULT_CIRCLE_NODES, cfg.seed)
     except HolomeansError as exc:
         ladder = ((exc,) * pts.size,) * radii_all.size
     found = [[] for _ in pts]  # per point: (radius, value, status, extras)
@@ -249,10 +249,10 @@ def _sweeps(kind, f, points, d, cfg):
 
     out = []
     for z, ok, failed in zip(pts, found, failures):
-        if len(ok) < cfg.min_successes:
+        if len(ok) < MIN_SUCCESSES:
             out.append(InsufficientDataError(
                 f"only {len(ok)} of {len(radii_all)} radii produced values; "
-                f"need at least {cfg.min_successes} (failures: {failed})"
+                f"need at least {MIN_SUCCESSES} (failures: {failed})"
             ))
             continue
         radii, values, statuses, extras = map(tuple, zip(*ok))
@@ -268,9 +268,9 @@ def sweep(kind, f, z, d, cfg=None):
     ``conjugate`` (conjugate-transformed mean), ``pair_increment`` (pair mean
     value minus the field value at the center) or ``infinity`` (sup mean).
     Radii whose solve fails, or raises a :class:`HolomeansError`, are
-    recorded and skipped; fewer than ``cfg.min_successes`` usable radii
-    raise :class:`InsufficientDataError`, before any solve when the ladder
-    itself is shorter.  Other exceptions propagate.
+    recorded and skipped; fewer than ``MIN_SUCCESSES`` usable radii raise
+    :class:`InsufficientDataError`, before any solve when the ladder itself
+    is shorter.  Other exceptions propagate.
     """
     return _raise_first(_sweeps(kind, f, [complex(z)], d, cfg))[0]
 

@@ -54,7 +54,7 @@ from .dpp import (
 )
 from .errors import ConfigError, DivergenceError, HolomeansError, _raise_first
 from .fields import make_field, parse_complex
-from .geometry import circle_rule
+from .geometry import DEFAULT_CIRCLE_NODES, circle_rule
 from .means import MEAN_KINDS, circle_means
 
 __all__ = ["main", "load_scenario", "parse_density_spec"]
@@ -195,26 +195,24 @@ def _take_points(sc):
     return pts if pts is not None else gpts
 
 
-def _take_config(sc, prefix, cls, fixed=None, rename=None):
+def _take_config(sc, prefix, cls, fixed):
     """Build the config dataclass ``cls`` from the ``<prefix>.<field>`` keys.
 
     Every field of ``cls`` not in ``fixed`` is a key, cast to the type of
-    the field's default; ``rename`` maps a field name to its key name.
+    the field's default.
     """
-    kwargs = dict(fixed or {})
-    rename = rename or {}
+    kwargs = dict(fixed)
     for fld in dataclasses.fields(cls):
         if fld.name in kwargs:
             continue
-        key = f"{prefix}.{rename.get(fld.name, fld.name)}"
-        val = sc.take(key, cast=type(fld.default))
+        val = sc.take(f"{prefix}.{fld.name}", cast=type(fld.default))
         if val is not None:
             kwargs[fld.name] = val
     return _configured(cls, **kwargs)
 
 
 def _sweep_config(sc, seed):
-    return _take_config(sc, "sweep", SweepConfig, {"seed": seed}, {"node_count": "nodes"})
+    return _take_config(sc, "sweep", SweepConfig, {"seed": seed})
 
 
 def _fmt(value):
@@ -286,7 +284,7 @@ def _cmd_mean(sc, seed, out):
     field = sc.take("field.spec", cast=make_field, required=True)
     z = sc.take("mean.point", cast=parse_complex, required=True)
     r = sc.take("mean.r", cast=float, required=True)
-    nodes = sc.take("mean.nodes", cast=int, default=64)
+    nodes = sc.take("mean.nodes", cast=int, default=DEFAULT_CIRCLE_NODES)
     _configured(circle_rule, 0j, 1.0, nodes)  # the quadrature's node-count check
     density = None
     if kind != "infinity":
@@ -449,7 +447,7 @@ def _dpp_init(text):
     if text == "field":
         return None
     if not text.startswith("const:"):
-        raise ConfigError(f"dpp.init must be 'field' or 'const:<complex>', got {text!r}")
+        raise ConfigError(f"must be 'field' or 'const:<complex>', got {text!r}")
     return parse_complex(text[len("const:") :])
 
 
@@ -463,7 +461,7 @@ def _cmd_dpp(sc, seed, out):
     h = sc.take("dpp.h", cast=float, required=True)
     radius = sc.take("dpp.radius", cast=float, required=True)
     init = sc.take("dpp.init", cast=_dpp_init)
-    cfg = _take_config(sc, "dpp", DppConfig, {"radius": radius}, {"node_count": "nodes"})
+    cfg = _take_config(sc, "dpp", DppConfig, {"radius": radius})
     header = _header("dpp", seed, sc)
     sc.finish()
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .asymptotics import (
     LimitEstimate,
     SweepConfig,
@@ -206,7 +207,7 @@ def jet_membership(f, probe, cfg=None):
     radii = cfg.radii()
 
     # Every circle of the ladder in one field call, row k at radius k.
-    nodes = z + radii[:, None] * circle_rule(0j, 1.0, cfg.node_count).nodes
+    nodes = z + radii[:, None] * circle_rule(0j, 1.0, geometry.DEFAULT_CIRCLE_NODES).nodes
     values = sample_field(f, nodes)
     affine = fz + probe.sigma * (nodes - z) + probe.tau * np.conj(nodes - z)
     remainder = values - affine
@@ -293,7 +294,6 @@ def camvp_verdict(f, probe, d, cfg=None):
     no lower than ``-ZERO_TOL``.  A field value below ``FIELD_FLOOR`` makes
     the mean undefined, reported as ``untestable``.
     """
-    cfg = cfg or SweepConfig()
     xi = _check_unit(probe.xi)
     z = complex(probe.base)
     fz = complex(field_values(f, [z])[0])
@@ -334,7 +334,6 @@ def contact_solution_verdict(f, points, d, directions=DEFAULT_DIRECTION_COUNT, c
     value verdicts, the closed form envelopes, and the pointwise system
     residuals; ``consistent`` asserts that all three agree everywhere.
     """
-    cfg = cfg or SweepConfig()
     if np.isscalar(directions):
         xi_list = unit_directions(int(directions))
     else:

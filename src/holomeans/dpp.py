@@ -24,8 +24,10 @@ pair of batched one-dimensional Newton solves over every node at once, on
 circle samples gathered through the same shifts.
 
 Nodes where the field modulus falls below ``FIELD_FLOOR`` make the mean
-ill-posed (the density may lose smoothness at zero); the ``zero_policy``
-either skips them for the current sweep or freezes them permanently.
+ill-posed (the density may lose smoothness at zero): a sweep skips a node
+whose value and whole sampling circle lie below it.  It also skips the
+nodes of ``GridField.frozen``, which the caller holds fixed; no sweep adds
+nodes to that mask.
 
 At p = 2 on ``exp`` data the stopping tolerance, not the lattice step,
 dominates the error (``demos/dpp_refinement.py``); that holds at p = 2 only.
@@ -43,6 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import geometry
 from .density import Density
 from .errors import (
     ConfigError,
@@ -84,8 +87,9 @@ class GridField:
     nodes on the rectangle edge are unknowns too); the lattice extends
     ``strip_cells`` extra layers beyond every side, and those outer nodes
     carry fixed data so that every sampling circle around an unknown stays
-    inside the lattice.  ``frozen`` marks nodes permanently excluded from
-    updates under the freeze policy.
+    inside the lattice.  ``frozen`` marks interior nodes that the caller
+    holds fixed: no sweep updates them or adds to them, and a checkpoint
+    writes them with flag 2.
     """
 
     x0: float
@@ -126,10 +130,7 @@ class GridField:
 
     @property
     def shape(self):
-        s = 2 * self.strip_cells
-        nx = int(round((self.x1 - self.x0) / self.h)) + 1 + s
-        ny = int(round((self.y1 - self.y0) / self.h)) + 1 + s
-        return nx, ny
+        return _lattice_shape(self.x0, self.x1, self.y0, self.y1, self.h, self.strip_cells)
 
     @property
     def xs(self):
@@ -154,6 +155,12 @@ class GridField:
         return mask
 
 
+def _lattice_shape(x0, x1, y0, y1, h, strip_cells):
+    """(nx, ny) node counts: the closed unknown rectangle plus the strip on each side."""
+    s = 2 * strip_cells
+    return int(round((x1 - x0) / h)) + 1 + s, int(round((y1 - y0) / h)) + 1 + s
+
+
 def strip_cells_for(radius, h):
     """Lattice layers needed so circles of ``radius`` stay inside the data."""
     return int(math.ceil(radius / h)) + 1
@@ -175,8 +182,7 @@ def make_grid(x0, x1, y0, y1, h, radius):
             f"lattice bounds must be finite: [{x0}, {x1}] x [{y0}, {y1}]"
         )
     s = strip_cells_for(radius, h)
-    nx = int(round((x1 - x0) / h)) + 1 + 2 * s
-    ny = int(round((y1 - y0) / h)) + 1 + 2 * s
+    nx, ny = _lattice_shape(x0, x1, y0, y1, h, s)
     g = GridField(
         x0=float(x0),
         x1=float(x1),
@@ -243,28 +249,22 @@ def interpolate(grid, pts):
 class DppConfig:
     """Settings of the damped fixed-point iteration.
 
-    ``zero_policy`` skips or freezes the nodes whose value and whole
-    sampling circle lie below ``FIELD_FLOOR``.
+    Every sampling circle has ``geometry.DEFAULT_CIRCLE_NODES`` nodes.  A
+    sweep skips the nodes of ``GridField.frozen`` and, for that sweep only,
+    the nodes whose value and whole sampling circle lie below
+    ``FIELD_FLOOR``.
     """
 
     radius: float
     damping: float = 0.8
     max_iterations: int = 500
     residual_tol: float = 1e-3
-    node_count: int = 64
-    zero_policy: str = "skip"
 
     def __post_init__(self):
         if not 0.0 < self.radius < math.inf:
             raise ConfigError(f"radius must be positive and finite, got {self.radius}")
         if not (0.0 < self.damping <= 1.0):
             raise ConfigError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.node_count < 8:
-            raise ConfigError(f"need at least 8 circle nodes, got {self.node_count}")
-        if self.zero_policy not in ("skip", "freeze"):
-            raise ConfigError(
-                f"zero_policy must be 'skip' or 'freeze', got {self.zero_policy!r}"
-            )
         if self.max_iterations < 0:
             raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations}")
         if not self.residual_tol >= 0.0:
@@ -360,7 +360,7 @@ class _CircleStencil(NamedTuple):
 
 def _circle_stencil(grid, cfg):
     """Corner shifts, weights and projection taps of the circle rule."""
-    q = circle_rule(0j, cfg.radius, cfg.node_count)
+    q = circle_rule(0j, cfg.radius, geometry.DEFAULT_CIRCLE_NODES)
     nx, ny = grid.shape
     s = grid.strip_cells
     cells = q.nodes / grid.h
@@ -375,7 +375,7 @@ def _circle_stencil(grid, cfg):
         np.column_stack([dy.ravel(), dx.ravel()]), axis=0, return_inverse=True
     )
     tap, taps = tap.ravel(), len(shifts)
-    centre = np.bincount(tap, corner_weights.ravel(), taps) / cfg.node_count
+    centre = np.bincount(tap, corner_weights.ravel(), taps) / q.nodes.size
     slope_terms = (corner_weights * q.nodes).ravel()
     slope = (
         np.bincount(tap, slope_terms.real, taps) + 1j * np.bincount(tap, slope_terms.imag, taps)
@@ -433,9 +433,10 @@ def dpp_step(grid, d, cfg):
     Returns the updated grid and diagnostics.  The sup residual is the
     largest undamped update ``|mean - value|`` over nodes actually computed.
     A node counts as degenerate only when its value and its whole sampling
-    circle lie below ``FIELD_FLOOR``; such nodes are skipped or frozen per
-    the policy and do not contribute.  A merely zero-valued node with
-    nonzero circle samples still has a well-posed update and is computed.
+    circle lie below ``FIELD_FLOOR``; such nodes are skipped for this sweep,
+    as the nodes of ``grid.frozen`` are for every sweep.  A merely
+    zero-valued node with nonzero circle samples still has a well-posed
+    update and is computed.
     """
     _check_geometry(grid, cfg)
     return _sweep(grid, d, cfg, _circle_stencil(grid, cfg))
@@ -453,7 +454,6 @@ def _sweep(grid, d, cfg, stencil):
     near_zero = np.abs(inner) < FIELD_FLOOR
     if held is not None:
         near_zero &= ~held
-    dead = None
     if np.any(near_zero):
         circle = _circle_samples(values, stencil, near_zero)
         dead = np.zeros_like(near_zero)
@@ -486,14 +486,7 @@ def _sweep(grid, d, cfg, stencil):
     inner[rows] = np.where(bad, old, (1.0 - cfg.damping) * old + cfg.damping * mean)
     new_values = values.copy()
     new_values[box] = inner.reshape(values[box].shape)
-
-    frozen = grid.frozen
-    if cfg.zero_policy == "freeze":
-        frozen = np.zeros(values.shape, dtype=bool) if frozen is None else frozen.copy()
-        if dead is not None:
-            frozen[box] |= dead.reshape(frozen[box].shape)
-    out = replace(grid, values=new_values, frozen=frozen)
-    return out, StepDiagnostics(
+    return replace(grid, values=new_values), StepDiagnostics(
         residual_sup=residual_sup,
         updated_count=int(inner.size - skipped - np.count_nonzero(bad)),
         skipped_count=skipped + int(np.count_nonzero(bad)),
@@ -594,8 +587,7 @@ def read_checkpoint(path):
     spans = ((meta["x1"] - meta["x0"]) / h, (meta["y1"] - meta["y0"]) / h)
     if not all(map(math.isfinite, spans)):
         raise InvalidParameterError(f"checkpoint {path} needs finite lattice bounds")
-    nx = int(round(spans[0])) + 1 + 2 * s
-    ny = int(round(spans[1])) + 1 + 2 * s
+    nx, ny = _lattice_shape(meta["x0"], meta["x1"], meta["y0"], meta["y1"], h, s)
     if len(rows) != nx * ny:
         raise InvalidParameterError(
             f"checkpoint {path} has {len(rows)} rows, lattice needs {nx * ny}"

@@ -38,7 +38,7 @@ import numpy as np
 
 from .density import young_conjugate
 from .errors import InvalidParameterError, ZeroFieldError, _raise_first
-from .geometry import circle_rule, field_values, nonfinite_error
+from .geometry import DEFAULT_CIRCLE_NODES, circle_rule, field_values, nonfinite_error
 from .pdesystem import FIELD_FLOOR
 
 __all__ = [
@@ -327,7 +327,7 @@ def _mean_results(fit, radii):
     ]
 
 
-def circle_means(kind, f, points, r, d, node_count=64, seed=0):
+def circle_means(kind, f, points, r, d, node_count=DEFAULT_CIRCLE_NODES, seed=0):
     """One circle mean of ``f`` at every point for the radius ``r``.
 
     ``kind`` is one of ``MEAN_KINDS``; each is documented at its one-point
@@ -349,7 +349,7 @@ def circle_means(kind, f, points, r, d, node_count=64, seed=0):
     return _ladder_means(kind, f, points, [r], d, node_count, seed)[0]
 
 
-def _ladder_means(kind, f, points, radii, d, node_count=64, seed=0):
+def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, seed=0):
     """:func:`circle_means` at every radius of ``radii``: one tuple per radius.
 
     Every circle of every (radius, point) row is sampled in one field call
@@ -444,7 +444,7 @@ def _one_point(kind, f, z, r, d, node_count, seed=0):
     return _raise_first(circle_means(kind, f, [complex(z)], r, d, node_count, seed))[0]
 
 
-def variational_circle_mean(f, z, r, d, node_count=64):
+def variational_circle_mean(f, z, r, d, node_count=DEFAULT_CIRCLE_NODES):
     """Derivative-detecting circle mean of ``f`` at ``z`` with radius ``r``.
 
     Minimizes ``integral of F(|f(zeta) - c conj(zeta - z)|)`` over the
@@ -454,7 +454,7 @@ def variational_circle_mean(f, z, r, d, node_count=64):
     return _one_point("variational", f, z, r, d, node_count)
 
 
-def center_circle_mean(f, z, r, d, node_count=64):
+def center_circle_mean(f, z, r, d, node_count=DEFAULT_CIRCLE_NODES):
     """Constant-model circle mean: the F-barycenter of f on the circle.
 
     Initialized at the plain circle average.
@@ -462,7 +462,7 @@ def center_circle_mean(f, z, r, d, node_count=64):
     return _one_point("center", f, z, r, d, node_count)
 
 
-def pair_mean(f, z, r, d, node_count=64):
+def pair_mean(f, z, r, d, node_count=DEFAULT_CIRCLE_NODES):
     """Pair mean: center a plus slope b with value a + r b.
 
     The pair mean is defined as two single-model solves: a is the
@@ -473,7 +473,7 @@ def pair_mean(f, z, r, d, node_count=64):
     return _one_point("pair", f, z, r, d, node_count)
 
 
-def conjugate_transformed_mean(g, z, r, d, node_count=64):
+def conjugate_transformed_mean(g, z, r, d, node_count=DEFAULT_CIRCLE_NODES):
     """Circle mean of the conjugate-slope transform of ``g``.
 
     The samples are mapped through ``t -> G'(|g|) g / |g|`` with G the Young
@@ -542,7 +542,7 @@ def _smallest_enclosing_circle(points, seed):
     return circle
 
 
-def infinity_mean(f, z, r, node_count=64, seed=0):
+def infinity_mean(f, z, r, node_count=DEFAULT_CIRCLE_NODES, seed=0):
     """Sup-norm circle mean: minimize ``max_j |f(zeta_j) - c conj(zeta_j - z)|``.
 
     Since |conj(zeta - z)| = r on the circle, dividing through reduces the
@@ -553,7 +553,7 @@ def infinity_mean(f, z, r, node_count=64, seed=0):
     return _one_point("infinity", f, z, r, None, node_count, seed)
 
 
-def affine_mean_identity(jet, r, c, d, node_count=64, radial_nodes=32):
+def affine_mean_identity(jet, r, c, d, node_count=DEFAULT_CIRCLE_NODES, radial_nodes=32):
     """Coefficients and defect of the exact identity for affine-field means.
 
     Parameters

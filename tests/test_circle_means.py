@@ -102,8 +102,9 @@ def test_radius_below_float_resolution_fails_only_its_point():
 
 
 @pytest.mark.parametrize("kind", hm.asymptotics.SWEEP_KINDS)
-def test_sweep_failures_are_per_point_and_match_one_point_sweeps(kind):
-    cfg = hm.SweepConfig(min_successes=1)
+def test_sweep_failures_are_per_point_and_match_one_point_sweeps(kind, monkeypatch):
+    monkeypatch.setattr(hm.asymptotics, "MIN_SUCCESSES", 1)
+    cfg = hm.SweepConfig()
     d = None if kind == "infinity" else D3
     pts = [0.5 + 0j, -0.3 + 0.2j]
     starved, clean = _sweeps(kind, _nan_near_half, pts, d, cfg)
@@ -120,7 +121,7 @@ def _per_radius_sweeps(kind, f, points, d, cfg):
     failures = [[] for _ in points]
     for r in cfg.radii():
         results = hm.circle_means(_SWEEP_MEANS[kind], f, points, r, d,
-                                  cfg.node_count, cfg.seed)
+                                  hm.geometry.DEFAULT_CIRCLE_NODES, cfg.seed)
         for i, res in enumerate(results):
             if isinstance(res, hm.HolomeansError):
                 failures[i].append((float(r), f"{type(res).__name__}: {res}"))
@@ -133,10 +134,11 @@ def _per_radius_sweeps(kind, f, points, d, cfg):
 
 
 @pytest.mark.parametrize("kind", hm.asymptotics.SWEEP_KINDS)
-def test_one_call_sweep_matches_a_per_radius_loop(kind):
+def test_one_call_sweep_matches_a_per_radius_loop(kind, monkeypatch):
     # The circles of the last point cross the NaN disk at the larger radii
     # and stay clear of it at the smaller ones.
-    cfg = hm.SweepConfig(min_successes=1)
+    monkeypatch.setattr(hm.asymptotics, "MIN_SUCCESSES", 1)
+    cfg = hm.SweepConfig()
     d = None if kind == "infinity" else D3
     pts = list(POINTS) + [0.5 + 0.07j]
     sweeps = _sweeps(kind, _nan_near_half, pts, d, cfg)
@@ -171,11 +173,12 @@ def test_radius_below_float_resolution_fails_only_its_row():
     assert all(isinstance(res, hm.PairMeanResult) for res in coarse + fine[1:])
 
 
-def test_zero_field_sweep_failure_reason_matches_one_point_sweep():
+def test_zero_field_sweep_failure_reason_matches_one_point_sweep(monkeypatch):
     def shifted(zeta):
         return np.asarray(zeta, dtype=complex) - (0.5 + 0.1)
 
-    cfg = hm.SweepConfig(min_successes=1)
+    monkeypatch.setattr(hm.asymptotics, "MIN_SUCCESSES", 1)
+    cfg = hm.SweepConfig()
     starved, clean = _sweeps("conjugate", shifted, [0.5 + 0j, -0.3 + 0.2j], D3, cfg)
     (reason,) = [why for r, why in starved.failures if r == 0.1]
     assert reason.startswith("ZeroFieldError: ")
@@ -194,27 +197,29 @@ def test_pair_mean_is_two_single_model_solves():
     assert res.value == res.center.minimizer + r * res.slope.minimizer
 
 
-def test_starved_ladder_fails_before_sampling_any_circle():
+def test_starved_ladder_fails_before_sampling_any_circle(monkeypatch):
     shapes = []
 
     def counted(zeta):
         shapes.append(np.shape(zeta))
         return np.exp(zeta)
 
-    cfg = hm.SweepConfig(min_successes=9)
+    monkeypatch.setattr(hm.asymptotics, "MIN_SUCCESSES", 9)
+    cfg = hm.SweepConfig()
     with pytest.raises(InsufficientDataError, match="exceeds the 8 radii"):
         hm.sweep("variational", counted, 0.4 + 0.1j, D3, cfg)
     for verdict in (hm.holomorphy_verdict, hm.system_verdict, hm.amvp_verdict):
         with pytest.raises(InsufficientDataError):
             verdict(counted, [0.4 + 0.1j, 0.6 + 0.2j], D3, cfg)
     assert shapes
-    assert all(cfg.node_count not in shape for shape in shapes)
+    assert all(hm.geometry.DEFAULT_CIRCLE_NODES not in shape for shape in shapes)
 
 
-def test_verdicts_raise_a_starved_point_that_the_rows_keep():
+def test_verdicts_raise_a_starved_point_that_the_rows_keep(monkeypatch):
     # the r = 0.1 circle at -0.1 has a node on the origin, where PHARM is NaN
     pts = [-0.1 + 0j, 0.5 + 0.2j]
-    cfg = hm.SweepConfig(min_successes=8)
+    monkeypatch.setattr(hm.asymptotics, "MIN_SUCCESSES", 8)
+    cfg = hm.SweepConfig()
     for verdict, rows_fn in (
         (hm.holomorphy_verdict, hm.asymptotics._holomorphy_rows),
         (hm.system_verdict, hm.asymptotics._system_rows),

@@ -1,12 +1,13 @@
 """Command line driver: scenarios in, CSV out, exit codes, determinism."""
 
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import holomeans as hm
-from holomeans.cli import load_scenario, main, parse_density_spec
+from holomeans.cli import _HANDLERS, Scenario, load_scenario, main, parse_density_spec
 from holomeans.errors import ConfigError
 
 
@@ -172,11 +173,12 @@ def test_verify_makes_one_engine_call_per_sweep(tmp_path, monkeypatch):
 
 
 # pharm-radial:3 is NaN at the origin.  At -0.1 the origin is a node of the
-# r = 0.1 circle, which leaves that point 7 of the 8 radii; at 0 the sweep
-# runs but the jet cannot be sampled.  0.5+0.2i is fine in both cases.
+# r = 0.1 circle, which leaves that point 7 of the 8 radii, too few when a
+# sweep needs all 8; at 0 the sweep runs but the jet cannot be sampled.
+# 0.5+0.2i is fine in both cases.  error -> (points, MIN_SUCCESSES)
 _FAILING_POINTS = {
-    "InsufficientDataError": "-0.1; 0.5+0.2i\nsweep.min_successes = 8",
-    "NonFiniteSampleError": "0; 0.5+0.2i",
+    "InsufficientDataError": ("-0.1; 0.5+0.2i", 8),
+    "NonFiniteSampleError": ("0; 0.5+0.2i", hm.asymptotics.MIN_SUCCESSES),
 }
 
 
@@ -186,12 +188,15 @@ _FAILING_POINTS = {
     ("verify-system", "satisfied"),
     ("verify-amvp", "holds"),
 ])
-def test_verify_keeps_a_failing_point_as_an_error_row(tmp_path, command, verdict, error):
+def test_verify_keeps_a_failing_point_as_an_error_row(tmp_path, monkeypatch, command, verdict,
+                                                      error):
+    points, min_successes = _FAILING_POINTS[error]
+    monkeypatch.setattr(hm.asymptotics, "MIN_SUCCESSES", min_successes)
     cfg = write(
         tmp_path,
         "failing.ini",
         "field.spec = pharm-radial:3\ndensity.spec = power:p=3\n"
-        f"points.list = {_FAILING_POINTS[error]}\n",
+        f"points.list = {points}\n",
     )
     out = tmp_path / "failing.csv"
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -337,6 +342,42 @@ def test_shipped_scenarios_are_valid():
         load_scenario(str(root / name))
 
 
+def _readme_key_table():
+    """Command -> set of keys, from the key table of the README."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    table = {}
+    for line in readme.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].strip("`") in _HANDLERS:
+            table[cells[0].strip("`")] = set(re.findall(r"`([^`]+)`", cells[1]))
+    return table
+
+
+def test_readme_key_table_lists_the_keys_each_command_takes(tmp_path, monkeypatch):
+    # Every handler takes each key it accepts before ``finish``, so the keys
+    # passed to ``Scenario.take`` while a shipped scenario runs are the
+    # command's accepted keys.
+    taken = set()
+    take = Scenario.take
+
+    def spy(self, key, *args, **kwargs):
+        taken.add(key)
+        return take(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(Scenario, "take", spy)
+    table = _readme_key_table()
+    assert set(table) == set(_HANDLERS)
+    root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+    ran = set()
+    for ini in sorted(root.glob("*.ini")):
+        (command,) = [c for c in _HANDLERS if ini.stem.replace("_", "-").startswith(c)]
+        taken.clear()
+        assert run([command, "--config", ini, "--out", tmp_path / "out.csv"]) in (0, 1)
+        assert taken == table[command], ini.name
+        ran.add(command)
+    assert ran == set(_HANDLERS)
+
+
 _VERIFY_BASE = "field.spec = exp\ndensity.spec = power:p=3\n"
 _MEAN_BASE = "field.spec = exp\ndensity.spec = power:p=3\nmean.point = 0.3+0.4i\n"
 
@@ -365,7 +406,7 @@ _MEAN_BASE = "field.spec = exp\ndensity.spec = power:p=3\nmean.point = 0.3+0.4i\
      "missing required key 'field.spec'"),
     ("verify-holo", _VERIFY_BASE + "points.list = ;\n", None, "cannot parse ';' (no points given)"),
     ("dpp", _SMALL_DPP + "dpp.init = zero\n", None,
-     "dpp.init must be 'field' or 'const:<complex>', got 'zero'"),
+     "line 9: dpp.init: must be 'field' or 'const:<complex>', got 'zero'"),
     ("dpp", _SMALL_DPP + "dpp.init = const:abc\n", None,
      "line 9: dpp.init: cannot parse 'const:abc'"),
     # settings that are module constants, not scenario keys
@@ -385,6 +426,14 @@ _MEAN_BASE = "field.spec = exp\ndensity.spec = power:p=3\nmean.point = 0.3+0.4i\
      "unknown keys for this command: 'dpp.divergence_window' (line 9)"),
     ("dpp", _SMALL_DPP + "dpp.divergence_factor = 1.1\n", None,
      "unknown keys for this command: 'dpp.divergence_factor' (line 9)"),
+    ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.min_successes = 0\n", None,
+     "unknown keys for this command: 'sweep.min_successes' (line 4)"),
+    ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.nodes = 4\n", None,
+     "unknown keys for this command: 'sweep.nodes' (line 4)"),
+    ("dpp", _SMALL_DPP + "dpp.nodes = 32\n", None,
+     "unknown keys for this command: 'dpp.nodes' (line 9)"),
+    ("dpp", _SMALL_DPP + "dpp.zero_policy = freeze\n", None,
+     "unknown keys for this command: 'dpp.zero_policy' (line 9)"),
     # iteration settings out of range
     ("dpp", _SMALL_DPP + "dpp.max_iterations = -1\n", None,
      "max_iterations must be >= 0, got -1"),
@@ -394,12 +443,8 @@ _MEAN_BASE = "field.spec = exp\ndensity.spec = power:p=3\nmean.point = 0.3+0.4i\
      "rho must lie in (0, 1), got 2.0"),
     ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.count = 1\n", None,
      "count must be >= 2, got 1"),
-    ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.min_successes = 0\n", None,
-     "min_successes must be >= 1, got 0"),
     ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.r0 = nan\n", None,
      "r0 must be positive and finite, got nan"),
-    ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.nodes = 4\n", None,
-     "need at least 8 circle nodes, got 4"),
     ("sweep", _VERIFY_BASE + "sweep.point = 0.3+0.4i\nsweep.kind = bogus\n", None,
      "sweep.kind must be one of"),
     ("mean", _MEAN_BASE + "mean.r = 0.25\nmean.nodes = 4\n", None,

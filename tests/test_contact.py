@@ -243,9 +243,11 @@ def test_envelope_at_a_zero_needs_declared_small_argument_behaviour():
         hm.xi_envelope(0j, 0.5j, 0.2, 1 + 0j, undeclared)
 
 
-def test_jet_membership_ratios_match_a_field_call_per_radius():
+@pytest.mark.parametrize("nodes", (16, 64))
+def test_jet_membership_ratios_match_a_field_call_per_radius(nodes, monkeypatch):
     # one field call for the whole ladder gives the ratios of sampling
     # each radius's circle on its own, bit for bit
+    monkeypatch.setattr(hm.geometry, "DEFAULT_CIRCLE_NODES", nodes)
     f = hm.make_field("pharm-radial:3")
     z = 0.4 + 0.3j
     jet = hm.wirtinger_jet(f, z)
@@ -253,7 +255,7 @@ def test_jet_membership_ratios_match_a_field_call_per_radius():
     res = hm.jet_membership(f, probe, CFG)
     expected = []
     for r in CFG.radii():
-        q = hm.circle_rule(z, r, CFG.node_count)
+        q = hm.circle_rule(z, r, nodes)
         remainder = hm.sample_field(f, q.nodes) - (
             f(np.array([z]))[0] + probe.sigma * (q.nodes - z) + probe.tau * np.conj(q.nodes - z)
         )

@@ -249,8 +249,6 @@ def test_dpp_config_validation():
         hm.DppConfig(radius=0.1, damping=0.0)
     with pytest.raises(ConfigError):
         hm.DppConfig(radius=0.1, damping=1.5)
-    with pytest.raises(ConfigError):
-        hm.DppConfig(radius=0.1, zero_policy="explode")
 
 
 def test_radius_must_cover_at_least_two_cells():
@@ -259,30 +257,16 @@ def test_radius_must_cover_at_least_two_cells():
         hm.dpp_solve(g, D2, hm.DppConfig(radius=0.15))
 
 
-def test_zero_policy_freeze_pins_dead_regions():
-    # identically zero data: every node's value and circle vanish, so the
-    # whole interior is frozen and the zero grid is reported as converged
-    g = hm.grid_from_function(
-        0.0, 0.4, 0.0, 0.4, 0.1, 0.2, lambda z: np.zeros(z.shape, dtype=complex)
-    )
-    cfg = hm.DppConfig(radius=0.2, zero_policy="freeze", residual_tol=1e-12)
-    res = hm.dpp_solve(g, D2, cfg)
-    assert res.converged
-    assert np.all(res.field.values == 0)
-    assert res.field.frozen is not None
-    assert np.all(res.field.frozen[res.field.interior_mask()])
-
-
 @pytest.mark.parametrize("p", (2.0, 3.0))
 def test_sweep_without_an_active_node_leaves_the_grid_as_it_is(p):
-    # Under the skip policy identically zero data makes every interior node
-    # dead, so the pair means (closed form at p = 2, Newton fits at p = 3)
-    # run on an empty batch.
+    # Identically zero data makes every interior node dead, so the pair
+    # means (closed form at p = 2, Newton fits at p = 3) run on an empty
+    # batch.
     g = hm.grid_from_function(
         0.0, 0.4, 0.0, 0.4, 0.1, 0.2, lambda z: np.zeros(z.shape, dtype=complex)
     )
     d = hm.power_density(p)
-    cfg = hm.DppConfig(radius=0.2, zero_policy="skip", residual_tol=1e-12)
+    cfg = hm.DppConfig(radius=0.2, residual_tol=1e-12)
     stepped, diag = hm.dpp_step(g, d, cfg)
     np.testing.assert_array_equal(stepped.values, g.values)
     assert diag == hm.StepDiagnostics(0.0, 0, int(g.interior_mask().sum()))
@@ -320,13 +304,6 @@ def test_dpp_config_accepts_the_edges_of_its_ranges(monkeypatch):
     assert res.iterations == 0 and res.residual_history == () and not res.converged
 
 
-def test_dpp_config_needs_eight_circle_nodes():
-    for count in (0, 3):
-        with pytest.raises(ConfigError):
-            hm.DppConfig(radius=0.15, node_count=count)
-    assert hm.DppConfig(radius=0.15, node_count=8).node_count == 8
-
-
 def test_error_bound_covers_the_true_error():
     g = hm.grid_from_function(0.0, 1.0, 0.0, 1.0, 0.05, 0.1, np.exp)
     g = hm.with_interior(g, complex(np.mean(g.values)))
@@ -354,22 +331,18 @@ def reference_step(grid, d, cfg):
     """The sweep as it was before the stencil and the closed form: every
     sweep interpolates afresh and runs both Newton fits."""
     interior = grid.interior_mask()
-    frozen = grid.frozen.copy() if grid.frozen is not None else np.zeros_like(interior)
-    angles = 2.0 * np.pi * np.arange(cfg.node_count) / cfg.node_count
-    offsets = cfg.radius * np.exp(1j * angles)
-    near_zero = (np.abs(grid.values) < FIELD_FLOOR) & interior & ~frozen
+    held = grid.frozen if grid.frozen is not None else np.zeros_like(interior)
+    n = hm.geometry.DEFAULT_CIRCLE_NODES
+    offsets = cfg.radius * np.exp(1j * 2.0 * np.pi * np.arange(n) / n)
+    near_zero = (np.abs(grid.values) < FIELD_FLOOR) & interior & ~held
     dead = np.zeros_like(near_zero)
     if np.any(near_zero):
         circle = hm.interpolate(grid, grid.points()[near_zero][:, None] + offsets[None, :])
         dead[near_zero] = np.max(np.abs(circle), axis=1) < FIELD_FLOOR
-    if cfg.zero_policy == "freeze":
-        frozen = frozen | dead
-        active = interior & ~frozen
-    else:
-        active = interior & ~frozen & ~dead
+    active = interior & ~held & ~dead
     new_values = grid.values.copy()
     samples = hm.interpolate(grid, grid.points()[active][:, None] + offsets[None, :])
-    weights = np.full(cfg.node_count, 2.0 * np.pi * cfg.radius / cfg.node_count)
+    weights = np.full(n, 2.0 * np.pi * cfg.radius / n)
     init_a = samples.mean(axis=1)
     res_a = fit_model_coefficient(d, samples, weights, np.ones_like(offsets), init_a)
     init_b = (samples * offsets).sum(axis=1) * weights[0] / (2.0 * np.pi * cfg.radius**3)
@@ -379,8 +352,7 @@ def reference_step(grid, d, cfg):
     old = grid.values[active]
     mean = np.where(bad, old, mean)
     new_values[active] = (1.0 - cfg.damping) * old + cfg.damping * mean
-    frozen_out = frozen if cfg.zero_policy == "freeze" else grid.frozen
-    return new_values, frozen_out, float(np.max(np.abs(mean - old)))
+    return new_values, float(np.max(np.abs(mean - old)))
 
 
 def patched_grid():
@@ -393,38 +365,49 @@ def patched_grid():
     return hm.with_interior(g, f)
 
 
+def held_grid():
+    # patched_grid with ten nodes held fixed: the dead centre of the zero
+    # disc and its eight neighbours, and one node of the exp data
+    g = patched_grid()
+    pts = g.points()
+    held = (np.abs(pts - (0.3 + 0.3j)) < 0.08) | (np.abs(pts - (0.1 + 0.1j)) < 0.01)
+    return replace(g, frozen=held)
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
-@pytest.mark.parametrize("policy", ["skip", "freeze"])
-def test_dpp_step_matches_the_reference_sweep_to_rounding(p, policy):
+@pytest.mark.parametrize("start", [patched_grid, held_grid], ids=["none-held", "held"])
+def test_dpp_step_matches_the_reference_sweep_to_rounding(p, start):
     # The sweep sums the projections over lattice shifts, not node by node,
     # so values and residual may move by rounding: a sum of 256 corner terms
     # of size at most max|v| is within 256 eps max|v| of its reordering.
     d = hm.power_density(p)
-    cfg = hm.DppConfig(radius=0.1, zero_policy=policy)
-    grid = patched_grid()
+    cfg = hm.DppConfig(radius=0.1)
+    grid = start()
     skipped = []
     for _ in range(3):
         stepped, diag = hm.dpp_step(grid, d, cfg)
         skipped.append(diag.skipped_count)
-        values, frozen, residual = reference_step(grid, d, cfg)
+        values, residual = reference_step(grid, d, cfg)
         bound = 256 * np.finfo(float).eps * np.max(np.abs(grid.values))
         assert np.max(np.abs(stepped.values - values)) <= bound
         assert abs(diag.residual_sup - residual) <= bound
-        if policy == "freeze":
-            np.testing.assert_array_equal(stepped.frozen, frozen)
-            assert np.count_nonzero(frozen) > 0
-        else:
-            assert stepped.frozen is None
+        assert stepped.frozen is grid.frozen
         grid = stepped
-    # the patch is skipped at first; under "skip" its filled-in circles
-    # make every node active again
-    assert skipped == ([1, 0, 0] if policy == "skip" else [1, 1, 1])
+    if start is patched_grid:
+        # the dead centre is skipped at first; its filled-in circle makes
+        # it active again
+        assert skipped == [1, 0, 0]
+    else:
+        # held nodes are skipped in every sweep and keep their values
+        assert skipped == [10, 10, 10]
+        held = grid.frozen
+        np.testing.assert_array_equal(grid.values[held], start().values[held])
 
 
 def test_dpp_solve_repeats_dpp_step():
-    cfg = hm.DppConfig(radius=0.1, residual_tol=1e-2, zero_policy="freeze")
-    res = hm.dpp_solve(patched_grid(), D2, cfg)
-    grid, history = patched_grid(), []
+    cfg = hm.DppConfig(radius=0.1, residual_tol=1e-2)
+    res = hm.dpp_solve(held_grid(), D2, cfg)
+    grid, history = held_grid(), []
     for _ in range(res.iterations):
         grid, diag = hm.dpp_step(grid, D2, cfg)
         history.append(diag.residual_sup)
@@ -444,7 +427,7 @@ def random_lattice(rng, h, radius, extra_strip):
 def interpolated_projections(grid, cfg):
     """Circle samples of every unknown through public ``interpolate`` and
     their centre and slope projections."""
-    q = hm.circle_rule(0j, cfg.radius, cfg.node_count)
+    q = hm.circle_rule(0j, cfg.radius, hm.geometry.DEFAULT_CIRCLE_NODES)
     samples = hm.interpolate(grid, grid.points()[grid.interior_mask()][:, None] + q.nodes)
     centre = samples.mean(axis=1)
     slope = (samples * q.nodes).sum(axis=1) * q.weights[0] / (2.0 * np.pi * cfg.radius**3)
@@ -460,9 +443,11 @@ SHIFT_CASES = [
 
 
 @pytest.mark.parametrize("h, nodes, extra", SHIFT_CASES)
-def test_the_quadratic_sweep_is_the_projection_of_interpolated_samples(rng, h, nodes, extra):
+def test_the_quadratic_sweep_is_the_projection_of_interpolated_samples(rng, monkeypatch, h,
+                                                                      nodes, extra):
+    monkeypatch.setattr(hm.geometry, "DEFAULT_CIRCLE_NODES", nodes)
     grid = random_lattice(rng, h, 0.1, extra)
-    cfg = hm.DppConfig(radius=0.1, damping=1.0, node_count=nodes)
+    cfg = hm.DppConfig(radius=0.1, damping=1.0)
     stepped, diag = hm.dpp_step(grid, D2, cfg)
     _, centre, slope = interpolated_projections(grid, cfg)
     mask = grid.interior_mask()
@@ -473,8 +458,9 @@ def test_the_quadratic_sweep_is_the_projection_of_interpolated_samples(rng, h, n
 
 @pytest.mark.parametrize("h, nodes, extra", SHIFT_CASES)
 def test_the_newton_sweep_fits_interpolated_samples(rng, monkeypatch, h, nodes, extra):
+    monkeypatch.setattr(hm.geometry, "DEFAULT_CIRCLE_NODES", nodes)
     grid = random_lattice(rng, h, 0.1, extra)
-    cfg = hm.DppConfig(radius=0.1, node_count=nodes)
+    cfg = hm.DppConfig(radius=0.1)
     calls = []
 
     def recording_fit(d, samples, weights, model, init):

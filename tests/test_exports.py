@@ -35,10 +35,16 @@ def test_conjugate_validation_and_fit_names_are_exported():
     (hm.DppConfig, "solver"),
     (hm.DppConfig, "divergence_window"),
     (hm.DppConfig, "divergence_factor"),
+    (hm.SweepConfig, "node_count"),
+    (hm.SweepConfig, "min_successes"),
+    (hm.DppConfig, "node_count"),
+    (hm.DppConfig, "zero_policy"),
 ))
 def test_retired_solver_settings_are_module_constants_not_config_fields(config, field):
-    # The Newton budget and the divergence detector are set in ``means``
-    # and ``dpp``; no config carries them.
+    # The Newton budget, the divergence detector, the circle node count
+    # (``geometry``) and the least usable radii of a sweep (``asymptotics``)
+    # are module constants; a sweep always skips dead nodes.  No config
+    # carries them.
     assert not hasattr(hm, "SolverConfig")
     with pytest.raises(TypeError, match=field):
         config(radius=0.2, **{field: 1}) if config is hm.DppConfig else config(**{field: 1})

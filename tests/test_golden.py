@@ -3,8 +3,8 @@
 The stored CSVs under ``tests/golden/`` pin the output of each command for
 seed 0.  Besides the shipped scenarios, each ``verify-*`` command has one
 case whose sweeps are starved (``sweep.count = 3``, fewer radii than the
-four a sweep needs, so every point becomes an ``error`` row before any
-solve), and each ``verify-*`` command and
+``asymptotics.MIN_SUCCESSES`` a sweep needs, so every point becomes an
+``error`` row before any solve), and each ``verify-*`` command and
 ``contact`` have one case with a field zero (``square`` at 0, an
 ``untestable`` row next to normal ones).  ``dpp_power3`` pins a DPP solve
 off the quadratic density, where every sweep runs the Newton fits.
