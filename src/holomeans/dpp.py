@@ -348,7 +348,6 @@ class _CircleStencil(NamedTuple):
     """
 
     offsets: np.ndarray  # (nodes,) circle offsets from the centre
-    weights: np.ndarray  # (nodes,) arc-length quadrature weights
     box: tuple  # (row, column) slices of the unknown rectangle
     base: np.ndarray  # (rows,) flat lattice index of each unknown
     corners: np.ndarray  # (4, nodes) flat lattice shift of each cell corner
@@ -382,7 +381,7 @@ def _circle_stencil(grid, cfg):
     ) * (q.weights[0] / (2.0 * np.pi * cfg.radius**3))
     box = (slice(s, ny - s), slice(s, nx - s))
     return _CircleStencil(
-        q.nodes, q.weights, box, np.flatnonzero(grid.interior_mask()), dy * nx + dx,
+        q.nodes, box, np.flatnonzero(grid.interior_mask()), dy * nx + dx,
         corner_weights, (s + shifts[:, 0]) * nx + (s + shifts[:, 1]), centre, slope,
     )
 
@@ -473,10 +472,9 @@ def _sweep(grid, d, cfg, stencil):
         _require_finite(samples)
         init_a = _tap_sum(values, stencil, stencil.centre)[rows]
         init_b = _tap_sum(values, stencil, stencil.slope)[rows]
-        offsets, weights = stencil.offsets, stencil.weights
-        ones = np.ones_like(offsets)
-        res_a = fit_model_coefficient(d, samples, weights, ones, init_a)
-        res_b = fit_model_coefficient(d, samples, weights, np.conj(offsets), init_b)
+        offsets = stencil.offsets
+        res_a = fit_model_coefficient(d, samples, np.ones_like(offsets), init_a)
+        res_b = fit_model_coefficient(d, samples, np.conj(offsets), init_b)
         mean = res_a["minimizer"] + cfg.radius * res_b["minimizer"]
         bad = (res_a["status"] == 3) | (res_b["status"] == 3)
     old = inner[rows]

@@ -2,9 +2,9 @@
 
 The central problem solved here: given samples of a field f on the circle of
 radius r at z, a convex radial density F and a model weight m(zeta), find the
-complex coefficient c minimizing
+complex coefficient c minimizing the mean over the circle nodes zeta_j of
 
-    sum_j w_j F(|f(zeta_j) - c * m(zeta_j)|).
+    F(|f(zeta_j) - c * m(zeta_j)|).
 
 Two model weights cover every mean in the package: ``m = conj(zeta - z)``
 gives the derivative-detecting circle mean, ``m = 1`` the center component of
@@ -22,10 +22,10 @@ Every mean is computed by one engine, which takes all points of a whole
 ladder of radii at once: one field call samples every circle and one Newton
 solve per model fits every (radius, point) row, so a sweep is one solve.
 :func:`circle_means` is its one-radius call.  A row whose circle cannot be
-solved gets its own error value and leaves the other rows untouched.  The
-one-point functions are one-row calls to it, so they return the same bits
-as a dedicated one-point solve; in a multi-row call the matrix-vector
-products may round a row differently in the last bit.
+solved gets its own error value and leaves the other rows untouched.  Every
+sum over a row's nodes is a mean along that row alone, so a row's result
+has the same bits whatever batch it is solved in; the one-point functions
+are one-row calls to the engine.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ _STATUS_NAMES = {
 class MeanResult:
     """Outcome of one variational mean solve.
 
-    ``foc_residual`` is the modulus of the first-order condition scaled by
-    the total quadrature weight and the model modulus, so it is comparable
-    with F' values.  ``status`` is ``converged`` or ``failed``; a failed
+    ``foc_residual`` is the modulus of the first-order condition averaged
+    over the circle nodes and scaled by the model modulus, so it is
+    comparable with F' values.  ``status`` is ``converged`` or ``failed``; a failed
     result still carries the best iterate.
     """
 
@@ -155,19 +155,22 @@ class AffineIdentityResult:
     residual: float
 
 
-def _objective_rows(d, samples, weights, model, c):
+def _objective_rows(d, samples, model, c):
     u = samples - c[:, None] * model
-    return np.asarray(d.value_fn(np.abs(u)), dtype=float) @ weights
+    return np.mean(np.asarray(d.value_fn(np.abs(u)), dtype=float), axis=-1)
 
 
-def fit_model_coefficient(d, samples, weights, model, init):
-    """Batched minimization of ``sum_j w_j F(|samples_j - c model_j|)``.
+def fit_model_coefficient(d, samples, model, init):
+    """Batched minimization of the mean over j of ``F(|samples_j - c model_j|)``.
+
+    Every sum over a row's nodes is ``np.mean`` along that row, whose
+    summation order does not depend on the other rows: a row's outputs have
+    the same bits alone, in any batch and at any place in it.
 
     Parameters
     ----------
     d : Density
     samples : complex array, shape (batch, nodes)
-    weights : positive float array, shape (nodes,)
     model : complex array, shape (nodes,) shared by all rows or (batch, nodes)
         one per row; bounded away from zero
     init : complex array, shape (batch,)
@@ -181,7 +184,6 @@ def fit_model_coefficient(d, samples, weights, model, init):
     first-order tolerance.
     """
     samples = np.asarray(samples, dtype=complex)
-    weights = np.asarray(weights, dtype=float)
     model = np.asarray(model, dtype=complex)
     if samples.ndim != 2 or model.shape not in (samples.shape, samples.shape[1:]):
         raise InvalidParameterError("samples must be (batch, nodes) matching model")
@@ -191,7 +193,6 @@ def fit_model_coefficient(d, samples, weights, model, init):
     mscale = np.max(mmod, axis=-1)
     conj_model = np.conj(model)
     mmod2, conj_model2 = mmod**2, conj_model**2
-    total_w = float(np.sum(weights))
 
     nbatch = samples.shape[0]
     c = np.asarray(init, dtype=complex).copy()
@@ -199,11 +200,11 @@ def fit_model_coefficient(d, samples, weights, model, init):
     foc_out = np.zeros(nbatch)
     iters = np.zeros(nbatch, dtype=int)
 
-    favg = (np.asarray(d.deriv_fn(np.abs(samples)), dtype=float) @ weights) / total_w
+    favg = np.mean(np.asarray(d.deriv_fn(np.abs(samples)), dtype=float), axis=-1)
     foc_tol = FOC_TOL_COEFF * (1.0 + favg)
     # The objective at every row's current iterate, which starts each line
     # search; accepted steps update it.
-    obj = _objective_rows(d, samples, weights, model, c)
+    obj = _objective_rows(d, samples, model, c)
 
     def per_row(a, rows):
         # A shared (nodes,) model broadcasts as it is, without a copy.
@@ -214,7 +215,7 @@ def fit_model_coefficient(d, samples, weights, model, init):
         au = np.abs(u)
         au_safe = np.where(au > 0.0, au, 1.0)
         fp = np.asarray(d.deriv_fn(au), dtype=float)
-        g = -0.5 * ((fp * (u / au_safe) * per_row(conj_model, rows)) @ weights)
+        g = -0.5 * np.mean(fp * (u / au_safe) * per_row(conj_model, rows), axis=-1)
         return u, au, g
 
     for it in range(MAX_NEWTON_ITERATIONS + 1):
@@ -222,7 +223,7 @@ def fit_model_coefficient(d, samples, weights, model, init):
         if act.size == 0:
             break
         u, au, g = gradient(act, c[act])
-        foc = np.abs(g) / (total_w * per_row(mscale, act))
+        foc = np.abs(g) / per_row(mscale, act)
         exact = np.all(au < RESIDUAL_FLOOR, axis=1)
         foc = np.where(exact, 0.0, foc)
         foc_out[act] = foc
@@ -253,9 +254,9 @@ def fit_model_coefficient(d, samples, weights, model, init):
             lam = au_s * fpp / fp
         lam = np.where(np.isfinite(lam), lam, 1.0)
         base = fp / (4.0 * au_s)
-        a_coef = ((base * (lam + 1.0)) * per_row(mmod2, rows)) @ weights
+        a_coef = np.mean(base * (lam + 1.0) * per_row(mmod2, rows), axis=-1)
         phase2 = (u_r / au_s) ** 2
-        b_coef = ((base * (lam - 1.0)) * phase2 * per_row(conj_model2, rows)) @ weights
+        b_coef = np.mean(base * (lam - 1.0) * phase2 * per_row(conj_model2, rows), axis=-1)
         denom = a_coef**2 - np.abs(b_coef) ** 2
         good = np.isfinite(denom) & (denom > 0.0)
         delta = np.zeros_like(g_r)
@@ -287,7 +288,7 @@ def fit_model_coefficient(d, samples, weights, model, init):
         ok = np.zeros(rows.size, dtype=bool)
         for _ in range(MAX_BACKTRACKS):
             cand = c[rows] + t * delta
-            obj1 = _objective_rows(d, samples[rows], weights, row_model, cand)
+            obj1 = _objective_rows(d, samples[rows], row_model, cand)
             ok = np.isfinite(obj1) & (
                 obj1 <= obj0 + ARMIJO_SLOPE * t * slope + flat
             )
@@ -298,11 +299,9 @@ def fit_model_coefficient(d, samples, weights, model, init):
         obj[rows[ok]] = obj1[ok]
         state[rows[~ok]] = _STATUS_FAILED
 
-    # One pass over all rows, not the carried ``obj``: a row's ``@ weights``
-    # sum can differ in the last bit with the row's place in the batch.
     return {
         "minimizer": c,
-        "objective": _objective_rows(d, samples, weights, model, c),
+        "objective": obj,
         "foc_residual": foc_out,
         "iterations": iters,
         "status": state,
@@ -310,12 +309,12 @@ def fit_model_coefficient(d, samples, weights, model, init):
 
 
 def _mean_results(fit, radii):
-    # The fits weigh the unit circle; the objective is the one on each row's
-    # own circle, whose weights are the radius times the unit ones.
+    # The fits average over the nodes; the objective is the integral on each
+    # row's own circle, whose length is 2 pi r.
     return [
         MeanResult(
             minimizer=complex(c),
-            objective=float(r * obj),
+            objective=float(2.0 * np.pi * r * obj),
             foc_residual=float(foc),
             iterations=int(it),
             status=_STATUS_NAMES[int(code)],
@@ -354,9 +353,8 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
 
     Every circle of every (radius, point) row is sampled in one field call
     on a (radii, points, nodes) array, and each model is fitted in one
-    :func:`fit_model_coefficient` call over all rows.  The fits weigh every
-    row with the unit-circle weights, which leaves its minimizer unchanged,
-    and fit the coefficient of its own slope model conj(zeta - z).  A row
+    :func:`fit_model_coefficient` call over all rows, each row with the
+    coefficient of its own slope model conj(zeta - z).  A row
     that cannot be solved gets its error in its own (radius, point) slot.
     """
     if kind not in MEAN_KINDS:
@@ -417,14 +415,13 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
         if kind == "conjugate":
             mod = mod[live]
             samples = young_conjugate(d).deriv_fn(mod) * samples / mod
-        w = unit.weights
         if kind in ("center", "pair"):
-            init = samples @ w / (2.0 * np.pi)
+            init = np.mean(samples, axis=-1)
             ones = np.ones(n, dtype=complex)
-            a_res = _mean_results(fit_model_coefficient(d, samples, w, ones, init), r)
+            a_res = _mean_results(fit_model_coefficient(d, samples, ones, init), r)
         if kind != "center":
-            init = (samples * offsets) @ w / (2.0 * np.pi * r**2)
-            b_res = _mean_results(fit_model_coefficient(d, samples, w, model, init), r)
+            init = np.mean(samples * offsets, axis=-1) / r**2
+            b_res = _mean_results(fit_model_coefficient(d, samples, model, init), r)
         for k, i in enumerate(live):
             if kind == "center":
                 out[i] = a_res[k]

@@ -342,11 +342,10 @@ def reference_step(grid, d, cfg):
     active = interior & ~held & ~dead
     new_values = grid.values.copy()
     samples = hm.interpolate(grid, grid.points()[active][:, None] + offsets[None, :])
-    weights = np.full(n, 2.0 * np.pi * cfg.radius / n)
     init_a = samples.mean(axis=1)
-    res_a = fit_model_coefficient(d, samples, weights, np.ones_like(offsets), init_a)
-    init_b = (samples * offsets).sum(axis=1) * weights[0] / (2.0 * np.pi * cfg.radius**3)
-    res_b = fit_model_coefficient(d, samples, weights, np.conj(offsets), init_b)
+    res_a = fit_model_coefficient(d, samples, np.ones_like(offsets), init_a)
+    init_b = (samples * offsets).mean(axis=1) / cfg.radius**2
+    res_b = fit_model_coefficient(d, samples, np.conj(offsets), init_b)
     mean = res_a["minimizer"] + cfg.radius * res_b["minimizer"]
     bad = (res_a["status"] == 3) | (res_b["status"] == 3)
     old = grid.values[active]
@@ -463,9 +462,9 @@ def test_the_newton_sweep_fits_interpolated_samples(rng, monkeypatch, h, nodes, 
     cfg = hm.DppConfig(radius=0.1)
     calls = []
 
-    def recording_fit(d, samples, weights, model, init):
+    def recording_fit(d, samples, model, init):
         calls.append((samples, init))
-        return fit_model_coefficient(d, samples, weights, model, init)
+        return fit_model_coefficient(d, samples, model, init)
 
     monkeypatch.setattr("holomeans.dpp.fit_model_coefficient", recording_fit)
     hm.dpp_step(grid, hm.power_density(3), cfg)

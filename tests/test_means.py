@@ -186,7 +186,6 @@ def test_iteration_budget_fails_far_rows_and_keeps_rows_at_their_optimum(p, max_
     fit = fit_model_coefficient(
         hm.power_density(p),
         np.stack([ring, far]),
-        np.full(n, 2.0 * np.pi / n),
         np.ones(n, dtype=complex),
         np.array([0j, 3.0 + 3.0j]),
     )
@@ -204,8 +203,8 @@ def test_the_step_certificate_pins_a_flat_fit_above_growth_exponent_2(p, loose_e
     n = 32
     c0 = 0.3 + 0.1j
     ring = np.exp(2j * np.pi * np.arange(n) / n)
-    args = (hm.power_density(p), (c0 + 1e-3 * ring)[None, :], np.full(n, 2.0 * np.pi / n),
-            np.ones(n, dtype=complex), np.array([c0 + 0.05]))
+    args = (hm.power_density(p), (c0 + 1e-3 * ring)[None, :], np.ones(n, dtype=complex),
+            np.array([c0 + 0.05]))
     fit = fit_model_coefficient(*args)
     assert fit["status"].tolist() == [1]
     assert abs(fit["minimizer"][0] - c0) <= 1e-15
@@ -220,16 +219,13 @@ def test_newton_converges_from_a_residual_exactly_at_zero(p, rng):
     # The initial iterate equals one sample, so one pointwise residual is an
     # exact zero while the gradient is still far from the tolerance.
     samples = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    weights = np.full(16, 1.0 / 16)
     d = hm.power_density(p)
-    fit = fit_model_coefficient(
-        d, samples[None, :], weights, np.ones(16, dtype=complex), samples[[3]]
-    )
+    fit = fit_model_coefficient(d, samples[None, :], np.ones(16, dtype=complex), samples[[3]])
     assert fit["status"][0] == 1
     assert fit["iterations"][0] <= 10
 
     def objective(c):
-        return float(np.sum(weights * d.value_fn(np.abs(samples - c))))
+        return float(np.mean(d.value_fn(np.abs(samples - c))))
 
     c = complex(fit["minimizer"][0])
     base = objective(c)
@@ -279,8 +275,8 @@ def test_line_search_backtracks_from_a_far_start(monkeypatch):
     # only when the line search may shorten it.
     n = 16
     ring = np.exp(2j * np.pi * np.arange(n) / n)
-    args = (hm.power_density(1.2), ring[None, :], np.full(n, 2.0 * np.pi / n),
-            np.ones(n, dtype=complex), np.array([10.0 + 0j]))
+    args = (hm.power_density(1.2), ring[None, :], np.ones(n, dtype=complex),
+            np.array([10.0 + 0j]))
     fit = fit_model_coefficient(*args)
     assert fit["status"].tolist() == [1]
     assert abs(fit["minimizer"][0]) <= 1e-12
@@ -293,7 +289,7 @@ def test_line_search_backtracks_from_a_far_start(monkeypatch):
 def test_fit_and_circle_means_refuse_unusable_input():
     samples = np.ones((1, 4), dtype=complex)
     with pytest.raises(InvalidParameterError, match="bounded away from zero"):
-        fit_model_coefficient(D2, samples, np.ones(4), np.array([1, 1j, 0, -1]), np.zeros(1))
+        fit_model_coefficient(D2, samples, np.array([1, 1j, 0, -1]), np.zeros(1))
     with pytest.raises(InvalidParameterError, match="unknown mean kind 'bogus'"):
         hm.circle_means("bogus", np.exp, [Z], R, D2)
     for r in (0.0, -0.1, np.nan, np.inf):
