@@ -539,9 +539,9 @@ def main(argv=None):
 
     try:
         sc = load_scenario(args.config)
-        seed = args.seed if args.seed is not None else sc.take(
-            "sweep.seed", cast=int, default=0
-        )
+        seed = sc.take("sweep.seed", cast=int, default=0)
+        if args.seed is not None:
+            seed = args.seed
         return _HANDLERS[args.command](sc, seed, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

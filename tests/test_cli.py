@@ -332,6 +332,20 @@ def test_seed_flag_overrides_scenario(tmp_path):
     assert "# seed = 11" in out.read_text()
 
 
+def test_seed_flag_wins_over_the_scenario_sweep_seed(tmp_path):
+    cfg = write(
+        tmp_path,
+        "s.ini",
+        "field.spec = exp\ndensity.spec = power:p=3\n"
+        "points.list = 0.4+0.1i\nsweep.seed = 1\n",
+    )
+    flagged, plain = tmp_path / "flagged.csv", tmp_path / "plain.csv"
+    assert run(["verify-holo", "--config", cfg, "--seed", "3", "--out", flagged]) == 0
+    assert run(["verify-holo", "--config", cfg, "--out", plain]) == 0
+    assert "# seed = 3\n" in flagged.read_text()
+    assert "# seed = 1\n" in plain.read_text()
+
+
 def test_shipped_scenarios_are_valid():
     import pathlib
 
