@@ -28,24 +28,17 @@ from .errors import (
     DomainError,
     HolomeansError,
     InvalidParameterError,
-    SingularPointError,
 )
 
 __all__ = [
     "Density",
-    "ComplexHessian",
     "CheckResult",
     "ValidationReport",
     "power_density",
     "lambda_of",
-    "complex_hessian",
     "young_conjugate",
     "validate_density",
 ]
-
-# Floor below which a complex argument counts as the singular origin.
-W_FLOOR = 1e-300
-
 
 def _as_float_array(s, allow_zero, what):
     arr = np.asarray(s, dtype=float)
@@ -115,19 +108,6 @@ class Density:
     def lambda_at_zero(self):
         """Limit of the pinching ratio at 0+, equal to the declared exponent."""
         return self.small_exponent
-
-
-@dataclass(frozen=True)
-class ComplexHessian:
-    """First and second Wirtinger derivatives of ``H(w) = F(|w|)``.
-
-    ``d_wbar`` is the gradient component dH/d(conj w); ``d_wbar_w`` the
-    (real, positive) mixed second derivative; ``d_wbar_wbar`` the pure one.
-    """
-
-    d_wbar: complex
-    d_wbar_w: float
-    d_wbar_wbar: complex
 
 
 @dataclass(frozen=True)
@@ -213,30 +193,6 @@ def _per_point(fn, s):
         except HolomeansError as exc:
             errors[i] = exc
     return values, errors
-
-
-def complex_hessian(d, w):
-    """Wirtinger gradient and Hessian of ``H(w) = F(|w|)`` at ``w != 0``.
-
-    Returns a :class:`ComplexHessian`; all three entries scale with F' and
-    the pinching ratio:
-
-        d_wbar      = F'(|w|) * w / (2 |w|)
-        d_wbar_w    = F'(|w|) * (lam(|w|) + 1) / (4 |w|)
-        d_wbar_wbar = F'(|w|) * (lam(|w|) - 1) / (4 |w|) * (w / conj(w))
-    """
-    w = complex(w)
-    aw = abs(w)
-    if aw < W_FLOOR:
-        raise SingularPointError("complex_hessian is undefined at w = 0")
-    fp = float(d.deriv(aw))
-    lam = float(lambda_of(d, aw))
-    phase2 = w / np.conj(w)
-    return ComplexHessian(
-        d_wbar=fp * w / (2.0 * aw),
-        d_wbar_w=fp * (lam + 1.0) / (4.0 * aw),
-        d_wbar_wbar=fp * (lam - 1.0) / (4.0 * aw) * phase2,
-    )
 
 
 def _invert_deriv(d, t):

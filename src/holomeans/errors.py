@@ -10,7 +10,6 @@ __all__ = [
     "HolomeansError",
     "InvalidParameterError",
     "DomainError",
-    "SingularPointError",
     "DegenerateDensityError",
     "ZeroFieldError",
     "NonFiniteSampleError",
@@ -31,10 +30,6 @@ class InvalidParameterError(HolomeansError, ValueError):
 
 class DomainError(HolomeansError, ValueError):
     """An evaluation was requested outside a function's domain."""
-
-
-class SingularPointError(HolomeansError, ValueError):
-    """An operation hit a point where its defining formula degenerates."""
 
 
 class DegenerateDensityError(HolomeansError, ValueError):

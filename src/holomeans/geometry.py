@@ -23,7 +23,6 @@ __all__ = [
     "Jet",
     "circle_rule",
     "disk_rule",
-    "circle_integral",
     "sample_field",
     "wirtinger_jet",
     "affine_eval",
@@ -144,23 +143,6 @@ def sample_field(f, points):
     vals = field_values(f, pts)
     _raise_first([nonfinite_error(pts, vals)])
     return vals
-
-
-def circle_integral(q, values):
-    """Integrate samples (or a callable) against a circle or disk rule."""
-    if callable(values):
-        values = sample_field(values, q.nodes)
-    values = np.asarray(values)
-    if values.shape[-1] != q.nodes.shape[0]:
-        raise InvalidParameterError(
-            "sample count does not match the quadrature rule"
-        )
-    if np.any(~np.isfinite(values)):
-        idx = int(np.argwhere(~np.isfinite(np.atleast_1d(values)))[0][-1])
-        raise NonFiniteSampleError(
-            f"non-finite integrand at node {idx} ({q.nodes[idx]:.6g})"
-        )
-    return values @ q.weights
 
 
 def _modulus(z):

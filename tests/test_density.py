@@ -1,4 +1,4 @@
-"""Density profiles: closed forms, validation, conjugation, Wirtinger calculus."""
+"""Density profiles: closed forms, validation and conjugation."""
 
 import warnings
 
@@ -12,7 +12,6 @@ from holomeans.errors import (
     DegenerateDensityError,
     DomainError,
     InvalidParameterError,
-    SingularPointError,
 )
 
 POWERS = (1.5, 2.0, 3.0, 4.0)
@@ -166,41 +165,6 @@ def test_young_conjugate_refuses_flat_derivative():
         hm.young_conjugate(flat)
 
 
-@pytest.mark.parametrize("p", (2.0, 3.0))
-def test_complex_hessian_closed_form(p):
-    # W(w) = F(|w|) = |w|^p / p has dW/d(conj w) = |w|^(p-2) w / 2
-    d = hm.power_density(p)
-    for w in (0.7 + 0.2j, -1.1 + 0.9j, 2.0 - 0.5j):
-        h = hm.complex_hessian(d, w)
-        expected = abs(w) ** (p - 2) * w / 2.0
-        assert h.d_wbar == pytest.approx(expected, rel=1e-12)
-
-
-@given(
-    re=st.floats(-2.0, 2.0),
-    im=st.floats(-2.0, 2.0),
-    p=st.sampled_from(POWERS),
-)
-def test_complex_hessian_matches_finite_differences(re, im, p):
-    w = complex(re, im)
-    if abs(w) < 0.3:
-        return
-    d = hm.power_density(p)
-    h = hm.complex_hessian(d, w)
-
-    def dwbar(w):
-        return hm.complex_hessian(d, w).d_wbar
-
-    eps = 1e-6 * (1.0 + abs(w))
-    fx = (dwbar(w + eps) - dwbar(w - eps)) / (2.0 * eps)
-    fy = (dwbar(w + 1j * eps) - dwbar(w - 1j * eps)) / (2.0 * eps)
-    dw = (fx - 1j * fy) / 2.0
-    dwbar2 = (fx + 1j * fy) / 2.0
-    scale = abs(w) ** (p - 2)
-    assert abs(h.d_wbar_w - dw) <= 2e-4 * scale
-    assert abs(h.d_wbar_wbar - dwbar2) <= 2e-4 * scale
-
-
 def test_numerical_conjugate_slope_brackets_over_the_whole_float_range():
     # t**(1 / lambda_lo) overflows for t = 1e50 at lambda_lo = 0.1, yet the
     # root 1e250 of F'(s) = s**0.2 = t is a float.
@@ -288,9 +252,7 @@ def test_validation_report_names_the_failed_checks():
         hm.validate_density(hm.power_density(3), sample_count=15)
 
 
-def test_complex_hessian_and_pinching_ratio_refuse_degenerate_points():
-    with pytest.raises(SingularPointError, match="w = 0"):
-        hm.complex_hessian(hm.power_density(3), 0j)
+def test_pinching_ratio_refuses_a_falling_density():
     falling = hm.Density(
         value_fn=lambda s: -s,
         deriv_fn=lambda s: -np.ones_like(s),

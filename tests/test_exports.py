@@ -27,7 +27,7 @@ def test_every_exported_name_resolves_to_its_module_object():
 def test_conjugate_validation_and_fit_names_are_exported():
     for name in ("young_conjugate", "CheckResult", "ValidationReport", "fit_model_coefficient"):
         assert name in hm.__all__
-    assert len(hm.__all__) == 91
+    assert len(hm.__all__) == 87
 
 
 @pytest.mark.parametrize("config, field", (
