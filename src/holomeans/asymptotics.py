@@ -76,7 +76,8 @@ __all__ = [
 # Decision thresholds (module docstring).  Jet membership's undecided band up to
 # REJECT_TOL absorbs extrapolation noise; MATCH_TOL bounds the gap between a
 # sweep's limit and its analytic prediction for a ``consistent`` row.  A sweep
-# needs values at MIN_SUCCESSES radii at least, else it raises.
+# needs values at MIN_SUCCESSES radii at least, else it raises; a SweepConfig
+# with fewer radii is refused when built.
 ZERO_TOL = 1e-4
 MIN_SUCCESSES = 4
 REJECT_TOL = 1e-3
@@ -100,7 +101,8 @@ _decide_membership = functools.partial(_decide, reject=REJECT_TOL)
 class SweepConfig:
     """Geometric radius ladder of a sweep; ``seed`` shuffles the sup mean.
 
-    Every circle has ``geometry.DEFAULT_CIRCLE_NODES`` nodes.
+    Every circle has ``geometry.DEFAULT_CIRCLE_NODES`` nodes.  ``count`` is
+    at least ``MIN_SUCCESSES``, the radii a sweep needs.
     """
 
     r0: float = 0.1
@@ -113,8 +115,8 @@ class SweepConfig:
             raise InvalidParameterError(f"r0 must be positive and finite, got {self.r0}")
         if not 0.0 < self.rho < 1.0:
             raise InvalidParameterError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.count < 2:
-            raise InvalidParameterError(f"count must be >= 2, got {self.count}")
+        if self.count < MIN_SUCCESSES:
+            raise InvalidParameterError(f"count must be >= {MIN_SUCCESSES}, got {self.count}")
 
     def radii(self):
         return self.r0 * self.rho ** np.arange(self.count)
@@ -210,11 +212,6 @@ def _sweeps(kind, f, points, d, cfg):
         )
     cfg = cfg or SweepConfig()
     radii_all = cfg.radii()
-    if MIN_SUCCESSES > radii_all.size:
-        raise InsufficientDataError(
-            f"MIN_SUCCESSES ({MIN_SUCCESSES}) exceeds the "
-            f"{radii_all.size} radii of the ladder"
-        )
     if kind == "pair_increment":
         # A (points, 1) array, shaped like the circles the means sample.
         center_values = field_values(f, pts[:, None])[:, 0]
@@ -269,8 +266,7 @@ def sweep(kind, f, z, d, cfg=None):
     value minus the field value at the center) or ``infinity`` (sup mean).
     Radii whose solve fails, or raises a :class:`HolomeansError`, are
     recorded and skipped; fewer than ``MIN_SUCCESSES`` usable radii raise
-    :class:`InsufficientDataError`, before any solve when the ladder itself
-    is shorter.  Other exceptions propagate.
+    :class:`InsufficientDataError`.  Other exceptions propagate.
     """
     return _raise_first(_sweeps(kind, f, [complex(z)], d, cfg))[0]
 

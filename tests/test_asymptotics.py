@@ -30,6 +30,7 @@ def test_sweep_config_validation():
         hm.SweepConfig(rho=1.0).radii()
     with pytest.raises(InvalidParameterError):
         hm.SweepConfig(count=1).radii()
+    assert hm.SweepConfig(count=hm.asymptotics.MIN_SUCCESSES).radii().size == 4
 
 
 @pytest.mark.parametrize("fields, message", (

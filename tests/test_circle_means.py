@@ -190,22 +190,12 @@ def test_pair_mean_is_two_single_model_solves():
     assert res.value == res.center.minimizer + r * res.slope.minimizer
 
 
-def test_starved_ladder_fails_before_sampling_any_circle(monkeypatch):
-    shapes = []
-
-    def counted(zeta):
-        shapes.append(np.shape(zeta))
-        return np.exp(zeta)
-
+def test_a_ladder_shorter_than_min_successes_is_refused_when_built(monkeypatch):
+    with pytest.raises(InvalidParameterError, match="count must be >= 4, got 3"):
+        hm.SweepConfig(count=3)
     monkeypatch.setattr(hm.asymptotics, "MIN_SUCCESSES", 9)
-    cfg = hm.SweepConfig()
-    with pytest.raises(InsufficientDataError, match="exceeds the 8 radii"):
-        hm.sweep("variational", counted, 0.4 + 0.1j, D3, cfg)
-    for verdict in (hm.holomorphy_verdict, hm.system_verdict, hm.amvp_verdict):
-        with pytest.raises(InsufficientDataError):
-            verdict(counted, [0.4 + 0.1j, 0.6 + 0.2j], D3, cfg)
-    assert shapes
-    assert all(hm.geometry.DEFAULT_CIRCLE_NODES not in shape for shape in shapes)
+    with pytest.raises(InvalidParameterError, match="count must be >= 9, got 8"):
+        hm.SweepConfig()
 
 
 def test_verdicts_raise_a_starved_point_that_the_rows_keep(monkeypatch):

@@ -456,7 +456,9 @@ _MEAN_BASE = "field.spec = exp\ndensity.spec = power:p=3\nmean.point = 0.3+0.4i\
     ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.rho = 2\n", None,
      "rho must lie in (0, 1), got 2.0"),
     ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.count = 1\n", None,
-     "count must be >= 2, got 1"),
+     "count must be >= 4, got 1"),
+    ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.count = 3\n", None,
+     "count must be >= 4, got 3"),
     ("verify-holo", _VERIFY_BASE + "points.list = 0.5\nsweep.r0 = nan\n", None,
      "r0 must be positive and finite, got nan"),
     ("sweep", _VERIFY_BASE + "sweep.point = 0.3+0.4i\nsweep.kind = bogus\n", None,
