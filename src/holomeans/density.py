@@ -40,6 +40,7 @@ __all__ = [
     "validate_density",
 ]
 
+
 def _as_float_array(s, allow_zero, what):
     arr = np.asarray(s, dtype=float)
     if np.any(arr < 0.0):

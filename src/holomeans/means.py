@@ -95,8 +95,8 @@ class MeanResult:
 
     ``foc_residual`` is the modulus of the first-order condition averaged
     over the circle nodes and scaled by the model modulus, so it is
-    comparable with F' values.  ``status`` is ``converged`` or ``failed``; a failed
-    result still carries the best iterate.
+    comparable with F' values.  ``status`` is ``converged`` or ``failed``;
+    a failed result still carries the best iterate.
     """
 
     minimizer: complex

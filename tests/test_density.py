@@ -4,8 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import holomeans as hm
 from holomeans.errors import (
