@@ -234,32 +234,49 @@ def _invert_deriv(d, t):
     return out.reshape(t.shape)
 
 
+# Grid on which F' is probed: for strict increase and for its power law.
+_PROBE = np.geomspace(1e-8, 1e8, 33)
+
+
+def _power_law(d):
+    """``(coeff, alpha)`` when ``F'(s) = coeff * s**alpha`` exactly, else None.
+
+    The density must declare constant pinching (``lambda_lo == lambda_hi ==
+    small_exponent``, as :func:`power_density` does), and its F' must match
+    ``small_coeff * s**small_exponent`` on the probe grid to 1e-12 relative.
+    Its F is then ``coeff * s**(alpha + 1) / (alpha + 1)``, since F(0) = 0.
+    """
+    alpha, coeff = d.small_exponent, d.small_coeff
+    if not d.lambda_lo == d.lambda_hi == alpha:
+        return None
+    law = coeff * _PROBE**alpha
+    fp = np.asarray(d.deriv_fn(_PROBE), dtype=float)
+    return (coeff, alpha) if np.all(np.abs(fp - law) <= 1e-12 * law) else None
+
+
 def young_conjugate(d):
     """The conjugate profile G with G'(t) inverting F'.
 
     G(t) = t G'(t) - F(G'(t)); G'' follows from F''(G') G'' = 1, and the
     pinching bounds invert: lam_G in [1/lambda_hi, 1/lambda_lo].
 
-    A density that declares constant pinching (``lambda_lo == lambda_hi ==
-    small_exponent``, as :func:`power_density` does) and whose F' matches
-    ``small_coeff * s**small_exponent`` on the probe grid to 1e-12 relative
-    gets the exact slope ``G'(t) = (t / small_coeff)**(1 / small_exponent)``;
-    every other density solves F'(s) = t numerically.
+    A density with an exact power law ``F' = small_coeff *
+    s**small_exponent`` (see :func:`_power_law`) gets the exact slope
+    ``G'(t) = (t / small_coeff)**(1 / small_exponent)``; every other density
+    solves F'(s) = t numerically.
 
     Raises
     ------
     DegenerateDensityError
         If F' is not strictly increasing on a coarse sampling grid.
     """
-    probe = np.geomspace(1e-8, 1e8, 33)
-    fp = np.asarray(d.deriv_fn(probe), dtype=float)
+    fp = np.asarray(d.deriv_fn(_PROBE), dtype=float)
     if np.any(~np.isfinite(fp)) or np.any(np.diff(fp) <= 0.0):
         raise DegenerateDensityError(
             f"{d.label}: F' is not strictly increasing; conjugate undefined"
         )
     alpha, coeff = d.small_exponent, d.small_coeff
-    law = coeff * probe**alpha
-    if d.lambda_lo == d.lambda_hi == alpha and np.all(np.abs(fp - law) <= 1e-12 * law):
+    if _power_law(d) is not None:
 
         def _g_deriv(t):
             return (np.asarray(t, dtype=float) / coeff) ** (1.0 / alpha)

@@ -36,8 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import young_conjugate
-from .errors import InvalidParameterError, ZeroFieldError, _raise_first
+from .density import _power_law, young_conjugate
+from .errors import (
+    InvalidParameterError,
+    NonFiniteSampleError,
+    ZeroFieldError,
+    _raise_first,
+)
 from .geometry import DEFAULT_CIRCLE_NODES, circle_rule, field_values, nonfinite_error
 from .pdesystem import FIELD_FLOOR
 
@@ -155,9 +160,58 @@ class AffineIdentityResult:
     residual: float
 
 
-def _objective_rows(d, samples, model, c):
-    u = samples - c[:, None] * model
-    return np.mean(np.asarray(d.value_fn(np.abs(u)), dtype=float), axis=-1)
+def _node_terms(d):
+    """The per-node terms of the Newton fit for the density ``d``.
+
+    Returns ``(weight, objective, curvature)``, functions of the squared
+    residual moduli ``s2`` (rows, nodes):
+
+    * ``weight(s2)`` is k = F'(|u|) / |u|, with any value where s2 = 0 (the
+      fit sets k = 0 there, as F'(0) = 0);
+    * ``objective(s2, k)`` is each row's mean of F(|u|);
+    * ``curvature(s2, k)`` gives ``(wa, ca, wb, cb)`` for the Hessian
+      coefficients ``a = ca * mean(wa |m|^2)`` and ``b = cb * mean(wb (u
+      conj(m))^2)`` of H(w) = F(|w|), with wa = F'' + k and wb = (F'' -
+      k) / s2 up to the factors ca and cb (s2 > 0 here).
+
+    A power law ``F' = coeff * s**alpha`` (:func:`density._power_law`) needs
+    one power per evaluation: k = coeff * s2**((alpha - 1) / 2), F = k s2 /
+    (alpha + 1) and F'' = alpha k.  Any other density evaluates its
+    ``value_fn``, ``deriv_fn`` and ``second_deriv_fn`` at |u|.
+    """
+    law = _power_law(d)
+    if law is not None:
+        coeff, alpha = law
+        half_gap = 0.5 * (alpha - 1.0)
+
+        def weight(s2):
+            with np.errstate(divide="ignore"):  # 0 ** negative at alpha < 1
+                k = s2**half_gap
+            if coeff != 1.0:
+                k *= coeff
+            return k
+
+        def objective(s2, k):
+            return np.mean(k * s2, axis=-1) / (alpha + 1.0)
+
+        def curvature(s2, k):
+            return k, 0.25 * (alpha + 1.0), k / s2, 0.25 * (alpha - 1.0)
+
+        return weight, objective, curvature
+
+    def weight(s2):
+        au = np.sqrt(s2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.asarray(d.deriv_fn(au), dtype=float) / au
+
+    def objective(s2, k):
+        return np.mean(np.asarray(d.value_fn(np.sqrt(s2)), dtype=float), axis=-1)
+
+    def curvature(s2, k):
+        h = np.asarray(d.second_deriv_fn(np.sqrt(s2)), dtype=float)
+        return h + k, 0.25, (h - k) / s2, 0.25
+
+    return weight, objective, curvature
 
 
 def fit_model_coefficient(d, samples, model, init):
@@ -167,13 +221,20 @@ def fit_model_coefficient(d, samples, model, init):
     summation order does not depend on the other rows: a row's outputs have
     the same bits alone, in any batch and at any place in it.
 
+    One Newton loop serves every density; only its per-node terms depend on
+    the density (:func:`_node_terms`).  A power-law density, such as
+    :func:`~holomeans.density.power_density`, takes the one-power kernel:
+    each Newton iteration evaluates one power of the squared residual
+    moduli, and the residuals of the step its line search accepts are those
+    of the next iteration.
+
     Parameters
     ----------
     d : Density
-    samples : complex array, shape (batch, nodes)
+    samples : complex array, shape (batch, nodes), finite, nodes >= 1
     model : complex array, shape (nodes,) shared by all rows or (batch, nodes)
-        one per row; bounded away from zero
-    init : complex array, shape (batch,)
+        one per row; finite and bounded away from zero
+    init : complex array, shape (batch,), finite
 
     Returns
     -------
@@ -182,126 +243,148 @@ def fit_model_coefficient(d, samples, model, init):
     A row fails when its Newton direction is unusable, when its line search
     runs out of backtracks, or when the iteration budget ends above the
     first-order tolerance.
+
+    Raises
+    ------
+    InvalidParameterError
+        If the shapes do not match or the model vanishes at a node.
+    NonFiniteSampleError
+        If a sample or an initial value is NaN or infinite.
     """
     samples = np.asarray(samples, dtype=complex)
     model = np.asarray(model, dtype=complex)
+    c = np.array(init, dtype=complex)
     if samples.ndim != 2 or model.shape not in (samples.shape, samples.shape[1:]):
         raise InvalidParameterError("samples must be (batch, nodes) matching model")
+    if c.shape != samples.shape[:1]:
+        raise InvalidParameterError(
+            f"init must have one value per row: shape {samples.shape[:1]}, got {c.shape}"
+        )
+    if samples.shape[1] == 0:
+        raise InvalidParameterError("samples need at least one node per row")
+    if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(c))):
+        raise NonFiniteSampleError("samples and init of a fit must be finite")
     mmod = np.abs(model)
-    if float(np.min(mmod)) <= 0.0:
+    if not np.all(np.isfinite(mmod) & (mmod > 0.0)):
         raise InvalidParameterError("model weights must be bounded away from zero")
-    mscale = np.max(mmod, axis=-1)
-    conj_model = np.conj(model)
-    mmod2, conj_model2 = mmod**2, conj_model**2
-
-    nbatch = samples.shape[0]
-    c = np.asarray(init, dtype=complex).copy()
-    state = np.full(nbatch, _STATUS_ACTIVE, dtype=int)
-    foc_out = np.zeros(nbatch)
-    iters = np.zeros(nbatch, dtype=int)
+    weight, objective, curvature = _node_terms(d)
+    shared = model.ndim == 1
+    floor2 = RESIDUAL_FLOOR**2
 
     favg = np.mean(np.asarray(d.deriv_fn(np.abs(samples)), dtype=float), axis=-1)
     foc_tol = FOC_TOL_COEFF * (1.0 + favg)
-    # The objective at every row's current iterate, which starts each line
-    # search; accepted steps update it.
-    obj = _objective_rows(d, samples, model, c)
+    state = np.full(samples.shape[0], _STATUS_ACTIVE, dtype=int)
+    foc_out = np.zeros(samples.shape[0])
+    iters = np.zeros(samples.shape[0], dtype=int)
 
-    def per_row(a, rows):
-        # A shared (nodes,) model broadcasts as it is, without a copy.
-        return a[rows] if model.ndim == 2 else a
+    def evaluate(rows, m, cc):
+        # Residuals at the coefficients cc, their squared moduli and gradient
+        # weights, which rows have a residual below the floor, and the
+        # objective.  An exact zero gets weight 0.
+        u = rows - cc[:, None] * m
+        s2 = np.square(u.real)
+        s2 += np.square(u.imag)
+        near = np.any(s2 < floor2, axis=1)
+        k = weight(s2)
+        if np.any(near):
+            k[near] = np.where(s2[near] > 0.0, k[near], 0.0)
+        return u, s2, k, near, objective(s2, k)
 
-    def gradient(rows, cc):
-        u = samples[rows] - cc[:, None] * per_row(model, rows)
-        au = np.abs(u)
-        au_safe = np.where(au > 0.0, au, 1.0)
-        fp = np.asarray(d.deriv_fn(au), dtype=float)
-        g = -0.5 * np.mean(fp * (u / au_safe) * per_row(conj_model, rows), axis=-1)
-        return u, au, g
+    # The active rows, in order, with their own rows of every per-row input,
+    # and the terms at their current coefficients.  Rows only ever leave;
+    # the arrays are re-indexed when one does.
+    act = np.arange(samples.shape[0])
+    rows, tol = samples, foc_tol
+    per_row = (model, np.conj(model), mmod**2, np.max(mmod, axis=-1))
+    u, s2, k, near, obj = evaluate(rows, model, c)
+    cur, obj_out = c.copy(), obj.copy()
 
     for it in range(MAX_NEWTON_ITERATIONS + 1):
-        act = np.flatnonzero(state == _STATUS_ACTIVE)
         if act.size == 0:
             break
-        u, au, g = gradient(act, c[act])
-        foc = np.abs(g) / per_row(mscale, act)
-        exact = np.all(au < RESIDUAL_FLOOR, axis=1)
-        foc = np.where(exact, 0.0, foc)
+        m, conj_m, mmod2, mscale = per_row
+        um = u * conj_m
+        g = -0.5 * np.mean(k * um, axis=-1)
+        foc = np.abs(g) / mscale
+        if np.any(near):
+            # A row whose residuals all lie below the floor is an exact fit.
+            exact = near.copy()
+            exact[near] = np.all(s2[near] < floor2, axis=1)
+            foc[exact] = 0.0
         foc_out[act] = foc
         iters[act] = it
-        small_foc = foc <= foc_tol[act]
+        small_foc = foc <= tol
         if it == MAX_NEWTON_ITERATIONS:
             # Iteration budget exhausted.  Near a flat optimum the Newton step
             # stalls at the float noise floor without ever satisfying STEP_TOL;
             # accept rows whose final iterate meets the first-order tolerance
             # and fail only the rest.
-            state[act[small_foc]] = _STATUS_CONVERGED
-            state[act[~small_foc]] = _STATUS_FAILED
+            state[act] = np.where(small_foc, _STATUS_CONVERGED, _STATUS_FAILED)
             break
         # A row with an exactly-zero pointwise residual converges on the
         # gradient alone; otherwise it stays in Newton, whose Hessian clamps
         # that residual's modulus at the floor.
-        done = small_foc & np.any(au < RESIDUAL_FLOOR, axis=1)
-        state[act[done]] = _STATUS_CONVERGED
-        rem = ~done
-
-        rows = act[rem]
-        small_foc = small_foc[rem]
-        u_r, au_r, g_r = u[rem], au[rem], g[rem]
-        au_s = np.maximum(au_r, RESIDUAL_FLOOR)
-        fp = np.asarray(d.deriv_fn(au_s), dtype=float)
-        fpp = np.asarray(d.second_deriv_fn(au_s), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = au_s * fpp / fp
-        lam = np.where(np.isfinite(lam), lam, 1.0)
-        base = fp / (4.0 * au_s)
-        a_coef = np.mean(base * (lam + 1.0) * per_row(mmod2, rows), axis=-1)
-        phase2 = (u_r / au_s) ** 2
-        b_coef = np.mean(base * (lam - 1.0) * phase2 * per_row(conj_model2, rows), axis=-1)
+        done = small_foc & near
+        s2_h, k_h = s2, k
+        if np.any(near):
+            s2_h, k_h = s2.copy(), k.copy()
+            s2_h[near] = np.maximum(s2[near], floor2)
+            k_h[near] = weight(s2_h[near])
+        wa, ca, wb, cb = curvature(s2_h, k_h)
+        a_coef = ca * np.mean(wa * mmod2, axis=-1)
+        b_coef = cb * np.mean(wb * (um * um), axis=-1)
         denom = a_coef**2 - np.abs(b_coef) ** 2
         good = np.isfinite(denom) & (denom > 0.0)
-        delta = np.zeros_like(g_r)
-        np.divide(
-            -a_coef * g_r + b_coef * np.conj(g_r),
-            denom,
-            out=delta,
-            where=good,
-        )
-        settled = (
-            small_foc
-            & good
-            & (np.abs(delta) <= STEP_TOL * (1.0 + np.abs(c[rows])))
-        )
-        state[rows[settled]] = _STATUS_CONVERGED
-        slope = 2.0 * np.real(np.conj(g_r) * delta)
-        good &= np.isfinite(slope) & (slope < 0.0) & ~settled
-        state[rows[~good & ~settled]] = _STATUS_FAILED
-        rows, delta, slope = rows[good], delta[good], slope[good]
+        delta = np.zeros_like(g)
+        np.divide(-a_coef * g + b_coef * np.conj(g), denom, out=delta, where=good)
+        settled = small_foc & good & (np.abs(delta) <= STEP_TOL * (1.0 + np.abs(cur)))
+        slope = 2.0 * np.real(np.conj(g) * delta)
+        stop = done | settled
+        good &= np.isfinite(slope) & (slope < 0.0) & ~stop
+        state[act[stop]] = _STATUS_CONVERGED
 
-        row_model = per_row(model, rows)
-        obj0 = obj[rows]
-        # Near the optimum the true decrease of a Newton step can drop below
-        # the float resolution of the objective; a few-ulp allowance keeps
-        # the line search from rejecting such steps, and the gradient-based
-        # settling test then certifies convergence.
-        flat = 16.0 * np.finfo(float).eps * (1.0 + np.abs(obj0))
-        t = np.ones(rows.size)
-        ok = np.zeros(rows.size, dtype=bool)
-        for _ in range(MAX_BACKTRACKS):
-            cand = c[rows] + t * delta
-            obj1 = _objective_rows(d, samples[rows], row_model, cand)
-            ok = np.isfinite(obj1) & (
-                obj1 <= obj0 + ARMIJO_SLOPE * t * slope + flat
+        # Armijo line search on the rows with a usable step.  Near the optimum
+        # the true decrease of a Newton step can drop below the float
+        # resolution of the objective; a few-ulp allowance keeps the line
+        # search from rejecting such steps, and the gradient-based settling
+        # test then certifies convergence.
+        flat = 16.0 * np.finfo(float).eps * (1.0 + np.abs(obj))
+
+        def sufficient(obj1, sel, t):
+            return np.isfinite(obj1) & (
+                obj1 <= obj[sel] + ARMIJO_SLOPE * t * slope[sel] + flat[sel]
             )
-            if np.all(ok):
+
+        t = np.ones(act.size)
+        cand = cur + delta
+        u, s2, k, near, obj1 = evaluate(rows, m, cand)
+        ok = good & sufficient(obj1, slice(None), 1.0)
+        pend = np.flatnonzero(good & ~ok)
+        for _ in range(MAX_BACKTRACKS - 1):
+            if pend.size == 0:
                 break
-            t = np.where(ok, t, t * BACKTRACK_FACTOR)
-        c[rows[ok]] += (t * delta)[ok]
-        obj[rows[ok]] = obj1[ok]
-        state[rows[~ok]] = _STATUS_FAILED
+            t[pend] *= BACKTRACK_FACTOR
+            cand[pend] = cur[pend] + t[pend] * delta[pend]
+            trial = evaluate(rows[pend], m if shared else m[pend], cand[pend])
+            u[pend], s2[pend], k[pend], near[pend], obj1[pend] = trial
+            hit = sufficient(trial[-1], pend, t[pend])
+            ok[pend[hit]] = True
+            pend = pend[~hit]
+        # The rows that took a step go on, with the terms at their new
+        # coefficients; every other row leaves.
+        state[act[~ok & ~stop]] = _STATUS_FAILED
+        if not np.all(ok):
+            act, rows, tol, cand, obj1, u, s2, k, near = (
+                a[ok] for a in (act, rows, tol, cand, obj1, u, s2, k, near)
+            )
+            if not shared:
+                per_row = tuple(a[ok] for a in per_row)
+        cur, obj = cand, obj1
+        c[act], obj_out[act] = cur, obj
 
     return {
         "minimizer": c,
-        "objective": obj,
+        "objective": obj_out,
         "foc_residual": foc_out,
         "iterations": iters,
         "status": state,

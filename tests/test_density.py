@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import holomeans as hm
+from holomeans.density import _power_law
 from holomeans.errors import (
     DegenerateDensityError,
     DomainError,
@@ -122,10 +123,9 @@ def test_numerical_conjugate_slope_of_zeros_and_of_an_underflowing_root():
     assert g.deriv(1e-300) == 5e-324
 
 
-def test_constant_pinching_without_the_declared_power_law_inverts_numerically():
-    # F'(s) = 2 s**2 has constant ratio 2, but small_coeff = 1 misstates it:
-    # the closed form would give sqrt(t) instead of sqrt(t / 2).
-    d = hm.Density(
+def _twice_cubic():
+    """F'(s) = 2 s**2, whose constant ratio 2 is declared with small_coeff 1, not 2."""
+    return hm.Density(
         value_fn=lambda s: 2.0 * s**3 / 3.0,
         deriv_fn=lambda s: 2.0 * s**2,
         second_deriv_fn=lambda s: 4.0 * s,
@@ -135,6 +135,19 @@ def test_constant_pinching_without_the_declared_power_law_inverts_numerically():
         small_coeff=1.0,
         label="twice-cubic",
     )
+
+
+def test_power_law_is_recognised_only_where_declared_and_true():
+    for p in (1.2, 2.0, 3.0, 8.0):
+        d = hm.power_density(p)
+        assert _power_law(d) == (1.0, p - 1.0)
+        assert _power_law(_declared(d, p - 1.1, p - 0.9, "wide")) is None
+    assert _power_law(_twice_cubic()) is None
+
+
+def test_constant_pinching_without_the_declared_power_law_inverts_numerically():
+    # The closed form would give sqrt(t) instead of sqrt(t / 2).
+    d = _twice_cubic()
     s = np.geomspace(1e-6, 1e6, 13)
     np.testing.assert_allclose(hm.young_conjugate(d).deriv_fn(d.deriv_fn(s)), s, rtol=1e-12)
 

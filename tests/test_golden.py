@@ -12,8 +12,13 @@ off the quadratic density, where every sweep runs the Newton fits.
 Regenerate after an intended output change with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+which rewrites only the files whose bytes changed and reports, for each,
+how many cells changed, the largest absolute change of a numeric cell, and
+how many text and integer cells moved, with each case's exit code.
 """
 
+import math
 import os
 import sys
 
@@ -83,6 +88,52 @@ def test_cli_output_matches_golden(name, tmp_path):
         assert data == fh.read()
 
 
+def test_drift_counts_changed_cells_by_kind():
+    old = b"# iterations = 29\n# converged = true\nx,re\n0.5,1.25\n0.25,nan\n"
+    new = b"# iterations = 30\n# converged = false\nx,re\n0.5,1.5\n0.25,2\n"
+    assert drift(old, old) == (0, 0.0, 0, 0)
+    assert drift(old, new) == (4, 1.0, 2, 1)
+    assert drift(old, new + b"0.125,3\n") is None
+
+
+def _cells(data):
+    """The cells of a CSV output: each header line's key and value, each row's fields."""
+    cells = []
+    for line in data.decode().splitlines():
+        if line.startswith("# "):
+            key, _, value = line.partition(" = ")
+            cells += [key, value]
+        else:
+            cells += line.split(",")
+    return cells
+
+
+def _finite(cell):
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def drift(old, new):
+    """How ``new`` output bytes differ from ``old``, cell by cell.
+
+    Returns None when the two have different cell counts, else ``(changed,
+    largest, text, integer)``: the number of changed cells, the largest
+    absolute change of a cell that is a finite number in both, the number
+    of changed cells that are not (text, NaN), and the number of changed
+    cells that are integers in both (counts such as iterations).
+    """
+    a, b = _cells(old), _cells(new)
+    if len(a) != len(b):
+        return None
+    changed = [(x, y) for x, y in zip(a, b) if x != y]
+    numeric = [(x, y) for x, y in changed if _finite(x) and _finite(y)]
+    largest = max((abs(float(x) - float(y)) for x, y in numeric), default=0.0)
+    integer = sum(x.lstrip("-").isdigit() and y.lstrip("-").isdigit() for x, y in numeric)
+    return len(changed), largest, len(changed) - len(numeric), integer
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -90,6 +141,22 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             code, data = run_case(case, tmp)
-            with open(os.path.join(GOLDEN, case + ".csv"), "wb") as fh:
+            path = os.path.join(GOLDEN, case + ".csv")
+            old = None
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    old = fh.read()
+            exit_note = f"exit {code}" + ("" if code == CASES[case][2] else
+                                          f" (expected {CASES[case][2]})")
+            if old == data:
+                print(f"{case}: unchanged, {exit_note}", file=sys.stderr)
+                continue
+            with open(path, "wb") as fh:
                 fh.write(data)
-            print(f"{case}: exit {code}, {len(data)} bytes", file=sys.stderr)
+            moved = None if old is None else drift(old, data)
+            if moved is None:
+                report = "new file" if old is None else "rewritten, cell layout changed"
+            else:
+                report = (f"{moved[0]} cells changed, largest |change| {moved[1]:.3g}, "
+                          f"{moved[2]} text cells moved, {moved[3]} integer cells moved")
+            print(f"{case}: {report}, {exit_note}", file=sys.stderr)

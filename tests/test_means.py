@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import holomeans as hm
-from holomeans.errors import InvalidParameterError
+from holomeans.errors import InvalidParameterError, NonFiniteSampleError
 from holomeans.means import _circumcircle, fit_model_coefficient
 
 D2 = hm.power_density(2)
@@ -295,6 +295,66 @@ def test_fit_and_circle_means_refuse_unusable_input():
     for r in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(InvalidParameterError, match="circle radius must be positive"):
             hm.circle_means("variational", np.exp, [Z], r, D2)
+
+
+def test_fit_refuses_a_misshapen_init_and_empty_rows():
+    samples, model = np.ones((2, 4), dtype=complex), np.ones(4, dtype=complex)
+    for init in (np.zeros(3), 0j):
+        with pytest.raises(InvalidParameterError, match="one value per row"):
+            fit_model_coefficient(D2, samples, model, init)
+    with pytest.raises(InvalidParameterError, match="at least one node"):
+        fit_model_coefficient(D2, np.ones((2, 0), dtype=complex), np.ones(0), np.zeros(2))
+
+
+@pytest.mark.parametrize("where", ("sample", "init"))
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_fit_refuses_non_finite_samples_and_init(bad, where):
+    samples, init = np.ones((2, 4), dtype=complex), np.zeros(2, dtype=complex)
+    (samples if where == "sample" else init)[1] = bad
+    with pytest.raises(NonFiniteSampleError, match="must be finite"):
+        fit_model_coefficient(hm.power_density(3), samples, np.ones(4), init)
+
+
+def _both_paths_rows(shared):
+    """Fit rows for comparing the power-law and the general terms.
+
+    Row 0 is the far start of ``test_line_search_backtracks_from_a_far_start``
+    (its model's scale aside), row 1 starts with one residual exactly at
+    zero, and the other rows are circles of a non-holomorphic field with
+    their quadratic-fit start.
+    """
+    rng = np.random.default_rng(11)
+    rows, n = 6, 16
+    ring = np.exp(2j * np.pi * np.arange(n) / n)
+    pts = rng.uniform(0.2, 0.8, rows) + 1j * rng.uniform(0.2, 0.8, rows)
+    radii = rng.uniform(0.01, 0.1, rows)
+    offsets = radii[:, None] * ring
+    samples = np.exp(pts[:, None] + offsets) + 0.5 * np.conj(pts[:, None] + offsets) ** 2
+    model = np.ones(n, dtype=complex) if shared else np.conj(offsets)
+    row_model = np.broadcast_to(model, samples.shape)
+    init = np.mean(samples * np.conj(row_model), axis=1) / np.mean(np.abs(row_model) ** 2, axis=1)
+    samples[0], init[0] = ring, 10.0 / radii[0] ** (not shared)
+    samples[1] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    samples[1, 3] = init[1] * row_model[1, 3]
+    return samples, model, init
+
+
+@pytest.mark.parametrize("shared", (True, False))
+@pytest.mark.parametrize("p", (1.2, 1.5, 2.0, 3.0, 4.0, 8.0))
+def test_power_law_and_general_terms_agree(p, shared):
+    # Bounds around the constant ratio p - 1 are true but not constant, so
+    # the same F takes the general terms (value_fn, deriv_fn and
+    # second_deriv_fn at |u|) in place of the one-power kernel.
+    d = hm.power_density(p)
+    general = dataclasses.replace(d, lambda_lo=p - 1.1, lambda_hi=p - 0.9)
+    samples, model, init = _both_paths_rows(shared)
+    a = fit_model_coefficient(d, samples, model, init)
+    b = fit_model_coefficient(general, samples, model, init)
+    assert a["status"].tolist() == b["status"].tolist() == [1] * len(init)
+    assert a["iterations"].tolist() == b["iterations"].tolist()
+    scale = np.max(np.abs(samples), axis=1) / np.min(np.abs(np.broadcast_to(model, samples.shape)),
+                                                      axis=1)
+    assert np.all(np.abs(a["minimizer"] - b["minimizer"]) <= 1e-12 * (1.0 + scale))
 
 
 def test_circumcircle_of_collinear_points_is_none():
