@@ -13,7 +13,10 @@ the solver is a damped Newton iteration in the two real coordinates of c
 using the exact complex Hessian of H(w) = F(|w|), with an Armijo line search.
 Where an iterate puts a residual exactly at zero, H stops being twice
 differentiable; the Hessian then clamps that residual's modulus at
-``RESIDUAL_FLOOR``, which keeps the Newton step a descent direction.
+``RESIDUAL_FLOOR``, which keeps the Newton step a descent direction.  A
+density whose F' is an exact power law, such as every power density, takes
+the one-power kernel: a Newton iteration evaluates one power of the squared
+residual moduli, from which F, F' and F'' all follow.
 
 The sup-norm mean is different in kind: it reduces to a smallest enclosing
 circle problem and is solved exactly by a randomized incremental algorithm.
@@ -306,11 +309,14 @@ def fit_model_coefficient(d, samples, model, init):
         um = u * conj_m
         g = -0.5 * np.mean(k * um, axis=-1)
         foc = np.abs(g) / mscale
+        s2_h, k_h = s2, k
         if np.any(near):
             # A row whose residuals all lie below the floor is an exact fit.
-            exact = near.copy()
-            exact[near] = np.all(s2[near] < floor2, axis=1)
-            foc[exact] = 0.0
+            # The Hessian clamps the residual moduli below it at the floor.
+            foc[near] = np.where(np.all(s2[near] < floor2, axis=1), 0.0, foc[near])
+            s2_h, k_h = s2.copy(), k.copy()
+            s2_h[near] = np.maximum(s2[near], floor2)
+            k_h[near] = weight(s2_h[near])
         foc_out[act] = foc
         iters[act] = it
         small_foc = foc <= tol
@@ -325,11 +331,6 @@ def fit_model_coefficient(d, samples, model, init):
         # gradient alone; otherwise it stays in Newton, whose Hessian clamps
         # that residual's modulus at the floor.
         done = small_foc & near
-        s2_h, k_h = s2, k
-        if np.any(near):
-            s2_h, k_h = s2.copy(), k.copy()
-            s2_h[near] = np.maximum(s2[near], floor2)
-            k_h[near] = weight(s2_h[near])
         wa, ca, wb, cb = curvature(s2_h, k_h)
         a_coef = ca * np.mean(wa * mmod2, axis=-1)
         b_coef = cb * np.mean(wb * (um * um), axis=-1)
