@@ -3,7 +3,7 @@
 Measures how the interior sup error of the converged lattice field depends
 on the lattice step h, the circle radius r, and the stopping tolerance.
 Findings from the full sweep at p = 2 on exp data (run with --full; about
-12 s on a 2-core machine, 10 s without it, most of it the p = 4 case):
+4.5 s on a 2-core machine, 3.5 s without it, most of it the p = 4 case):
 
   * the error is flat in h (2.2e-2 to 2.6e-2 over h in [0.02, 0.05] at
     r = 0.1, tol = 1e-3): the lattice step is not the binding term;
