@@ -26,11 +26,13 @@ difference jet, and flags disagreement instead of hiding it.
 
 A verdict sweeps all its points together: points where the field falls
 below ``FIELD_FLOOR`` are set aside as untestable, and the whole ladder of
-the others is one batched circle-mean solve.  A radius that fails for one
-point is recorded in that point's sweep alone.  The rows are then assembled
-in array passes over the points: one field call samples every jet, the
-analytic predictions are array expressions, and every sweep sharing a
-radius ladder is extrapolated by one least-squares solve; Python only
+the others is one batched circle-mean solve.  The verdict reads the
+engine's (points, radii) values and their usable-radius mask as arrays,
+with no per-point :class:`RadiusSweep`; a radius that fails for one point
+is masked out of that point's row alone.  The rows are then assembled in
+array passes over the points: one field call samples every jet, the
+analytic predictions are array expressions, and the points with the same
+usable radii are extrapolated by one least-squares solve; Python only
 builds the result rows.
 A point left with too few radii, or whose row cannot be computed, keeps its
 :class:`HolomeansError` in its slot of the rows; the public verdicts raise
@@ -55,8 +57,8 @@ from .errors import (
     InvalidSweepError,
     _raise_first,
 )
-from .geometry import Jet, _modulus, _wirtinger_jets, field_values
-from .means import _ladder_means
+from .geometry import Jet, _modulus, _wirtinger_jets, field_values, nonfinite_error
+from .means import _STATUS_CONVERGED, _ladder_means
 from .pdesystem import FIELD_FLOOR, _cr_residuals
 
 __all__ = [
@@ -198,64 +200,53 @@ SWEEP_KINDS = tuple(_SWEEP_MEANS)
 def _sweeps(kind, f, points, d, cfg):
     """Sweep every point at once: one circle-mean solve over the whole ladder.
 
-    Returns one entry per point: its :class:`RadiusSweep`, or the
-    :class:`InsufficientDataError` that :func:`sweep` raises for it alone.
-    An error that concerns every point fails every radius for all of them.
-    No points give no sweeps, without checking ``cfg``.
+    Returns ``(radii, cols, values, ok, errors)``: the ladder, the engine's
+    columns (:func:`~holomeans.means._ladder_means`), the values and whether
+    each is usable as (points, radii) arrays, and per point None or the
+    error :func:`sweep` raises for it alone.  An error that concerns every
+    point fails every radius for all of them.
     """
     pts = np.asarray(points, dtype=complex)
-    if pts.size == 0:
-        return []
     if kind not in SWEEP_KINDS:
         raise InvalidParameterError(
             f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}"
         )
     cfg = cfg or SweepConfig()
-    radii_all = cfg.radii()
+    radii = cfg.radii()
+    shape = (pts.size, radii.size)
+    if pts.size == 0:
+        return radii, {}, np.zeros(shape, dtype=complex), np.zeros(shape, dtype=bool), []
     if kind == "pair_increment":
         # A (points, 1) array, shaped like the circles the means sample.
-        center_values = field_values(f, pts[:, None])[:, 0]
-
+        center = field_values(f, pts[:, None])
     try:
-        ladder = _ladder_means(_SWEEP_MEANS[kind], f, pts, radii_all, d,
-                               geometry.DEFAULT_CIRCLE_NODES, cfg.seed)
+        cols = _ladder_means(_SWEEP_MEANS[kind], f, pts, radii, d,
+                             geometry.DEFAULT_CIRCLE_NODES, cfg.seed)
+        values = cols["value"].T
+        ok = cols["status"].T == _STATUS_CONVERGED
+        failed = cols["errors"].T
     except HolomeansError as exc:
-        ladder = ((exc,) * pts.size,) * radii_all.size
-    found = [[] for _ in pts]  # per point: (radius, value, status, extras)
-    failures = [[] for _ in pts]  # per point: (radius, reason)
-    for r, results in zip(radii_all, ladder):
-        for i, res in enumerate(results):
-            if isinstance(res, HolomeansError):
-                failures[i].append((float(r), f"{type(res).__name__}: {res}"))
-            elif res.status == "failed":
-                failures[i].append((float(r), "solver reported failure"))
-            elif kind == "pair_increment":
-                extras = {
-                    "foc_residual": max(res.center.foc_residual, res.slope.foc_residual),
-                    "iterations": res.center.iterations + res.slope.iterations,
-                }
-                found[i].append((float(r), complex(res.value - center_values[i]),
-                                 res.status, extras))
-            elif kind == "infinity":
-                found[i].append((float(r), complex(res.minimizer), res.status,
-                                 {"support_count": res.support_count}))
-            else:
-                found[i].append((float(r), complex(res.minimizer), res.status,
-                                 {"foc_residual": res.foc_residual,
-                                  "iterations": res.iterations}))
+        cols = {}
+        values = np.full(shape, complex(np.nan, np.nan))
+        ok = np.zeros(shape, dtype=bool)
+        failed = np.full(shape, exc, dtype=object)
+    errors = [None] * pts.size
+    if kind == "pair_increment":
+        values = values - center
+        for i in np.flatnonzero(~np.isfinite(center[:, 0])):
+            errors[i] = nonfinite_error(pts[i:i + 1], center[i])
+    for i in np.flatnonzero(np.sum(ok, axis=1) < MIN_SUCCESSES):
+        errors[i] = errors[i] or InsufficientDataError(
+            f"only {np.sum(ok[i])} of {radii.size} radii produced values; need at "
+            f"least {MIN_SUCCESSES} (failures: {_failures(radii, failed[i], ok[i])})"
+        )
+    return radii, cols, values, ok, errors
 
-    out = []
-    for z, ok, failed in zip(pts, found, failures):
-        if len(ok) < MIN_SUCCESSES:
-            out.append(InsufficientDataError(
-                f"only {len(ok)} of {len(radii_all)} radii produced values; "
-                f"need at least {MIN_SUCCESSES} (failures: {failed})"
-            ))
-            continue
-        radii, values, statuses, extras = map(tuple, zip(*ok))
-        out.append(RadiusSweep(kind, complex(z), radii, values, statuses,
-                               tuple(failed), extras))
-    return out
+
+def _failures(radii, errors, ok):
+    """(radius, reason) of every radius of one point without a usable value."""
+    return [(float(r), "solver reported failure" if e is None else f"{type(e).__name__}: {e}")
+            for r, e, good in zip(radii, errors, ok) if not good]
 
 
 def sweep(kind, f, z, d, cfg=None):
@@ -266,9 +257,21 @@ def sweep(kind, f, z, d, cfg=None):
     value minus the field value at the center) or ``infinity`` (sup mean).
     Radii whose solve fails, or raises a :class:`HolomeansError`, are
     recorded and skipped; fewer than ``MIN_SUCCESSES`` usable radii raise
-    :class:`InsufficientDataError`.  Other exceptions propagate.
+    :class:`InsufficientDataError`, and a ``pair_increment`` sweep at a point
+    where the field is not finite raises :class:`NonFiniteSampleError`.
+    Other exceptions propagate.
     """
-    return _raise_first(_sweeps(kind, f, [complex(z)], d, cfg))[0]
+    radii, cols, values, ok, errors = _sweeps(kind, f, [complex(z)], d, cfg)
+    _raise_first(errors)
+    (good,), (failed,) = ok, cols["errors"].T
+    if kind == "infinity":
+        extras = [{"support_count": int(n)} for n in cols["support_count"][good, 0]]
+    else:
+        extras = [{"foc_residual": float(foc), "iterations": int(it)} for foc, it in
+                  zip(cols["foc_residual"][good, 0], cols["iterations"][good, 0])]
+    return RadiusSweep(kind, complex(z), tuple(radii[good].tolist()),
+                       tuple(values[0, good].tolist()), ("converged",) * int(np.sum(good)),
+                       tuple(_failures(radii, failed, good)), tuple(extras))
 
 
 def extrapolate(radii, values=None):
@@ -286,56 +289,48 @@ def extrapolate(radii, values=None):
     values = np.asarray(values, dtype=complex)
     if radii.ndim != 1 or radii.shape != values.shape:
         raise InvalidSweepError("radii and values must be matching 1-d arrays")
-    return _raise_first(_extrapolate_rows([radii], [values])[0])[0]
+    estimates, _ = _extrapolate_rows(radii, values[None], np.ones((1, radii.size), bool))
+    return _raise_first(estimates)[0]
 
 
-def _ladder_groups(radii_rows):
-    """(row indices, radii) for each distinct radius ladder, in order of first use."""
-    groups = {}
-    for i, radii in enumerate(radii_rows):
-        groups.setdefault(tuple(radii), []).append(i)
-    return [(np.asarray(idx), np.asarray(key, dtype=float)) for key, idx in groups.items()]
+def _extrapolate_rows(radii, values, ok):
+    """:func:`extrapolate` of every row of the (rows, radii) ``values`` over its ``ok`` radii.
 
-
-def _extrapolate_rows(radii_rows, value_rows):
-    """:func:`extrapolate` of every row, one least-squares solve per radius ladder.
-
-    The rows sharing a ladder are fitted together by one multi-right-hand-side
-    ``lstsq``, which gives each row the coefficients of its own fit bit for
-    bit.  Values are laid out (rows, radii), so the residual and scale
-    reductions run along the contiguous last axis and keep each row's
-    summation order.  Returns two lists over the rows: one
+    The rows with the same usable radii are fitted together by one
+    multi-right-hand-side ``lstsq``, which gives each row the coefficients
+    of its own fit bit for bit.  Each group is laid out (rows, radii), so
+    the residual and scale reductions run along the contiguous last axis and
+    keep each row's summation order.  Returns two lists over the rows: one
     :class:`LimitEstimate` per row, or the :class:`InvalidSweepError` of a
-    ladder with fewer than two distinct radii; and each row's residual
-    vector ``values - (limit + slope * r)`` over its radii, or None.
+    row with fewer than two distinct usable radii; and each row's residual
+    vector ``values - (limit + slope * r)`` over its usable radii, or None.
     """
-    out = [None] * len(radii_rows)
-    residuals = [None] * len(radii_rows)
-    for idx, radii in _ladder_groups(radii_rows):
-        if radii.size < 2 or np.unique(radii).size < 2:
+    out = [None] * len(values)
+    residuals = [None] * len(values)
+    groups = {}
+    for i, mask in enumerate(ok):
+        groups.setdefault(mask.tobytes(), []).append(i)
+    for idx in map(np.asarray, groups.values()):
+        mask = ok[idx[0]]
+        r = radii[mask]
+        if r.size < 2 or np.all(r == r[0]):
             error = InvalidSweepError("need at least two distinct radii to extrapolate")
             for i in idx:
                 out[i] = error
             continue
-        values = np.array([value_rows[i] for i in idx], dtype=complex)
-        design = np.stack([np.ones_like(radii), radii], axis=1)
-        limit, slope = np.linalg.lstsq(design, values.T, rcond=None)[0]
-        residual = values - (limit[:, None] + slope[:, None] * radii)
+        v = values[np.ix_(idx, mask)]
+        design = np.stack([np.ones_like(r), r], axis=1)
+        limit, slope = np.linalg.lstsq(design, v.T, rcond=None)[0]
+        residual = v - (limit[:, None] + slope[:, None] * r)
         for i, res in zip(idx.tolist(), residual):
             residuals[i] = res
         fit_residual = np.sqrt(np.mean(np.abs(residual) ** 2, axis=-1))
-        scale = np.maximum(np.max(np.abs(values), axis=-1), ZERO_TOL)
+        scale = np.maximum(np.max(np.abs(v), axis=-1), ZERO_TOL)
         verdict = _decide(_modulus(limit), fit_residual <= FIT_TOL_COEFF * scale)
         columns = (idx, limit, slope, fit_residual, verdict)
         for i, *fields in zip(*(c.tolist() for c in columns)):
             out[i] = LimitEstimate(*fields)
     return out, residuals
-
-
-def _increment_ratios(s):
-    """Radii and increments divided by the radius of a ``pair_increment`` sweep."""
-    radii = np.asarray(s.radii, dtype=float)
-    return radii, np.asarray(s.values, dtype=complex) / radii
 
 
 def _verdict_rows(kind, f, points, d, cfg, analytic, rows, untestable):
@@ -358,21 +353,22 @@ def _verdict_rows(kind, f, points, d, cfg, analytic, rows, untestable):
         raise InvalidParameterError("need at least one point")
     low = np.abs(field_values(f, pts)) < FIELD_FLOOR
     live = pts[~low]
-    sweeps = _sweeps(kind, f, live, d, cfg)
+    radii, _, values, ok, sweep_errors = _sweeps(kind, f, live, d, cfg)
     jets, jet_errors = _wirtinger_jets(f, live)
-    results = [s if isinstance(s, HolomeansError) else e for s, e in zip(sweeps, jet_errors)]
-    ok = np.flatnonzero([res is None for res in results])
-    predicted, errors = analytic(Jet(jets.base[ok], jets.value[ok], jets.dz[ok], jets.dzbar[ok]))
-    series = [_increment_ratios(sweeps[i]) if kind == "pair_increment"
-              else (sweeps[i].radii, sweeps[i].values) for i in ok]
-    estimates, _ = _extrapolate_rows([r for r, _ in series], [v for _, v in series])
+    results = [a or b for a, b in zip(sweep_errors, jet_errors)]
+    ok_pts = np.flatnonzero([res is None for res in results])
+    predicted, errors = analytic(Jet(jets.base[ok_pts], jets.value[ok_pts], jets.dz[ok_pts],
+                                     jets.dzbar[ok_pts]))
+    if kind == "pair_increment":
+        values = values / radii
+    estimates, _ = _extrapolate_rows(radii, values[ok_pts], ok[ok_pts])
     passed = []
-    for j, (i, error, est) in enumerate(zip(ok.tolist(), errors, estimates)):
+    for j, (i, error, est) in enumerate(zip(ok_pts.tolist(), errors, estimates)):
         if error is None and not isinstance(est, HolomeansError):
             passed.append(j)
         else:
             results[i] = error or est
-    done = ok[passed]
+    done = ok_pts[passed]
     made = rows(live[done].tolist(), [estimates[j] for j in passed], predicted[passed])
     for i, result in zip(done.tolist(), made):
         results[i] = result

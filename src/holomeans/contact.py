@@ -39,10 +39,8 @@ from .asymptotics import (
     _decide,
     _decide_membership,
     _extrapolate_rows,
-    _increment_ratios,
     _sweeps,
     extrapolate,
-    sweep,
 )
 from .density import lambda_of
 from .errors import InvalidParameterError, _raise_first
@@ -242,10 +240,11 @@ class ContactAmvpResult:
     consistent: bool = False
 
 
-def _direction_rows(points, xi, sweeps, jets, d):
+def _direction_rows(points, xi, radii, ratios, ok, jets, d):
     """Project every point's pair-increment sweep onto every direction and classify.
 
-    ``points``, ``sweeps`` and the :class:`Jet` of arrays ``jets`` run over
+    ``points``, the (points, radii) increment ratios ``ratios`` with their
+    usable entries ``ok``, and the :class:`Jet` of arrays ``jets`` run over
     the points, ``xi`` over the directions; limits, fit residuals, envelopes,
     gaps and decisions are (points, directions) arrays.  Limits and fit
     residuals project the limit and the residual vector of each point's one
@@ -255,8 +254,7 @@ def _direction_rows(points, xi, sweeps, jets, d):
     reported per direction but does not gate the decision.  Returns the rows
     point by point, each point's directions in order.
     """
-    series = [_increment_ratios(s) for s in sweeps]
-    estimates, residuals = _extrapolate_rows([r for r, _ in series], [v for _, v in series])
+    estimates, residuals = _extrapolate_rows(radii, ratios, ok)
     limit = np.array([est.limit for est in _raise_first(estimates)], dtype=complex)
     conj_xi = np.conj(xi)
     limits = (conj_xi * limit[:, None]).real
@@ -304,9 +302,10 @@ def camvp_verdict(f, probe, d, cfg=None):
     def affine(pts):
         return affine_eval(jet, pts)
 
-    s = sweep("pair_increment", affine, z, d, cfg)
+    radii, _, values, ok, errors = _sweeps("pair_increment", affine, [z], d, cfg)
+    _raise_first(errors)
     jets = Jet(*(np.array([part]) for part in (jet.base, jet.value, jet.dz, jet.dzbar)))
-    return _direction_rows([z], np.array([xi]), [s], jets, d)[0]
+    return _direction_rows([z], np.array([xi]), radii, values / radii, ok, jets, d)[0]
 
 
 @dataclass(frozen=True)
@@ -350,9 +349,10 @@ def contact_solution_verdict(f, points, d, directions=DEFAULT_DIRECTION_COUNT, c
     _raise_first(errors)
     # One affine touching surrogate per point, as a jet of (points, 1) arrays.
     surrogate = Jet(*(part[:, None] for part in (jets.base, jets.value, jets.dz, jets.dzbar)))
-    sweeps = _sweeps("pair_increment", lambda zeta: affine_eval(surrogate, zeta),
-                     live, d, cfg)
-    rows = _direction_rows(live, xi_list, _raise_first(sweeps), jets, d)
+    radii, _, values, ok, errors = _sweeps("pair_increment",
+                                           lambda zeta: affine_eval(surrogate, zeta), live, d, cfg)
+    _raise_first(errors)
+    rows = _direction_rows(live, xi_list, radii, values / radii, ok, jets, d)
     holds = np.array([row.status == "holds" for row in rows])
     agrees = np.array([row.consistent for row in rows])
     # a row is consistent exactly when its envelope is decided as its limit is

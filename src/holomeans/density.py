@@ -326,95 +326,44 @@ def validate_density(d, sample_count=200):
     grid = np.geomspace(1e-6, 1e6, int(sample_count))
     checks = []
 
+    def check(name, passed, worst, location, message):
+        checks.append(CheckResult(name, bool(passed), float(worst), float(location), message))
+
     f0 = float(d.value(0.0))
-    checks.append(
-        CheckResult(
-            "zero_at_zero",
-            abs(f0) <= 1e-12,
-            abs(f0),
-            0.0,
-            f"F(0) = {f0:.3e}",
-        )
-    )
+    check("zero_at_zero", abs(f0) <= 1e-12, abs(f0), 0.0, f"F(0) = {f0:.3e}")
 
     small = grid[grid <= 1e-4]
     expected = d.small_coeff * small**d.small_exponent
     fp_small = np.asarray(d.deriv_fn(small), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(expected > 0.0, fp_small / expected, np.inf)
-    dev = np.max(np.abs(np.log10(np.maximum(ratio, 1e-300))))
-    loc = float(small[int(np.argmax(np.abs(np.log10(np.maximum(ratio, 1e-300)))))])
-    checks.append(
-        CheckResult(
-            "deriv_at_zero",
-            bool(np.isfinite(dev) and dev <= 1.0),
-            float(dev),
-            loc,
-            "log10 deviation of F' from declared small-argument law",
-        )
-    )
+    dev = np.abs(np.log10(np.maximum(ratio, 1e-300)))
+    i = int(np.argmax(dev))
+    check("deriv_at_zero", np.isfinite(dev[i]) and dev[i] <= 1.0, dev[i], small[i],
+          "log10 deviation of F' from declared small-argument law")
 
     fpp = np.asarray(d.second_deriv_fn(grid), dtype=float)
-    worst_idx = int(np.argmin(fpp))
-    checks.append(
-        CheckResult(
-            "strict_convexity",
-            bool(np.all(fpp > 0.0)),
-            float(fpp[worst_idx]),
-            float(grid[worst_idx]),
-            f"min F'' = {fpp[worst_idx]:.3e}",
-        )
-    )
+    i = int(np.argmin(fpp))
+    check("strict_convexity", np.all(fpp > 0.0), fpp[i], grid[i], f"min F'' = {fpp[i]:.3e}")
 
     fp = np.asarray(d.deriv_fn(grid), dtype=float)
-    worst_idx = int(np.argmin(fp))
-    checks.append(
-        CheckResult(
-            "deriv_positive",
-            bool(np.all(fp > 0.0)),
-            float(fp[worst_idx]),
-            float(grid[worst_idx]),
-            f"min F' = {fp[worst_idx]:.3e}",
-        )
-    )
+    i = int(np.argmin(fp))
+    check("deriv_positive", np.all(fp > 0.0), fp[i], grid[i], f"min F' = {fp[i]:.3e}")
 
     if np.all(fp > 0.0) and np.all(np.isfinite(fpp)):
         lam = grid * fpp / fp
         slack = 1e-9 * (1.0 + abs(d.lambda_hi))
         viol = np.maximum(d.lambda_lo - lam, lam - d.lambda_hi)
-        worst_idx = int(np.argmax(viol))
-        checks.append(
-            CheckResult(
-                "lambda_bounds",
-                bool(np.all(viol <= slack)),
-                float(viol[worst_idx]),
-                float(grid[worst_idx]),
-                f"lam = {lam[worst_idx]:.6g} outside "
-                f"[{d.lambda_lo:g}, {d.lambda_hi:g}]"
-                if viol[worst_idx] > slack
-                else "",
-            )
-        )
+        i = int(np.argmax(viol))
+        check("lambda_bounds", np.all(viol <= slack), viol[i], grid[i],
+              f"lam = {lam[i]:.6g} outside [{d.lambda_lo:g}, {d.lambda_hi:g}]"
+              if viol[i] > slack else "")
     else:
-        checks.append(
-            CheckResult(
-                "lambda_bounds", False, np.inf, float(grid[0]),
-                "pinching ratio not computable (F' <= 0 or F'' not finite)",
-            )
-        )
+        check("lambda_bounds", False, np.inf, grid[0],
+              "pinching ratio not computable (F' <= 0 or F'' not finite)")
 
     fv = np.asarray(d.value_fn(grid), dtype=float)
-    increasing = bool(np.all(np.diff(fv) > 0.0))
     big = float(fv[-1]) >= 1e3 * max(1.0, float(d.value(1.0)))
-    checks.append(
-        CheckResult(
-            "monotone_growth",
-            increasing and big,
-            float(fv[-1]),
-            float(grid[-1]),
-            "F must increase without bound",
-        )
-    )
-
-    checks = tuple(checks)
-    return ValidationReport(checks=checks, ok=all(c.passed for c in checks))
+    check("monotone_growth", np.all(np.diff(fv) > 0.0) and big, fv[-1], grid[-1],
+          "F must increase without bound")
+    return ValidationReport(checks=tuple(checks), ok=all(c.passed for c in checks))

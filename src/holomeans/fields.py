@@ -138,7 +138,8 @@ def _pharm_radial_field(p):
 
     def sample(pts):
         pts = np.asarray(pts, dtype=complex)
-        return gamma * np.conj(pts) * np.abs(pts) ** (gamma - 2.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 * inf is NaN at 0
+            return gamma * np.conj(pts) * np.abs(pts) ** (gamma - 2.0)
 
     return Field(f"pharm-radial:{p:g}", sample)
 

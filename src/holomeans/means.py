@@ -23,12 +23,15 @@ circle problem and is solved exactly by a randomized incremental algorithm.
 
 Every mean is computed by one engine, which takes all points of a whole
 ladder of radii at once: one field call samples every circle and one Newton
-solve per model fits every (radius, point) row, so a sweep is one solve.
-:func:`circle_means` is its one-radius call.  A row whose circle cannot be
-solved gets its own error value and leaves the other rows untouched.  Every
-sum over a row's nodes is a mean along that row alone, so a row's result
-has the same bits whatever batch it is solved in; the one-point functions
-are one-row calls to the engine.
+solve fits every (radius, point) row, so a sweep is one solve; the pair
+mean stacks its center rows above its slope rows in that solve.  The engine
+returns (radii, points) columns of values, status codes, first-order
+residuals and iterations, and a row whose circle cannot be solved gets its
+own error in its slot while the other rows go on.  Result objects are made
+only at the public edge: :func:`circle_means` is the engine's one-radius
+call, and the one-point functions are one-row calls.  Every sum over a
+row's nodes is a mean along that row alone, so a row's result has the same
+bits whatever batch it is solved in.
 """
 
 from __future__ import annotations
@@ -87,6 +90,9 @@ RESIDUAL_FLOOR = 1e-12
 MAX_NEWTON_ITERATIONS = 60
 MAX_BACKTRACKS = 60
 STEP_TOL = 1e-11
+# A row of a power-law fit whose largest modulus exceeds HUGE_MODULUS is
+# fitted at unit scale, since squared moduli overflow from about 1.3e154.
+HUGE_MODULUS = 2.0**500
 
 _STATUS_ACTIVE = 0
 _STATUS_CONVERGED = 1
@@ -95,6 +101,8 @@ _STATUS_NAMES = {
     _STATUS_CONVERGED: "converged",
     _STATUS_FAILED: "failed",
 }
+# What an engine column holds where a row has an error; NaN for the others.
+_FILL = {"iterations": 0, "status": _STATUS_FAILED, "support_count": 0}
 
 
 @dataclass(frozen=True)
@@ -166,8 +174,9 @@ class AffineIdentityResult:
 def _node_terms(d):
     """The per-node terms of the Newton fit for the density ``d``.
 
-    Returns ``(weight, objective, curvature)``, functions of the squared
-    residual moduli ``s2`` (rows, nodes):
+    Returns ``(weight, objective, curvature, alpha)``: three functions of the
+    squared residual moduli ``s2`` (rows, nodes), and the exponent of a power
+    law or None:
 
     * ``weight(s2)`` is k = F'(|u|) / |u|, with any value where s2 = 0 (the
       fit sets k = 0 there, as F'(0) = 0);
@@ -200,7 +209,7 @@ def _node_terms(d):
         def curvature(s2, k):
             return k, 0.25 * (alpha + 1.0), k / s2, 0.25 * (alpha - 1.0)
 
-        return weight, objective, curvature
+        return weight, objective, curvature, alpha
 
     def weight(s2):
         au = np.sqrt(s2)
@@ -214,7 +223,7 @@ def _node_terms(d):
         h = np.asarray(d.second_deriv_fn(np.sqrt(s2)), dtype=float)
         return h + k, 0.25, (h - k) / s2, 0.25
 
-    return weight, objective, curvature
+    return weight, objective, curvature, None
 
 
 def fit_model_coefficient(d, samples, model, init):
@@ -270,11 +279,24 @@ def fit_model_coefficient(d, samples, model, init):
     mmod = np.abs(model)
     if not np.all(np.isfinite(mmod) & (mmod > 0.0)):
         raise InvalidParameterError("model weights must be bounded away from zero")
-    weight, objective, curvature = _node_terms(d)
+    weight, objective, curvature, alpha = _node_terms(d)
     shared = model.ndim == 1
     floor2 = RESIDUAL_FLOOR**2
+    # A power law is homogeneous: scaling a row by 2**-e scales its minimizer
+    # alike, its objective by 2**-(e (alpha + 1)) and its first-order residual
+    # by 2**-(e alpha).  So a huge row is fitted below 2 and scaled back.
+    modulus, mscale = np.abs(samples), np.max(mmod, axis=-1)
+    top = np.maximum(np.max(modulus, axis=-1), np.abs(c) * mscale)
+    huge = (top > HUGE_MODULUS) & (alpha is not None)
+    if np.any(huge):
+        e = np.frexp(top[huge])[1] - 1
+        samples = samples.copy()
+        samples[huge] *= np.ldexp(1.0, -e)[:, None]
+        c[huge] *= np.ldexp(1.0, -e)
+        modulus[huge] = np.abs(samples[huge])
 
-    favg = np.mean(np.asarray(d.deriv_fn(np.abs(samples)), dtype=float), axis=-1)
+    favg = np.mean(np.asarray(d.deriv_fn(modulus), dtype=float), axis=-1)
+    del modulus
     foc_tol = FOC_TOL_COEFF * (1.0 + favg)
     state = np.full(samples.shape[0], _STATUS_ACTIVE, dtype=int)
     foc_out = np.zeros(samples.shape[0])
@@ -298,15 +320,15 @@ def fit_model_coefficient(d, samples, model, init):
     # the arrays are re-indexed when one does.
     act = np.arange(samples.shape[0])
     rows, tol = samples, foc_tol
-    per_row = (model, np.conj(model), mmod**2, np.max(mmod, axis=-1))
+    per_row = (model, np.square(mmod, out=mmod), mscale)
     u, s2, k, near, obj = evaluate(rows, model, c)
     cur, obj_out = c.copy(), obj.copy()
 
     for it in range(MAX_NEWTON_ITERATIONS + 1):
         if act.size == 0:
             break
-        m, conj_m, mmod2, mscale = per_row
-        um = u * conj_m
+        m, mmod2, mscale = per_row
+        um = np.multiply(u, np.conj(m), out=u)  # u is spent
         g = -0.5 * np.mean(k * um, axis=-1)
         foc = np.abs(g) / mscale
         s2_h, k_h = s2, k
@@ -333,7 +355,10 @@ def fit_model_coefficient(d, samples, model, init):
         done = small_foc & near
         wa, ca, wb, cb = curvature(s2_h, k_h)
         a_coef = ca * np.mean(wa * mmod2, axis=-1)
-        b_coef = cb * np.mean(wb * (um * um), axis=-1)
+        np.multiply(um, um, out=um)  # um is spent too
+        b_coef = cb * np.mean(np.multiply(wb, um, out=um), axis=-1)
+        # The line search makes the next terms; drop these first.
+        del u, s2, k, um, wa, wb, s2_h, k_h
         denom = a_coef**2 - np.abs(b_coef) ** 2
         good = np.isfinite(denom) & (denom > 0.0)
         delta = np.zeros_like(g)
@@ -383,6 +408,11 @@ def fit_model_coefficient(d, samples, model, init):
         cur, obj = cand, obj1
         c[act], obj_out[act] = cur, obj
 
+    if np.any(huge):
+        c[huge] *= np.ldexp(1.0, e)
+        with np.errstate(divide="ignore", over="ignore"):  # 0 stays 0, and may overflow
+            obj_out[huge] = np.exp2(np.log2(obj_out[huge]) + e * (alpha + 1.0))
+            foc_out[huge] = np.exp2(np.log2(foc_out[huge]) + e * alpha)
     return {
         "minimizer": c,
         "objective": obj_out,
@@ -392,22 +422,13 @@ def fit_model_coefficient(d, samples, model, init):
     }
 
 
-def _mean_results(fit, radii):
-    # The fits average over the nodes; the objective is the integral on each
-    # row's own circle, whose length is 2 pi r.
-    return [
-        MeanResult(
-            minimizer=complex(c),
-            objective=float(2.0 * np.pi * r * obj),
-            foc_residual=float(foc),
-            iterations=int(it),
-            status=_STATUS_NAMES[int(code)],
-        )
-        for c, obj, foc, it, code, r in zip(
-            fit["minimizer"], fit["objective"], fit["foc_residual"],
-            fit["iterations"], fit["status"], radii,
-        )
-    ]
+def _mean_result(cols, i, r):
+    # The fits average over the nodes; the objective is the integral on the
+    # circle, whose length is 2 pi r.
+    c, obj, foc, it, code = (cols[name][0, i] for name in
+                             ("minimizer", "objective", "foc_residual", "iterations", "status"))
+    return MeanResult(complex(c), float(2.0 * np.pi * r * obj), float(foc), int(it),
+                      _STATUS_NAMES[int(code)])
 
 
 def circle_means(kind, f, points, r, d, node_count=DEFAULT_CIRCLE_NODES, seed=0):
@@ -416,9 +437,9 @@ def circle_means(kind, f, points, r, d, node_count=DEFAULT_CIRCLE_NODES, seed=0)
     ``kind`` is one of ``MEAN_KINDS``; each is documented at its one-point
     function (``variational_circle_mean``, ``center_circle_mean``,
     ``pair_mean``, ``conjugate_transformed_mean``, ``infinity_mean``).  All
-    circles are sampled in one field call and each model is fitted in one
-    :func:`fit_model_coefficient` call over all points.  ``d`` is unused
-    by the sup-norm mean, ``seed`` is used by it alone.
+    circles are sampled in one field call and all points are fitted in one
+    :func:`fit_model_coefficient` call.  ``d`` is unused by the sup-norm
+    mean, ``seed`` is used by it alone.
 
     Returns a tuple with one entry per point: the mean's result, or the
     error its one-point function raises for that point alone.  These are a
@@ -429,17 +450,36 @@ def circle_means(kind, f, points, r, d, node_count=DEFAULT_CIRCLE_NODES, seed=0)
     below the float resolution at the point, so the slope model vanishes at
     a node.  Errors that concern every point are raised.
     """
-    return _ladder_means(kind, f, points, [r], d, node_count, seed)[0]
+    r = float(r)
+    cols = _ladder_means(kind, f, points, [r], d, node_count, seed)
+    out = []
+    for i, error in enumerate(cols["errors"][0]):
+        if error is not None:
+            out.append(error)
+        elif kind == "infinity":
+            out.append(InfinityMeanResult(complex(cols["value"][0, i]),
+                                          float(cols["objective"][0, i]),
+                                          int(cols["support_count"][0, i]), "converged"))
+        elif kind == "pair":
+            out.append(PairMeanResult(_mean_result(cols["center"], i, r),
+                                      _mean_result(cols["slope"], i, r), r,
+                                      complex(cols["value"][0, i])))
+        else:
+            out.append(_mean_result(cols, i, r))
+    return tuple(out)
 
 
 def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, seed=0):
-    """:func:`circle_means` at every radius of ``radii``: one tuple per radius.
+    """:func:`circle_means` at every radius of ``radii``, as columns.
 
-    Every circle of every (radius, point) row is sampled in one field call
-    on a (radii, points, nodes) array, and each model is fitted in one
-    :func:`fit_model_coefficient` call over all rows, each row with the
-    coefficient of its own slope model conj(zeta - z).  A row
-    that cannot be solved gets its error in its own (radius, point) slot.
+    One field call samples every (radius, point) circle and one
+    :func:`fit_model_coefficient` call fits every row; the pair mean stacks
+    its center rows above its slope rows.  Returns a dict of (radii, points)
+    arrays: ``errors`` (None, or the row's error), ``value`` (the pair
+    mean's a + r b, else the minimizer), ``status`` (1 converged, else 3)
+    and the fit's other outputs, NaN or 0 at a row with an error.  The pair
+    mean has its fits' larger ``foc_residual``, summed ``iterations``, and
+    the ``center`` and ``slope`` dicts of their columns.
     """
     if kind not in MEAN_KINDS:
         raise InvalidParameterError(
@@ -459,7 +499,7 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
     samples = field_values(f, nodes).reshape(-1, n)
     nodes = nodes.reshape(-1, n)
     rr = np.repeat(radii, z.size)
-    errors = [None] * rr.size
+    errors = np.full(rr.size, None, dtype=object)
 
     def fail(rows, error):
         for i in np.flatnonzero(rows):
@@ -479,46 +519,60 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
         fail(np.min(np.abs(model), axis=1) <= 0.0, lambda i: InvalidParameterError(
             "model weights must be bounded away from zero"
         ))
+    del nodes
     live = np.flatnonzero([e is None for e in errors])
-    out = list(errors)
+    rows = slice(None) if live.size == rr.size else live
+    samples, offsets, model, r = samples[rows], offsets[rows], model[rows], rr[rows]
 
     if kind == "infinity":
-        v = samples * offsets / rr[:, None] ** 2
-        for i in live:
-            center, radius = _smallest_enclosing_circle(v[i].tolist(), seed)
-            value = rr[i] * radius
-            attained = rr[i] * np.abs(v[i] - center)
-            out[i] = InfinityMeanResult(
-                minimizer=complex(center),
-                objective=float(value),
-                support_count=int(np.sum(attained >= value - 1e-9 * (1.0 + value))),
-                status="converged",
-            )
-    elif live.size:
-        samples, offsets, model, r = samples[live], offsets[live], model[live], rr[live]
+        v = samples * offsets / r[:, None] ** 2
+        found = [_smallest_enclosing_circle(row.tolist(), seed) for row in v]
+        center = np.array([c for c, _ in found], dtype=complex)
+        value = r * np.array([radius for _, radius in found])
+        attained = r[:, None] * np.abs(v - center[:, None])
+        fit = {"minimizer": center, "objective": value,
+               "status": np.full(live.size, _STATUS_CONVERGED),
+               "support_count": np.sum(attained >= (value - 1e-9 * (1.0 + value))[:, None],
+                                       axis=1)}
+    else:
         if kind == "conjugate":
-            mod = mod[live]
+            mod = mod[rows]
             samples = young_conjugate(d).deriv_fn(mod) * samples / mod
-        if kind in ("center", "pair"):
-            init = np.mean(samples, axis=-1)
-            ones = np.ones(n, dtype=complex)
-            a_res = _mean_results(fit_model_coefficient(d, samples, ones, init), r)
-        if kind != "center":
-            init = np.mean(samples * offsets, axis=-1) / r**2
-            b_res = _mean_results(fit_model_coefficient(d, samples, model, init), r)
-        for k, i in enumerate(live):
-            if kind == "center":
-                out[i] = a_res[k]
-            elif kind == "pair":
-                out[i] = PairMeanResult(
-                    center=a_res[k],
-                    slope=b_res[k],
-                    radius=float(r[k]),
-                    value=complex(a_res[k].minimizer + r[k] * b_res[k].minimizer),
-                )
-            else:
-                out[i] = b_res[k]
-    return tuple(tuple(out[k * z.size:(k + 1) * z.size]) for k in range(radii.size))
+        # The initial values: the plain circle average for the center model,
+        # the quadratic closed form for the slope model.
+        slope = np.mean(samples * offsets, axis=-1) / r**2
+        del offsets
+        if kind == "center":
+            fit = fit_model_coefficient(d, samples, np.ones(n, dtype=complex),
+                                        np.mean(samples, axis=-1))
+        elif kind == "pair":
+            stacked = (np.concatenate([samples, samples]),
+                       np.concatenate([np.ones_like(model), model]),
+                       np.concatenate([np.mean(samples, axis=-1), slope]))
+            del samples, model
+            fit = fit_model_coefficient(d, *stacked)
+        else:
+            fit = fit_model_coefficient(d, samples, model, slope)
+
+    def columns(part):
+        # The fit's rows ``part``, put in (radii, points) columns at the live rows.
+        out = {"errors": errors.reshape(radii.size, z.size)}
+        for name, a in fit.items():
+            col = np.full(rr.size, _FILL.get(name, np.nan), dtype=a.dtype)
+            col[live] = a[part]
+            out[name] = col.reshape(radii.size, z.size)
+        return out
+
+    if kind != "pair":
+        out = columns(slice(None))
+        return dict(out, value=out["minimizer"])
+    a, b = columns(slice(None, live.size)), columns(slice(live.size, None))
+    both = (a["status"] == _STATUS_CONVERGED) & (b["status"] == _STATUS_CONVERGED)
+    return dict(errors=a["errors"], center=a, slope=b,
+                value=a["minimizer"] + radii[:, None] * b["minimizer"],
+                status=np.where(both, _STATUS_CONVERGED, _STATUS_FAILED),
+                foc_residual=np.maximum(a["foc_residual"], b["foc_residual"]),
+                iterations=a["iterations"] + b["iterations"])
 
 
 def _one_point(kind, f, z, r, d, node_count, seed=0):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import holomeans as hm
-from holomeans.asymptotics import _extrapolate_rows, _increment_ratios, _sweeps
+from holomeans.asymptotics import _extrapolate_rows
 from holomeans.errors import InsufficientDataError, InvalidParameterError, NonFiniteSampleError
 
 D2 = hm.power_density(2)
@@ -130,6 +130,15 @@ def test_sweep_skips_failing_radii_and_raises_when_starved():
         hm.sweep("variational", bad, 0.5 + 0j, D2)
 
 
+def test_pair_sweep_at_a_point_where_the_field_is_not_finite_raises():
+    # pharm-radial is NaN at the origin, while every circle about it is fine:
+    # the pair increments there have no base value.
+    pharm = hm.make_field("pharm-radial:3")
+    with pytest.raises(NonFiniteSampleError, match="near 0"):
+        hm.sweep("pair_increment", pharm, 0, D3)
+    assert len(hm.sweep("variational", pharm, 0, D3).radii) == 8
+
+
 def test_sweep_lets_programming_errors_propagate():
     def broken(zeta):
         raise TypeError("field bug")
@@ -239,11 +248,14 @@ def test_verdicts_need_at_least_one_point(verdict):
 
 def test_batched_extrapolation_keeps_a_short_ladder_in_its_own_group():
     radii = hm.SweepConfig().radii()
-    rows = [radii, radii[1:], radii, radii[:1]]
-    values = [(0.3 + 0.1j) + (1.0 - 2.0j) * r + 0.4 * r**2 for r in rows]
-    got, _ = _extrapolate_rows(rows, values)
-    for r, v, est in zip(rows[:3], values[:3], got[:3]):
-        assert est == hm.extrapolate(r, v)
+    ok = np.ones((4, radii.size), dtype=bool)
+    ok[1, 0] = False
+    ok[3, 1:] = False
+    values = np.tile((0.3 + 0.1j) + (1.0 - 2.0j) * radii + 0.4 * radii**2, (4, 1))
+    values[~ok] = np.nan  # an unusable value is never read
+    got, _ = _extrapolate_rows(radii, values, ok)
+    for good, v, est in zip(ok[:3], values[:3], got[:3]):
+        assert est == hm.extrapolate(radii[good], v[good])
     assert isinstance(got[3], hm.InvalidSweepError)
 
 
@@ -263,12 +275,14 @@ def _holed_exp(zeta):
 ))
 def test_batched_rows_give_each_point_the_estimate_of_its_own_sweep(kind, rows_fn):
     pts = [0.2 + 0.3j, _HOLE + 0.13, 0.8 + 0.2j]
-    sweeps = _sweeps(kind, _holed_exp, pts, D3, None)
+    sweeps = [hm.sweep(kind, _holed_exp, z, D3) for z in pts]
     assert [len(s.radii) for s in sweeps] == [8, 7, 8]
     rows = rows_fn(_holed_exp, pts, D3)
     for s, row in zip(sweeps, rows):
-        series = _increment_ratios(s) if kind == "pair_increment" else (s.radii, s.values)
-        assert row.estimate == hm.extrapolate(*series)
+        radii, values = np.array(s.radii), np.array(s.values)
+        if kind == "pair_increment":
+            values = values / radii
+        assert row.estimate == hm.extrapolate(radii, values)
 
 
 @pytest.mark.parametrize("rows_fn", (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import holomeans as hm
-from holomeans.asymptotics import _SWEEP_MEANS, _sweeps
+from holomeans.asymptotics import _SWEEP_MEANS, _failures, _sweeps
 from holomeans.errors import (
     InsufficientDataError,
     InvalidParameterError,
@@ -94,17 +94,28 @@ def test_radius_below_float_resolution_fails_only_its_point():
     assert good.status == "converged"
 
 
+def _point_sweeps(kind, f, points, d, cfg):
+    """Per point of one multi-point sweep: its usable radii, values and failures."""
+    radii, cols, values, ok, _ = _sweeps(kind, f, points, d, cfg)
+    return [(tuple(radii[good].tolist()), tuple(v[good].tolist()),
+             tuple(_failures(radii, errors, good)))
+            for v, good, errors in zip(values, ok, cols["errors"].T)]
+
+
 @pytest.mark.parametrize("kind", hm.asymptotics.SWEEP_KINDS)
 def test_sweep_failures_are_per_point_and_match_one_point_sweeps(kind, monkeypatch):
     monkeypatch.setattr(hm.asymptotics, "MIN_SUCCESSES", 1)
     cfg = hm.SweepConfig()
     d = None if kind == "infinity" else D3
-    pts = [0.5 + 0j, -0.3 + 0.2j]
-    starved, clean = _sweeps(kind, _nan_near_half, pts, d, cfg)
-    assert starved.failures
-    assert starved.failures == hm.sweep(kind, _nan_near_half, pts[0], d, cfg).failures
-    assert not clean.failures
-    assert len(clean.values) == cfg.count
+    # The first point's larger circles cross the NaN disk; the field is
+    # finite at the point itself, so its pair increments have a base value.
+    pts = [0.5 + 0.07j, -0.3 + 0.2j]
+    starved, clean = _point_sweeps(kind, _nan_near_half, pts, d, cfg)
+    one = hm.sweep(kind, _nan_near_half, pts[0], d, cfg)
+    assert starved[2]
+    assert starved == (one.radii, one.values, one.failures)
+    assert not clean[2]
+    assert len(clean[1]) == cfg.count
 
 
 def _per_radius_sweeps(kind, f, points, d, cfg):
@@ -134,14 +145,14 @@ def test_one_call_sweep_matches_a_per_radius_loop(kind, monkeypatch):
     cfg = hm.SweepConfig()
     d = None if kind == "infinity" else D3
     pts = list(POINTS) + [0.5 + 0.07j]
-    sweeps = _sweeps(kind, _nan_near_half, pts, d, cfg)
+    sweeps = _point_sweeps(kind, _nan_near_half, pts, d, cfg)
     rows, failures = _per_radius_sweeps(kind, _nan_near_half, pts, d, cfg)
     assert failures[-1]
-    for s, ref, failed in zip(sweeps, rows, failures):
-        assert s.failures == tuple(failed)
-        assert s.radii == tuple(r for r, _, _ in ref)
-        assert s.statuses == tuple(status for _, _, status in ref)
-        assert s.values == tuple(b for _, b, _ in ref)
+    for (radii, values, failed), ref, ref_failed in zip(sweeps, rows, failures):
+        assert failed == tuple(ref_failed)
+        assert radii == tuple(r for r, _, _ in ref)
+        assert {status for _, _, status in ref} <= {"converged"}
+        assert values == tuple(b for _, b, _ in ref)
 
 
 def test_non_finite_sample_fails_only_its_radius_and_point():
@@ -151,19 +162,23 @@ def test_non_finite_sample_fails_only_its_radius_and_point():
         return np.where(zeta == node, np.nan, np.exp(zeta))
 
     pts, radii = [0.5 + 0j, -0.3 + 0.2j], [0.1, 0.05]
-    (bad, good), others = _ladder_means("variational", f, pts, radii, D3)
+    cols = _ladder_means("variational", f, pts, radii, D3)
     (one, _) = hm.circle_means("variational", f, pts, 0.1, D3)
+    bad, *others = cols["errors"].ravel()
     assert type(bad) is NonFiniteSampleError
     assert str(bad) == str(one)
-    assert all(res.status == "converged" for res in (good,) + others)
+    assert others == [None] * 3
+    assert cols["status"].ravel().tolist() == [3, 1, 1, 1]
 
 
 def test_radius_below_float_resolution_fails_only_its_row():
     pts, radii = [1e6 + 0j, 0.5 + 0.5j], [1e-3, 1e-12]
-    coarse, fine = _ladder_means("pair", lambda z: z + 1.0, pts, radii, D3)
-    assert type(fine[0]) is InvalidParameterError
-    assert str(fine[0]) == "model weights must be bounded away from zero"
-    assert all(isinstance(res, hm.PairMeanResult) for res in coarse + fine[1:])
+    cols = _ladder_means("pair", lambda z: z + 1.0, pts, radii, D3)
+    *coarse, bad, fine = cols["errors"].ravel()
+    assert type(bad) is InvalidParameterError
+    assert str(bad) == "model weights must be bounded away from zero"
+    assert coarse + [fine] == [None] * 3
+    assert cols["status"].ravel().tolist() == [1, 1, 3, 1]
 
 
 def test_zero_field_sweep_failure_reason_matches_one_point_sweep(monkeypatch):
@@ -172,11 +187,11 @@ def test_zero_field_sweep_failure_reason_matches_one_point_sweep(monkeypatch):
 
     monkeypatch.setattr(hm.asymptotics, "MIN_SUCCESSES", 1)
     cfg = hm.SweepConfig()
-    starved, clean = _sweeps("conjugate", shifted, [0.5 + 0j, -0.3 + 0.2j], D3, cfg)
-    (reason,) = [why for r, why in starved.failures if r == 0.1]
+    starved, clean = _point_sweeps("conjugate", shifted, [0.5 + 0j, -0.3 + 0.2j], D3, cfg)
+    (reason,) = [why for r, why in starved[2] if r == 0.1]
     assert reason.startswith("ZeroFieldError: ")
-    assert starved.failures == hm.sweep("conjugate", shifted, 0.5, D3, cfg).failures
-    assert not clean.failures
+    assert starved[2] == hm.sweep("conjugate", shifted, 0.5, D3, cfg).failures
+    assert not clean[2]
 
 
 def test_pair_mean_is_two_single_model_solves():

@@ -172,9 +172,32 @@ def test_verify_makes_one_engine_call_per_sweep(tmp_path, monkeypatch):
     assert calls == [(3, 8)]
 
 
+@pytest.mark.parametrize("verdict, extra", [
+    (hm.holomorphy_verdict, ()),
+    (hm.system_verdict, ()),
+    (hm.amvp_verdict, ()),
+    (hm.contact_solution_verdict, (4,)),
+], ids=["holomorphy", "system", "amvp", "contact"])
+def test_a_verdict_sweep_makes_one_fit_call(verdict, extra, monkeypatch):
+    # The pair mean's center and slope rows share the one call.
+    fit = hm.means.fit_model_coefficient
+    rows = []
+
+    def counted(d, samples, *args):
+        rows.append(len(samples))
+        return fit(d, samples, *args)
+
+    monkeypatch.setattr(hm.means, "fit_model_coefficient", counted)
+    rng = np.random.default_rng(3)
+    points = rng.uniform(0.2, 0.8, 10) + 1j * rng.uniform(0.2, 0.8, 10)
+    verdict(hm.make_field("pharm-radial:3"), points, hm.power_density(3), *extra)
+    per_row = 2 if verdict in (hm.amvp_verdict, hm.contact_solution_verdict) else 1
+    assert rows == [per_row * 8 * points.size]
+
+
 # pharm-radial:3 is NaN at the origin.  At -0.1 the origin is a node of the
 # r = 0.1 circle, which leaves that point 7 of the 8 radii, too few when a
-# sweep needs all 8; at 0 the sweep runs but the jet cannot be sampled.
+# sweep needs all 8; at 0 every circle is fine but the field at the point is not.
 # 0.5+0.2i is fine in both cases.  error -> (points, MIN_SUCCESSES)
 _FAILING_POINTS = {
     "InsufficientDataError": ("-0.1; 0.5+0.2i", 8),

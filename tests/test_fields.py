@@ -81,6 +81,13 @@ def test_pharm_radial_is_gradient_of_radial_potential(p):
 
 
 @pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
+def test_pharm_radial_is_nan_at_the_origin_without_a_warning(p):
+    values = hm.make_field(f"pharm-radial:{p}")(np.array([0j, 0.5 + 0.2j]))
+    assert np.isnan(values[0].real) and np.isnan(values[0].imag)
+    assert np.isfinite(values[1])
+
+
+@pytest.mark.parametrize("p", (1.5, 3.0, 4.0))
 def test_pharm_exponent_formula(p):
     assert pharm_exponent(p) == pytest.approx((p - 2.0) / (p - 1.0))
 

@@ -357,6 +357,31 @@ def test_power_law_and_general_terms_agree(p, shared):
     assert np.all(np.abs(a["minimizer"] - b["minimizer"]) <= 1e-12 * (1.0 + scale))
 
 
+@pytest.mark.parametrize("p", (1.2, 1.5, 3.0))
+def test_power_law_fit_of_huge_samples_matches_the_unit_scale_fit(p):
+    # Squared moduli overflow above about 1.3e154.  A power law is
+    # homogeneous, so the fit at 1e160 is the unit-scale fit scaled up; its
+    # objective overflows to inf at p = 3.  A row of ordinary scale in the
+    # same batch keeps the bits of its own fit.  Both start at half the mean.
+    ring = np.exp(2j * np.pi * np.arange(16) / 16)
+    unit = (0.3 + 0.2j) + 0.1 * ring
+    scale = 1e160
+    d = hm.power_density(p)
+    rows = np.stack([scale * unit, unit])
+    fit = fit_model_coefficient(d, rows, np.ones(16), 0.5 * np.mean(rows, axis=1))
+    ref = fit_model_coefficient(d, unit[None], np.ones(16), [0.5 * np.mean(unit)])
+    assert fit["status"].tolist() == [1, 1]
+    assert fit["iterations"][0] > 0
+    for name in ref:
+        assert fit[name][1] == ref[name][0]
+    np.testing.assert_allclose(fit["minimizer"][0] / scale, ref["minimizer"][0], rtol=1e-10)
+    log_objective = np.log(ref["objective"][0]) + p * np.log(scale)
+    if log_objective < np.log(np.finfo(float).max):
+        np.testing.assert_allclose(np.log(fit["objective"][0]), log_objective, rtol=1e-12)
+    else:
+        assert fit["objective"][0] == np.inf
+
+
 def test_circumcircle_of_collinear_points_is_none():
     assert _circumcircle(0j, 1 + 1j, 2 + 2j) is None
     center, radius = _circumcircle(1 + 0j, 1j, -1 + 0j)
