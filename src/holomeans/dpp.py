@@ -9,19 +9,19 @@ The solver damps the natural fixed-point map
 
 and stops when the sup update over computed nodes drops below a tolerance.
 Circle samples between lattice nodes are obtained by bilinear interpolation.
-Every unknown is a lattice node, so each circle node's bilinear cell lies
-at the same lattice shift from every unknown: the four corner shifts and
-weights of each circle node come once per solve from ``offsets / h``.  The
-centre and slope projections of the samples are summed over equal shifts
-into one coefficient per distinct shift (a tap), and a sweep gets them as a
-sum over the taps of coefficient times the shifted window of lattice
+For a quadratic density (``lambda_lo == lambda_hi == 1``) the pair mean is
+their closed-form weighted projection, with no Newton run.  Every unknown is
+a lattice node, so each circle node's bilinear cell lies at the same lattice
+shift from every unknown: the corner shifts and weights of each circle node
+come once per solve from ``offsets / h``, the projection is summed over equal
+shifts into one coefficient per distinct shift (a tap), and a sweep gets it
+as a sum over the taps of coefficient times the shifted window of lattice
 values.  On the flattened lattice a tap's window is one contiguous run
 through the unknown rows; the wrap entries between rows that the run also
-covers are computed and dropped.  For a quadratic density
-(``lambda_lo == lambda_hi == 1``) the pair mean is that closed-form
-weighted projection, with no Newton run; otherwise the projections start a
-pair of batched one-dimensional Newton solves over every node at once, on
-circle samples gathered through the same shifts.
+covers are computed and dropped.  At any other density a sweep runs the pair
+mean's two batched Newton solves over every node at once, on the samples of
+one :func:`interpolate` call and from the circle-mean engine's starts
+(``means._newton_starts``).
 
 Nodes where the field modulus falls below ``FIELD_FLOOR`` make the mean
 ill-posed (the density may lose smoothness at zero): a sweep skips a node
@@ -54,7 +54,7 @@ from .errors import (
     NonFiniteSampleError,
 )
 from .geometry import circle_rule
-from .means import fit_model_coefficient
+from .means import _STATUS_FAILED, _newton_starts, fit_model_coefficient
 from .pdesystem import FIELD_FLOOR
 
 __all__ = [
@@ -220,29 +220,40 @@ def with_interior(grid, filler):
 def interpolate(grid, pts):
     """Bilinear interpolation of the grid field at complex points.
 
-    Raises when a point is not finite or lies outside the lattice hull.
+    Returns an array of the shape of ``pts``; raises when a point is not
+    finite or lies outside the lattice hull.  Arrays are reused where they
+    can be: at a sweep's size a fresh one costs more than its arithmetic.
     """
     pts = np.asarray(pts, dtype=complex)
+    flat = pts.ravel()
     nx, ny = grid.shape
-    ox = grid.x0 - grid.strip_cells * grid.h
-    oy = grid.y0 - grid.strip_cells * grid.h
-    gx = (pts.real - ox) / grid.h
-    gy = (pts.imag - oy) / grid.h
-    outside = np.maximum(np.maximum(-gx, gx - (nx - 1)), np.maximum(-gy, gy - (ny - 1)))
-    if not np.all(outside <= GRID_SNAP_TOL):
-        bad = pts.ravel()[int(np.argmax(outside.ravel()))]
+    gx = flat.real - (grid.x0 - grid.strip_cells * grid.h)
+    gx /= grid.h
+    gy = flat.imag - (grid.y0 - grid.strip_cells * grid.h)
+    gy /= grid.h
+    reach = (-np.min(gx, initial=np.inf), np.max(gx, initial=-np.inf) - (nx - 1),
+             -np.min(gy, initial=np.inf), np.max(gy, initial=-np.inf) - (ny - 1))
+    if not all(e <= GRID_SNAP_TOL for e in reach):  # a NaN fails too
+        outside = np.maximum(np.maximum(-gx, gx - (nx - 1)), np.maximum(-gy, gy - (ny - 1)))
+        bad = flat[int(np.argmax(outside))]
         raise InvalidParameterError(f"point {bad} lies outside the lattice hull")
-    ix = np.clip(np.floor(gx).astype(int), 0, nx - 2)
-    iy = np.clip(np.floor(gy).astype(int), 0, ny - 2)
-    fx = gx - ix
-    fy = gy - iy
-    v = grid.values
-    return (
-        (1.0 - fx) * (1.0 - fy) * v[iy, ix]
-        + fx * (1.0 - fy) * v[iy, ix + 1]
-        + (1.0 - fx) * fy * v[iy + 1, ix]
-        + fx * fy * v[iy + 1, ix + 1]
-    )
+    # lower-left cell corners, their flat index ``at`` and the offsets in the cell
+    ix, iy = np.floor(gx), np.floor(gy)
+    np.clip(ix, 0, nx - 2, out=ix)
+    np.clip(iy, 0, ny - 2, out=iy)
+    fx, fy = np.subtract(gx, ix, out=gx), np.subtract(gy, iy, out=gy)
+    iy *= nx
+    at = np.add(iy, ix, out=iy).astype(int)
+    v = grid.values.ravel()
+    ax, ay = 1.0 - fx, 1.0 - fy
+    w = np.multiply(ax, ay, out=ix)
+    out = v[at]
+    out *= w
+    for wx, wy, corner in ((fx, ay, v[1:]), (ax, fy, v[nx:]), (fx, fy, v[nx + 1 :])):
+        term = corner[at]
+        term *= np.multiply(wx, wy, out=w)
+        out += term
+    return out.reshape(pts.shape)
 
 
 @dataclass(frozen=True)
@@ -349,16 +360,12 @@ class _CircleStencil(NamedTuple):
 
     offsets: np.ndarray  # (nodes,) circle offsets from the centre
     box: tuple  # (row, column) slices of the unknown rectangle
-    base: np.ndarray  # (rows,) flat lattice index of each unknown
-    corners: np.ndarray  # (4, nodes) flat lattice shift of each cell corner
-    corner_weights: np.ndarray  # (4, nodes) bilinear weight of each corner
     starts: np.ndarray  # (taps,) flat lattice index where each tap's run starts
-    centre: np.ndarray  # (taps,) real coefficients of the centre projection
-    slope: np.ndarray  # (taps,) complex coefficients of the slope projection
+    pair: np.ndarray  # (taps,) complex coefficients of the quadratic pair mean
 
 
 def _circle_stencil(grid, cfg):
-    """Corner shifts, weights and projection taps of the circle rule."""
+    """Circle offsets and the projection taps of the quadratic pair mean."""
     q = circle_rule(0j, cfg.radius, geometry.DEFAULT_CIRCLE_NODES)
     nx, ny = grid.shape
     s = grid.strip_cells
@@ -380,10 +387,8 @@ def _circle_stencil(grid, cfg):
         np.bincount(tap, slope_terms.real, taps) + 1j * np.bincount(tap, slope_terms.imag, taps)
     ) * (q.weights[0] / (2.0 * np.pi * cfg.radius**3))
     box = (slice(s, ny - s), slice(s, nx - s))
-    return _CircleStencil(
-        q.nodes, box, np.flatnonzero(grid.interior_mask()), dy * nx + dx,
-        corner_weights, (s + shifts[:, 0]) * nx + (s + shifts[:, 1]), centre, slope,
-    )
+    starts = (s + shifts[:, 0]) * nx + (s + shifts[:, 1])
+    return _CircleStencil(q.nodes, box, starts, centre + cfg.radius * slope)
 
 
 def _tap_sum(values, stencil, coefficients):
@@ -409,16 +414,12 @@ def _tap_sum(values, stencil, coefficients):
     return buf.reshape(ni, nx)[:, :nj].ravel()
 
 
-def _circle_samples(values, stencil, rows):
-    """Interpolated circle samples of the unknowns selected by ``rows``.
-
-    Non-finite data gives non-finite samples silently; the caller raises.
-    """
-    v = values.ravel()
-    at = stencil.base[rows][:, None]
-    (w0, w1, w2, w3), (c0, c1, c2, c3) = stencil.corner_weights, stencil.corners
+def _circle_samples(grid, stencil, rows):
+    """:func:`interpolate` on the circles of the unknowns selected by ``rows``;
+    non-finite data gives non-finite samples silently, and the caller raises."""
+    centres = grid.points()[stencil.box].ravel()[rows]
     with np.errstate(invalid="ignore", over="ignore"):
-        return w0 * v[at + c0] + w1 * v[at + c1] + w2 * v[at + c2] + w3 * v[at + c3]
+        return interpolate(grid, centres[:, None] + stencil.offsets)
 
 
 def _require_finite(samples):
@@ -454,7 +455,7 @@ def _sweep(grid, d, cfg, stencil):
     if held is not None:
         near_zero &= ~held
     if np.any(near_zero):
-        circle = _circle_samples(values, stencil, near_zero)
+        circle = _circle_samples(grid, stencil, near_zero)
         dead = np.zeros_like(near_zero)
         dead[near_zero] = np.max(np.abs(circle), axis=1) < FIELD_FLOOR
         held = dead if held is None else held | dead
@@ -464,19 +465,17 @@ def _sweep(grid, d, cfg, stencil):
     if d.lambda_lo == d.lambda_hi == 1.0:
         # s F''/F' == 1 makes F = c s^2 + const, whose minimizers are the
         # weighted projections themselves: one pass over the taps.
-        mean = _tap_sum(values, stencil, stencil.centre + cfg.radius * stencil.slope)[rows]
+        mean = _tap_sum(values, stencil, stencil.pair)[rows]
         _require_finite(mean)
         bad = np.zeros(mean.shape, dtype=bool)
     else:
-        samples = _circle_samples(values, stencil, rows)
+        samples = _circle_samples(grid, stencil, rows)
         _require_finite(samples)
-        init_a = _tap_sum(values, stencil, stencil.centre)[rows]
-        init_b = _tap_sum(values, stencil, stencil.slope)[rows]
-        offsets = stencil.offsets
-        res_a = fit_model_coefficient(d, samples, np.ones_like(offsets), init_a)
-        res_b = fit_model_coefficient(d, samples, np.conj(offsets), init_b)
+        init_a, init_b = _newton_starts("pair", samples, stencil.offsets, cfg.radius)
+        res_a = fit_model_coefficient(d, samples, np.ones_like(stencil.offsets), init_a)
+        res_b = fit_model_coefficient(d, samples, np.conj(stencil.offsets), init_b)
         mean = res_a["minimizer"] + cfg.radius * res_b["minimizer"]
-        bad = (res_a["status"] == 3) | (res_b["status"] == 3)
+        bad = (res_a["status"] == _STATUS_FAILED) | (res_b["status"] == _STATUS_FAILED)
     old = inner[rows]
     if np.any(bad):
         mean = np.where(bad, old, mean)

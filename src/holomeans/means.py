@@ -31,7 +31,8 @@ own error in its slot while the other rows go on.  Result objects are made
 only at the public edge: :func:`circle_means` is the engine's one-radius
 call, and the one-point functions are one-row calls.  Every sum over a
 row's nodes is a mean along that row alone, so a row's result has the same
-bits whatever batch it is solved in.
+bits whatever batch it is solved in.  The DPP's sweep takes its Newton
+starts from the engine's :func:`_newton_starts`.
 """
 
 from __future__ import annotations
@@ -422,6 +423,17 @@ def fit_model_coefficient(d, samples, model, init):
     }
 
 
+def _newton_starts(kind, samples, offsets, r):
+    """The ``kind`` mean's Newton starts ``(center, slope)``, None where not fitted.
+
+    The circle average starts the center model, and the quadratic closed form
+    ``mean(samples * offsets) / r**2`` (offsets from the centre) the slope model.
+    """
+    center = np.mean(samples, axis=-1) if kind in ("center", "pair") else None
+    slope = None if kind == "center" else np.mean(samples * offsets, axis=-1) / r**2
+    return center, slope
+
+
 def _mean_result(cols, i, r):
     # The fits average over the nodes; the objective is the integral on the
     # circle, whose length is 2 pi r.
@@ -538,17 +550,14 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
         if kind == "conjugate":
             mod = mod[rows]
             samples = young_conjugate(d).deriv_fn(mod) * samples / mod
-        # The initial values: the plain circle average for the center model,
-        # the quadratic closed form for the slope model.
-        slope = np.mean(samples * offsets, axis=-1) / r**2
+        center, slope = _newton_starts(kind, samples, offsets, r)
         del offsets
         if kind == "center":
-            fit = fit_model_coefficient(d, samples, np.ones(n, dtype=complex),
-                                        np.mean(samples, axis=-1))
+            fit = fit_model_coefficient(d, samples, np.ones(n, dtype=complex), center)
         elif kind == "pair":
             stacked = (np.concatenate([samples, samples]),
                        np.concatenate([np.ones_like(model), model]),
-                       np.concatenate([np.mean(samples, axis=-1), slope]))
+                       np.concatenate([center, slope]))
             del samples, model
             fit = fit_model_coefficient(d, *stacked)
         else:

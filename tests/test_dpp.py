@@ -429,7 +429,7 @@ def interpolated_projections(grid, cfg):
     q = hm.circle_rule(0j, cfg.radius, hm.geometry.DEFAULT_CIRCLE_NODES)
     samples = hm.interpolate(grid, grid.points()[grid.interior_mask()][:, None] + q.nodes)
     centre = samples.mean(axis=1)
-    slope = (samples * q.nodes).sum(axis=1) * q.weights[0] / (2.0 * np.pi * cfg.radius**3)
+    slope = (samples * q.nodes).mean(axis=1) / cfg.radius**2
     return samples, centre, slope
 
 
@@ -463,16 +463,21 @@ def test_the_newton_sweep_fits_interpolated_samples(rng, monkeypatch, h, nodes, 
     calls = []
 
     def recording_fit(d, samples, model, init):
-        calls.append((samples, init))
+        calls.append((samples, model, init))
         return fit_model_coefficient(d, samples, model, init)
 
     monkeypatch.setattr("holomeans.dpp.fit_model_coefficient", recording_fit)
     hm.dpp_step(grid, hm.power_density(3), cfg)
+    # both fits get the public interpolant's samples and, as starts, their
+    # centre and slope projections, bit for bit
     samples, centre, slope = interpolated_projections(grid, cfg)
+    offsets = hm.circle_rule(0j, cfg.radius, nodes).nodes
     assert len(calls) == 2
-    for (got, init), want in zip(calls, (centre, slope)):
-        np.testing.assert_allclose(got, samples, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(init, want, rtol=0, atol=1e-13)
+    for (got, model, init), want in zip(calls, ((np.ones(nodes), centre),
+                                                (np.conj(offsets), slope))):
+        np.testing.assert_array_equal(got, samples)
+        np.testing.assert_array_equal(model, want[0])
+        np.testing.assert_array_equal(init, want[1])
 
 
 def window_tap_sum(values, stencil, coefficients):
@@ -509,15 +514,18 @@ def test_the_flat_tap_sum_has_the_bits_of_the_window_sum(rng, name):
     cfg = hm.DppConfig(radius=radius)
     stencil = _circle_stencil(grid, cfg)
     nx, s = shape[1], grid.strip_cells
-    # one run per distinct corner shift, in the order of the shifts
-    np.testing.assert_array_equal(stencil.starts, s * nx + s + np.unique(stencil.corners))
-    for coefficients in (stencil.centre, stencil.slope, stencil.centre + radius * stencil.slope):
-        got = _tap_sum(values, stencil, coefficients)
-        want = window_tap_sum(values, stencil, coefficients)
-        assert got.shape == (int(grid.interior_mask().sum()),)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
-        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    # one run per distinct bilinear corner shift of the circle nodes, in
+    # the order of the shifts
+    cells = stencil.offsets / h
+    dx = np.floor(cells.real).astype(int) + np.array([0, 1, 0, 1])[:, None]
+    dy = np.floor(cells.imag).astype(int) + np.array([0, 0, 1, 1])[:, None]
+    np.testing.assert_array_equal(stencil.starts, s * nx + s + np.unique(dy * nx + dx))
+    got = _tap_sum(values, stencil, stencil.pair)
+    want = window_tap_sum(values, stencil, stencil.pair)
+    assert got.shape == (int(grid.interior_mask().sum()),)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 @pytest.mark.parametrize("damping", (1.0, 0.8))
