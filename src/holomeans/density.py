@@ -238,6 +238,14 @@ def _invert_deriv(d, t):
 _PROBE = np.geomspace(1e-8, 1e8, 33)
 
 
+def _probe_deriv(d):
+    """The probe points where F' has not overflowed or underflowed (p >= 40), and F' there."""
+    with np.errstate(over="ignore", under="ignore"):
+        fp = np.asarray(d.deriv_fn(_PROBE), dtype=float)
+    keep = ~((fp == np.inf) | ((fp >= 0.0) & (fp < np.finfo(float).tiny)))
+    return _PROBE[keep], fp[keep]
+
+
 def _power_law(d):
     """``(coeff, alpha)`` when ``F'(s) = coeff * s**alpha`` exactly, else None.
 
@@ -249,9 +257,10 @@ def _power_law(d):
     alpha, coeff = d.small_exponent, d.small_coeff
     if not d.lambda_lo == d.lambda_hi == alpha:
         return None
-    law = coeff * _PROBE**alpha
-    fp = np.asarray(d.deriv_fn(_PROBE), dtype=float)
-    return (coeff, alpha) if np.all(np.abs(fp - law) <= 1e-12 * law) else None
+    s, fp = _probe_deriv(d)
+    with np.errstate(over="ignore", under="ignore"):
+        law = coeff * s**alpha
+    return (coeff, alpha) if s.size and np.all(np.abs(fp - law) <= 1e-12 * fp) else None
 
 
 def young_conjugate(d):
@@ -270,8 +279,8 @@ def young_conjugate(d):
     DegenerateDensityError
         If F' is not strictly increasing on a coarse sampling grid.
     """
-    fp = np.asarray(d.deriv_fn(_PROBE), dtype=float)
-    if np.any(~np.isfinite(fp)) or np.any(np.diff(fp) <= 0.0):
+    fp = _probe_deriv(d)[1]
+    if fp.size < 2 or not np.all(np.diff(fp) > 0.0):
         raise DegenerateDensityError(
             f"{d.label}: F' is not strictly increasing; conjugate undefined"
         )

@@ -145,6 +145,26 @@ def test_power_law_is_recognised_only_where_declared_and_true():
     assert _power_law(_twice_cubic()) is None
 
 
+@pytest.mark.parametrize("p", (40.0, 45.0, 60.0))
+def test_large_powers_keep_their_power_law_and_conjugate(p):
+    # F' = s**(p - 1) overflows at one end of the probe grid and underflows
+    # at the other; the probe drops those entries instead of refusing the
+    # density, and nothing is reported.  The pytest configuration makes a
+    # RuntimeWarning an error; the filter keeps this so when run alone.
+    pts = [0.4 + 0.3j, 0.6 + 0.5j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d = hm.power_density(p)
+        assert _power_law(d) == (1.0, p - 1.0)
+        hm.young_conjugate(d)
+        holo = hm.holomorphy_verdict(np.exp, pts, d)
+        violated = hm.system_verdict(np.exp, pts, d)
+        satisfied = hm.system_verdict(hm.make_field(f"pharm-radial:{p:g}"), pts, d)
+    assert [row.verdict for row in holo] == ["holomorphic"] * 2
+    assert [row.status for row in violated] == ["violated"] * 2
+    assert [row.status for row in satisfied] == ["satisfied"] * 2
+
+
 def test_constant_pinching_without_the_declared_power_law_inverts_numerically():
     # The closed form would give sqrt(t) instead of sqrt(t / 2).
     d = _twice_cubic()
