@@ -443,11 +443,9 @@ def _cmd_contact(sc, seed, out):
 
 
 def _dpp_init(text):
-    """The constant interior start of ``const:<complex>``, or None for ``field``."""
-    if text == "field":
-        return None
+    """The constant interior start of ``const:<complex>``."""
     if not text.startswith("const:"):
-        raise ConfigError(f"must be 'field' or 'const:<complex>', got {text!r}")
+        raise ConfigError(f"must be 'const:<complex>', got {text!r}")
     return parse_complex(text[len("const:") :])
 
 

@@ -442,8 +442,8 @@ _MEAN_BASE = "field.spec = exp\ndensity.spec = power:p=3\nmean.point = 0.3+0.4i\
     ("verify-holo", "density.spec = power:p=3\npoints.list = 0.5\n", None,
      "missing required key 'field.spec'"),
     ("verify-holo", _VERIFY_BASE + "points.list = ;\n", None, "cannot parse ';' (no points given)"),
-    ("dpp", _SMALL_DPP + "dpp.init = zero\n", None,
-     "line 9: dpp.init: must be 'field' or 'const:<complex>', got 'zero'"),
+    ("dpp", _SMALL_DPP + "dpp.init = field\n", None,
+     "line 9: dpp.init: must be 'const:<complex>', got 'field'"),
     ("dpp", _SMALL_DPP + "dpp.init = const:abc\n", None,
      "line 9: dpp.init: cannot parse 'const:abc'"),
     # settings that are module constants, not scenario keys
