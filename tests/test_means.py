@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import holomeans as hm
+from holomeans.density import _power_law
 from holomeans.errors import InvalidParameterError, NonFiniteSampleError
 from holomeans.means import _circumcircle, fit_model_coefficient
 
@@ -339,14 +340,29 @@ def _both_paths_rows(shared):
     return samples, model, init
 
 
+POWER_LAWS = {str(p): hm.power_density(p) for p in (1.2, 1.5, 2.0, 3.0, 4.0, 8.0)}
+# F'(s) = 2 s**2, declared with its coefficient: the kernel scales k by 2.
+POWER_LAWS["twice-cubic"] = hm.Density(
+    value_fn=lambda s: 2.0 * s**3 / 3.0,
+    deriv_fn=lambda s: 2.0 * s**2,
+    second_deriv_fn=lambda s: 4.0 * s,
+    lambda_lo=2.0,
+    lambda_hi=2.0,
+    small_exponent=2.0,
+    small_coeff=2.0,
+    label="twice-cubic",
+)
+
+
 @pytest.mark.parametrize("shared", (True, False))
-@pytest.mark.parametrize("p", (1.2, 1.5, 2.0, 3.0, 4.0, 8.0))
-def test_power_law_and_general_terms_agree(p, shared):
-    # Bounds around the constant ratio p - 1 are true but not constant, so
-    # the same F takes the general terms (value_fn, deriv_fn and
+@pytest.mark.parametrize("name", POWER_LAWS)
+def test_power_law_and_general_terms_agree(name, shared):
+    # Bounds around the constant ratio are true but not constant, so the
+    # same F takes the general terms (value_fn, deriv_fn and
     # second_deriv_fn at |u|) in place of the one-power kernel.
-    d = hm.power_density(p)
-    general = dataclasses.replace(d, lambda_lo=p - 1.1, lambda_hi=p - 0.9)
+    d = POWER_LAWS[name]
+    assert _power_law(d) == (d.small_coeff, d.lambda_lo)
+    general = dataclasses.replace(d, lambda_lo=d.lambda_lo - 0.1, lambda_hi=d.lambda_hi + 0.1)
     samples, model, init = _both_paths_rows(shared)
     a = fit_model_coefficient(d, samples, model, init)
     b = fit_model_coefficient(general, samples, model, init)
