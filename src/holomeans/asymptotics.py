@@ -31,9 +31,9 @@ engine's (points, radii) values and their usable-radius mask as arrays,
 with no per-point :class:`RadiusSweep`; a radius that fails for one point
 is masked out of that point's row alone.  The rows are then assembled in
 array passes over the points: one field call samples every jet, the
-analytic predictions are array expressions, and the points with the same
-usable radii are extrapolated by one least-squares solve; Python only
-builds the result rows.
+analytic predictions are array expressions, and every ladder is
+extrapolated by one closed-form least-squares pass over the (points, radii)
+arrays, whatever its usable radii; Python only builds the result rows.
 A point left with too few radii, or whose row cannot be computed, keeps its
 :class:`HolomeansError` in its slot of the rows; the public verdicts raise
 the first of them (in the order given), while the command line interface
@@ -289,48 +289,51 @@ def extrapolate(radii, values=None):
     values = np.asarray(values, dtype=complex)
     if radii.ndim != 1 or radii.shape != values.shape:
         raise InvalidSweepError("radii and values must be matching 1-d arrays")
-    estimates, _ = _extrapolate_rows(radii, values[None], np.ones((1, radii.size), bool))
-    return _raise_first(estimates)[0]
+    if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(values))):
+        raise InvalidSweepError("radii and values must be finite")
+    cols = _extrapolate_rows(radii, values[None], np.ones((1, radii.size), bool))
+    _raise_first(cols["errors"])
+    return _estimates(cols, [0])[0]
+
+
+def _row_sums(a):
+    """Sums along the last axis taken left to right: added zeros keep the bits."""
+    return np.cumsum(a, axis=-1)[..., -1]
 
 
 def _extrapolate_rows(radii, values, ok):
     """:func:`extrapolate` of every row of the (rows, radii) ``values`` over its ``ok`` radii.
 
-    The rows with the same usable radii are fitted together by one
-    multi-right-hand-side ``lstsq``, which gives each row the coefficients
-    of its own fit bit for bit.  Each group is laid out (rows, radii), so
-    the residual and scale reductions run along the contiguous last axis and
-    keep each row's summation order.  Returns two lists over the rows: one
-    :class:`LimitEstimate` per row, or the :class:`InvalidSweepError` of a
-    row with fewer than two distinct usable radii; and each row's residual
-    vector ``values - (limit + slope * r)`` over its usable radii, or None.
+    One pass of the centred closed form ``slope = sum(dr (v - mean v)) / sum(dr**2)``,
+    ``dr = r - mean r``, ``limit = mean v - slope mean r``; unusable radii add
+    zeros to the :func:`_row_sums`, so a row has its compact fit's bits in any
+    batch.  Columns over the rows: ``limit``, ``slope``, ``fit_residual``,
+    ``verdict``, the (rows, radii) ``residual`` (0 at unusable radii), the usable
+    ``count``, and ``errors``: None or a row's :class:`InvalidSweepError`.
     """
-    out = [None] * len(values)
-    residuals = [None] * len(values)
-    groups = {}
-    for i, mask in enumerate(ok):
-        groups.setdefault(mask.tobytes(), []).append(i)
-    for idx in map(np.asarray, groups.values()):
-        mask = ok[idx[0]]
-        r = radii[mask]
-        if r.size < 2 or np.all(r == r[0]):
-            error = InvalidSweepError("need at least two distinct radii to extrapolate")
-            for i in idx:
-                out[i] = error
-            continue
-        v = values[np.ix_(idx, mask)]
-        design = np.stack([np.ones_like(r), r], axis=1)
-        limit, slope = np.linalg.lstsq(design, v.T, rcond=None)[0]
-        residual = v - (limit[:, None] + slope[:, None] * r)
-        for i, res in zip(idx.tolist(), residual):
-            residuals[i] = res
-        fit_residual = np.sqrt(np.mean(np.abs(residual) ** 2, axis=-1))
-        scale = np.maximum(np.max(np.abs(v), axis=-1), ZERO_TOL)
-        verdict = _decide(_modulus(limit), fit_residual <= FIT_TOL_COEFF * scale)
-        columns = (idx, limit, slope, fit_residual, verdict)
-        for i, *fields in zip(*(c.tolist() for c in columns)):
-            out[i] = LimitEstimate(*fields)
-    return out, residuals
+    count = np.sum(ok, axis=-1)
+    v = np.where(ok, values, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN on the rows that fail
+        r_mean = _row_sums(np.where(ok, radii, 0.0)) / count
+        v_mean = _row_sums(v) / count
+        dr = np.where(ok, radii - r_mean[:, None], 0.0)
+        spread = _row_sums(dr**2)
+        slope = _row_sums(dr * (v - v_mean[:, None])) / spread
+        limit = v_mean - slope * r_mean
+        residual = np.where(ok, v - (limit[:, None] + slope[:, None] * radii), 0.0)
+        fit_residual = np.sqrt(_row_sums(np.abs(residual) ** 2) / count)
+    scale = np.maximum(np.max(np.abs(v), axis=-1), ZERO_TOL)
+    verdict = _decide(_modulus(limit), fit_residual <= FIT_TOL_COEFF * scale)
+    error = InvalidSweepError("need at least two distinct radii to extrapolate")
+    return dict(limit=limit, slope=slope, fit_residual=fit_residual, verdict=verdict,
+                residual=residual, count=count,
+                errors=[None if s > 0.0 else error for s in spread.tolist()])
+
+
+def _estimates(cols, rows):
+    """The :class:`LimitEstimate` of each of the ``rows`` of the fit columns ``cols``."""
+    fields = (cols[name][rows].tolist() for name in ("limit", "slope", "fit_residual", "verdict"))
+    return [LimitEstimate(*row) for row in zip(*fields)]
 
 
 def _verdict_rows(kind, f, points, d, cfg, analytic, rows, untestable):
@@ -361,15 +364,13 @@ def _verdict_rows(kind, f, points, d, cfg, analytic, rows, untestable):
                                      jets.dzbar[ok_pts]))
     if kind == "pair_increment":
         values = values / radii
-    estimates, _ = _extrapolate_rows(radii, values[ok_pts], ok[ok_pts])
-    passed = []
-    for j, (i, error, est) in enumerate(zip(ok_pts.tolist(), errors, estimates)):
-        if error is None and not isinstance(est, HolomeansError):
-            passed.append(j)
-        else:
-            results[i] = error or est
+    cols = _extrapolate_rows(radii, values[ok_pts], ok[ok_pts])
+    errors = [a or b for a, b in zip(errors, cols["errors"])]
+    passed = [j for j, error in enumerate(errors) if error is None]
+    for i, error in zip(ok_pts.tolist(), errors):
+        results[i] = error
     done = ok_pts[passed]
-    made = rows(live[done].tolist(), [estimates[j] for j in passed], predicted[passed])
+    made = rows(live[done].tolist(), _estimates(cols, passed), predicted[passed])
     for i, result in zip(done.tolist(), made):
         results[i] = result
     live_rows = iter(results)

@@ -39,6 +39,7 @@ from .asymptotics import (
     _decide,
     _decide_membership,
     _extrapolate_rows,
+    _row_sums,
     _sweeps,
     extrapolate,
 )
@@ -254,12 +255,12 @@ def _direction_rows(points, xi, radii, ratios, ok, jets, d):
     reported per direction but does not gate the decision.  Returns the rows
     point by point, each point's directions in order.
     """
-    estimates, residuals = _extrapolate_rows(radii, ratios, ok)
-    limit = np.array([est.limit for est in _raise_first(estimates)], dtype=complex)
+    cols = _extrapolate_rows(radii, ratios, ok)
+    _raise_first(cols["errors"])
     conj_xi = np.conj(xi)
-    limits = (conj_xi * limit[:, None]).real
-    fit_residuals = np.array([np.sqrt(np.mean((conj_xi[:, None] * res).real ** 2, axis=-1))
-                              for res in residuals]).reshape(limits.shape)
+    limits = (conj_xi * cols["limit"][:, None]).real
+    projected = (conj_xi[:, None] * cols["residual"][:, None, :]).real
+    fit_residuals = np.sqrt(_row_sums(projected**2) / cols["count"][:, None])
     envelopes = _xi_envelopes(jets.value, jets.dz, jets.dzbar, xi, d)
     gaps = np.abs(limits - envelopes)
     holds = _decide(-limits) == "vanishes"
@@ -341,6 +342,8 @@ def contact_solution_verdict(f, points, d, directions=DEFAULT_DIRECTION_COUNT, c
             raise InvalidParameterError("need at least one direction")
 
     pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
+    if pts.size == 0:
+        raise InvalidParameterError("need at least one point")
     low = np.abs(field_values(f, pts)) < FIELD_FLOOR
     live = pts[~low]
     jets, errors = _wirtinger_jets(f, live)

@@ -363,11 +363,13 @@ def fit_model_coefficient(d, samples, model, init):
         denom = a_coef**2 - np.abs(b_coef) ** 2
         good = np.isfinite(denom) & (denom > 0.0)
         delta = np.zeros_like(g)
-        np.divide(-a_coef * g + b_coef * np.conj(g), denom, out=delta, where=good)
-        settled = small_foc & good & (np.abs(delta) <= STEP_TOL * (1.0 + np.abs(cur)))
-        slope = 2.0 * np.real(np.conj(g) * delta)
+        with np.errstate(over="ignore", invalid="ignore"):  # a row whose step overflows takes none
+            np.divide(-a_coef * g + b_coef * np.conj(g), denom, out=delta, where=good)
+            settled = small_foc & good & (np.abs(delta) <= STEP_TOL * (1.0 + np.abs(cur)))
+            slope = 2.0 * np.real(np.conj(g) * delta)
         stop = done | settled
         good &= np.isfinite(slope) & (slope < 0.0) & ~stop
+        delta[~good] = 0.0  # keeps the candidates of rows without a step finite
         state[act[stop]] = _STATUS_CONVERGED
 
         # Armijo line search on the rows with a usable step.  Near the optimum

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import holomeans as hm
-from holomeans.asymptotics import _extrapolate_rows
+from holomeans.asymptotics import _estimates, _extrapolate_rows
 from holomeans.errors import InsufficientDataError, InvalidParameterError, NonFiniteSampleError
 
 D2 = hm.power_density(2)
@@ -225,6 +225,16 @@ def test_amvp_verdict_fails_for_nonsolution():
     assert row.holds is False
 
 
+def test_newton_steps_that_overflow_leak_no_warning():
+    # At p = 60 some rows' Newton step overflows; those rows take no step, and
+    # no RuntimeWarning leaks (the suite makes one an error).
+    f, d60 = hm.make_field("pharm-radial:60"), hm.power_density(60)
+    pts = [0.4 + 0.3j, 0.6 + 0.5j]
+    assert hm.amvp_verdict(f, pts, d60)[1].status == "holds"
+    report = hm.contact_solution_verdict(f, pts, d60)
+    assert len(report.rows) == 2 * hm.contact.DEFAULT_DIRECTION_COUNT
+
+
 def test_verdicts_accept_point_arrays():
     pts = np.array([0.5 + 0.5j, 0.6 - 0.2j])
     rows = hm.amvp_verdict(np.exp, pts, D2, hm.SweepConfig(r0=0.02))
@@ -240,7 +250,48 @@ def test_extrapolate_rejects_mismatched_shapes():
         hm.extrapolate(radii[None, :], radii[None, :].astype(complex))
 
 
-@pytest.mark.parametrize("verdict", (hm.holomorphy_verdict, hm.system_verdict, hm.amvp_verdict))
+@pytest.mark.parametrize("radius, value", (
+    (float("nan"), 1.0),
+    (float("inf"), 1.0),
+    (0.05, float("nan")),
+    (0.05, complex(1.0, float("inf"))),
+))
+def test_extrapolate_refuses_nonfinite_radii_and_values(radius, value):
+    radii = hm.SweepConfig().radii()
+    values = (1.0 + 2.0 * radii).astype(complex)
+    radii[3], values[3] = radius, value
+    with pytest.raises(hm.InvalidSweepError, match="must be finite"):
+        hm.extrapolate(radii, values)
+
+
+def _lstsq_line(radii, values):
+    """Test oracle: limit, slope and RMS residual of the line fitted by an SVD."""
+    design = np.stack([np.ones_like(radii), radii], axis=1)
+    limit, slope = np.linalg.lstsq(design, values, rcond=None)[0]
+    return limit, slope, np.sqrt(np.mean(np.abs(values - (limit + slope * radii)) ** 2))
+
+
+def test_extrapolation_matches_a_least_squares_oracle():
+    rng = np.random.default_rng(11)
+    radii = hm.SweepConfig().radii()
+    shape = (60, radii.size)
+    noise = np.repeat([0.0, 1e-9, 1e-5, 1e-1], 15)[:, None]
+    values = (rng.normal(size=(shape[0], 1)) + 1j * rng.normal(size=(shape[0], 1))
+              + (rng.normal(size=(shape[0], 1)) - 3j) * radii
+              + noise * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+    ok = rng.random(shape) < 0.7
+    ok[:, [0, -1]] = True
+    cols = _extrapolate_rows(radii, values, ok)
+    for i, (good, v) in enumerate(zip(ok, values)):
+        for est in (hm.extrapolate(radii[good], v[good]), _estimates(cols, [i])[0]):
+            oracle = _lstsq_line(radii[good], v[good])
+            np.testing.assert_allclose((est.limit, est.slope), oracle[:2], rtol=1e-13)
+            np.testing.assert_allclose(est.fit_residual, oracle[2], rtol=1e-13,
+                                       atol=1e-13 * abs(oracle[0]))
+
+
+@pytest.mark.parametrize("verdict", (hm.holomorphy_verdict, hm.system_verdict, hm.amvp_verdict,
+                                     hm.contact_solution_verdict))
 def test_verdicts_need_at_least_one_point(verdict):
     with pytest.raises(InvalidParameterError, match="at least one point"):
         verdict(np.exp, [], D3)
@@ -253,10 +304,11 @@ def test_batched_extrapolation_keeps_a_short_ladder_in_its_own_group():
     ok[3, 1:] = False
     values = np.tile((0.3 + 0.1j) + (1.0 - 2.0j) * radii + 0.4 * radii**2, (4, 1))
     values[~ok] = np.nan  # an unusable value is never read
-    got, _ = _extrapolate_rows(radii, values, ok)
-    for good, v, est in zip(ok[:3], values[:3], got[:3]):
-        assert est == hm.extrapolate(radii[good], v[good])
-    assert isinstance(got[3], hm.InvalidSweepError)
+    cols = _extrapolate_rows(radii, values, ok)
+    for i, (good, v) in enumerate(zip(ok[:3], values[:3])):
+        assert _estimates(cols, [i]) == [hm.extrapolate(radii[good], v[good])]
+    assert cols["errors"][:3] == [None] * 3
+    assert isinstance(cols["errors"][3], hm.InvalidSweepError)
 
 
 _HOLE = 0.5 + 0.5j

@@ -229,6 +229,21 @@ def test_verify_keeps_a_failing_point_as_an_error_row(tmp_path, monkeypatch, com
     assert rows[0][header[6]] == error
 
 
+def test_verify_writes_a_failing_call_as_an_error_row_per_point(tmp_path):
+    # power:p=1e6 has no usable Young conjugate, so the whole verdict call fails
+    cfg = write(
+        tmp_path,
+        "degenerate.ini",
+        "field.spec = exp\ndensity.spec = power:p=1e6\n"
+        "points.list = 0.4+0.1i; 0.5+0.2i\n",
+    )
+    out = tmp_path / "degenerate.csv"
+    assert run(["verify-holo", "--config", cfg, "--out", out]) == 1
+    header, rows = read_rows(out)
+    assert [(r["verdict"], r[header[6]]) for r in rows] == [
+        ("error", "DegenerateDensityError")] * 2
+
+
 def test_verify_amvp_passes_on_solution(tmp_path):
     cfg = write(
         tmp_path,

@@ -294,5 +294,6 @@ def test_direction_fit_residuals_come_from_each_point_s_own_fit():
         own = rows[i * xi.size:(i + 1) * xi.size]
         assert [(row.point, row.xi) for row in own] == [(pts[i], x) for x in xi]
         assert [row.limit for row in own] == (np.conj(xi) * est.limit).real.tolist()
+        # the mean square sums left to right, as the batch sums each row
         assert [row.fit_residual for row in own] == np.sqrt(
-            np.mean(projected**2, axis=-1)).tolist()
+            np.cumsum(projected**2, axis=-1)[:, -1] / radii.size).tolist()

@@ -74,6 +74,9 @@ def test_affine_eval_reproduces_jet():
     m = zeta - jet.base
     expected = jet.value + jet.dz * m + jet.dzbar * np.conj(m)
     np.testing.assert_allclose(hm.affine_eval(jet, zeta), expected, rtol=1e-15)
+    # a scalar point gives a Python complex, the entry of the array call
+    got = hm.affine_eval(jet, zeta[1])
+    assert type(got) is complex and got == hm.affine_eval(jet, zeta)[1]
 
 
 @given(
