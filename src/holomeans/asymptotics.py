@@ -298,7 +298,7 @@ def extrapolate(radii, values=None):
 
 def _row_sums(a):
     """Sums along the last axis taken left to right: added zeros keep the bits."""
-    return np.cumsum(a, axis=-1)[..., -1]
+    return np.cumsum(a, axis=-1)[..., -1] if a.shape[-1] else a.sum(axis=-1)
 
 
 def _extrapolate_rows(radii, values, ok):
@@ -322,7 +322,7 @@ def _extrapolate_rows(radii, values, ok):
         limit = v_mean - slope * r_mean
         residual = np.where(ok, v - (limit[:, None] + slope[:, None] * radii), 0.0)
         fit_residual = np.sqrt(_row_sums(np.abs(residual) ** 2) / count)
-    scale = np.maximum(np.max(np.abs(v), axis=-1), ZERO_TOL)
+    scale = np.maximum(np.max(np.abs(v), axis=-1, initial=0.0), ZERO_TOL)
     verdict = _decide(_modulus(limit), fit_residual <= FIT_TOL_COEFF * scale)
     error = InvalidSweepError("need at least two distinct radii to extrapolate")
     return dict(limit=limit, slope=slope, fit_residual=fit_residual, verdict=verdict,

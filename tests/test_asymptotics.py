@@ -85,8 +85,9 @@ def test_extrapolate_flags_noisy_series_inconclusive():
 
 
 def test_extrapolate_needs_two_radii():
-    with pytest.raises(hm.InvalidSweepError):
-        hm.extrapolate(np.array([0.1]), np.array([1.0 + 0j]))
+    for radii in ([], [0.1], [0.1, 0.1]):
+        with pytest.raises(hm.InvalidSweepError, match="two distinct radii"):
+            hm.extrapolate(radii, np.ones(len(radii), dtype=complex))
 
 
 def test_sweep_runs_all_radii_and_records_extras():
