@@ -14,14 +14,15 @@ their closed-form weighted projection, with no Newton run.  Every unknown is
 a lattice node, so each circle node's bilinear cell lies at the same lattice
 shift from every unknown: the corner shifts and weights of each circle node
 come once per solve from ``offsets / h``, the projection is summed over equal
-shifts into one coefficient per distinct shift (a tap), and a sweep gets it
-as a sum over the taps of coefficient times the shifted window of lattice
-values.  On the flattened lattice a tap's window is one contiguous run
-through the unknown rows; the wrap entries between rows that the run also
-covers are computed and dropped.  At any other density a sweep runs the pair
-mean's two batched Newton solves over every node at once, on the samples of
-one :func:`interpolate` call and from the circle-mean engine's starts
-(``means._newton_starts``).
+shifts into one coefficient per distinct shift (a tap), and a sweep is the
+correlation of the lattice with those taps.  It is computed by the
+convolution theorem, one forward and one inverse FFT of the lattice padded
+to 2-3-5-smooth sizes (the taps' spectrum is built once per solve), and
+cropped to the unknowns; the strip keeps every tap of an unknown inside the
+lattice, so no circular wrap reaches an unknown.  At any other density a
+sweep runs the pair mean's two batched Newton solves over every node at
+once, on the samples of one :func:`interpolate` call and from the
+circle-mean engine's starts (``means._newton_starts``).
 
 Nodes where the field modulus falls below ``FIELD_FLOOR`` make the mean
 ill-posed (the density may lose smoothness at zero): a sweep skips a node
@@ -40,6 +41,7 @@ mean start at a second fixed point with sup error 0.87.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -341,17 +343,31 @@ def _check_geometry(grid, cfg):
 class _CircleStencil(NamedTuple):
     """Everything a sweep needs that is fixed for the whole solve.
 
-    A tap's window of the flattened lattice is one contiguous run that
-    starts at ``starts[k]`` and covers the unknown rows end to end, so each
-    run also holds ``nx - nj`` wrap entries per row (strip nodes) that the
-    tap sum computes and drops.  Corners of weight 0 stay taps, so a
-    non-finite value they touch still makes the tap sum non-finite.
+    ``spectrum`` is the 2-D FFT of the taps placed at ``(-dy, -dx)`` on the
+    padded lattice, so that its product with the lattice's FFT is the tap
+    sum at every node.  ``reached`` marks the nodes that some unknown's taps
+    read; corners of weight 0 stay taps, so a non-finite value they touch
+    still makes the sum non-finite.
     """
 
     offsets: np.ndarray  # (nodes,) circle offsets from the centre
     box: tuple  # (row, column) slices of the unknown rectangle
-    starts: np.ndarray  # (taps,) flat lattice index where each tap's run starts
+    shifts: np.ndarray  # (taps, 2) lattice (row, column) shift of each tap
     pair: np.ndarray  # (taps,) complex coefficients of the quadratic pair mean
+    spectrum: np.ndarray  # (Py, Px) FFT of the taps on the padded lattice
+    reached: np.ndarray  # (ny, nx) nodes that the unknowns' taps read
+
+
+def _smooth_size(n):
+    """Smallest 2-3-5-smooth integer >= ``n``: a fast FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _circle_stencil(grid, cfg):
@@ -376,32 +392,62 @@ def _circle_stencil(grid, cfg):
     slope = (
         np.bincount(tap, slope_terms.real, taps) + 1j * np.bincount(tap, slope_terms.imag, taps)
     ) * (q.weights[0] / (2.0 * np.pi * cfg.radius**3))
+    pair = centre + cfg.radius * slope
     box = (slice(s, ny - s), slice(s, nx - s))
-    starts = (s + shifts[:, 0]) * nx + (s + shifts[:, 1])
-    return _CircleStencil(q.nodes, box, starts, centre + cfg.radius * slope)
+    kernel = np.zeros((_smooth_size(ny), _smooth_size(nx)), dtype=complex)
+    kernel[-shifts[:, 0] % kernel.shape[0], -shifts[:, 1] % kernel.shape[1]] = pair
+    reached = np.zeros((ny, nx), dtype=bool)
+    for sy, sx in shifts.tolist():
+        reached[s + sy : ny - s + sy, s + sx : nx - s + sx] = True
+    return _CircleStencil(q.nodes, box, shifts, pair, np.fft.fft2(kernel), reached)
 
 
-def _tap_sum(values, stencil, coefficients):
+def _tap_windows(mask, stencil):
+    """Per unknown, whether any of its taps reads a node of ``mask``."""
+    i, j = stencil.box
+    hit = np.zeros(mask[stencil.box].shape, dtype=bool)
+    for sy, sx in stencil.shifts.tolist():
+        hit |= mask[i.start + sy : i.stop + sy, j.start + sx : j.stop + sx]
+    return hit.ravel()
+
+
+def _spectral_sum(values, stencil):
     """Sum over the taps of coefficient times shifted window, per unknown.
 
-    On the flattened lattice a tap's window is one contiguous run from its
-    start through the last unknown row; the run's ``nx - nj`` wrap entries
-    per row are computed and dropped.  The entries follow the unknowns in
-    row-major order.  Non-finite data gives non-finite sums without a
-    warning, also in wrap entries, which never reach the result; the caller
-    raises the typed error.
+    One correlation by FFT on the padded lattice, with the unreached nodes
+    set to 0.  The data are scaled by the power of two that brings their
+    largest component into [0.5, 1), so the transforms cannot overflow, and
+    the sums are scaled back exactly.  The entries follow the unknowns in
+    row-major order.  An unknown whose taps read a non-finite node gets a
+    NaN sum; the caller raises the typed error.
     """
-    ni, nj = values[stencil.box].shape
-    nx = values.shape[1]
-    span = (ni - 1) * nx + nj
-    flat = values.ravel()
-    buf = np.zeros(ni * nx, dtype=complex)
-    total, term = buf[:span], np.empty(span, dtype=complex)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for start, c in zip(stencil.starts.tolist(), coefficients.tolist()):
-            np.multiply(c, flat[start : start + span], out=term)
-            np.add(total, term, out=total)
-    return buf.reshape(ni, nx)[:, :nj].ravel()
+    spectrum = stencil.spectrum
+    padded = np.zeros(spectrum.shape, dtype=complex)
+    data = padded[: values.shape[0], : values.shape[1]]
+    np.copyto(data, values, where=stencil.reached)
+    parts = padded.view(float)
+    top = np.max(np.abs(parts))
+    hit = None
+    if not np.isfinite(top):
+        bad = ~np.isfinite(data)
+        hit = _tap_windows(bad, stencil)
+        data[bad] = 0.0
+        top = np.max(np.abs(parts))
+    e = int(np.frexp(top)[1])
+    np.ldexp(parts, -e, out=parts)
+    # One 1-D pass per axis, as fft2 makes them but without its overhead;
+    # the inverse's last pass runs over the unknown rows only.  numpy loads
+    # np.fft on first use, so importing holomeans does not pay for it.
+    fft = np.fft
+    product = fft.fft(fft.fft(padded, axis=1), axis=0) * spectrum
+    i, j = stencil.box
+    sums = fft.ifft(fft.ifft(product, axis=0)[i], axis=1)[:, j].ravel()
+    scaled = sums.view(float)
+    with np.errstate(over="ignore"):
+        np.ldexp(scaled, e, out=scaled)
+    if hit is not None:
+        sums[hit] = np.nan
+    return sums
 
 
 def _circle_samples(grid, stencil, rows):
@@ -436,7 +482,9 @@ def _sweep(grid, d, cfg, stencil):
     """:func:`dpp_step` on a stencil built by :func:`_circle_stencil`.
 
     The unknowns are read and written through the rectangle ``stencil.box``,
-    flattened in row-major order; ``rows`` selects the computed ones.
+    flattened in row-major order; ``rows`` selects the computed ones.  At the
+    quadratic density their means are one spectral correlation of the
+    lattice with the stencil's taps (:func:`_spectral_sum`).
     """
     box, values = stencil.box, grid.values
     inner = values[box].flatten()
@@ -450,8 +498,8 @@ def _sweep(grid, d, cfg, stencil):
     rows = slice(None) if skipped == 0 else ~held
     if d.lambda_lo == d.lambda_hi == 1.0:
         # s F''/F' == 1 makes F = c s^2 + const, whose minimizers are the
-        # weighted projections themselves: one pass over the taps.
-        mean = _tap_sum(values, stencil, stencil.pair)[rows]
+        # weighted projections themselves: one correlation with the taps.
+        mean = _spectral_sum(values, stencil)[rows]
         _require_finite(mean)
         bad = np.zeros(mean.shape, dtype=bool)
     else:
@@ -540,25 +588,35 @@ def write_checkpoint(grid, path, extra_header=()):
 
 
 def read_checkpoint(path):
-    """Rebuild a grid from a checkpoint written by :func:`write_checkpoint`."""
+    """Rebuild a grid from a checkpoint written by :func:`write_checkpoint`.
+
+    The lines up to ``x,y,re,im,flag`` are read one by one for the lattice
+    metadata, and the rows after it are parsed from the open file.
+    """
     meta = {}
     with open(path) as fh:
-        lines = [line.strip() for line in fh]
-    for line in lines:
-        if line.startswith("# lattice"):
-            for token in line[len("# lattice") :].split():
-                key, _, val = token.partition("=")
-                try:
-                    meta[key] = float(val) if key != "strip" else int(val)
-                except ValueError:
-                    raise InvalidParameterError(
-                        f"checkpoint {path} has a malformed lattice value {token!r}"
-                    ) from None
-    rows = [
-        line
-        for line in lines
-        if line and not line.startswith("#") and line != "x,y,re,im,flag"
-    ]
+        for line in fh:
+            line = line.strip()
+            if line == "x,y,re,im,flag":
+                break
+            if line.startswith("# lattice"):
+                for token in line[len("# lattice") :].split():
+                    key, _, val = token.partition("=")
+                    try:
+                        meta[key] = float(val) if key != "strip" else int(val)
+                    except ValueError:
+                        raise InvalidParameterError(
+                            f"checkpoint {path} has a malformed lattice value {token!r}"
+                        ) from None
+        else:
+            raise InvalidParameterError(f"checkpoint {path} has no x,y,re,im,flag line")
+        try:
+            with warnings.catch_warnings():
+                # a checkpoint without rows fails the row count below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", usecols=(2, 3, 4), ndmin=2)
+        except ValueError as exc:
+            raise InvalidParameterError(f"checkpoint {path} has a malformed row: {exc}") from exc
     required = {"x0", "x1", "y0", "y1", "h", "strip"}
     if not required.issubset(meta):
         raise InvalidParameterError(
@@ -571,14 +629,10 @@ def read_checkpoint(path):
     if not all(map(math.isfinite, spans)):
         raise InvalidParameterError(f"checkpoint {path} needs finite lattice bounds")
     nx, ny = _lattice_shape(meta["x0"], meta["x1"], meta["y0"], meta["y1"], h, s)
-    if len(rows) != nx * ny:
+    if len(data) != nx * ny:
         raise InvalidParameterError(
-            f"checkpoint {path} has {len(rows)} rows, lattice needs {nx * ny}"
+            f"checkpoint {path} has {len(data)} rows, lattice needs {nx * ny}"
         )
-    try:
-        data = np.loadtxt(rows, delimiter=",", usecols=(2, 3, 4), ndmin=2)
-    except ValueError as exc:
-        raise InvalidParameterError(f"checkpoint {path} has a malformed row: {exc}") from exc
     values = np.empty(nx * ny, dtype=complex)
     values.real, values.imag = data[:, 0], data[:, 1]
     frozen = (data[:, 2] == 2).reshape(ny, nx)

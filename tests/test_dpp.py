@@ -482,12 +482,11 @@ def test_the_newton_sweep_fits_interpolated_samples(rng, monkeypatch, h, nodes, 
 
 def window_tap_sum(values, stencil, coefficients):
     """The tap sum as one 2-D window of the lattice per tap, each added to a
-    running total: the reference the flat-run sum must match bit for bit."""
-    ni, nj = values[stencil.box].shape
+    running total: the reference the spectral sum must match to rounding."""
+    i, j = stencil.box
     total = 0.0
-    for start, c in zip(stencil.starts.tolist(), coefficients.tolist()):
-        i, j = divmod(start, values.shape[1])
-        total = total + c * values[i : i + ni, j : j + nj]
+    for (dy, dx), c in zip(stencil.shifts.tolist(), coefficients.tolist()):
+        total = total + c * values[i.start + dy : i.stop + dy, j.start + dx : j.stop + dx]
     return total.ravel()
 
 
@@ -497,35 +496,39 @@ TAP_SUM_LATTICES = {
     "non-square": ((0.0, 0.3, 0.0, 0.24), 0.02, 0.1, 0.1),
     "r/h not whole": ((0.0, 0.3, 0.0, 0.24), 0.03, 0.1, 0.1),
     "wide strip": ((0.0, 0.3, 0.0, 0.24), 0.02, 0.2, 0.1),
+    # 29 x 29 nodes, the dpp_exp.ini lattice: padded to 30 x 30
+    "padded": ((0.0, 1.0, 0.0, 1.0), 0.05, 0.15, 0.15),
 }
 
 
 @pytest.mark.parametrize("name", TAP_SUM_LATTICES)
-def test_the_flat_tap_sum_has_the_bits_of_the_window_sum(rng, name):
-    from holomeans.dpp import _circle_stencil, _tap_sum
+def test_the_spectral_tap_sum_matches_the_window_sum_to_rounding(rng, name):
+    from holomeans.dpp import _circle_stencil, _spectral_sum
 
     bounds, h, built_for, radius = TAP_SUM_LATTICES[name]
     grid = hm.make_grid(*bounds, h, built_for)
     shape = grid.values.shape
     values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    # a block of signed zeros holds whole stencils, whose sums are zeros
-    values[: 2 * shape[0] // 3, : 2 * shape[1] // 3] = complex(-0.0, -0.0)
     grid = replace(grid, values=values)
-    cfg = hm.DppConfig(radius=radius)
-    stencil = _circle_stencil(grid, cfg)
-    nx, s = shape[1], grid.strip_cells
-    # one run per distinct bilinear corner shift of the circle nodes, in
-    # the order of the shifts
+    stencil = _circle_stencil(grid, hm.DppConfig(radius=radius))
+    # one tap per distinct bilinear corner shift of the circle nodes, in
+    # the order of the shifts, on a lattice padded to 2-3-5-smooth sizes
     cells = stencil.offsets / h
     dx = np.floor(cells.real).astype(int) + np.array([0, 1, 0, 1])[:, None]
     dy = np.floor(cells.imag).astype(int) + np.array([0, 0, 1, 1])[:, None]
-    np.testing.assert_array_equal(stencil.starts, s * nx + s + np.unique(dy * nx + dx))
-    got = _tap_sum(values, stencil, stencil.pair)
+    np.testing.assert_array_equal(
+        stencil.shifts, np.unique(np.column_stack([dy.ravel(), dx.ravel()]), axis=0)
+    )
+    smooth = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27, 30, 32, 36, 40, 45,
+              48, 50, 54, 60, 64, 72, 75, 80, 81, 90, 96, 100)
+    assert stencil.spectrum.shape == tuple(min(m for m in smooth if m >= n) for n in shape)
+    if name == "padded":
+        assert shape == (29, 29) and stencil.spectrum.shape == (30, 30)
+    got = _spectral_sum(values, stencil)
     want = window_tap_sum(values, stencil, stencil.pair)
     assert got.shape == (int(grid.interior_mask().sum()),)
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
-    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    # the bound of the reference-sweep test: 256 eps max|v|
+    assert np.max(np.abs(got - want)) <= 256 * np.finfo(float).eps * np.max(np.abs(values))
 
 
 @pytest.mark.parametrize("damping", (1.0, 0.8))
@@ -646,6 +649,66 @@ def test_a_nan_on_a_strip_node_no_circle_reads_does_not_raise(p):
     assert diag.updated_count == int(mask.sum())
 
 
+@pytest.mark.parametrize("p", (2.0, 3.0))
+def test_a_nan_that_only_held_nodes_read_does_not_raise(p):
+    # The taps of a node reach at most r + sqrt(2) h = 0.128 from it, so
+    # holding the nodes within 0.13 of the NaN node holds every node that
+    # reads it; holding those within 0.09 leaves some that read it.
+    g = hm.grid_from_function(0.0, 1.0, 0.0, 1.0, 0.02, 0.1, np.exp)
+    values, pts = g.values.copy(), g.points()
+    values[31, 31] = np.nan
+    cfg = hm.DppConfig(radius=0.1)
+    held = np.abs(pts - pts[31, 31]) < 0.13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stepped, diag = hm.dpp_step(replace(g, values=values, frozen=held), hm.power_density(p), cfg)
+    computed = g.interior_mask() & ~held
+    assert np.all(np.isfinite(stepped.values[computed]))
+    assert diag.updated_count == int(computed.sum())
+    with pytest.raises(hm.NonFiniteSampleError, match="not finite"):
+        short = np.abs(pts - pts[31, 31]) < 0.09
+        hm.dpp_step(replace(g, values=values, frozen=short), hm.power_density(p), cfg)
+
+
+def quadratic_step(grid):
+    """``dpp_step`` at p = 2 and r = 0.1, warnings raised as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return hm.dpp_step(grid, D2, hm.DppConfig(radius=0.1))
+
+
+def exp_lattice(scale=1.0):
+    """exp data times ``scale`` on the 63 x 63 nodes of the unit square at
+    h = 0.02, r = 0.1."""
+    return hm.grid_from_function(0.0, 1.0, 0.0, 1.0, 0.02, 0.1, lambda z: scale * np.exp(z))
+
+
+@pytest.mark.parametrize("scale", (1e305, 2.0**1020))
+def test_a_step_on_huge_data_is_the_scaled_step(scale):
+    # An FFT of the data unscaled would overflow: 3,969 nodes of modulus
+    # up to 3e307 or 3e305.
+    g = exp_lattice()
+    stepped, diag = quadratic_step(g)
+    big, big_diag = quadratic_step(replace(g, values=g.values * scale))
+    want = stepped.values * scale
+    bound = 256 * np.finfo(float).eps * np.max(np.abs(want))
+    assert np.max(np.abs(big.values - want)) <= bound
+    assert abs(big_diag.residual_sup - diag.residual_sup * scale) <= bound
+    assert (big_diag.updated_count, big_diag.skipped_count) == (diag.updated_count, 0)
+
+
+@pytest.mark.parametrize("k", (500, -500))
+def test_a_power_of_two_scales_the_step_bit_for_bit(k):
+    # g is exp data times 2^500, so that 2^-500 g stays above FIELD_FLOOR
+    # (a lower field would be skipped, not stepped) and 2^500 g is finite.
+    g = exp_lattice(2.0**500)
+    stepped, diag = quadratic_step(g)
+    scaled, scaled_diag = quadratic_step(replace(g, values=g.values * 2.0**k))
+    assert scaled.values.tobytes() == (stepped.values * 2.0**k).tobytes()
+    assert scaled_diag == replace(diag, residual_sup=diag.residual_sup * 2.0**k)
+    assert scaled_diag.skipped_count == 0
+
+
 def test_checkpoint_round_trip_keeps_frozen_nodes(tmp_path):
     g = small_grid()
     frozen = np.zeros(g.values.shape, dtype=bool)
@@ -683,4 +746,11 @@ def test_checkpoint_refuses_a_wrong_row_count(tmp_path):
         + "0,0,1,0,1\n" * 15
     )
     with pytest.raises(InvalidParameterError, match="has 15 rows, lattice needs 16"):
+        hm.read_checkpoint(path)
+
+
+def test_checkpoint_refuses_a_file_without_its_column_line(tmp_path):
+    path = tmp_path / "headless.csv"
+    path.write_text("# lattice x0=0 x1=0.1 y0=0 y1=0.1 h=0.1 strip=1\n" + "0,0,1,0,1\n" * 16)
+    with pytest.raises(InvalidParameterError, match="has no x,y,re,im,flag line"):
         hm.read_checkpoint(path)
