@@ -590,8 +590,7 @@ def write_checkpoint(grid, path, extra_header=()):
 def read_checkpoint(path):
     """Rebuild a grid from a checkpoint written by :func:`write_checkpoint`.
 
-    The lines up to ``x,y,re,im,flag`` are read one by one for the lattice
-    metadata, and the rows after it are parsed from the open file.
+    The rows after the ``x,y,re,im,flag`` line are parsed from the open file.
     """
     meta = {}
     with open(path) as fh:
