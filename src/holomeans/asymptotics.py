@@ -24,16 +24,16 @@ property through the pair mean.  Each one cross-checks the extrapolated
 limit against the analytic first-order prediction computed from a finite
 difference jet, and flags disagreement instead of hiding it.
 
-A verdict sweeps all its points together: points where the field falls
-below ``FIELD_FLOOR`` are set aside as untestable, and the whole ladder of
-the others is one batched circle-mean solve.  The verdict reads the
-engine's (points, radii) values and their usable-radius mask as arrays,
-with no per-point :class:`RadiusSweep`; a radius that fails for one point
-is masked out of that point's row alone.  The rows are then assembled in
-array passes over the points: one field call samples every jet, the
-analytic predictions are array expressions, and every ladder is
-extrapolated by one closed-form least-squares pass over the (points, radii)
-arrays, whatever its usable radii; Python only builds the result rows.
+Every verdict, contact included, fits through one sweep-to-limit step,
+:func:`_limits`: the whole ladder of all its points is one batched
+circle-mean solve, read as (points, radii) arrays with no per-point
+:class:`RadiusSweep` (a radius that fails for one point is masked out of
+that point's row alone), and one closed-form least-squares pass over those
+arrays extrapolates every ladder, whatever its usable radii.  Points where
+the field falls below ``FIELD_FLOOR`` are set aside as untestable first
+(:func:`_live_jets`).  The rows are assembled in array passes over the
+points: one field call samples every jet, the analytic predictions are
+array expressions, and Python only builds the result rows.
 A point left with too few radii, or whose row cannot be computed, keeps its
 :class:`HolomeansError` in its slot of the rows; the public verdicts raise
 the first of them (in the order given), while the command line interface
@@ -43,7 +43,6 @@ the one-point calls.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +93,6 @@ def _decide(size, credible=True, reject=ZERO_TOL):
     decided = np.where(size <= ZERO_TOL, "vanishes",
                        np.where(size < reject, "inconclusive", "converges_nonzero"))
     return np.where(credible, decided, "inconclusive")
-
-
-_decide_membership = functools.partial(_decide, reject=REJECT_TOL)
 
 
 @dataclass(frozen=True)
@@ -336,41 +332,53 @@ def _estimates(cols, rows):
     return [LimitEstimate(*row) for row in zip(*fields)]
 
 
-def _verdict_rows(kind, f, points, d, cfg, analytic, rows, untestable):
-    """One verdict row per point, assembled in array passes over the points.
-
-    Points where |f(z)| falls below ``FIELD_FLOOR`` get ``untestable(z)``.
-    The rest are swept together in one batched solve and their jets come
-    from one field call; ``analytic(jets)`` returns the first-order
-    prediction as an array over the points given, with a list of per-point
-    errors, and the sweeps are extrapolated together (increment ratios for
-    ``pair_increment``).  A point gets the first :class:`HolomeansError`
-    met for it: that of its sweep, its jet, its prediction or its fit, in
-    this order.  The points with none get their rows from one
-    ``rows(zs, estimates, predictions)`` call over all of them, with
-    ``zs`` a list of complex, ``estimates`` a list of
-    :class:`LimitEstimate` and ``predictions`` a complex array.
-    """
+def _live_jets(f, points):
+    """The flattened ``points`` (none refused), the mask of those where
+    |f| < ``FIELD_FLOOR``, and the jets of the others with their errors."""
     pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
     if pts.size == 0:
         raise InvalidParameterError("need at least one point")
     low = np.abs(field_values(f, pts)) < FIELD_FLOOR
-    live = pts[~low]
-    radii, _, values, ok, sweep_errors = _sweeps(kind, f, live, d, cfg)
-    jets, jet_errors = _wirtinger_jets(f, live)
+    return (pts, low, *_wirtinger_jets(f, pts[~low]))
+
+
+def _limits(kind, f, points, d, cfg):
+    """The sweep-to-limit step of every verdict: :func:`_extrapolate_rows`
+    columns of all the points' sweeps (increment ratios for
+    ``pair_increment``), and the per-point sweep errors."""
+    radii, _, values, ok, errors = _sweeps(kind, f, points, d, cfg)
+    if kind == "pair_increment":
+        values = values / radii
+    return _extrapolate_rows(radii, values, ok), errors
+
+
+def _verdict_rows(kind, f, points, d, cfg, analytic, rows, untestable):
+    """One verdict row per point, assembled in array passes over the points.
+
+    Points where |f(z)| falls below ``FIELD_FLOOR`` get ``untestable(z)``;
+    the rest get their jets and limits from :func:`_live_jets` and
+    :func:`_limits`.  ``analytic(jets)`` returns the first-order prediction
+    as an array over the points given, with a list of per-point errors.  A
+    point gets the first :class:`HolomeansError` met for it: that of its
+    sweep, its jet, its prediction or its fit, in this order.  The points
+    with none get their rows from one ``rows(zs, estimates, limits,
+    predictions)`` call over all of them, with ``zs`` a list of complex,
+    ``estimates`` a list of :class:`LimitEstimate` and ``limits`` and
+    ``predictions`` complex arrays.
+    """
+    pts, low, jets, jet_errors = _live_jets(f, points)
+    cols, sweep_errors = _limits(kind, f, jets.base, d, cfg)
     results = [a or b for a, b in zip(sweep_errors, jet_errors)]
     ok_pts = np.flatnonzero([res is None for res in results])
     predicted, errors = analytic(Jet(jets.base[ok_pts], jets.value[ok_pts], jets.dz[ok_pts],
                                      jets.dzbar[ok_pts]))
-    if kind == "pair_increment":
-        values = values / radii
-    cols = _extrapolate_rows(radii, values[ok_pts], ok[ok_pts])
-    errors = [a or b for a, b in zip(errors, cols["errors"])]
+    errors = [a or cols["errors"][i] for a, i in zip(errors, ok_pts.tolist())]
     passed = [j for j, error in enumerate(errors) if error is None]
     for i, error in zip(ok_pts.tolist(), errors):
         results[i] = error
     done = ok_pts[passed]
-    made = rows(live[done].tolist(), _estimates(cols, passed), predicted[passed])
+    made = rows(jets.base[done].tolist(), _estimates(cols, done), cols["limit"][done],
+                predicted[passed])
     for i, result in zip(done.tolist(), made):
         results[i] = result
     live_rows = iter(results)
@@ -428,7 +436,7 @@ def _holomorphy_rows(g, points, d, cfg=None):
             consistent=bool(est.verdict != "inconclusive" and gap <= MATCH_TOL),
         )
 
-    def rows(zs, estimates, predictions):
+    def rows(zs, estimates, limits, predictions):
         return list(map(row, zs, estimates, predictions.tolist()))
 
     return _verdict_rows("conjugate", g, points, d, cfg, analytic, rows, HolomorphyVerdict)
@@ -463,7 +471,7 @@ def _system_rows(f, points, d, cfg=None):
             consistent=bool(sweep_ok is not None and sweep_ok == analytic_ok),
         )
 
-    def rows(zs, estimates, residuals):
+    def rows(zs, estimates, limits, residuals):
         analytic = _decide(np.abs(residuals)).tolist()
         return list(map(row, zs, estimates, residuals.tolist(), analytic))
 
@@ -505,8 +513,7 @@ def _amvp_rows(f, points, d, cfg=None):
             consistent=bool(gap <= MATCH_TOL),
         )
 
-    def rows(zs, estimates, brackets):
-        limits = np.array([est.limit for est in estimates], dtype=complex)
+    def rows(zs, estimates, limits, brackets):
         holding = (_decide(np.abs(limits)) == "vanishes").tolist()
         return list(map(row, zs, estimates, brackets.tolist(), holding))
 

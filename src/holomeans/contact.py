@@ -17,10 +17,11 @@ A probe claims only the two slope coefficients (sigma, tau); the field value
 at the base point is always sampled from the field itself.  The first-order
 behaviour of the projected increment has a closed form, the xi envelope,
 which the verdicts cross-check.  The full-field report evaluates every
-direction of a uniform fan at every sample point from one radius sweep of
-all points' affine surrogates together (one batched circle-mean solve for
-the whole ladder); each point's sweep serves all its directions, since
-projection onto a direction commutes with the linear extrapolation.  The
+direction of a uniform fan at every sample point from the sweep-to-limit
+step of every verdict (``asymptotics._limits``), run once on all points'
+affine surrogates together; :func:`camvp_verdict` is its one-probe call.
+Each point's fit serves all its directions, since projection onto a
+direction commutes with the linear extrapolation.  The
 rows are assembled in array passes over (points, directions): projected
 limits, fit residuals, envelopes (one convexity-ratio evaluation for every
 point), gaps and decisions.
@@ -34,13 +35,13 @@ import numpy as np
 
 from . import geometry
 from .asymptotics import (
+    REJECT_TOL,
     LimitEstimate,
     SweepConfig,
     _decide,
-    _decide_membership,
-    _extrapolate_rows,
+    _limits,
+    _live_jets,
     _row_sums,
-    _sweeps,
     extrapolate,
 )
 from .density import lambda_of
@@ -48,7 +49,6 @@ from .errors import InvalidParameterError, _raise_first
 from .geometry import (
     Jet,
     _modulus,
-    _wirtinger_jets,
     affine_eval,
     circle_rule,
     field_values,
@@ -217,8 +217,8 @@ def jet_membership(f, probe, cfg=None):
     return MembershipResult(
         point=z,
         xi=xi,
-        verdict=_MEMBERSHIP[str(_decide_membership(est.limit.real,
-                                                   est.verdict != "inconclusive"))],
+        verdict=_MEMBERSHIP[str(_decide(est.limit.real, est.verdict != "inconclusive",
+                                        reject=REJECT_TOL))],
         estimate=est,
         ratios=tuple(float(v) for v in ratios),
     )
@@ -241,22 +241,20 @@ class ContactAmvpResult:
     consistent: bool = False
 
 
-def _direction_rows(points, xi, radii, ratios, ok, jets, d):
-    """Project every point's pair-increment sweep onto every direction and classify.
+def _direction_rows(points, xi, cols, jets, d):
+    """Project every point's pair-increment fit onto every direction and classify.
 
-    ``points``, the (points, radii) increment ratios ``ratios`` with their
-    usable entries ``ok``, and the :class:`Jet` of arrays ``jets`` run over
-    the points, ``xi`` over the directions; limits, fit residuals, envelopes,
-    gaps and decisions are (points, directions) arrays.  Limits and fit
-    residuals project the limit and the residual vector of each point's one
-    linear fit.  The decision is one-sided and decisive: the property holds
-    along xi exactly when the projected limit is at least ``-ZERO_TOL``, and
-    a row is consistent when its envelope is decided alike.  Fit quality is
-    reported per direction but does not gate the decision.  Returns the rows
-    point by point, each point's directions in order.
+    ``points``, the :func:`~holomeans.asymptotics._limits` columns ``cols``
+    and the :class:`Jet` of arrays ``jets`` run over the points, ``xi`` over
+    the directions; limits, fit residuals, envelopes, gaps and decisions are
+    (points, directions) arrays.  Limits and fit residuals project the limit
+    and the residual vector of each point's one linear fit.  The decision is
+    one-sided and decisive: the property holds along xi exactly when the
+    projected limit is at least ``-ZERO_TOL``, and a row is consistent when
+    its envelope is decided alike.  Fit quality is reported per direction
+    but does not gate the decision.  Returns the rows point by point, each
+    point's directions in order.
     """
-    cols = _extrapolate_rows(radii, ratios, ok)
-    _raise_first(cols["errors"])
     conj_xi = np.conj(xi)
     limits = (conj_xi * cols["limit"][:, None]).real
     projected = (conj_xi[:, None] * cols["residual"][:, None, :]).real
@@ -284,6 +282,18 @@ def _direction_rows(points, xi, radii, ratios, ok, jets, d):
     return rows
 
 
+def _surrogate_rows(jets, xi, d, cfg):
+    """:func:`_direction_rows` of the affine touching surrogates of the
+    :class:`Jet` of arrays ``jets``, all swept and fitted in one batch; the
+    first point whose sweep or fit failed raises its error."""
+    # One affine touching surrogate per point, as a jet of (points, 1) arrays.
+    surrogate = Jet(*(part[:, None] for part in (jets.base, jets.value, jets.dz, jets.dzbar)))
+    cols, errors = _limits("pair_increment", lambda zeta: affine_eval(surrogate, zeta),
+                           jets.base, d, cfg)
+    _raise_first(errors + cols["errors"])
+    return _direction_rows(jets.base, xi, cols, jets, d)
+
+
 def camvp_verdict(f, probe, d, cfg=None):
     """Contact asymptotic mean value property for one probe.
 
@@ -291,22 +301,16 @@ def camvp_verdict(f, probe, d, cfg=None):
     forms an affine touching surrogate; the xi projection of the surrogate's
     pair-mean increment, divided by the radius, must extrapolate to a limit
     no lower than ``-ZERO_TOL``.  A field value below ``FIELD_FLOOR`` makes
-    the mean undefined, reported as ``untestable``.
+    the mean undefined, reported as ``untestable``.  The one-probe call of
+    the surrogate sweep of :func:`contact_solution_verdict`.
     """
     xi = _check_unit(probe.xi)
     z = complex(probe.base)
     fz = complex(field_values(f, [z])[0])
     if abs(fz) < FIELD_FLOOR:
         return ContactAmvpResult(z, xi)
-    jet = Jet(base=z, value=fz, dz=complex(probe.sigma), dzbar=complex(probe.tau))
-
-    def affine(pts):
-        return affine_eval(jet, pts)
-
-    radii, _, values, ok, errors = _sweeps("pair_increment", affine, [z], d, cfg)
-    _raise_first(errors)
-    jets = Jet(*(np.array([part]) for part in (jet.base, jet.value, jet.dz, jet.dzbar)))
-    return _direction_rows([z], np.array([xi]), radii, values / radii, ok, jets, d)[0]
+    jets = Jet(*(np.array([complex(part)]) for part in (z, fz, probe.sigma, probe.tau)))
+    return _surrogate_rows(jets, np.array([xi]), d, cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -341,21 +345,11 @@ def contact_solution_verdict(f, points, d, directions=DEFAULT_DIRECTION_COUNT, c
         if xi_list.size == 0:
             raise InvalidParameterError("need at least one direction")
 
-    pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
-    if pts.size == 0:
-        raise InvalidParameterError("need at least one point")
-    low = np.abs(field_values(f, pts)) < FIELD_FLOOR
-    live = pts[~low]
-    jets, errors = _wirtinger_jets(f, live)
+    pts, low, jets, errors = _live_jets(f, points)
     _raise_first(errors)
     residuals, errors = _cr_residuals(jets, d)
     _raise_first(errors)
-    # One affine touching surrogate per point, as a jet of (points, 1) arrays.
-    surrogate = Jet(*(part[:, None] for part in (jets.base, jets.value, jets.dz, jets.dzbar)))
-    radii, _, values, ok, errors = _sweeps("pair_increment",
-                                           lambda zeta: affine_eval(surrogate, zeta), live, d, cfg)
-    _raise_first(errors)
-    rows = _direction_rows(live, xi_list, radii, values / radii, ok, jets, d)
+    rows = _surrogate_rows(jets, xi_list, d, cfg)
     holds = np.array([row.status == "holds" for row in rows])
     agrees = np.array([row.consistent for row in rows])
     # a row is consistent exactly when its envelope is decided as its limit is

@@ -496,12 +496,13 @@ def _sweep(grid, d, cfg, stencil):
     skipped = int(np.count_nonzero(held))
 
     rows = slice(None) if skipped == 0 else ~held
+    old = inner[rows]
+    failed = 0
     if d.lambda_lo == d.lambda_hi == 1.0:
         # s F''/F' == 1 makes F = c s^2 + const, whose minimizers are the
         # weighted projections themselves: one correlation with the taps.
         mean = _spectral_sum(values, stencil)[rows]
         _require_finite(mean)
-        bad = np.zeros(mean.shape, dtype=bool)
     else:
         samples = _circle_samples(grid, stencil, rows)
         _require_finite(samples)
@@ -509,18 +510,20 @@ def _sweep(grid, d, cfg, stencil):
         res_a = fit_model_coefficient(d, samples, np.ones_like(stencil.offsets), init_a)
         res_b = fit_model_coefficient(d, samples, np.conj(stencil.offsets), init_b)
         mean = res_a["minimizer"] + cfg.radius * res_b["minimizer"]
+        # A row whose fit failed keeps its old value.
         bad = (res_a["status"] == _STATUS_FAILED) | (res_b["status"] == _STATUS_FAILED)
-    old = inner[rows]
-    if np.any(bad):
-        mean = np.where(bad, old, mean)
+        failed = int(np.count_nonzero(bad))
+        if failed:
+            mean = np.where(bad, old, mean)
     residual_sup = float(np.max(np.abs(mean - old))) if mean.size else 0.0
-    inner[rows] = np.where(bad, old, (1.0 - cfg.damping) * old + cfg.damping * mean)
+    damped = (1.0 - cfg.damping) * old + cfg.damping * mean
+    inner[rows] = np.where(bad, old, damped) if failed else damped
     new_values = values.copy()
     new_values[box] = inner.reshape(values[box].shape)
     return replace(grid, values=new_values), StepDiagnostics(
         residual_sup=residual_sup,
-        updated_count=int(inner.size - skipped - np.count_nonzero(bad)),
-        skipped_count=skipped + int(np.count_nonzero(bad)),
+        updated_count=int(inner.size - skipped - failed),
+        skipped_count=skipped + failed,
     )
 
 

@@ -204,14 +204,10 @@ def weighted_holomorphic_mean(f, z, r):
     Computes ``(1 / area) * integral of f(zeta) (1 + (2 / r)(zeta - z)) dA``
     over the disk of radius ``r`` at ``z``.  The weight integrates to the
     area, and the mean reproduces f(z) exactly when f is holomorphic on the
-    closed disk.
+    closed disk.  This is ``a + r * b`` of :func:`projection_pair`.
     """
-    z = complex(z)
-    q = disk_rule(z, r)
-    vals = sample_field(f, q.nodes)
-    kernel = 1.0 + (2.0 / q.radius) * (q.nodes - z)
-    area = np.pi * q.radius**2
-    return complex((vals * kernel) @ q.weights / area)
+    a, b = projection_pair(f, z, r)
+    return complex(a + r * b)
 
 
 def projection_pair(f, z, r):

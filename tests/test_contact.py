@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import holomeans as hm
-from holomeans.asymptotics import _sweeps
+from holomeans.asymptotics import _limits
 from holomeans.contact import _direction_rows
 from holomeans.errors import InvalidParameterError
 from holomeans.geometry import _wirtinger_jets
@@ -278,11 +278,11 @@ def test_direction_fit_residuals_come_from_each_point_s_own_fit():
     # fit residual is the RMS of its own linear fit's residuals projected
     # onto the direction, as a refit of that point alone gives it.
     pts = np.array([0.2 + 0.3j, _HOLE + 0.13, 0.8 + 0.2j, _HOLE - 0.13j])
-    radii, _, values, ok, _ = _sweeps("pair_increment", _holed_exp, pts, D3, None)
-    assert np.sum(ok, axis=1).tolist() == [8, 7, 8, 7]
+    cols, _ = _limits("pair_increment", _holed_exp, pts, D3, None)
+    assert cols["count"].tolist() == [8, 7, 8, 7]
     jets, _ = _wirtinger_jets(_holed_exp, pts)
     xi = hm.unit_directions(16)
-    rows = _direction_rows(pts, xi, radii, values / radii, ok, jets, D3)
+    rows = _direction_rows(pts, xi, cols, jets, D3)
     assert len(rows) == pts.size * xi.size
     for i, z in enumerate(pts):
         s = hm.sweep("pair_increment", _holed_exp, z, D3)

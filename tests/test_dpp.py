@@ -626,9 +626,9 @@ def test_a_nonfinite_strip_node_a_circle_reads_raises_the_typed_error_only(p, ba
 
 @pytest.mark.parametrize("bad", (np.inf, np.nan))
 @pytest.mark.parametrize("p", (2.0, 3.0))
-def test_a_nonfinite_strip_node_only_wrap_entries_read_leaves_the_step_as_it_is(p, bad):
-    # No circle reaches column 0, but the flat tap runs pass over (s + 1, 0)
-    # in the wrap entries they drop.
+def test_a_nonfinite_strip_node_no_unknown_s_taps_read_leaves_the_step_as_it_is(p, bad):
+    # No circle reaches column 0: no unknown's taps read (s + 1, 0), so the
+    # node is zeroed before the FFT.
     g, (stepped, diag) = nonfinite_strip_step(p, lambda s, nx: (s + 1, 0), bad)
     clean, clean_diag = hm.dpp_step(g, hm.power_density(p), hm.DppConfig(radius=0.2))
     mask = g.interior_mask()

@@ -106,6 +106,15 @@ def test_weighted_mean_reproduces_holomorphic_values(f):
         assert abs(got - f(z)) <= 1e-12 * (1.0 + abs(f(z)))
 
 
+@pytest.mark.parametrize(
+    "f", [np.exp, np.conj, lambda z: np.abs(z) ** 2 + 1j * z**3]
+)
+def test_weighted_mean_is_a_plus_r_b_of_the_projection_pair(f):
+    for z, r in [(0.2 + 0.1j, 0.5), (-0.7 + 0.4j, 0.25), (1.0 - 1.0j, 0.1)]:
+        a, b = hm.projection_pair(f, z, r)
+        assert hm.weighted_holomorphic_mean(f, z, r) == a + r * b
+
+
 def test_weighted_mean_of_conjugate_detects_radius():
     # conj(zeta) at the origin: the weighting turns the mean into exactly r
     for r in (0.5, 0.1, 0.02):
