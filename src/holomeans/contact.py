@@ -44,7 +44,6 @@ from .asymptotics import (
     _row_sums,
     extrapolate,
 )
-from .density import lambda_of
 from .errors import InvalidParameterError, _raise_first
 from .geometry import (
     Jet,
@@ -54,7 +53,7 @@ from .geometry import (
     field_values,
     sample_field,
 )
-from .pdesystem import FIELD_FLOOR, _cr_residuals
+from .pdesystem import FIELD_FLOOR, _cr_residuals, mu_of
 
 __all__ = [
     "ContactProbe",
@@ -155,9 +154,9 @@ def xi_envelope(omega, sigma, tau, xi, d):
 def _xi_envelopes(omega, sigma, tau, xi, d):
     """:func:`xi_envelope` of every jet along every direction, (jets, directions).
 
-    ``omega``, ``sigma`` and ``tau`` hold one jet per entry; the
-    convexity ratio of every nonzero ``|omega|`` comes from one
-    :func:`lambda_of` call.
+    ``omega``, ``sigma`` and ``tau`` hold one jet per entry; the system's
+    coefficient mu of every nonzero ``|omega|`` comes from one
+    :func:`~holomeans.pdesystem.mu_of` call.
     """
     omega, sigma, tau = (np.asarray(a, dtype=complex) for a in (omega, sigma, tau))
     mod = _modulus(omega)
@@ -172,9 +171,7 @@ def _xi_envelopes(omega, sigma, tau, xi, d):
             )
         coeff = abs((alpha - 1.0) / (alpha + 1.0))
         tail[zero] = coeff * _modulus(sigma[zero])[:, None]
-    w = omega[~zero, None]
-    lam = lambda_of(d, mod[~zero, None])
-    mu = (lam - 1.0) / (lam + 1.0)
+    w, mu = omega[~zero, None], mu_of(d, mod[~zero, None])
     tail[~zero] = mu * (w / np.conj(w) * np.conj(xi * sigma[~zero, None])).real
     return (np.conj(xi) * tau[:, None]).real + tail
 

@@ -10,19 +10,19 @@ The solver damps the natural fixed-point map
 and stops when the sup update over computed nodes drops below a tolerance.
 Circle samples between lattice nodes are obtained by bilinear interpolation.
 For a quadratic density (``lambda_lo == lambda_hi == 1``) the pair mean is
-their closed-form weighted projection, with no Newton run.  Every unknown is
-a lattice node, so each circle node's bilinear cell lies at the same lattice
-shift from every unknown: the corner shifts and weights of each circle node
-come once per solve from ``offsets / h``, the projection is summed over equal
-shifts into one coefficient per distinct shift (a tap), and a sweep is the
-correlation of the lattice with those taps.  It is computed by the
-convolution theorem, one forward and one inverse FFT of the lattice padded
-to 2-3-5-smooth sizes (the taps' spectrum is built once per solve), and
-cropped to the unknowns; the strip keeps every tap of an unknown inside the
-lattice, so no circular wrap reaches an unknown.  At any other density a
-sweep runs the pair mean's two batched Newton solves over every node at
-once, on the samples of one :func:`interpolate` call and from the
-circle-mean engine's starts (``means._newton_starts``).
+the closed form that starts every other density's Newton runs, linear in the
+samples.  Every unknown is a lattice node, so each circle node's bilinear
+cell lies at the same lattice shift from every unknown: the corner shifts and
+weights come once per solve from ``offsets / h``, each distinct shift (a tap)
+gets the closed-form pair mean of its weights at the circle nodes
+(``means._newton_starts``), and a sweep is the correlation of the lattice
+with those taps.  It is computed by the convolution theorem, one forward and
+one inverse FFT of the lattice padded to 2-3-5-smooth sizes (the taps'
+spectrum is built once per solve), and cropped to the unknowns; the strip
+keeps every tap of an unknown inside the lattice, so no circular wrap
+reaches an unknown.  At any other density a sweep runs the pair mean's two
+batched Newton solves over every node at once, on the samples of one
+:func:`interpolate` call and from those closed-form starts.
 
 Nodes where the field modulus falls below ``FIELD_FLOOR`` make the mean
 ill-posed (the density may lose smoothness at zero): a sweep skips a node
@@ -343,6 +343,7 @@ def _check_geometry(grid, cfg):
 class _CircleStencil(NamedTuple):
     """Everything a sweep needs that is fixed for the whole solve.
 
+    ``pair`` is the closed-form pair mean of each tap's corner weights.
     ``spectrum`` is the 2-D FFT of the taps placed at ``(-dy, -dx)`` on the
     padded lattice, so that its product with the lattice's FFT is the tap
     sum at every node.  ``reached`` marks the nodes that some unknown's taps
@@ -353,7 +354,7 @@ class _CircleStencil(NamedTuple):
     offsets: np.ndarray  # (nodes,) circle offsets from the centre
     box: tuple  # (row, column) slices of the unknown rectangle
     shifts: np.ndarray  # (taps, 2) lattice (row, column) shift of each tap
-    pair: np.ndarray  # (taps,) complex coefficients of the quadratic pair mean
+    pair: np.ndarray  # (taps,) complex tap coefficients
     spectrum: np.ndarray  # (Py, Px) FFT of the taps on the padded lattice
     reached: np.ndarray  # (ny, nx) nodes that the unknowns' taps read
 
@@ -371,7 +372,7 @@ def _smooth_size(n):
 
 
 def _circle_stencil(grid, cfg):
-    """Circle offsets and the projection taps of the quadratic pair mean."""
+    """Circle offsets and the taps of the quadratic pair mean (:class:`_CircleStencil`)."""
     q = circle_rule(0j, cfg.radius, geometry.DEFAULT_CIRCLE_NODES)
     nx, ny = grid.shape
     s = grid.strip_cells
@@ -386,12 +387,9 @@ def _circle_stencil(grid, cfg):
     shifts, tap = np.unique(
         np.column_stack([dy.ravel(), dx.ravel()]), axis=0, return_inverse=True
     )
-    tap, taps = tap.ravel(), len(shifts)
-    centre = np.bincount(tap, corner_weights.ravel(), taps) / q.nodes.size
-    slope_terms = (corner_weights * q.nodes).ravel()
-    slope = (
-        np.bincount(tap, slope_terms.real, taps) + 1j * np.bincount(tap, slope_terms.imag, taps)
-    ) * (q.weights[0] / (2.0 * np.pi * cfg.radius**3))
+    weights = np.zeros((len(shifts), q.nodes.size))
+    np.add.at(weights, (tap.ravel(), np.tile(np.arange(q.nodes.size), 4)), corner_weights.ravel())
+    centre, slope = _newton_starts("pair", weights, q.nodes, cfg.radius)
     pair = centre + cfg.radius * slope
     box = (slice(s, ny - s), slice(s, nx - s))
     kernel = np.zeros((_smooth_size(ny), _smooth_size(nx)), dtype=complex)

@@ -427,7 +427,8 @@ def fit_model_coefficient(d, samples, model, init):
 
 def _newton_starts(kind, samples, offsets, r):
     """The ``kind`` mean's Newton starts ``(center, slope)``, None where not fitted:
-    the circle average, and the quadratic closed form (``offsets`` from the centre)."""
+    the circle average, and the quadratic closed form (``offsets`` from the centre).
+    At the quadratic density the starts are the means themselves."""
     center = np.mean(samples, axis=-1) if kind in ("center", "pair") else None
     slope = None if kind == "center" else np.mean(samples * offsets, axis=-1) / r**2
     return center, slope
