@@ -92,7 +92,8 @@ MAX_NEWTON_ITERATIONS = 60
 MAX_BACKTRACKS = 60
 STEP_TOL = 1e-11
 # A row of a power-law fit whose largest modulus exceeds HUGE_MODULUS is
-# fitted at unit scale, since squared moduli overflow from about 1.3e154.
+# fitted at unit scale, since squared moduli overflow from about 1.3e154; at
+# any other density such a row fails unevaluated.
 HUGE_MODULUS = 2.0**500
 
 _STATUS_ACTIVE = 0
@@ -255,7 +256,9 @@ def fit_model_coefficient(d, samples, model, init):
     ``iterations`` and integer ``status`` codes (1 converged, 3 failed).
     A row fails when its Newton direction is unusable, when its line search
     runs out of backtracks, or when the iteration budget ends above the
-    first-order tolerance.
+    first-order tolerance.  At a density that is not a power law, a row whose
+    largest modulus exceeds ``HUGE_MODULUS`` fails at its start, with no
+    iteration, an infinite objective and a NaN first-order residual.
 
     Raises
     ------
@@ -288,7 +291,9 @@ def fit_model_coefficient(d, samples, model, init):
     # by 2**-(e alpha).  So a huge row is fitted below 2 and scaled back.
     modulus, mscale = np.abs(samples), np.max(mmod, axis=-1)
     top = np.maximum(np.max(modulus, axis=-1), np.abs(c) * mscale)
-    huge = (top > HUGE_MODULUS) & (alpha is not None)
+    huge = top > HUGE_MODULUS
+    aside = huge & (alpha is None)  # F, F' and F'' may overflow there: it fails unevaluated
+    huge &= alpha is not None
     if np.any(huge):
         e = np.frexp(top[huge])[1] - 1
         samples = samples.copy()
@@ -296,12 +301,23 @@ def fit_model_coefficient(d, samples, model, init):
         c[huge] *= np.ldexp(1.0, -e)
         modulus[huge] = np.abs(samples[huge])
 
-    favg = np.mean(np.asarray(d.deriv_fn(modulus), dtype=float), axis=-1)
-    del modulus
-    foc_tol = FOC_TOL_COEFF * (1.0 + favg)
+    # The active rows, in order, with their own rows of every per-row input.
+    # Rows only ever leave; the arrays are re-indexed when one does.
     state = np.full(samples.shape[0], _STATUS_ACTIVE, dtype=int)
     foc_out = np.zeros(samples.shape[0])
+    obj_out = np.full(samples.shape[0], np.inf)
     iters = np.zeros(samples.shape[0], dtype=int)
+    act = np.arange(samples.shape[0])
+    rows, per_row = samples, (model, np.square(mmod, out=mmod), mscale)
+    if np.any(aside):
+        state[aside], foc_out[aside] = _STATUS_FAILED, np.nan
+        act = act[~aside]
+        rows, modulus = samples[act], modulus[act]
+        if not shared:
+            per_row = tuple(a[act] for a in per_row)
+    favg = np.mean(np.asarray(d.deriv_fn(modulus), dtype=float), axis=-1)
+    del modulus
+    tol = FOC_TOL_COEFF * (1.0 + favg)
 
     def evaluate(rows, m, cc):
         # Residuals at the coefficients cc, their squared moduli and gradient
@@ -316,14 +332,10 @@ def fit_model_coefficient(d, samples, model, init):
             k[near] = np.where(s2[near] > 0.0, k[near], 0.0)
         return u, s2, k, near, objective(s2, k)
 
-    # The active rows, in order, with their own rows of every per-row input,
-    # and the terms at their current coefficients.  Rows only ever leave;
-    # the arrays are re-indexed when one does.
-    act = np.arange(samples.shape[0])
-    rows, tol = samples, foc_tol
-    per_row = (model, np.square(mmod, out=mmod), mscale)
-    u, s2, k, near, obj = evaluate(rows, model, c)
-    cur, obj_out = c.copy(), obj.copy()
+    # The terms at the active rows' current coefficients.
+    cur = c[act]
+    u, s2, k, near, obj = evaluate(rows, per_row[0], cur)
+    obj_out[act] = obj
 
     for it in range(MAX_NEWTON_ITERATIONS + 1):
         if act.size == 0:

@@ -398,6 +398,27 @@ def test_power_law_fit_of_huge_samples_matches_the_unit_scale_fit(p):
         assert fit["objective"][0] == np.inf
 
 
+def test_general_kernel_rows_past_huge_modulus_fail_unevaluated():
+    # Bounds around the constant ratio make p = 1.5 take the general terms,
+    # whose F, F' and F'' overflow on a row at 1e160.  That row fails at its
+    # start with no RuntimeWarning (the suite makes one an error), and a row
+    # of ordinary scale in the same batch keeps the bits of its own fit.
+    general = dataclasses.replace(hm.power_density(1.5), lambda_lo=0.4, lambda_hi=0.6)
+    assert _power_law(general) is None
+    ring = np.exp(2j * np.pi * np.arange(16) / 16)
+    unit = (0.3 + 0.2j) + 0.1 * ring
+    rows = np.stack([1e160 * unit, unit])
+    init = 0.5 * np.mean(rows, axis=1)
+    fit = fit_model_coefficient(general, rows, np.ones(16), init)
+    ref = fit_model_coefficient(general, unit[None], np.ones(16), init[1:])
+    assert fit["status"].tolist() == [3, 1]
+    assert fit["iterations"][0] == 0
+    assert fit["minimizer"][0] == init[0]
+    assert fit["objective"][0] == np.inf and np.isnan(fit["foc_residual"][0])
+    for name in ref:
+        assert fit[name][1] == ref[name][0]
+
+
 def test_circumcircle_of_collinear_points_is_none():
     assert _circumcircle(0j, 1 + 1j, 2 + 2j) is None
     center, radius = _circumcircle(1 + 0j, 1j, -1 + 0j)
