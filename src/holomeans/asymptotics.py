@@ -297,6 +297,25 @@ def _row_sums(a):
     return np.cumsum(a, axis=-1)[..., -1] if a.shape[-1] else a.sum(axis=-1)
 
 
+def _rms(residual, count):
+    """Root mean square of each row of ``residual`` (last axis) over ``count`` entries.
+
+    The squared moduli sum by :func:`_row_sums`.  A row whose sum overflows is
+    summed again scaled by the power of two of its largest modulus, which is
+    exact, and scaled back; every other row keeps the plain sum's bits.
+    """
+    modulus = np.abs(residual)
+    with np.errstate(over="ignore"):
+        rms = np.sqrt(_row_sums(modulus**2) / count)
+    huge = np.isinf(rms)
+    if np.any(huge):
+        part = modulus[huge]
+        e = np.frexp(np.max(part, axis=-1))[1]
+        total = _row_sums(np.ldexp(part, -e[:, None]) ** 2)
+        rms[huge] = np.ldexp(np.sqrt(total / np.broadcast_to(count, rms.shape)[huge]), e)
+    return rms
+
+
 def _extrapolate_rows(radii, values, ok):
     """:func:`extrapolate` of every row of the (rows, radii) ``values`` over its ``ok`` radii.
 
@@ -317,7 +336,7 @@ def _extrapolate_rows(radii, values, ok):
         slope = _row_sums(dr * (v - v_mean[:, None])) / spread
         limit = v_mean - slope * r_mean
         residual = np.where(ok, v - (limit[:, None] + slope[:, None] * radii), 0.0)
-        fit_residual = np.sqrt(_row_sums(np.abs(residual) ** 2) / count)
+        fit_residual = _rms(residual, count)
     scale = np.maximum(np.max(np.abs(v), axis=-1, initial=0.0), ZERO_TOL)
     verdict = _decide(_modulus(limit), fit_residual <= FIT_TOL_COEFF * scale)
     error = InvalidSweepError("need at least two distinct radii to extrapolate")

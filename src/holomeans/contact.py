@@ -41,7 +41,7 @@ from .asymptotics import (
     _decide,
     _limits,
     _live_jets,
-    _row_sums,
+    _rms,
     extrapolate,
 )
 from .errors import InvalidParameterError, _raise_first
@@ -250,12 +250,13 @@ def _direction_rows(points, xi, cols, jets, d):
     projected limit is at least ``-ZERO_TOL``, and a row is consistent when
     its envelope is decided alike.  Fit quality is reported per direction
     but does not gate the decision.  Returns the rows point by point, each
-    point's directions in order.
+    point's directions in order, with the ``holds`` and ``consistent`` flags
+    of the rows in that order.
     """
     conj_xi = np.conj(xi)
     limits = (conj_xi * cols["limit"][:, None]).real
     projected = (conj_xi[:, None] * cols["residual"][:, None, :]).real
-    fit_residuals = np.sqrt(_row_sums(projected**2) / cols["count"][:, None])
+    fit_residuals = _rms(projected, cols["count"][:, None])
     envelopes = _xi_envelopes(jets.value, jets.dz, jets.dzbar, xi, d)
     gaps = np.abs(limits - envelopes)
     holds = _decide(-limits) == "vanishes"
@@ -276,7 +277,7 @@ def _direction_rows(points, xi, cols, jets, d):
                 envelope_gap=gap,
                 consistent=agrees,
             ))
-    return rows
+    return rows, holds.ravel(), consistent.ravel()
 
 
 def _surrogate_rows(jets, xi, d, cfg):
@@ -307,7 +308,7 @@ def camvp_verdict(f, probe, d, cfg=None):
     if abs(fz) < FIELD_FLOOR:
         return ContactAmvpResult(z, xi)
     jets = Jet(*(np.array([complex(part)]) for part in (z, fz, probe.sigma, probe.tau)))
-    return _surrogate_rows(jets, np.array([xi]), d, cfg)[0]
+    return _surrogate_rows(jets, np.array([xi]), d, cfg)[0][0]
 
 
 @dataclass(frozen=True)
@@ -346,9 +347,7 @@ def contact_solution_verdict(f, points, d, directions=DEFAULT_DIRECTION_COUNT, c
     _raise_first(errors)
     residuals, errors = _cr_residuals(jets, d)
     _raise_first(errors)
-    rows = _surrogate_rows(jets, xi_list, d, cfg)
-    holds = np.array([row.status == "holds" for row in rows])
-    agrees = np.array([row.consistent for row in rows])
+    rows, holds, agrees = _surrogate_rows(jets, xi_list, d, cfg)
     # a row is consistent exactly when its envelope is decided as its limit is
     camvp_pass, envelope_pass, residual_pass, agree = (
         bool(flags.size) and bool(flags.all())

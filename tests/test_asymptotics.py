@@ -291,6 +291,38 @@ def test_extrapolation_matches_a_least_squares_oracle():
                                        atol=1e-13 * abs(oracle[0]))
 
 
+def test_extrapolating_values_past_the_square_overflow_is_the_scaled_fit():
+    # Squared moduli overflow above about 1.3e154; the fit residual of such
+    # a row is summed at unit scale, so scaling by 2**600 scales limit, slope
+    # and fit residual exactly, with no RuntimeWarning (the suite makes one
+    # an error).
+    rng = np.random.default_rng(5)
+    radii = hm.SweepConfig().radii()
+    values = rng.normal(size=radii.size) + 1j * rng.normal(size=radii.size)
+    unit = hm.extrapolate(radii, values)
+    big = hm.extrapolate(radii, values * 2.0**600)
+    assert big.limit == unit.limit * 2.0**600
+    assert big.slope == unit.slope * 2.0**600
+    assert big.fit_residual == unit.fit_residual * 2.0**600
+    assert hm.extrapolate([1, 2, 3], [1e308, -1e308, 1e308]).fit_residual < np.inf
+
+
+def test_verdicts_on_huge_moduli_leak_no_warning():
+    # At p = 1.5 on 1e200 exp every fit residual sums squares past the
+    # overflow; the sums are taken at unit scale, and the derivative-detecting
+    # limit, of size 4.5e199, is decided as a violation.
+    d = hm.power_density(1.5)
+    f = lambda zeta: 1e200 * np.exp(zeta)
+    z = 0.3 + 0.2j
+    (row,) = hm.system_verdict(f, [z], d)
+    assert row.status == "violated" and np.isfinite(row.estimate.fit_residual)
+    assert hm.extrapolate(hm.sweep("variational", f, z, d)) == row.estimate
+    (amvp,) = hm.amvp_verdict(f, [z], d)
+    assert np.isfinite(amvp.estimate.fit_residual)
+    report = hm.contact_solution_verdict(f, [z], d)
+    assert all(np.isfinite(r.fit_residual) for r in report.rows)
+
+
 @pytest.mark.parametrize("verdict", (hm.holomorphy_verdict, hm.system_verdict, hm.amvp_verdict,
                                      hm.contact_solution_verdict))
 def test_verdicts_need_at_least_one_point(verdict):

@@ -282,8 +282,10 @@ def test_direction_fit_residuals_come_from_each_point_s_own_fit():
     assert cols["count"].tolist() == [8, 7, 8, 7]
     jets, _ = _wirtinger_jets(_holed_exp, pts)
     xi = hm.unit_directions(16)
-    rows = _direction_rows(pts, xi, cols, jets, D3)
+    rows, holds, agrees = _direction_rows(pts, xi, cols, jets, D3)
     assert len(rows) == pts.size * xi.size
+    assert holds.tolist() == [row.status == "holds" for row in rows]
+    assert agrees.tolist() == [row.consistent for row in rows]
     for i, z in enumerate(pts):
         s = hm.sweep("pair_increment", _holed_exp, z, D3)
         radii = np.array(s.radii)
