@@ -23,8 +23,9 @@ affine surrogates together; :func:`camvp_verdict` is its one-probe call.
 Each point's fit serves all its directions, since projection onto a
 direction commutes with the linear extrapolation.  The
 rows are assembled in array passes over (points, directions): projected
-limits, fit residuals, envelopes (one convexity-ratio evaluation for every
-point), gaps and decisions.
+limits, fit residuals (the extrapolation's RMS, ``asymptotics._rms``),
+envelopes (one evaluation of the system's mu, ``pdesystem.mu_of``, for
+every point), gaps and decisions, which the report reads as arrays.
 """
 
 from __future__ import annotations
