@@ -524,7 +524,9 @@ _HANDLERS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on the first :func:`main` call and reused."""
     parser = argparse.ArgumentParser(
         prog="holomeans",
         description="Nonlinear variational circle means and their verdicts.",
@@ -533,7 +535,11 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="scenario file (key = value)")
     parser.add_argument("--out", default=None, help="CSV output path (default stdout)")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         sc = load_scenario(args.config)

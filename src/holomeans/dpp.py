@@ -79,6 +79,9 @@ GRID_SNAP_TOL = 1e-9
 # DIVERGENCE_FACTOR times the one DIVERGENCE_WINDOW sweeps earlier.
 DIVERGENCE_WINDOW = 50
 DIVERGENCE_FACTOR = 10.0
+# write_checkpoint formats this many rows per string: one string per row is
+# slow, and one for the whole lattice holds every row's text at once.
+_CHECKPOINT_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,15 +427,16 @@ def _spectral_sum(values, stencil):
     data = padded[: values.shape[0], : values.shape[1]]
     np.copyto(data, values, where=stencil.reached)
     parts = padded.view(float)
-    top = np.max(np.abs(parts))
+    top = max(parts.max(), -parts.min())  # NaN when any part is NaN
     hit = None
     if not np.isfinite(top):
         bad = ~np.isfinite(data)
         hit = _tap_windows(bad, stencil)
         data[bad] = 0.0
-        top = np.max(np.abs(parts))
+        top = max(parts.max(), -parts.min())
     e = int(np.frexp(top)[1])
-    np.ldexp(parts, -e, out=parts)
+    if e:
+        np.ldexp(parts, -e, out=parts)
     # One 1-D pass per axis, as fft2 makes them but without its overhead;
     # the inverse's last pass runs over the unknown rows only.  numpy loads
     # np.fft on first use, so importing holomeans does not pay for it.
@@ -440,9 +444,10 @@ def _spectral_sum(values, stencil):
     product = fft.fft(fft.fft(padded, axis=1), axis=0) * spectrum
     i, j = stencil.box
     sums = fft.ifft(fft.ifft(product, axis=0)[i], axis=1)[:, j].ravel()
-    scaled = sums.view(float)
-    with np.errstate(over="ignore"):
-        np.ldexp(scaled, e, out=scaled)
+    if e:
+        scaled = sums.view(float)
+        with np.errstate(over="ignore"):
+            np.ldexp(scaled, e, out=scaled)
     if hit is not None:
         sums[hit] = np.nan
     return sums
@@ -486,12 +491,17 @@ def _sweep(grid, d, cfg, stencil):
     """
     box, values = stencil.box, grid.values
     inner = values[box].flatten()
-    held = np.zeros(inner.size, dtype=bool) if grid.frozen is None else grid.frozen[box].flatten()
-    near_zero = (np.abs(inner) < FIELD_FLOOR) & ~held
-    if np.any(near_zero):
+    # held marks the skipped unknowns; None while there are none.
+    held = None if grid.frozen is None else grid.frozen[box].flatten()
+    near_zero = np.abs(inner) < FIELD_FLOOR
+    if held is not None:
+        near_zero &= ~held
+    if near_zero.any():
         circle = _circle_samples(grid, stencil, near_zero)
+        if held is None:
+            held = np.zeros(inner.size, dtype=bool)
         held[near_zero] = np.max(np.abs(circle), axis=1) < FIELD_FLOOR
-    skipped = int(np.count_nonzero(held))
+    skipped = 0 if held is None else int(np.count_nonzero(held))
 
     rows = slice(None) if skipped == 0 else ~held
     old = inner[rows]
@@ -567,7 +577,9 @@ def write_checkpoint(grid, path, extra_header=()):
 
     Flags: 0 strip data, 1 interior unknown, 2 frozen.  Lattice metadata
     rides along in '#' comment lines so the file round-trips;
-    ``extra_header`` lines are prepended the same way.
+    ``extra_header`` lines are prepended the same way.  The rows are the
+    bytes ``np.savetxt`` writes with ``%.17g`` and ``%d``, formatted
+    ``_CHECKPOINT_BLOCK`` rows per string.
     """
     flags = grid.interior_mask().astype(int)
     if grid.frozen is not None:
@@ -576,6 +588,7 @@ def write_checkpoint(grid, path, extra_header=()):
     table = np.column_stack(
         [a.ravel() for a in (pts.real, pts.imag, grid.values.real, grid.values.imag, flags)]
     )
+    row = "%.17g,%.17g,%.17g,%.17g,%d\n"
     with open(path, "w", newline="") as fh:
         for line in extra_header:
             fh.write(f"# {line}\n")
@@ -585,7 +598,9 @@ def write_checkpoint(grid, path, extra_header=()):
             f"strip={grid.strip_cells}\n"
         )
         fh.write("x,y,re,im,flag\n")
-        np.savetxt(fh, table, fmt=["%.17g"] * 4 + ["%d"], delimiter=",")
+        for start in range(0, len(table), _CHECKPOINT_BLOCK):
+            block = table[start : start + _CHECKPOINT_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_checkpoint(path):

@@ -173,6 +173,11 @@ class AffineIdentityResult:
     residual: float
 
 
+def _row_mean(a):
+    """``np.mean(a, axis=-1)``, bit for bit, without its Python wrapper."""
+    return np.add.reduce(a, axis=-1) / a.shape[-1]
+
+
 def _node_terms(d):
     """The per-node terms of the Newton fit for the density ``d``.
 
@@ -206,7 +211,7 @@ def _node_terms(d):
             return k
 
         def objective(s2, k):
-            return np.mean(k * s2, axis=-1) / (alpha + 1.0)
+            return _row_mean(k * s2) / (alpha + 1.0)
 
         def curvature(s2, k):
             return k, 0.25 * (alpha + 1.0), k / s2, 0.25 * (alpha - 1.0)
@@ -219,7 +224,7 @@ def _node_terms(d):
             return np.asarray(d.deriv_fn(au), dtype=float) / au
 
     def objective(s2, k):
-        return np.mean(np.asarray(d.value_fn(np.sqrt(s2)), dtype=float), axis=-1)
+        return _row_mean(np.asarray(d.value_fn(np.sqrt(s2)), dtype=float))
 
     def curvature(s2, k):
         h = np.asarray(d.second_deriv_fn(np.sqrt(s2)), dtype=float)
@@ -231,16 +236,18 @@ def _node_terms(d):
 def fit_model_coefficient(d, samples, model, init):
     """Batched minimization of the mean over j of ``F(|samples_j - c model_j|)``.
 
-    Every sum over a row's nodes is ``np.mean`` along that row, whose
-    summation order does not depend on the other rows: a row's outputs have
-    the same bits alone, in any batch and at any place in it.
+    Every sum over a row's nodes is a mean along that row (:func:`_row_mean`),
+    whose summation order does not depend on the other rows: a row's outputs
+    have the same bits alone, in any batch and at any place in it.
 
     One Newton loop serves every density; only its per-node terms depend on
     the density (:func:`_node_terms`).  A power-law density, such as
     :func:`~holomeans.density.power_density`, takes the one-power kernel:
     each Newton iteration evaluates one power of the squared residual
     moduli, and the residuals of the step its line search accepts are those
-    of the next iteration.
+    of the next iteration.  A row that converges, or whose Newton step is
+    unusable, leaves the batch before the line search, so the line search
+    evaluates only the rows that step.
 
     Parameters
     ----------
@@ -278,10 +285,10 @@ def fit_model_coefficient(d, samples, model, init):
         )
     if samples.shape[1] == 0:
         raise InvalidParameterError("samples need at least one node per row")
-    if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(c))):
+    if not (np.isfinite(samples).all() and np.isfinite(c).all()):
         raise NonFiniteSampleError("samples and init of a fit must be finite")
     mmod = np.abs(model)
-    if not np.all(np.isfinite(mmod) & (mmod > 0.0)):
+    if not (np.isfinite(mmod) & (mmod > 0.0)).all():
         raise InvalidParameterError("model weights must be bounded away from zero")
     weight, objective, curvature, alpha = _node_terms(d)
     shared = model.ndim == 1
@@ -294,7 +301,7 @@ def fit_model_coefficient(d, samples, model, init):
     huge = top > HUGE_MODULUS
     aside = huge & (alpha is None)  # F, F' and F'' may overflow there: it fails unevaluated
     huge &= alpha is not None
-    if np.any(huge):
+    if huge.any():
         e = np.frexp(top[huge])[1] - 1
         samples = samples.copy()
         samples[huge] *= np.ldexp(1.0, -e)[:, None]
@@ -309,13 +316,13 @@ def fit_model_coefficient(d, samples, model, init):
     iters = np.zeros(samples.shape[0], dtype=int)
     act = np.arange(samples.shape[0])
     rows, per_row = samples, (model, np.square(mmod, out=mmod), mscale)
-    if np.any(aside):
+    if aside.any():
         state[aside], foc_out[aside] = _STATUS_FAILED, np.nan
         act = act[~aside]
         rows, modulus = samples[act], modulus[act]
         if not shared:
             per_row = tuple(a[act] for a in per_row)
-    favg = np.mean(np.asarray(d.deriv_fn(modulus), dtype=float), axis=-1)
+    favg = _row_mean(np.asarray(d.deriv_fn(modulus), dtype=float))
     del modulus
     tol = FOC_TOL_COEFF * (1.0 + favg)
 
@@ -326,9 +333,9 @@ def fit_model_coefficient(d, samples, model, init):
         u = rows - cc[:, None] * m
         s2 = np.square(u.real)
         s2 += np.square(u.imag)
-        near = np.any(s2 < floor2, axis=1)
+        near = (s2 < floor2).any(axis=1)
         k = weight(s2)
-        if np.any(near):
+        if near.any():
             k[near] = np.where(s2[near] > 0.0, k[near], 0.0)
         return u, s2, k, near, objective(s2, k)
 
@@ -342,13 +349,13 @@ def fit_model_coefficient(d, samples, model, init):
             break
         m, mmod2, mscale = per_row
         um = np.multiply(u, np.conj(m), out=u)  # u is spent
-        g = -0.5 * np.mean(k * um, axis=-1)
+        g = -0.5 * _row_mean(k * um)
         foc = np.abs(g) / mscale
         s2_h, k_h = s2, k
-        if np.any(near):
+        if near.any():
             # A row whose residuals all lie below the floor is an exact fit.
             # The Hessian clamps the residual moduli below it at the floor.
-            foc[near] = np.where(np.all(s2[near] < floor2, axis=1), 0.0, foc[near])
+            foc[near] = np.where((s2[near] < floor2).all(axis=1), 0.0, foc[near])
             s2_h, k_h = s2.copy(), k.copy()
             s2_h[near] = np.maximum(s2[near], floor2)
             k_h[near] = weight(s2_h[near])
@@ -367,9 +374,9 @@ def fit_model_coefficient(d, samples, model, init):
         # that residual's modulus at the floor.
         done = small_foc & near
         wa, ca, wb, cb = curvature(s2_h, k_h)
-        a_coef = ca * np.mean(wa * mmod2, axis=-1)
+        a_coef = ca * _row_mean(wa * mmod2)
         np.multiply(um, um, out=um)  # um is spent too
-        b_coef = cb * np.mean(np.multiply(wb, um, out=um), axis=-1)
+        b_coef = cb * _row_mean(np.multiply(wb, um, out=um))
         # The line search makes the next terms; drop these first.
         del u, s2, k, um, wa, wb, s2_h, k_h
         denom = a_coef**2 - np.abs(b_coef) ** 2
@@ -381,14 +388,23 @@ def fit_model_coefficient(d, samples, model, init):
             slope = 2.0 * np.real(np.conj(g) * delta)
         stop = done | settled
         good &= np.isfinite(slope) & (slope < 0.0) & ~stop
-        delta[~good] = 0.0  # keeps the candidates of rows without a step finite
         state[act[stop]] = _STATUS_CONVERGED
+        # Only the rows with a usable step go on to the line search.
+        if not good.all():
+            state[act[~good & ~stop]] = _STATUS_FAILED
+            act, rows, tol, cur, delta, slope, obj = (
+                a[good] for a in (act, rows, tol, cur, delta, slope, obj)
+            )
+            if not shared:
+                per_row = tuple(a[good] for a in per_row)
+                m = per_row[0]
+            if act.size == 0:
+                break
 
-        # Armijo line search on the rows with a usable step.  Near the optimum
-        # the true decrease of a Newton step can drop below the float
-        # resolution of the objective; a few-ulp allowance keeps the line
-        # search from rejecting such steps, and the gradient-based settling
-        # test then certifies convergence.
+        # Armijo line search.  Near the optimum the true decrease of a Newton
+        # step can drop below the float resolution of the objective; a
+        # few-ulp allowance keeps the line search from rejecting such steps,
+        # and the gradient-based settling test then certifies convergence.
         flat = 16.0 * np.finfo(float).eps * (1.0 + np.abs(obj))
 
         def sufficient(obj1, sel, t):
@@ -399,8 +415,8 @@ def fit_model_coefficient(d, samples, model, init):
         t = np.ones(act.size)
         cand = cur + delta
         u, s2, k, near, obj1 = evaluate(rows, m, cand)
-        ok = good & sufficient(obj1, slice(None), 1.0)
-        pend = np.flatnonzero(good & ~ok)
+        ok = sufficient(obj1, slice(None), 1.0)
+        pend = np.flatnonzero(~ok)
         for _ in range(MAX_BACKTRACKS - 1):
             if pend.size == 0:
                 break
@@ -411,10 +427,10 @@ def fit_model_coefficient(d, samples, model, init):
             hit = sufficient(trial[-1], pend, t[pend])
             ok[pend[hit]] = True
             pend = pend[~hit]
-        # The rows that took a step go on, with the terms at their new
-        # coefficients; every other row leaves.
-        state[act[~ok & ~stop]] = _STATUS_FAILED
-        if not np.all(ok):
+        if pend.size:
+            # These rows ran out of backtracks: they fail, and the others go
+            # on with the terms at their new coefficients.
+            state[act[pend]] = _STATUS_FAILED
             act, rows, tol, cand, obj1, u, s2, k, near = (
                 a[ok] for a in (act, rows, tol, cand, obj1, u, s2, k, near)
             )
@@ -423,7 +439,7 @@ def fit_model_coefficient(d, samples, model, init):
         cur, obj = cand, obj1
         c[act], obj_out[act] = cur, obj
 
-    if np.any(huge):
+    if huge.any():
         c[huge] *= np.ldexp(1.0, e)
         with np.errstate(divide="ignore", over="ignore"):  # 0 stays 0, and may overflow
             obj_out[huge] = np.exp2(np.log2(obj_out[huge]) + e * (alpha + 1.0))

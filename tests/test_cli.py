@@ -1,7 +1,10 @@
 """Command line driver: scenarios in, CSV out, exit codes, determinism."""
 
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -555,3 +558,49 @@ def test_commands_are_the_handler_table_in_order(capsys):
                 "dpp", "validate-density")
     at = [choices.index(c) for c in commands]
     assert at == sorted(at)
+
+
+def test_repeated_calls_in_one_process_give_the_first_call_s_bytes(tmp_path, capsys):
+    # main builds its parser once per process; a later call must not see
+    # anything an earlier one left behind.
+    scenarios = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    runs = [("mean", "mean_exp.ini"), ("dpp", "dpp_exp.ini"),
+            ("verify-holo", "verify_holo_conj.ini"), ("validate-density", "validate_density.ini")]
+    first = {}
+    for attempt in range(3):
+        for command, name in runs:
+            out = tmp_path / f"{name}.{attempt}.csv"
+            code = run([command, "--config", scenarios / name, "--out", out, "--seed", 4])
+            first.setdefault(name, (code, out.read_bytes()))
+            assert (code, out.read_bytes()) == first[name], (attempt, name)
+        stdout_code = run(["validate-density", "--config", scenarios / "validate_density.ini"])
+        printed = capsys.readouterr().out
+        first.setdefault("stdout", (stdout_code, printed))
+        assert (stdout_code, printed) == first["stdout"]
+    assert first["verify_holo_conj.ini"][0] == 1 and first["stdout"][0] == 0
+
+
+@pytest.mark.parametrize("argv, complaint", (
+    ([], "the following arguments are required: command, --config"),
+    (["bogus", "--config", "x.ini"], "argument command: invalid choice: 'bogus'"),
+    (["mean"], "the following arguments are required: --config"),
+    (["mean", "--config", "x.ini", "--seed", "two"], "argument --seed: invalid int value: 'two'"),
+))
+def test_a_bad_command_line_exits_2_with_the_usage_every_time(capsys, argv, complaint):
+    for _ in range(3):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: holomeans [-h] --config CONFIG")
+        assert f"holomeans: error: {complaint}" in err
+
+
+def test_importing_the_cli_builds_no_parser():
+    # The parser is built by the first main call, not at import.
+    code = ("import holomeans.cli as cli; "
+            "assert cli._parser.cache_info().currsize == 0; print('ok')")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(hm.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout == "ok\n", done.stderr

@@ -1,5 +1,6 @@
 """Grid fixed-point iteration: geometry, interpolation, checkpoints, solves."""
 
+import io
 import re
 import warnings
 from dataclasses import replace
@@ -754,3 +755,39 @@ def test_checkpoint_refuses_a_file_without_its_column_line(tmp_path):
     path.write_text("# lattice x0=0 x1=0.1 y0=0 y1=0.1 h=0.1 strip=1\n" + "0,0,1,0,1\n" * 16)
     with pytest.raises(InvalidParameterError, match="has no x,y,re,im,flag line"):
         hm.read_checkpoint(path)
+
+
+def _savetxt_rows(grid):
+    """The rows of a checkpoint as ``np.savetxt`` writes them: the oracle."""
+    flags = grid.interior_mask().astype(int)
+    if grid.frozen is not None:
+        flags[grid.frozen] = 2
+    pts = grid.points()
+    table = np.column_stack(
+        [a.ravel() for a in (pts.real, pts.imag, grid.values.real, grid.values.imag, flags)]
+    )
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt=["%.17g"] * 4 + ["%d"], delimiter=",")
+    return buf.getvalue()
+
+
+# (nx, ny) lattices with strip 1: 36 rows; 255, 256 and 323 rows, around
+# one 256-row block; 511, 512 and 513 rows, around two.
+@pytest.mark.parametrize("nx, ny", ((6, 6), (15, 17), (16, 16), (17, 19), (7, 73), (16, 32), (19, 27)))
+def test_checkpoint_rows_are_the_bytes_of_savetxt(tmp_path, nx, ny):
+    rng = np.random.default_rng(nx * ny)
+    values = rng.normal(size=(ny, nx)) + 1j * rng.normal(size=(ny, nx))
+    special = [-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1e300, 3.0, np.nan, np.inf]
+    flat = values.ravel()
+    flat.real[: len(special)] = special
+    flat.imag[-len(special):] = special[::-1]
+    frozen = np.zeros((ny, nx), dtype=bool)
+    frozen[1 : ny - 1, 1 : nx - 1] = rng.uniform(size=(ny - 2, nx - 2)) < 0.2
+    g = hm.GridField(x0=0.1, x1=0.1 + 0.05 * (nx - 3), y0=-0.3, y1=-0.3 + 0.05 * (ny - 3),
+                     h=0.05, strip_cells=1, values=values, frozen=frozen)
+    assert g.frozen.any() and len(g.values.ravel()) == nx * ny
+    path = tmp_path / "state.csv"
+    hm.write_checkpoint(g, path, extra_header=("note = blocks",))
+    head, columns, rows = path.read_text().partition("x,y,re,im,flag\n")
+    assert columns and head.startswith("# note = blocks\n# lattice x0=0.10000000000000001 ")
+    assert rows == _savetxt_rows(g)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import holomeans as hm
 from holomeans.density import _power_law
 from holomeans.errors import InvalidParameterError, NonFiniteSampleError
-from holomeans.means import _circumcircle, fit_model_coefficient
+from holomeans.means import MAX_BACKTRACKS, _circumcircle, fit_model_coefficient
 
 D2 = hm.power_density(2)
 POWERS = (1.5, 2.0, 3.0, 4.0)
@@ -444,3 +444,78 @@ def test_affine_identity_nudges_a_segment_node_off_the_zero():
             hm.Jet(Z, value, 0j, 0j), r, value / (r * t[1]), hm.power_density(3), radial_nodes=4
         )
     assert all(np.isfinite(v) for v in (ident.alpha, ident.beta, ident.gamma, ident.residual))
+
+
+def _mixed_fit_rows(model, far, outlier):
+    """A batch of rows that leave the Newton loop in different ways.
+
+    Returns ``(samples, init)`` for the (rows, nodes) ``model``: rows 0-1
+    are exact fits started at their solution, so they settle at iteration
+    0; rows 2-4 lie near a fit and converge in a few steps; row 5 starts
+    ``far`` from an exact fit, where the degenerate Hessian of p > 2 (or the
+    overshoot of p < 2) slows it until the budget ends; row 6 has one node
+    of modulus ``outlier``.
+    """
+    ring = np.exp(2j * np.pi * np.arange(32) / 32)
+    rng = np.random.default_rng(11)
+    noise = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
+    c = np.array([0.7 - 0.2j, -1.5 + 0.25j, 0.3 + 0.1j, 2.0 - 1.0j, -0.4j])
+    samples = np.concatenate([
+        c[:2, None] * model[:2],
+        c[2:, None] * model[2:5] + np.array([0.3, 1.0, 3.0])[:, None] * noise,
+        (0.7 - 0.2j) * model[5:6] + 1e-12 * noise[:1],
+        np.exp(0.3 + 0.1 * ring)[None],
+    ])
+    samples[6, 3] = outlier
+    return samples, np.concatenate([c, [0.7 - 0.2j + far, 1.0]])
+
+
+@pytest.mark.parametrize("p", (1.5, 3.0, 8.0, "general"))
+@pytest.mark.parametrize("shared", (True, False))
+def test_rows_leave_the_fit_with_their_own_bits(p, shared):
+    # Rows that stop or have no usable step leave before the line search,
+    # and rows whose line search runs out of backtracks leave after it.
+    # Every row must come out as it does when fitted alone.  "general" is
+    # the p = 3 density with bounds around its ratio and an F that is NaN
+    # above 1e30: it takes the general kernel, and no step of row 6 (NaN
+    # objective) passes its line search.
+    calls = []
+    if p == "general":
+        def value(s):
+            calls.append(s.shape)
+            return np.where(s > 1e30, np.nan, s**3 / 3)
+
+        d = dataclasses.replace(hm.power_density(3), lambda_lo=1.9, lambda_hi=2.1,
+                                value_fn=value)
+        assert _power_law(d) is None
+    else:
+        d = hm.power_density(p)
+    model = np.conj(0.1 * np.exp(2j * np.pi * np.arange(32) / 32))
+    models = model * np.linspace(1.0, 2.0, 7)[:, None]
+    if shared:
+        models[:] = model
+    far = {1.5: 1e6, 3.0: 1e10, 8.0: 1.0}.get(p, 1e10)
+    samples, init = _mixed_fit_rows(models, far, 1e31 if p == "general" else 10.0)
+
+    def fit_rows(rows):
+        return fit_model_coefficient(d, samples[rows], model if shared else models[rows],
+                                     init[rows])
+
+    fit = fit_rows(slice(None))
+    for i in range(len(samples)):
+        calls.clear()
+        alone = fit_rows(slice(i, i + 1))
+        for name in fit:
+            assert fit[name][i].tobytes() == alone[name][0].tobytes(), (i, name)
+    iterations, status = fit["iterations"].tolist(), fit["status"].tolist()
+    assert iterations[:2] == [0, 0] and status[:2] == [1, 1]
+    assert all(1 <= it <= 4 for it in iterations[2:5]) and status[2:5] == [1, 1, 1]
+    assert iterations[5] == 60
+    if p == "general":
+        # Row 6 alone: F at its start, then every step its line search tries.
+        assert status[6] == 3 and iterations[6] == 0
+        assert len(calls) == 1 + MAX_BACKTRACKS
+        # Rows that settle at their start never reach the line search.
+        calls.clear()
+        fit_rows(slice(0, 2))
+        assert len(calls) == 1
