@@ -163,14 +163,32 @@ def power_density(p):
 
 
 def lambda_of(d, s):
-    """Pinching ratio ``s F''(s) / F'(s)`` evaluated at s > 0."""
+    """Pinching ratio ``s F''(s) / F'(s)`` evaluated at s > 0.
+
+    Where F', F'' or the ratio is not finite (F' overflows from s of about
+    1.3e154 at p = 3), a power law (:func:`_power_law`) gives its exponent,
+    which is its ratio at every s; any other density raises
+    :class:`~holomeans.errors.DomainError`.  Every other entry is the
+    quotient itself.
+    """
     arr = _as_float_array(s, False, f"{d.label}: lambda")
-    fp = np.asarray(d.deriv_fn(arr), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp = np.asarray(d.deriv_fn(arr), dtype=float)
+        fpp = np.asarray(d.second_deriv_fn(arr), dtype=float)
     if np.any(fp <= 0.0):
         raise DegenerateDensityError(
             f"{d.label}: F' must be positive on s > 0 for the pinching ratio"
         )
-    out = arr * np.asarray(d.second_deriv_fn(arr), dtype=float) / fp
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = arr * fpp / fp
+    lost = ~(np.isfinite(fp) & np.isfinite(fpp) & np.isfinite(out))
+    if lost.any():
+        law = _power_law(d)
+        if law is None:
+            raise DomainError(
+                f"{d.label}: the pinching ratio is not finite at s = {arr[lost].flat[0]:.6g}"
+            )
+        out = np.where(lost, law[1], out)
     return _give_back(out, s)
 
 
@@ -316,6 +334,25 @@ def young_conjugate(d):
     )
 
 
+def _audited(fn, s):
+    """``fn(s)`` and where a float holds it: not where it overflowed to inf,
+    nor where it underflowed below the smallest normal float.
+
+    An entry in [0, tiny) is evaluated again alone with underflow raised,
+    so an exact zero that no underflow made still counts.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        values = np.asarray(fn(s), dtype=float)
+    usable = values != np.inf
+    for i in np.flatnonzero((values >= 0.0) & (values < np.finfo(float).tiny)):
+        try:
+            with np.errstate(all="ignore", under="raise"):
+                fn(s[i : i + 1])
+        except FloatingPointError:
+            usable[i] = False
+    return values, usable
+
+
 def validate_density(d, sample_count=200):
     """Sample-based structural audit of a density.
 
@@ -328,6 +365,11 @@ def validate_density(d, sample_count=200):
     * ``lambda_bounds``     the pinching ratio respects the declared bounds
     * ``monotone_growth``   F increases and is unbounded in practice
 
+    A check leaves out the grid points where a value it reads overflows or
+    underflows (F' of ``power_density(60)`` does both on this grid), and
+    fails, saying so, when no point is left.  ``deriv_at_zero`` reads the
+    points up to 1e-4, or the smallest point left when none of those is.
+
     Returns a :class:`ValidationReport`; nothing is raised on failure.
     """
     if sample_count < 16:
@@ -338,41 +380,68 @@ def validate_density(d, sample_count=200):
     def check(name, passed, worst, location, message):
         checks.append(CheckResult(name, bool(passed), float(worst), float(location), message))
 
+    def unusable(name, what):
+        check(name, False, np.nan, np.nan, f"{what} overflows or underflows at every sampled point")
+
     f0 = float(d.value(0.0))
     check("zero_at_zero", abs(f0) <= 1e-12, abs(f0), 0.0, f"F(0) = {f0:.3e}")
 
-    small = grid[grid <= 1e-4]
-    expected = d.small_coeff * small**d.small_exponent
-    fp_small = np.asarray(d.deriv_fn(small), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(expected > 0.0, fp_small / expected, np.inf)
-    dev = np.abs(np.log10(np.maximum(ratio, 1e-300)))
-    i = int(np.argmax(dev))
-    check("deriv_at_zero", np.isfinite(dev[i]) and dev[i] <= 1.0, dev[i], small[i],
-          "log10 deviation of F' from declared small-argument law")
+    fv, fv_ok = _audited(d.value_fn, grid)
+    fp, fp_ok = _audited(d.deriv_fn, grid)
+    fpp, fpp_ok = _audited(d.second_deriv_fn, grid)
+    law, law_ok = _audited(lambda s: d.small_coeff * s**d.small_exponent, grid)
 
-    fpp = np.asarray(d.second_deriv_fn(grid), dtype=float)
-    i = int(np.argmin(fpp))
-    check("strict_convexity", np.all(fpp > 0.0), fpp[i], grid[i], f"min F'' = {fpp[i]:.3e}")
+    at = fp_ok & law_ok
+    if at.any():
+        at &= grid <= max(1e-4, grid[at][0])
+        small, expected, fp_small = grid[at], law[at], fp[at]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(expected > 0.0, fp_small / expected, np.inf)
+        dev = np.abs(np.log10(np.maximum(ratio, 1e-300)))
+        i = int(np.argmax(dev))
+        check("deriv_at_zero", np.isfinite(dev[i]) and dev[i] <= 1.0, dev[i], small[i],
+              "log10 deviation of F' from declared small-argument law")
+    else:
+        unusable("deriv_at_zero", "F' or its declared small-argument law")
 
-    fp = np.asarray(d.deriv_fn(grid), dtype=float)
-    i = int(np.argmin(fp))
-    check("deriv_positive", np.all(fp > 0.0), fp[i], grid[i], f"min F' = {fp[i]:.3e}")
+    if fpp_ok.any():
+        at, values = grid[fpp_ok], fpp[fpp_ok]
+        i = int(np.argmin(values))
+        check("strict_convexity", np.all(values > 0.0), values[i], at[i],
+              f"min F'' = {values[i]:.3e}")
+    else:
+        unusable("strict_convexity", "F''")
 
-    if np.all(fp > 0.0) and np.all(np.isfinite(fpp)):
-        lam = grid * fpp / fp
+    if fp_ok.any():
+        at, values = grid[fp_ok], fp[fp_ok]
+        i = int(np.argmin(values))
+        check("deriv_positive", np.all(values > 0.0), values[i], at[i], f"min F' = {values[i]:.3e}")
+    else:
+        unusable("deriv_positive", "F'")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = grid * fpp  # s F'' may overflow where F' does not
+    both = fp_ok & fpp_ok & (scaled != np.inf)
+    if not both.any():
+        unusable("lambda_bounds", "F', F'' or s F''")
+    elif np.all(fp[both] > 0.0) and np.all(np.isfinite(fpp[both])):
+        at = grid[both]
+        lam = scaled[both] / fp[both]
         slack = 1e-9 * (1.0 + abs(d.lambda_hi))
         viol = np.maximum(d.lambda_lo - lam, lam - d.lambda_hi)
         i = int(np.argmax(viol))
-        check("lambda_bounds", np.all(viol <= slack), viol[i], grid[i],
+        check("lambda_bounds", np.all(viol <= slack), viol[i], at[i],
               f"lam = {lam[i]:.6g} outside [{d.lambda_lo:g}, {d.lambda_hi:g}]"
               if viol[i] > slack else "")
     else:
         check("lambda_bounds", False, np.inf, grid[0],
               "pinching ratio not computable (F' <= 0 or F'' not finite)")
 
-    fv = np.asarray(d.value_fn(grid), dtype=float)
-    big = float(fv[-1]) >= 1e3 * max(1.0, float(d.value(1.0)))
-    check("monotone_growth", np.all(np.diff(fv) > 0.0) and big, fv[-1], grid[-1],
-          "F must increase without bound")
+    if fv_ok.any():
+        at, values = grid[fv_ok], fv[fv_ok]
+        big = float(values[-1]) >= 1e3 * max(1.0, float(d.value(1.0)))
+        check("monotone_growth", np.all(np.diff(values) > 0.0) and big, values[-1], at[-1],
+              "F must increase without bound")
+    else:
+        unusable("monotone_growth", "F")
     return ValidationReport(checks=tuple(checks), ok=all(c.passed for c in checks))

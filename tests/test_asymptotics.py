@@ -430,3 +430,21 @@ def test_amvp_verdict_needs_a_declared_small_argument_law():
     undeclared = dataclasses.replace(D3, small_coeff=float("nan"))
     with pytest.raises(InvalidParameterError, match="declared small-argument behaviour"):
         hm.amvp_verdict(np.exp, [0.3 + 0.2j], undeclared)
+
+
+def test_verdicts_past_the_overflow_of_f_prime_leak_no_warning():
+    # At p = 3, F'(|f|) overflows for |f| above about 1.3e154, so the system's
+    # coefficient mu takes the power law's ratio.  The CR residual is then
+    # linear in f: on 2**530 exp (about 3.5e159) it is 2**530 times that on exp.
+    d = hm.power_density(3)
+    scale = 2.0**530
+    points = [0.3 + 0.2j, 0.5 + 0.1j]
+    big = hm.system_verdict(lambda zeta: scale * np.exp(zeta), points, d)
+    unit = hm.system_verdict(np.exp, points, d)
+    for b, u in zip(big, unit):
+        assert b.status == u.status == "violated"
+        assert b.analytic_residual / scale == pytest.approx(u.analytic_residual, rel=1e-12)
+    for row in hm.amvp_verdict(lambda zeta: scale * np.exp(zeta), points, d):
+        assert np.isfinite(row.bracket) and row.status == "fails"
+    report = hm.contact_solution_verdict(lambda zeta: scale * np.exp(zeta), points, d)
+    assert all(np.isfinite(r.envelope) for r in report.rows)

@@ -1,12 +1,13 @@
 """Density profiles: closed forms, validation and conjugation."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 import holomeans as hm
-from holomeans.density import _power_law
+from holomeans.density import _per_point, _power_law
 from holomeans.errors import (
     DegenerateDensityError,
     DomainError,
@@ -296,3 +297,56 @@ def test_pinching_ratio_refuses_a_falling_density():
     )
     with pytest.raises(DegenerateDensityError, match="F' must be positive"):
         hm.lambda_of(falling, 1.0)
+
+
+def test_pinching_ratio_past_the_overflow_of_f_prime():
+    # At p = 3, F'(s) = s**2 overflows above about 1.3e154 and s F''(s) a
+    # little below; a power law's ratio is then its exponent.  Entries whose
+    # quotient is finite keep its bits.
+    d = hm.power_density(3)
+    s = np.array([0.5, 3.0, 1e154, 1.3e154, 1e200, 1e308])
+    lam = hm.lambda_of(d, s)
+    assert lam[2:].tolist() == [2.0] * 4
+    assert lam[:2].tobytes() == (s[:2] * d.second_deriv_fn(s[:2]) / d.deriv_fn(s[:2])).tobytes()
+    assert hm.lambda_of(d, 1e200) == 2.0
+    # Any other density has no ratio to fall back on: a typed error per entry.
+    general = dataclasses.replace(d, lambda_lo=1.9, lambda_hi=2.1)
+    assert _power_law(general) is None
+    with pytest.raises(DomainError, match=r"pinching ratio is not finite at s = 1e\+154"):
+        hm.lambda_of(general, s)
+    values, errors = _per_point(lambda t: hm.lambda_of(general, t), s)
+    assert values[:2].tobytes() == lam[:2].tobytes() and errors[:2] == [None, None]
+    assert all(isinstance(e, DomainError) for e in errors[2:]) and np.isnan(values[2:]).all()
+
+
+@pytest.mark.parametrize("p", (51, 52, 60, 200))
+def test_validate_density_passes_for_powers_past_the_float_range(p):
+    # F, F' and F'' over- and underflow on the audit grid from p = 52 on;
+    # the checks leave those points out (a leaked warning fails the suite).
+    report = hm.validate_density(hm.power_density(p))
+    assert report.ok, report.failed()
+
+
+def test_validate_density_fails_a_check_without_a_usable_point():
+    blown = dataclasses.replace(hm.power_density(3), second_deriv_fn=lambda s: np.full_like(s, np.inf))
+    report = hm.validate_density(blown)
+    assert [c.name for c in report.failed()] == ["strict_convexity", "lambda_bounds"]
+    assert report.failed()[0].message == "F'' overflows or underflows at every sampled point"
+    assert report.failed()[1].message == "F', F'' or s F'' overflows or underflows at every sampled point"
+
+
+def test_validate_density_flags_a_curvature_that_vanishes_exactly():
+    # An exact zero that no underflow made stays in the audit: a Huber profile
+    # is not strictly convex past 1.
+    huber = hm.Density(
+        value_fn=lambda s: np.where(s <= 1.0, 0.5 * s**2, s - 0.5),
+        deriv_fn=lambda s: np.minimum(s, 1.0),
+        second_deriv_fn=lambda s: np.where(s <= 1.0, 1.0, 0.0),
+        lambda_lo=1.0,
+        lambda_hi=1.0,
+        small_exponent=1.0,
+        small_coeff=1.0,
+        label="huber",
+    )
+    report = hm.validate_density(huber)
+    assert [c.name for c in report.failed()] == ["strict_convexity", "lambda_bounds"]
