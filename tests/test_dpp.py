@@ -785,7 +785,7 @@ def test_checkpoint_rows_are_the_bytes_of_savetxt(tmp_path, nx, ny):
     frozen[1 : ny - 1, 1 : nx - 1] = rng.uniform(size=(ny - 2, nx - 2)) < 0.2
     g = hm.GridField(x0=0.1, x1=0.1 + 0.05 * (nx - 3), y0=-0.3, y1=-0.3 + 0.05 * (ny - 3),
                      h=0.05, strip_cells=1, values=values, frozen=frozen)
-    assert g.frozen.any() and len(g.values.ravel()) == nx * ny
+    assert g.frozen.any()
     path = tmp_path / "state.csv"
     hm.write_checkpoint(g, path, extra_header=("note = blocks",))
     head, columns, rows = path.read_text().partition("x,y,re,im,flag\n")
