@@ -435,8 +435,7 @@ def _spectral_sum(values, stencil):
         data[bad] = 0.0
         top = max(parts.max(), -parts.min())
     e = int(np.frexp(top)[1])
-    if e:
-        np.ldexp(parts, -e, out=parts)
+    np.ldexp(parts, -e, out=parts)
     # One 1-D pass per axis, as fft2 makes them but without its overhead;
     # the inverse's last pass runs over the unknown rows only.  numpy loads
     # np.fft on first use, so importing holomeans does not pay for it.
@@ -444,10 +443,9 @@ def _spectral_sum(values, stencil):
     product = fft.fft(fft.fft(padded, axis=1), axis=0) * spectrum
     i, j = stencil.box
     sums = fft.ifft(fft.ifft(product, axis=0)[i], axis=1)[:, j].ravel()
-    if e:
-        scaled = sums.view(float)
-        with np.errstate(over="ignore"):
-            np.ldexp(scaled, e, out=scaled)
+    scaled = sums.view(float)
+    with np.errstate(over="ignore"):
+        np.ldexp(scaled, e, out=scaled)
     if hit is not None:
         sums[hit] = np.nan
     return sums
@@ -491,17 +489,12 @@ def _sweep(grid, d, cfg, stencil):
     """
     box, values = stencil.box, grid.values
     inner = values[box].flatten()
-    # held marks the skipped unknowns; None while there are none.
-    held = None if grid.frozen is None else grid.frozen[box].flatten()
-    near_zero = np.abs(inner) < FIELD_FLOOR
-    if held is not None:
-        near_zero &= ~held
-    if near_zero.any():
+    held = np.zeros(inner.size, dtype=bool) if grid.frozen is None else grid.frozen[box].flatten()
+    near_zero = (np.abs(inner) < FIELD_FLOOR) & ~held
+    if np.any(near_zero):
         circle = _circle_samples(grid, stencil, near_zero)
-        if held is None:
-            held = np.zeros(inner.size, dtype=bool)
         held[near_zero] = np.max(np.abs(circle), axis=1) < FIELD_FLOOR
-    skipped = 0 if held is None else int(np.count_nonzero(held))
+    skipped = int(np.count_nonzero(held))
 
     rows = slice(None) if skipped == 0 else ~held
     old = inner[rows]
