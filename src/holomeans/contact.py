@@ -45,6 +45,7 @@ from .asymptotics import (
     _rms,
     extrapolate,
 )
+from .density import _per_point
 from .errors import InvalidParameterError, _raise_first
 from .geometry import (
     Jet,
@@ -157,7 +158,9 @@ def _xi_envelopes(omega, sigma, tau, xi, d):
 
     ``omega``, ``sigma`` and ``tau`` hold one jet per entry; the system's
     coefficient mu of every nonzero ``|omega|`` comes from one
-    :func:`~holomeans.pdesystem.mu_of` call.
+    :func:`~holomeans.pdesystem.mu_of` call.  A jet whose mu cannot be
+    evaluated (a density that is not a power law, past the overflow of F')
+    gets NaN envelopes; the other jets keep theirs.
     """
     omega, sigma, tau = (np.asarray(a, dtype=complex) for a in (omega, sigma, tau))
     mod = _modulus(omega)
@@ -172,8 +175,8 @@ def _xi_envelopes(omega, sigma, tau, xi, d):
             )
         coeff = abs((alpha - 1.0) / (alpha + 1.0))
         tail[zero] = coeff * _modulus(sigma[zero])[:, None]
-    w, mu = omega[~zero, None], mu_of(d, mod[~zero, None])
-    tail[~zero] = mu * (w / np.conj(w) * np.conj(xi * sigma[~zero, None])).real
+    w, mu = omega[~zero, None], _per_point(lambda s: mu_of(d, s), mod[~zero])[0]
+    tail[~zero] = mu[:, None] * (w / np.conj(w) * np.conj(xi * sigma[~zero, None])).real
     return (np.conj(xi) * tau[:, None]).real + tail
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import holomeans as hm
 from holomeans.asymptotics import _limits
-from holomeans.contact import _direction_rows
-from holomeans.errors import InvalidParameterError
+from holomeans.contact import _direction_rows, _xi_envelopes
+from holomeans.errors import DomainError, InvalidParameterError
 from holomeans.geometry import _wirtinger_jets
 
 D2 = hm.power_density(2)
@@ -241,6 +241,28 @@ def test_envelope_at_a_zero_needs_declared_small_argument_behaviour():
     assert np.isfinite(hm.xi_envelope(1.0 + 0j, 0.5j, 0.2, 1 + 0j, undeclared))
     with pytest.raises(InvalidParameterError, match="small-argument"):
         hm.xi_envelope(0j, 0.5j, 0.2, 1 + 0j, undeclared)
+
+
+def test_an_envelope_past_the_overflow_of_f_prime_is_nan_in_its_own_slot():
+    # A density that is not a power law has no pinching ratio where F'
+    # overflows (|omega| above about 1.3e154 at p = 3): that jet's envelopes
+    # are NaN, and the other jet keeps the bits of its call alone.
+    general = dataclasses.replace(D3, lambda_lo=1.9, lambda_hi=2.1)
+
+    def scaled_exp(zeta):
+        return 2.0**530 * np.exp(zeta)
+
+    points = np.array([0.3 + 0.2j, -350 + 0.1j])  # |f| about 4.7e159 and 3.5e7
+    omega = scaled_exp(points)
+    tau = np.zeros(2, dtype=complex)
+    xi = hm.unit_directions(4)
+    env = _xi_envelopes(omega, omega, tau, xi, general)
+    assert np.isnan(env[0]).all() and np.isfinite(env[1]).all()
+    assert env[1].tobytes() == _xi_envelopes(omega[1:], omega[1:], tau[1:], xi, general)[0].tobytes()
+    assert np.isnan(hm.xi_envelope(omega[0], omega[0], 0j, xi[0], general))
+    # The verdict raises the first failing point's own typed error.
+    with pytest.raises(DomainError, match="pinching ratio is not finite"):
+        hm.contact_solution_verdict(scaled_exp, points, general, directions=4)
 
 
 @pytest.mark.parametrize("nodes", (16, 64))
