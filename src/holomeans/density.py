@@ -172,15 +172,14 @@ def lambda_of(d, s):
     quotient itself.
     """
     arr = _as_float_array(s, False, f"{d.label}: lambda")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fp = np.asarray(d.deriv_fn(arr), dtype=float)
         fpp = np.asarray(d.second_deriv_fn(arr), dtype=float)
+        out = arr * fpp / fp
     if np.any(fp <= 0.0):
         raise DegenerateDensityError(
             f"{d.label}: F' must be positive on s > 0 for the pinching ratio"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = arr * fpp / fp
     lost = ~(np.isfinite(fp) & np.isfinite(fpp) & np.isfinite(out))
     if lost.any():
         law = _power_law(d)
@@ -338,15 +337,17 @@ def _audited(fn, s):
     """``fn(s)`` and where a float holds it: not where it overflowed to inf,
     nor where it underflowed below the smallest normal float.
 
-    An entry in [0, tiny) is evaluated again alone with underflow raised,
-    so an exact zero that no underflow made still counts.
+    An entry that is inf or in [0, tiny) is evaluated again alone with over-
+    and underflow raised, so an inf or an exact zero that neither made still
+    counts.
     """
     with np.errstate(over="ignore", under="ignore"):
         values = np.asarray(fn(s), dtype=float)
-    usable = values != np.inf
-    for i in np.flatnonzero((values >= 0.0) & (values < np.finfo(float).tiny)):
+    usable = np.ones(values.shape, dtype=bool)
+    suspect = (values == np.inf) | ((values >= 0.0) & (values < np.finfo(float).tiny))
+    for i in np.flatnonzero(suspect):
         try:
-            with np.errstate(all="ignore", under="raise"):
+            with np.errstate(all="ignore", over="raise", under="raise"):
                 fn(s[i : i + 1])
         except FloatingPointError:
             usable[i] = False
@@ -380,8 +381,12 @@ def validate_density(d, sample_count=200):
     def check(name, passed, worst, location, message):
         checks.append(CheckResult(name, bool(passed), float(worst), float(location), message))
 
-    def unusable(name, what):
+    def usable(name, what, ok, *values):
+        """The grid and ``values`` where ``ok``; None, failing ``name``, where nowhere."""
+        if ok.any():
+            return (grid[ok],) + tuple(v[ok] for v in values)
         check(name, False, np.nan, np.nan, f"{what} overflows or underflows at every sampled point")
+        return None
 
     f0 = float(d.value(0.0))
     check("zero_at_zero", abs(f0) <= 1e-12, abs(f0), 0.0, f"F(0) = {f0:.3e}")
@@ -391,57 +396,50 @@ def validate_density(d, sample_count=200):
     fpp, fpp_ok = _audited(d.second_deriv_fn, grid)
     law, law_ok = _audited(lambda s: d.small_coeff * s**d.small_exponent, grid)
 
-    at = fp_ok & law_ok
-    if at.any():
-        at &= grid <= max(1e-4, grid[at][0])
-        small, expected, fp_small = grid[at], law[at], fp[at]
+    pts = usable("deriv_at_zero", "F' or its declared small-argument law", fp_ok & law_ok, fp, law)
+    if pts:
+        small, fp_small, expected = (a[pts[0] <= max(1e-4, pts[0][0])] for a in pts)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(expected > 0.0, fp_small / expected, np.inf)
         dev = np.abs(np.log10(np.maximum(ratio, 1e-300)))
         i = int(np.argmax(dev))
         check("deriv_at_zero", np.isfinite(dev[i]) and dev[i] <= 1.0, dev[i], small[i],
               "log10 deviation of F' from declared small-argument law")
-    else:
-        unusable("deriv_at_zero", "F' or its declared small-argument law")
 
-    if fpp_ok.any():
-        at, values = grid[fpp_ok], fpp[fpp_ok]
+    pts = usable("strict_convexity", "F''", fpp_ok, fpp)
+    if pts:
+        at, values = pts
         i = int(np.argmin(values))
         check("strict_convexity", np.all(values > 0.0), values[i], at[i],
               f"min F'' = {values[i]:.3e}")
-    else:
-        unusable("strict_convexity", "F''")
 
-    if fp_ok.any():
-        at, values = grid[fp_ok], fp[fp_ok]
+    pts = usable("deriv_positive", "F'", fp_ok, fp)
+    if pts:
+        at, values = pts
         i = int(np.argmin(values))
         check("deriv_positive", np.all(values > 0.0), values[i], at[i], f"min F' = {values[i]:.3e}")
-    else:
-        unusable("deriv_positive", "F'")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = grid * fpp  # s F'' may overflow where F' does not
-    both = fp_ok & fpp_ok & (scaled != np.inf)
-    if not both.any():
-        unusable("lambda_bounds", "F', F'' or s F''")
-    elif np.all(fp[both] > 0.0) and np.all(np.isfinite(fpp[both])):
-        at = grid[both]
-        lam = scaled[both] / fp[both]
+    with np.errstate(over="ignore"):
+        scaled = grid * fpp  # s F'' may overflow where F'' does not
+    ok = fp_ok & fpp_ok & ~((scaled == np.inf) & np.isfinite(fpp))
+    pts = usable("lambda_bounds", "F', F'' or s F''", ok, fp, fpp, scaled)
+    if pts and np.all(pts[1] > 0.0) and np.all(np.isfinite(pts[2])):
+        at, values, _, scaled = pts
+        lam = scaled / values
         slack = 1e-9 * (1.0 + abs(d.lambda_hi))
         viol = np.maximum(d.lambda_lo - lam, lam - d.lambda_hi)
         i = int(np.argmax(viol))
         check("lambda_bounds", np.all(viol <= slack), viol[i], at[i],
               f"lam = {lam[i]:.6g} outside [{d.lambda_lo:g}, {d.lambda_hi:g}]"
               if viol[i] > slack else "")
-    else:
+    elif pts:
         check("lambda_bounds", False, np.inf, grid[0],
               "pinching ratio not computable (F' <= 0 or F'' not finite)")
 
-    if fv_ok.any():
-        at, values = grid[fv_ok], fv[fv_ok]
+    pts = usable("monotone_growth", "F", fv_ok, fv)
+    if pts:
+        at, values = pts
         big = float(values[-1]) >= 1e3 * max(1.0, float(d.value(1.0)))
         check("monotone_growth", np.all(np.diff(values) > 0.0) and big, values[-1], at[-1],
               "F must increase without bound")
-    else:
-        unusable("monotone_growth", "F")
     return ValidationReport(checks=tuple(checks), ok=all(c.passed for c in checks))

@@ -328,11 +328,25 @@ def test_validate_density_passes_for_powers_past_the_float_range(p):
 
 
 def test_validate_density_fails_a_check_without_a_usable_point():
-    blown = dataclasses.replace(hm.power_density(3), second_deriv_fn=lambda s: np.full_like(s, np.inf))
+    # F'' overflows at every grid point.
+    blown = dataclasses.replace(hm.power_density(3), second_deriv_fn=lambda s: (s + 1e308) * 10.0)
     report = hm.validate_density(blown)
     assert [c.name for c in report.failed()] == ["strict_convexity", "lambda_bounds"]
     assert report.failed()[0].message == "F'' overflows or underflows at every sampled point"
     assert report.failed()[1].message == "F', F'' or s F'' overflows or underflows at every sampled point"
+
+
+def test_validate_density_fails_an_infinite_curvature_that_no_overflow_made():
+    # F'' is +inf at one grid point without overflowing there: the point is
+    # audited, not left out, and the pinching ratio is not computable.
+    grid = np.geomspace(1e-6, 1e6, 200)
+    d = hm.power_density(3)
+    spiked = dataclasses.replace(
+        d, second_deriv_fn=lambda s: np.where(s == grid[150], np.inf, d.second_deriv_fn(s))
+    )
+    report = hm.validate_density(spiked)
+    assert [c.name for c in report.failed()] == ["lambda_bounds"]
+    assert "F'' not finite" in report.failed()[0].message
 
 
 def test_validate_density_flags_a_curvature_that_vanishes_exactly():
