@@ -21,8 +21,17 @@ one inverse FFT of the lattice padded to 2-3-5-smooth sizes (the taps'
 spectrum is built once per solve), and cropped to the unknowns; the strip
 keeps every tap of an unknown inside the lattice, so no circular wrap
 reaches an unknown.  At any other density a sweep runs the pair mean's two
-batched Newton solves over every node at once, on the samples of one
-:func:`interpolate` call and from those closed-form starts.
+batched Newton solves over every node at once, from those closed-form
+starts, on circle samples gathered through :func:`interpolate`'s cell
+indices and bilinear weights.
+
+A solve builds once what its sweeps share (:class:`_CircleStencil`).  At
+the quadratic density that is the taps' spectrum, a padded buffer that
+holds the strip's data, written once, into which each sweep writes only
+the unknowns, and the buffers the transforms write into; at any other
+density it is the gather table of every unknown's circle nodes.  Each
+sweep still returns a new values array, and its grid keeps the lattice
+that the first grid's checks passed.
 
 Nodes where the field modulus falls below ``FIELD_FLOOR`` make the mean
 ill-posed (the density may lose smoothness at zero): a sweep skips a node
@@ -222,8 +231,9 @@ def with_interior(grid, filler):
     return replace(grid, values=values)
 
 
-def interpolate(grid, pts):
-    """Bilinear interpolation of the grid field at complex points.
+def _bilinear_table(grid, pts):
+    """Flat cell index and the four corner weights of the bilinear interpolant
+    at complex points, for :func:`_gather`.
 
     Raises when a point is not finite or lies outside the lattice hull.
     """
@@ -242,13 +252,25 @@ def interpolate(grid, pts):
     fx = gx - ix
     fy = gy - iy
     # one flat index per cell: far quicker to gather by than (row, column)
-    v, at = grid.values.ravel(), iy * nx + ix
-    return (
-        (1.0 - fx) * (1.0 - fy) * v[at]
-        + fx * (1.0 - fy) * v[at + 1]
-        + (1.0 - fx) * fy * v[at + nx]
-        + fx * fy * v[at + nx + 1]
-    )
+    return iy * nx + ix, ((1.0 - fx) * (1.0 - fy), fx * (1.0 - fy), (1.0 - fx) * fy, fx * fy)
+
+
+def _gather(values, table):
+    """The bilinear interpolant of a (ny, nx) lattice at a :func:`_bilinear_table`'s points.
+
+    Each weight product multiplies its corner value, as ``a * b * v`` does.
+    """
+    at, (w00, w10, w01, w11) = table
+    v, nx = values.ravel(), values.shape[1]
+    return w00 * v[at] + w10 * v[at + 1] + w01 * v[at + nx] + w11 * v[at + nx + 1]
+
+
+def interpolate(grid, pts):
+    """Bilinear interpolation of the grid field at complex points.
+
+    Raises when a point is not finite or lies outside the lattice hull.
+    """
+    return _gather(grid.values, _bilinear_table(grid, pts))
 
 
 @dataclass(frozen=True)
@@ -343,23 +365,45 @@ def _check_geometry(grid, cfg):
         )
 
 
-class _CircleStencil(NamedTuple):
-    """Everything a sweep needs that is fixed for the whole solve.
+class _Taps(NamedTuple):
+    """The quadratic sweep's per-solve parts: the taps and the transform's buffers.
 
     ``pair`` is the closed-form pair mean of each tap's corner weights.
     ``spectrum`` is the 2-D FFT of the taps placed at ``(-dy, -dx)`` on the
     padded lattice, so that its product with the lattice's FFT is the tap
     sum at every node.  ``reached`` marks the nodes that some unknown's taps
     read; corners of weight 0 stay taps, so a non-finite value they touch
-    still makes the sum non-finite.
+    still makes the sum non-finite.  ``padded`` holds the strip's reached
+    data, written once, and each sweep writes the unknowns' reached values
+    into it; every other node stays 0.  ``strip_top`` is the largest modulus
+    of a real or imaginary part of that strip data (NaN or inf when one is
+    not finite), and ``work`` are the transform's output buffers.
     """
 
-    offsets: np.ndarray  # (nodes,) circle offsets from the centre
-    box: tuple  # (row, column) slices of the unknown rectangle
     shifts: np.ndarray  # (taps, 2) lattice (row, column) shift of each tap
     pair: np.ndarray  # (taps,) complex tap coefficients
     spectrum: np.ndarray  # (Py, Px) FFT of the taps on the padded lattice
     reached: np.ndarray  # (ny, nx) nodes that the unknowns' taps read
+    padded: np.ndarray  # (Py, Px) reached lattice data, 0 elsewhere
+    strip_top: float
+    work: tuple  # two (Py, Px) arrays and one (unknown rows, Px) array
+
+
+class _CircleStencil(NamedTuple):
+    """Everything a sweep needs that is fixed for the whole solve.
+
+    :func:`dpp_solve` builds it once and :func:`dpp_step` once per call.
+    At the quadratic density ``taps`` holds the spectral correlation's parts
+    (:class:`_Taps`: the taps' spectrum, the strip in the padded buffer and
+    the transform buffers) and ``table`` is None.  At any other density
+    ``taps`` is None and ``table`` is the :func:`_bilinear_table` of every
+    unknown's circle nodes, gathered from on each sweep.
+    """
+
+    offsets: np.ndarray  # (nodes,) circle offsets from the centre
+    box: tuple  # (row, column) slices of the unknown rectangle
+    taps: _Taps | None
+    table: tuple | None
 
 
 def _smooth_size(n):
@@ -374,11 +418,24 @@ def _smooth_size(n):
         n += 1
 
 
-def _circle_stencil(grid, cfg):
-    """Circle offsets and the taps of the quadratic pair mean (:class:`_CircleStencil`)."""
+def _top(a):
+    """Largest modulus of a real or imaginary part of complex ``a``; NaN when
+    one is NaN.  ``a``'s last axis must be contiguous."""
+    parts = a.view(float)
+    return max(parts.max(), -parts.min())
+
+
+def _circle_stencil(grid, cfg, d):
+    """The circle offsets and, for the density ``d``, the quadratic taps or
+    the bilinear gather table (:class:`_CircleStencil`)."""
     q = circle_rule(0j, cfg.radius, geometry.DEFAULT_CIRCLE_NODES)
     nx, ny = grid.shape
     s = grid.strip_cells
+    box = (slice(s, ny - s), slice(s, nx - s))
+    if not d.lambda_lo == d.lambda_hi == 1.0:
+        centres = grid.points()[box].ravel()
+        return _CircleStencil(q.nodes, box, None,
+                              _bilinear_table(grid, centres[:, None] + q.nodes))
     cells = q.nodes / grid.h
     ix, iy = np.floor(cells.real), np.floor(cells.imag)
     fx, fy = cells.real - ix, cells.imag - iy
@@ -394,20 +451,24 @@ def _circle_stencil(grid, cfg):
     np.add.at(weights, (tap.ravel(), np.tile(np.arange(q.nodes.size), 4)), corner_weights.ravel())
     centre, slope = _newton_starts("pair", weights, q.nodes, cfg.radius)
     pair = centre + cfg.radius * slope
-    box = (slice(s, ny - s), slice(s, nx - s))
     kernel = np.zeros((_smooth_size(ny), _smooth_size(nx)), dtype=complex)
     kernel[-shifts[:, 0] % kernel.shape[0], -shifts[:, 1] % kernel.shape[1]] = pair
     reached = np.zeros((ny, nx), dtype=bool)
     for sy, sx in shifts.tolist():
         reached[s + sy : ny - s + sy, s + sx : nx - s + sx] = True
-    return _CircleStencil(q.nodes, box, shifts, pair, np.fft.fft2(kernel), reached)
+    padded = np.zeros_like(kernel)
+    np.copyto(padded[:ny, :nx], grid.values, where=reached)
+    padded[box] = 0.0
+    work = (np.empty_like(kernel), np.empty_like(kernel), np.empty_like(kernel[box[0]]))
+    taps = _Taps(shifts, pair, np.fft.fft2(kernel), reached, padded, _top(padded), work)
+    return _CircleStencil(q.nodes, box, taps, None)
 
 
 def _tap_windows(mask, stencil):
     """Per unknown, whether any of its taps reads a node of ``mask``."""
     i, j = stencil.box
     hit = np.zeros(mask[stencil.box].shape, dtype=bool)
-    for sy, sx in stencil.shifts.tolist():
+    for sy, sx in stencil.taps.shifts.tolist():
         hit |= mask[i.start + sy : i.stop + sy, j.start + sx : j.stop + sx]
     return hit.ravel()
 
@@ -416,52 +477,78 @@ def _spectral_sum(values, stencil):
     """Sum over the taps of coefficient times shifted window, per unknown.
 
     One correlation by FFT on the padded lattice, with the unreached nodes
-    set to 0.  The data are scaled by the power of two that brings their
-    largest component into [0.5, 1), so the transforms cannot overflow, and
-    the sums are scaled back exactly.  The entries follow the unknowns in
-    row-major order.  An unknown whose taps read a non-finite node gets a
-    NaN sum; the caller raises the typed error.
+    set to 0.  ``values`` must carry the strip data of the grid the stencil
+    was built from: only the unknowns are written into the padded buffer.
+    The data are scaled by the power of two that brings their largest
+    component into [0.5, 1), so the transforms cannot overflow, and the
+    sums are scaled back exactly.  The entries follow the unknowns in
+    row-major order, in a fresh array.  An unknown whose taps read a
+    non-finite node gets a NaN sum; the caller raises the typed error.
     """
-    spectrum = stencil.spectrum
-    padded = np.zeros(spectrum.shape, dtype=complex)
-    data = padded[: values.shape[0], : values.shape[1]]
-    np.copyto(data, values, where=stencil.reached)
-    parts = padded.view(float)
-    top = max(parts.max(), -parts.min())  # NaN when any part is NaN
+    taps, box = stencil.taps, stencil.box
+    padded = taps.padded
+    unknowns = padded[box]
+    np.copyto(unknowns, values[box], where=taps.reached[box])
+    top = _top(unknowns)
     hit = None
-    if not np.isfinite(top):
+    if math.isfinite(top) and math.isfinite(taps.strip_top):
+        top = max(taps.strip_top, top)
+    else:
+        # The non-finite nodes are zeroed on a fresh copy, so the buffer
+        # keeps the strip's data for the next sweep.
+        padded = np.zeros_like(padded)
+        data = padded[: values.shape[0], : values.shape[1]]
+        np.copyto(data, values, where=taps.reached)
         bad = ~np.isfinite(data)
         hit = _tap_windows(bad, stencil)
         data[bad] = 0.0
-        top = max(parts.max(), -parts.min())
-    e = int(np.frexp(top)[1])
-    np.ldexp(parts, -e, out=parts)
+        top = _top(padded)
+    e = math.frexp(top)[1]
+    scaled, turned, rows = taps.work
+    np.ldexp(padded.view(float), -e, out=scaled.view(float))
     # One 1-D pass per axis, as fft2 makes them but without its overhead;
     # the inverse's last pass runs over the unknown rows only.  numpy loads
     # np.fft on first use, so importing holomeans does not pay for it.
     fft = np.fft
-    product = fft.fft(fft.fft(padded, axis=1), axis=0) * spectrum
-    i, j = stencil.box
-    sums = fft.ifft(fft.ifft(product, axis=0)[i], axis=1)[:, j].ravel()
-    scaled = sums.view(float)
+    fft.fft(scaled, axis=1, out=turned)
+    fft.fft(turned, axis=0, out=scaled)
+    np.multiply(scaled, taps.spectrum, out=scaled)
+    fft.ifft(scaled, axis=0, out=turned)
+    i, j = box
+    fft.ifft(turned[i], axis=1, out=rows)
+    sums = rows[:, j].ravel()
+    parts = sums.view(float)
     with np.errstate(over="ignore"):
-        np.ldexp(scaled, e, out=scaled)
+        np.ldexp(parts, e, out=parts)
     if hit is not None:
         sums[hit] = np.nan
     return sums
 
 
 def _circle_samples(grid, stencil, rows):
-    """:func:`interpolate` on the circles of the unknowns selected by ``rows``;
-    non-finite data gives non-finite samples silently, and the caller raises."""
-    centres = grid.points()[stencil.box].ravel()[rows]
+    """Bilinear samples on the circles of the unknowns selected by ``rows``:
+    gathered from the stencil's table where it has one, else by
+    :func:`interpolate`.  Non-finite data gives non-finite samples silently,
+    and the caller raises."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return interpolate(grid, centres[:, None] + stencil.offsets)
+        if stencil.table is None:
+            centres = grid.points()[stencil.box].ravel()[rows]
+            return interpolate(grid, centres[:, None] + stencil.offsets)
+        at, weights = stencil.table
+        return _gather(grid.values, (at[rows], tuple(w[rows] for w in weights)))
 
 
 def _require_finite(samples):
-    if not np.all(np.isfinite(samples)):
+    if not np.isfinite(samples).all():
         raise NonFiniteSampleError("interpolated circle samples are not finite")
+
+
+def _with_values(grid, values):
+    """``grid`` with new ``values`` of its shape, without re-running the
+    checks of ``GridField``, which ``grid`` passed."""
+    new = object.__new__(type(grid))
+    new.__dict__.update(grid.__dict__, values=values)
+    return new
 
 
 def dpp_step(grid, d, cfg):
@@ -476,11 +563,12 @@ def dpp_step(grid, d, cfg):
     update and is computed.
     """
     _check_geometry(grid, cfg)
-    return _sweep(grid, d, cfg, _circle_stencil(grid, cfg))
+    return _sweep(grid, d, cfg, _circle_stencil(grid, cfg, d))
 
 
 def _sweep(grid, d, cfg, stencil):
-    """:func:`dpp_step` on a stencil built by :func:`_circle_stencil`.
+    """:func:`dpp_step` on a stencil that :func:`_circle_stencil` built for
+    ``d`` from a grid with ``grid``'s lattice and strip data.
 
     The unknowns are read and written through the rectangle ``stencil.box``,
     flattened in row-major order; ``rows`` selects the computed ones.  At the
@@ -489,9 +577,13 @@ def _sweep(grid, d, cfg, stencil):
     """
     box, values = stencil.box, grid.values
     inner = values[box].flatten()
-    held = np.zeros(inner.size, dtype=bool) if grid.frozen is None else grid.frozen[box].flatten()
-    near_zero = (np.abs(inner) < FIELD_FLOOR) & ~held
-    if np.any(near_zero):
+    near_zero = np.abs(inner) < FIELD_FLOOR
+    if grid.frozen is None:
+        held = np.zeros(inner.size, dtype=bool)
+    else:
+        held = grid.frozen[box].flatten()
+        near_zero &= ~held
+    if near_zero.any():
         circle = _circle_samples(grid, stencil, near_zero)
         held[near_zero] = np.max(np.abs(circle), axis=1) < FIELD_FLOOR
     skipped = int(np.count_nonzero(held))
@@ -499,7 +591,7 @@ def _sweep(grid, d, cfg, stencil):
     rows = slice(None) if skipped == 0 else ~held
     old = inner[rows]
     failed = 0
-    if d.lambda_lo == d.lambda_hi == 1.0:
+    if stencil.taps is not None:
         # s F''/F' == 1 makes F = c s^2 + const, whose minimizers are the
         # weighted projections themselves: one correlation with the taps.
         mean = _spectral_sum(values, stencil)[rows]
@@ -516,12 +608,12 @@ def _sweep(grid, d, cfg, stencil):
         failed = int(np.count_nonzero(bad))
         if failed:
             mean = np.where(bad, old, mean)
-    residual_sup = float(np.max(np.abs(mean - old))) if mean.size else 0.0
+    residual_sup = float(np.abs(mean - old).max()) if mean.size else 0.0
     damped = (1.0 - cfg.damping) * old + cfg.damping * mean
     inner[rows] = np.where(bad, old, damped) if failed else damped
     new_values = values.copy()
     new_values[box] = inner.reshape(values[box].shape)
-    return replace(grid, values=new_values), StepDiagnostics(
+    return _with_values(grid, new_values), StepDiagnostics(
         residual_sup=residual_sup,
         updated_count=int(inner.size - skipped - failed),
         skipped_count=skipped + failed,
@@ -536,9 +628,13 @@ def dpp_solve(grid, d, cfg, callback=None):
     when the residual grows by more than ``DIVERGENCE_FACTOR`` over
     ``DIVERGENCE_WINDOW`` sweeps, instead of looping to the iteration cap.
     ``callback(iteration, grid, diag)`` runs after every sweep when given.
+    It must not edit the ``values`` of the grid it receives: at the
+    quadratic density the strip data are read once per solve, into the
+    stencil's padded buffer, so an edit to the strip is ignored there,
+    while at any other density the next sweep reads it.
     """
     _check_geometry(grid, cfg)
-    stencil = _circle_stencil(grid, cfg)
+    stencil = _circle_stencil(grid, cfg, d)
     history = []
     current = grid
     converged = False

@@ -484,7 +484,8 @@ def circle_means(kind, f, points, r, d, node_count=DEFAULT_CIRCLE_NODES, seed=0)
     Returns a tuple with one entry per point: the mean's result, or the
     error its one-point function raises for that point alone.  These are a
     :class:`~holomeans.errors.NonFiniteSampleError` for a non-finite sample
-    on the point's circle, a :class:`~holomeans.errors.ZeroFieldError` where
+    on the point's circle or, for the conjugate mean, a transformed sample
+    that overflows, a :class:`~holomeans.errors.ZeroFieldError` where
     the conjugate transform meets a zero of the field, and an
     :class:`~holomeans.errors.InvalidParameterError` where the radius is
     below the float resolution at the point, so the slope model vanishes at
@@ -559,6 +560,17 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
         fail(np.min(np.abs(model), axis=1) <= 0.0, lambda i: InvalidParameterError(
             "model weights must be bounded away from zero"
         ))
+    if kind == "conjugate":
+        # Rows that failed above transform |g| = 1 in place of theirs.  G'
+        # may overflow at a huge |g|: that row gets a typed error and leaves
+        # the fit, so it cannot refuse the other rows' batch.
+        mod = np.where(np.array([e is None for e in errors])[:, None], mod, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = young_conjugate(d).deriv_fn(mod) * samples / mod
+        fail(~np.isfinite(samples).all(axis=1), lambda i: NonFiniteSampleError(
+            f"conjugate transform is not finite on the circle; "
+            f"|g| reaches {np.max(mod[i]):.3e}"
+        ))
     del nodes
     live = np.flatnonzero([e is None for e in errors])
     rows = slice(None) if live.size == rr.size else live
@@ -575,9 +587,6 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
                "support_count": np.sum(attained >= (value - 1e-9 * (1.0 + value))[:, None],
                                        axis=1)}
     else:
-        if kind == "conjugate":
-            mod = mod[rows]
-            samples = young_conjugate(d).deriv_fn(mod) * samples / mod
         center, slope = _newton_starts(kind, samples, offsets, r)
         del offsets
         if kind == "center":

@@ -393,6 +393,22 @@ def test_a_point_whose_jet_samples_nan_is_an_error_row_alone(rows_fn):
     assert (rows[0], rows[2]) == (clean[0], clean[2])
 
 
+def test_a_point_whose_conjugate_transform_overflows_is_an_error_row_alone():
+    # At p = 1.5 the conjugate's slope grows like |g|^2, so it overflows on
+    # every circle about the 1e160 disk's centre, and on none about 0.9+0.9i.
+    def huge_disk(zeta):
+        zeta = np.asarray(zeta, dtype=complex)
+        return np.where(np.abs(zeta - (0.3 + 0.2j)) < 0.2, 1e160 * np.exp(zeta), np.exp(zeta))
+
+    d = hm.power_density(1.5)
+    huge, normal = hm.asymptotics._holomorphy_rows(huge_disk, [0.3 + 0.2j, 0.9 + 0.9j], d)
+    assert isinstance(huge, InsufficientDataError)
+    assert "NonFiniteSampleError: conjugate transform is not finite" in str(huge)
+    (alone,) = hm.asymptotics._holomorphy_rows(huge_disk, [0.9 + 0.9j], d)
+    assert normal.verdict == "holomorphic"
+    assert repr(normal) == repr(alone)
+
+
 @pytest.mark.parametrize("rows_fn, error", (
     (hm.asymptotics._holomorphy_rows, hm.DomainError),
     (hm.asymptotics._system_rows, hm.ZeroFieldError),

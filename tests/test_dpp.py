@@ -486,7 +486,7 @@ def window_tap_sum(values, stencil, coefficients):
     running total: the reference the spectral sum must match to rounding."""
     i, j = stencil.box
     total = 0.0
-    for (dy, dx), c in zip(stencil.shifts.tolist(), coefficients.tolist()):
+    for (dy, dx), c in zip(stencil.taps.shifts.tolist(), coefficients.tolist()):
         total = total + c * values[i.start + dy : i.stop + dy, j.start + dx : j.stop + dx]
     return total.ravel()
 
@@ -511,22 +511,23 @@ def test_the_spectral_tap_sum_matches_the_window_sum_to_rounding(rng, name):
     shape = grid.values.shape
     values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     grid = replace(grid, values=values)
-    stencil = _circle_stencil(grid, hm.DppConfig(radius=radius))
+    stencil = _circle_stencil(grid, hm.DppConfig(radius=radius), D2)
+    taps = stencil.taps
     # one tap per distinct bilinear corner shift of the circle nodes, in
     # the order of the shifts, on a lattice padded to 2-3-5-smooth sizes
     cells = stencil.offsets / h
     dx = np.floor(cells.real).astype(int) + np.array([0, 1, 0, 1])[:, None]
     dy = np.floor(cells.imag).astype(int) + np.array([0, 0, 1, 1])[:, None]
     np.testing.assert_array_equal(
-        stencil.shifts, np.unique(np.column_stack([dy.ravel(), dx.ravel()]), axis=0)
+        taps.shifts, np.unique(np.column_stack([dy.ravel(), dx.ravel()]), axis=0)
     )
     smooth = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27, 30, 32, 36, 40, 45,
               48, 50, 54, 60, 64, 72, 75, 80, 81, 90, 96, 100)
-    assert stencil.spectrum.shape == tuple(min(m for m in smooth if m >= n) for n in shape)
+    assert taps.spectrum.shape == tuple(min(m for m in smooth if m >= n) for n in shape)
     if name == "padded":
-        assert shape == (29, 29) and stencil.spectrum.shape == (30, 30)
+        assert shape == (29, 29) and taps.spectrum.shape == (30, 30)
     got = _spectral_sum(values, stencil)
-    want = window_tap_sum(values, stencil, stencil.pair)
+    want = window_tap_sum(values, stencil, taps.pair)
     assert got.shape == (int(grid.interior_mask().sum()),)
     # the bound of the reference-sweep test: 256 eps max|v|
     assert np.max(np.abs(got - want)) <= 256 * np.finfo(float).eps * np.max(np.abs(values))
@@ -791,3 +792,171 @@ def test_checkpoint_rows_are_the_bytes_of_savetxt(tmp_path, nx, ny):
     head, columns, rows = path.read_text().partition("x,y,re,im,flag\n")
     assert columns and head.startswith("# note = blocks\n# lattice x0=0.10000000000000001 ")
     assert rows == _savetxt_rows(g)
+
+
+def reference_spectral_sum(values, stencil):
+    """The quadratic tap sums as a fresh computation per call: the lattice
+    copied onto a zeroed padded array, prescaled over all of it, and
+    transformed into new arrays.  The oracle of the per-solve buffers."""
+    taps, (i, j) = stencil.taps, stencil.box
+    padded = np.zeros(taps.spectrum.shape, dtype=complex)
+    data = padded[: values.shape[0], : values.shape[1]]
+    np.copyto(data, values, where=taps.reached)
+    parts = padded.view(float)
+    top = max(parts.max(), -parts.min())
+    hit = None
+    if not np.isfinite(top):
+        bad = ~np.isfinite(data)
+        hit = np.zeros(data[i, j].shape, dtype=bool)
+        for sy, sx in taps.shifts.tolist():
+            hit |= bad[i.start + sy : i.stop + sy, j.start + sx : j.stop + sx]
+        hit = hit.ravel()
+        data[bad] = 0.0
+        top = max(parts.max(), -parts.min())
+    e = int(np.frexp(top)[1])
+    np.ldexp(parts, -e, out=parts)
+    product = np.fft.fft(np.fft.fft(padded, axis=1), axis=0) * taps.spectrum
+    sums = np.fft.ifft(np.fft.ifft(product, axis=0)[i], axis=1)[:, j].ravel()
+    scaled = sums.view(float)
+    with np.errstate(over="ignore"):
+        np.ldexp(scaled, e, out=scaled)
+    if hit is not None:
+        sums[hit] = np.nan
+    return sums
+
+
+def reference_quadratic_step(grid, cfg):
+    """One p = 2 sweep on :func:`reference_spectral_sum`: (values, residual)."""
+    from holomeans.dpp import _circle_stencil
+
+    stencil = _circle_stencil(grid, cfg, D2)
+    box = stencil.box
+    inner = grid.values[box].flatten()
+    held = np.zeros(inner.size, dtype=bool) if grid.frozen is None else grid.frozen[box].flatten()
+    near_zero = (np.abs(inner) < FIELD_FLOOR) & ~held
+    if np.any(near_zero):
+        centres = grid.points()[box].ravel()[near_zero]
+        circle = hm.interpolate(grid, centres[:, None] + stencil.offsets)
+        held[near_zero] = np.max(np.abs(circle), axis=1) < FIELD_FLOOR
+    mean = reference_spectral_sum(grid.values, stencil)[~held]
+    old = inner[~held]
+    inner[~held] = (1.0 - cfg.damping) * old + cfg.damping * mean
+    values = grid.values.copy()
+    values[box] = inner.reshape(values[box].shape)
+    return values, float(np.max(np.abs(mean - old))) if mean.size else 0.0
+
+
+def strip_sets_the_prescale():
+    # exp data (|component| up to e^1.15) around unknowns that start at 1
+    return hm.with_interior(hm.grid_from_function(0.0, 1.0, 0.0, 1.0, 0.05, 0.15, np.exp), 1.0)
+
+
+def unknowns_set_the_prescale():
+    # unknowns that start at 9+9i and fall towards the exp data
+    return hm.with_interior(strip_sets_the_prescale(), 9.0 + 9.0j)
+
+
+def near_1e300():
+    # strip data of 1e306 exp: scaled by the unknowns' top alone, their
+    # transform would overflow
+    g = hm.grid_from_function(0.0, 1.0, 0.0, 1.0, 0.05, 0.15, lambda z: 1e306 * np.exp(z))
+    return hm.with_interior(g, 1.0)
+
+
+def unreached_unknowns():
+    # 2 x 2 unknowns, no tap of which reads another at r = 5h: no sum reads
+    # the 1e308 start, which must not set the prescale either
+    g = hm.grid_from_function(0.0, 0.02, 0.0, 0.02, 0.02, 0.1, np.exp)
+    return hm.with_interior(g, 1e308)
+
+
+PRESCALE_CASES = {
+    "strip": (strip_sets_the_prescale, 0.15),
+    "unknowns": (unknowns_set_the_prescale, 0.15),
+    "near 1e300": (near_1e300, 0.15),
+    # held_grid's frozen nodes, with the zero disc's other nodes near zero
+    "frozen": (held_grid, 0.1),
+    "near-zero held": (patched_grid, 0.1),
+    "unreached unknowns": (unreached_unknowns, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", PRESCALE_CASES)
+def test_the_quadratic_sweep_is_the_fresh_spectral_sum_bit_for_bit(name):
+    from holomeans.dpp import _circle_stencil, _top
+
+    start, radius = PRESCALE_CASES[name]
+    cfg = hm.DppConfig(radius=radius, residual_tol=0.0, max_iterations=6)
+    grid = start()
+    taps = _circle_stencil(grid, cfg, D2).taps
+    unknown_top = _top(grid.values[grid.interior_mask()])
+    if name in ("strip", "near 1e300"):
+        assert taps.strip_top > unknown_top
+    elif name == "unreached unknowns":
+        assert not taps.reached[grid.interior_mask()].any()
+    elif name == "unknowns":
+        assert taps.strip_top < unknown_top
+    seen = []
+    res = hm.dpp_solve(grid, D2, cfg, callback=lambda k, g, diag: seen.append(diag))
+    history = []
+    for diag in seen:
+        values, residual = reference_quadratic_step(grid, cfg)
+        stepped, step_diag = hm.dpp_step(grid, D2, cfg)
+        assert stepped.values.tobytes() == values.tobytes()
+        assert step_diag == diag and diag.residual_sup == residual
+        history.append(residual)
+        grid = stepped
+    assert res.iterations == 6 and tuple(history) == res.residual_history
+    assert res.field.values.tobytes() == grid.values.tobytes()
+    if name == "frozen":
+        assert {diag.skipped_count for diag in seen} == {10}
+    if name == "near-zero held":
+        assert seen[0].skipped_count == 1
+
+
+@pytest.mark.parametrize("where", ("strip", "unknown"))
+def test_a_nan_node_turns_only_the_sums_that_read_it_nan(where):
+    from holomeans.dpp import _circle_stencil, _spectral_sum
+
+    cfg = hm.DppConfig(radius=0.15)
+    clean = unknowns_set_the_prescale()
+    s = clean.strip_cells
+    node = (s + 5, s - 1) if where == "strip" else (s + 5, s + 3)
+    values = clean.values.copy()
+    values[node] = np.nan
+    g = replace(clean, values=values)
+    stencil = _circle_stencil(g, cfg, D2)
+    got = _spectral_sum(values, stencil)
+    assert got.tobytes() == reference_spectral_sum(values, stencil).tobytes()
+    bad = np.zeros(values.shape)
+    bad[node] = 1.0
+    reads = window_tap_sum(bad, stencil, np.ones(len(stencil.taps.shifts))) != 0
+    assert 0 < reads.sum() < reads.size
+    np.testing.assert_array_equal(np.isnan(got), reads)
+    # the NaN was zeroed on a copy: the next sum on clean data is exact
+    clean_sum = _spectral_sum(clean.values, stencil)
+    assert clean_sum.tobytes() == reference_spectral_sum(clean.values, stencil).tobytes()
+    with pytest.raises(hm.NonFiniteSampleError, match="not finite"):
+        hm.dpp_step(g, D2, cfg)
+
+
+def test_a_callback_that_keeps_every_grid_finds_them_unchanged():
+    cfg = hm.DppConfig(radius=0.15, residual_tol=1e-3)
+    kept = []
+    res = hm.dpp_solve(unknowns_set_the_prescale(), D2, cfg,
+                       callback=lambda k, g, diag: kept.append((g, g.values.tobytes())))
+    assert len(kept) == res.iterations > 2
+    assert kept[-1][0] is res.field
+    for g, snapshot in kept:
+        assert g.values.tobytes() == snapshot
+    arrays = [g.values for g, _ in kept]
+    assert not any(np.shares_memory(a, b) for a, b in zip(arrays, arrays[1:]))
+
+
+@pytest.mark.parametrize("p", (2.0, 3.0))
+def test_two_steps_on_one_grid_give_equal_bytes(p):
+    g = held_grid()
+    cfg = hm.DppConfig(radius=0.1)
+    (a, diag_a), (b, diag_b) = (hm.dpp_step(g, hm.power_density(p), cfg) for _ in range(2))
+    assert a.values.tobytes() == b.values.tobytes() and diag_a == diag_b
+    assert a.values is not b.values and a.frozen is g.frozen
