@@ -32,8 +32,11 @@ that point's row alone), and one closed-form least-squares pass over those
 arrays extrapolates every ladder, whatever its usable radii.  Points where
 the field falls below ``FIELD_FLOOR`` are set aside as untestable first
 (:func:`_live_jets`).  The rows are assembled in array passes over the
-points: one field call samples every jet, the analytic predictions are
-array expressions, and Python only builds the result rows.
+points: one field call samples every jet, and its centres are the field at
+the points (for the floor test and the pair increment's centre), so a
+verdict samples its field in two calls, the jets and the ladder.  The
+analytic predictions are array expressions, with the density's conjugate
+derived once per density object, and Python only builds the result rows.
 A point left with too few radii, or whose row cannot be computed, keeps its
 :class:`HolomeansError` in its slot of the rows; the public verdicts raise
 the first of them (in the order given), while the command line interface
@@ -193,14 +196,16 @@ _SWEEP_MEANS = {
 SWEEP_KINDS = tuple(_SWEEP_MEANS)
 
 
-def _sweeps(kind, f, points, d, cfg):
+def _sweeps(kind, f, points, d, cfg, center=None):
     """Sweep every point at once: one circle-mean solve over the whole ladder.
 
-    Returns ``(radii, cols, values, ok, errors)``: the ladder, the engine's
-    columns (:func:`~holomeans.means._ladder_means`), the values and whether
-    each is usable as (points, radii) arrays, and per point None or the
-    error :func:`sweep` raises for it alone.  An error that concerns every
-    point fails every radius for all of them.
+    A ``pair_increment`` sweep subtracts f at the points: ``center``, when
+    the caller has it, else sampled here.  Returns ``(radii, cols, values,
+    ok, errors)``: the ladder, the engine's columns
+    (:func:`~holomeans.means._ladder_means`), the values and whether each is
+    usable as (points, radii) arrays, and per point None or the error
+    :func:`sweep` raises for it alone.  An error that concerns every point
+    fails every radius for all of them.
     """
     pts = np.asarray(points, dtype=complex)
     if kind not in SWEEP_KINDS:
@@ -214,7 +219,7 @@ def _sweeps(kind, f, points, d, cfg):
         return radii, {}, np.zeros(shape, dtype=complex), np.zeros(shape, dtype=bool), []
     if kind == "pair_increment":
         # A (points, 1) array, shaped like the circles the means sample.
-        center = field_values(f, pts[:, None])
+        center = field_values(f, pts[:, None]) if center is None else center[:, None]
     try:
         cols = _ladder_means(_SWEEP_MEANS[kind], f, pts, radii, d,
                              geometry.DEFAULT_CIRCLE_NODES, cfg.seed)
@@ -357,15 +362,22 @@ def _live_jets(f, points):
     pts = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
     if pts.size == 0:
         raise InvalidParameterError("need at least one point")
-    low = np.abs(field_values(f, pts)) < FIELD_FLOOR
-    return (pts, low, *_wirtinger_jets(f, pts[~low]))
+    # The jets' one field call gives f at the points too, as their values.
+    jets, errors = _wirtinger_jets(f, pts)
+    low = np.abs(jets.value) < FIELD_FLOOR
+    if low.any():
+        keep = ~low
+        jets = Jet(jets.base[keep], jets.value[keep], jets.dz[keep], jets.dzbar[keep])
+        errors = [error for error, is_low in zip(errors, low.tolist()) if not is_low]
+    return pts, low, jets, errors
 
 
-def _limits(kind, f, points, d, cfg):
+def _limits(kind, f, points, d, cfg, center=None):
     """The sweep-to-limit step of every verdict: :func:`_extrapolate_rows`
     columns of all the points' sweeps (increment ratios for
-    ``pair_increment``), and the per-point sweep errors."""
-    radii, _, values, ok, errors = _sweeps(kind, f, points, d, cfg)
+    ``pair_increment``, with f at the points ``center`` if given), and the
+    per-point sweep errors."""
+    radii, _, values, ok, errors = _sweeps(kind, f, points, d, cfg, center)
     if kind == "pair_increment":
         values = values / radii
     return _extrapolate_rows(radii, values, ok), errors
@@ -386,7 +398,7 @@ def _verdict_rows(kind, f, points, d, cfg, analytic, rows, untestable):
     ``predictions`` complex arrays.
     """
     pts, low, jets, jet_errors = _live_jets(f, points)
-    cols, sweep_errors = _limits(kind, f, jets.base, d, cfg)
+    cols, sweep_errors = _limits(kind, f, jets.base, d, cfg, jets.value)
     results = [a or b for a, b in zip(sweep_errors, jet_errors)]
     ok_pts = np.flatnonzero([res is None for res in results])
     predicted, errors = analytic(Jet(jets.base[ok_pts], jets.value[ok_pts], jets.dz[ok_pts],

@@ -50,8 +50,8 @@ from .errors import InvalidParameterError, _raise_first
 from .geometry import (
     Jet,
     _modulus,
+    _unit_nodes,
     affine_eval,
-    circle_rule,
     field_values,
     sample_field,
 )
@@ -207,7 +207,7 @@ def jet_membership(f, probe, cfg=None):
     radii = cfg.radii()
 
     # Every circle of the ladder in one field call, row k at radius k.
-    nodes = z + radii[:, None] * circle_rule(0j, 1.0, geometry.DEFAULT_CIRCLE_NODES).nodes
+    nodes = z + radii[:, None] * _unit_nodes(geometry.DEFAULT_CIRCLE_NODES)
     values = sample_field(f, nodes)
     affine = fz + probe.sigma * (nodes - z) + probe.tau * np.conj(nodes - z)
     remainder = values - affine

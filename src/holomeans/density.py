@@ -19,6 +19,7 @@ used where a limit of ``lam`` at zero is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -109,6 +110,19 @@ class Density:
     def lambda_at_zero(self):
         """Limit of the pinching ratio at 0+, equal to the declared exponent."""
         return self.small_exponent
+
+    # The terms below depend on the density alone, so each object derives
+    # them once.  ``cached_property`` keeps them in the instance ``__dict__``,
+    # past the frozen ``__setattr__``; ``==``, ``hash`` and ``repr`` read the
+    # fields only, and ``dataclasses.replace`` builds an object without them.
+
+    @cached_property
+    def _law(self):
+        return _find_power_law(self)
+
+    @cached_property
+    def _conjugate(self):
+        return _make_young_conjugate(self)
 
 
 @dataclass(frozen=True)
@@ -270,7 +284,12 @@ def _power_law(d):
     small_exponent``, as :func:`power_density` does), and its F' must match
     ``small_coeff * s**small_exponent`` on the probe grid to 1e-12 relative.
     Its F is then ``coeff * s**(alpha + 1) / (alpha + 1)``, since F(0) = 0.
+    Found once per density object.
     """
+    return d._law
+
+
+def _find_power_law(d):
     alpha, coeff = d.small_exponent, d.small_coeff
     if not d.lambda_lo == d.lambda_hi == alpha:
         return None
@@ -291,11 +310,17 @@ def young_conjugate(d):
     ``G'(t) = (t / small_coeff)**(1 / small_exponent)``; every other density
     solves F'(s) = t numerically.
 
+    Made once per density object, which then returns the same conjugate.
+
     Raises
     ------
     DegenerateDensityError
         If F' is not strictly increasing on a coarse sampling grid.
     """
+    return d._conjugate
+
+
+def _make_young_conjugate(d):
     fp = _probe_deriv(d)[1]
     if fp.size < 2 or not np.all(np.diff(fp) > 0.0):
         raise DegenerateDensityError(

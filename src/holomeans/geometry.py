@@ -12,6 +12,7 @@ derivatives of a field at a base point:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +88,15 @@ def circle_rule(center, radius, node_count=DEFAULT_CIRCLE_NODES):
     nodes = center + radius * np.exp(1j * theta)
     weights = np.full(n, 2.0 * np.pi * radius / n)
     return CircleQuadrature(complex(center), float(radius), nodes, weights)
+
+
+@lru_cache(maxsize=16)
+def _unit_nodes(node_count):
+    """The nodes of ``circle_rule(0j, 1.0, node_count)``, made once per node
+    count and read-only, since every caller shares them."""
+    nodes = circle_rule(0j, 1.0, node_count).nodes
+    nodes.flags.writeable = False
+    return nodes
 
 
 def disk_rule(center, radius, radial_nodes=DEFAULT_RADIAL_NODES,

@@ -27,12 +27,20 @@ solve fits every (radius, point) row, so a sweep is one solve; the pair
 mean stacks its center rows above its slope rows in that solve.  The engine
 returns (radii, points) columns of values, status codes, first-order
 residuals and iterations, and a row whose circle cannot be solved gets its
-own error in its slot while the other rows go on.  Result objects are made
-only at the public edge: :func:`circle_means` is the engine's one-radius
-call, and the one-point functions are one-row calls.  Every sum over a
-row's nodes is a mean along that row alone, so a row's result has the same
-bits whatever batch it is solved in.  The DPP's sweep takes its Newton
-starts from the engine's :func:`_newton_starts`.
+own error in its slot while the other rows go on.  One boolean mask marks
+the failing rows: an error object is made only for a row that fails, and
+where no row fails the fit's outputs are the columns as they are, with no
+compaction or scatter.  Result objects are made only at the public edge:
+:func:`circle_means` is the engine's one-radius call, and the one-point
+functions are one-row calls.  Every sum over a row's nodes is a mean along
+that row alone, so a row's result has the same bits whatever batch it is
+solved in.  The DPP's sweep takes its Newton starts from the engine's
+:func:`_newton_starts`.
+
+What depends on the density alone is derived once per density object: its
+power law (:func:`~holomeans.density._power_law`), which picks the fit's
+per-node terms, and its Young conjugate, which the conjugate mean's
+transform reads.  The unit circle's nodes are made once per node count.
 """
 
 from __future__ import annotations
@@ -50,7 +58,13 @@ from .errors import (
     ZeroFieldError,
     _raise_first,
 )
-from .geometry import DEFAULT_CIRCLE_NODES, circle_rule, field_values, nonfinite_error
+from .geometry import (
+    DEFAULT_CIRCLE_NODES,
+    _unit_nodes,
+    circle_rule,
+    field_values,
+    nonfinite_error,
+)
 from .pdesystem import FIELD_FLOOR
 
 __all__ = [
@@ -91,9 +105,9 @@ RESIDUAL_FLOOR = 1e-12
 MAX_NEWTON_ITERATIONS = 60
 MAX_BACKTRACKS = 60
 STEP_TOL = 1e-11
-# A row of a power-law fit whose largest modulus exceeds HUGE_MODULUS is
-# fitted at unit scale, since squared moduli overflow from about 1.3e154; at
-# any other density such a row fails unevaluated.
+# Squared moduli overflow from about 1.3e154, so a row of a fit whose largest
+# modulus exceeds HUGE_MODULUS fails unevaluated, unless the density is a power
+# law: such a row is fitted at unit scale (see _unit_scale_from).
 HUGE_MODULUS = 2.0**500
 
 _STATUS_ACTIVE = 0
@@ -176,6 +190,24 @@ class AffineIdentityResult:
 def _row_mean(a):
     """``np.mean(a, axis=-1)``, bit for bit, without its Python wrapper."""
     return np.add.reduce(a, axis=-1) / a.shape[-1]
+
+
+def _unit_scale_from(alpha):
+    """The modulus from which a row of a fit at the power law ``F' ~ s**alpha``
+    is fitted at unit scale: ``2**E``, at least 1 and at most ``HUGE_MODULUS``.
+
+    The largest terms of the fit grow like |u|**q, q = max(alpha + 1, 2 alpha
+    - 2): the objective's F(|u|) and the Hessian denominator ``a**2 - |b|**2``.
+    E is the largest integer with (4 * 2**E)**q <= 2**1008.  A row's
+    residuals start below 2 * 2**E, so these terms stay finite at residuals
+    up to twice that bound, and so do their sums over 64 nodes, with the
+    constant factors of the fit.  A row below ``2**E`` keeps the bits of its
+    unscaled fit.  Such an E >= 0 exists while q <= 504, that is up to alpha
+    = 253 (p = 254).  Past it E is 0, so a row is never scaled up, and the
+    fit's terms may overflow at residuals of order 1 at any scale.
+    """
+    q = max(alpha + 1.0, 2.0 * alpha - 2.0)
+    return min(HUGE_MODULUS, 2.0 ** max(0, int(1008.0 / q) - 2))
 
 
 def _node_terms(d):
@@ -263,9 +295,11 @@ def fit_model_coefficient(d, samples, model, init):
     ``iterations`` and integer ``status`` codes (1 converged, 3 failed).
     A row fails when its Newton direction is unusable, when its line search
     runs out of backtracks, or when the iteration budget ends above the
-    first-order tolerance.  At a density that is not a power law, a row whose
-    largest modulus exceeds ``HUGE_MODULUS`` fails at its start, with no
-    iteration, an infinite objective and a NaN first-order residual.
+    first-order tolerance.  At a power law, a row whose largest modulus
+    exceeds :func:`_unit_scale_from` of its exponent is fitted at unit scale
+    and scaled back.  At any other density, a row whose largest modulus
+    exceeds ``HUGE_MODULUS`` fails at its start, with no iteration, an
+    infinite objective and a NaN first-order residual.
 
     Raises
     ------
@@ -295,10 +329,11 @@ def fit_model_coefficient(d, samples, model, init):
     floor2 = RESIDUAL_FLOOR**2
     # A power law is homogeneous: scaling a row by 2**-e scales its minimizer
     # alike, its objective by 2**-(e (alpha + 1)) and its first-order residual
-    # by 2**-(e alpha).  So a huge row is fitted below 2 and scaled back.
+    # by 2**-(e alpha).  So a row past _unit_scale_from(alpha) is fitted
+    # below 2 and scaled back.
     modulus, mscale = np.abs(samples), np.max(mmod, axis=-1)
     top = np.maximum(np.max(modulus, axis=-1), np.abs(c) * mscale)
-    huge = top > HUGE_MODULUS
+    huge = top > (HUGE_MODULUS if alpha is None else _unit_scale_from(alpha))
     aside = huge & (alpha is None)  # F, F' and F'' may overflow there: it fails unevaluated
     huge &= alpha is not None
     if huge.any():
@@ -309,7 +344,8 @@ def fit_model_coefficient(d, samples, model, init):
         modulus[huge] = np.abs(samples[huge])
 
     # The active rows, in order, with their own rows of every per-row input.
-    # Rows only ever leave; the arrays are re-indexed when one does.
+    # Rows only ever leave; the arrays are re-indexed when one does, and a
+    # row's outputs are written when it leaves.
     state = np.full(samples.shape[0], _STATUS_ACTIVE, dtype=int)
     foc_out = np.zeros(samples.shape[0])
     obj_out = np.full(samples.shape[0], np.inf)
@@ -339,10 +375,16 @@ def fit_model_coefficient(d, samples, model, init):
             k[near] = np.where(s2[near] > 0.0, k[near], 0.0)
         return u, s2, k, near, objective(s2, k)
 
+    def leave(sel, status):
+        # The active rows ``sel`` leave with their coefficients, objectives
+        # and first-order residuals at the current iterate.
+        gone = act[sel]
+        state[gone] = status
+        c[gone], obj_out[gone], foc_out[gone], iters[gone] = cur[sel], obj[sel], foc[sel], it
+
     # The terms at the active rows' current coefficients.
     cur = c[act]
     u, s2, k, near, obj = evaluate(rows, per_row[0], cur)
-    obj_out[act] = obj
 
     for it in range(MAX_NEWTON_ITERATIONS + 1):
         if act.size == 0:
@@ -359,15 +401,13 @@ def fit_model_coefficient(d, samples, model, init):
             s2_h, k_h = s2.copy(), k.copy()
             s2_h[near] = np.maximum(s2[near], floor2)
             k_h[near] = weight(s2_h[near])
-        foc_out[act] = foc
-        iters[act] = it
         small_foc = foc <= tol
         if it == MAX_NEWTON_ITERATIONS:
             # Iteration budget exhausted.  Near a flat optimum the Newton step
             # stalls at the float noise floor without ever satisfying STEP_TOL;
             # accept rows whose final iterate meets the first-order tolerance
             # and fail only the rest.
-            state[act] = np.where(small_foc, _STATUS_CONVERGED, _STATUS_FAILED)
+            leave(slice(None), np.where(small_foc, _STATUS_CONVERGED, _STATUS_FAILED))
             break
         # A row with an exactly-zero pointwise residual converges on the
         # gradient alone; otherwise it stays in Newton, whose Hessian clamps
@@ -381,19 +421,24 @@ def fit_model_coefficient(d, samples, model, init):
         del u, s2, k, um, wa, wb, s2_h, k_h
         denom = a_coef**2 - np.abs(b_coef) ** 2
         good = np.isfinite(denom) & (denom > 0.0)
-        delta = np.zeros_like(g)
+        g_conj = np.conj(g)
         with np.errstate(over="ignore", invalid="ignore"):  # a row whose step overflows takes none
-            np.divide(-a_coef * g + b_coef * np.conj(g), denom, out=delta, where=good)
+            step = -a_coef * g + b_coef * g_conj
+            if good.all():
+                delta = step / denom
+            else:
+                delta = np.zeros_like(g)
+                np.divide(step, denom, out=delta, where=good)
             settled = small_foc & good & (np.abs(delta) <= STEP_TOL * (1.0 + np.abs(cur)))
-            slope = 2.0 * np.real(np.conj(g) * delta)
+            slope = 2.0 * (g_conj * delta).real
         stop = done | settled
         good &= np.isfinite(slope) & (slope < 0.0) & ~stop
-        state[act[stop]] = _STATUS_CONVERGED
         # Only the rows with a usable step go on to the line search.
         if not good.all():
-            state[act[~good & ~stop]] = _STATUS_FAILED
-            act, rows, tol, cur, delta, slope, obj = (
-                a[good] for a in (act, rows, tol, cur, delta, slope, obj)
+            gone = ~good
+            leave(gone, np.where(stop[gone], _STATUS_CONVERGED, _STATUS_FAILED))
+            act, rows, tol, cur, delta, slope, obj, foc = (
+                a[good] for a in (act, rows, tol, cur, delta, slope, obj, foc)
             )
             if not shared:
                 per_row = tuple(a[good] for a in per_row)
@@ -412,32 +457,33 @@ def fit_model_coefficient(d, samples, model, init):
                 obj1 <= obj[sel] + ARMIJO_SLOPE * t * slope[sel] + flat[sel]
             )
 
-        t = np.ones(act.size)
         cand = cur + delta
         u, s2, k, near, obj1 = evaluate(rows, m, cand)
-        ok = sufficient(obj1, slice(None), 1.0)
-        pend = np.flatnonzero(~ok)
-        for _ in range(MAX_BACKTRACKS - 1):
-            if pend.size == 0:
-                break
-            t[pend] *= BACKTRACK_FACTOR
-            cand[pend] = cur[pend] + t[pend] * delta[pend]
-            trial = evaluate(rows[pend], m if shared else m[pend], cand[pend])
-            u[pend], s2[pend], k[pend], near[pend], obj1[pend] = trial
-            hit = sufficient(trial[-1], pend, t[pend])
-            ok[pend[hit]] = True
-            pend = pend[~hit]
-        if pend.size:
-            # These rows ran out of backtracks: they fail, and the others go
-            # on with the terms at their new coefficients.
-            state[act[pend]] = _STATUS_FAILED
-            act, rows, tol, cand, obj1, u, s2, k, near = (
-                a[ok] for a in (act, rows, tol, cand, obj1, u, s2, k, near)
-            )
-            if not shared:
-                per_row = tuple(a[ok] for a in per_row)
+        ok = np.isfinite(obj1) & (obj1 <= obj + ARMIJO_SLOPE * slope + flat)  # t = 1
+        if not ok.all():
+            t = np.ones(act.size)
+            pend = np.flatnonzero(~ok)
+            for _ in range(MAX_BACKTRACKS - 1):
+                if pend.size == 0:
+                    break
+                t[pend] *= BACKTRACK_FACTOR
+                cand[pend] = cur[pend] + t[pend] * delta[pend]
+                trial = evaluate(rows[pend], m if shared else m[pend], cand[pend])
+                u[pend], s2[pend], k[pend], near[pend], obj1[pend] = trial
+                hit = sufficient(trial[-1], pend, t[pend])
+                ok[pend[hit]] = True
+                pend = pend[~hit]
+            if pend.size:
+                # These rows ran out of backtracks: they fail at their
+                # pre-step iterate, and the others go on with the terms at
+                # their new coefficients.
+                leave(pend, _STATUS_FAILED)
+                act, rows, tol, cand, obj1, u, s2, k, near = (
+                    a[ok] for a in (act, rows, tol, cand, obj1, u, s2, k, near)
+                )
+                if not shared:
+                    per_row = tuple(a[ok] for a in per_row)
         cur, obj = cand, obj1
-        c[act], obj_out[act] = cur, obj
 
     if huge.any():
         c[huge] *= np.ldexp(1.0, e)
@@ -457,8 +503,8 @@ def _newton_starts(kind, samples, offsets, r):
     """The ``kind`` mean's Newton starts ``(center, slope)``, None where not fitted:
     the circle average, and the quadratic closed form (``offsets`` from the centre).
     At the quadratic density the starts are the means themselves."""
-    center = np.mean(samples, axis=-1) if kind in ("center", "pair") else None
-    slope = None if kind == "center" else np.mean(samples * offsets, axis=-1) / r**2
+    center = _row_mean(samples) if kind in ("center", "pair") else None
+    slope = None if kind == "center" else _row_mean(samples * offsets) / r**2
     return center, slope
 
 
@@ -526,8 +572,8 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
         raise InvalidParameterError(
             f"unknown mean kind {kind!r}; expected one of {MEAN_KINDS}"
         )
-    unit = circle_rule(0j, 1.0, node_count)
-    n = unit.nodes.size
+    unit = _unit_nodes(node_count)
+    n = unit.size
     radii = np.asarray(radii, dtype=float)
     bad = ~(np.isfinite(radii) & (radii > 0.0))
     if np.any(bad):
@@ -535,46 +581,55 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
             f"circle radius must be positive, got {radii[np.argmax(bad)]}"
         )
     z = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
-    nodes = z[None, :, None] + (radii[:, None] * unit.nodes)[:, None, :]
+    nodes = z[None, :, None] + (radii[:, None] * unit)[:, None, :]
     offsets = (nodes - z[None, :, None]).reshape(-1, n)
     samples = field_values(f, nodes).reshape(-1, n)
     nodes = nodes.reshape(-1, n)
     rr = np.repeat(radii, z.size)
     errors = np.full(rr.size, None, dtype=object)
+    failed = np.zeros(rr.size, dtype=bool)
 
     def fail(rows, error):
-        for i in np.flatnonzero(rows):
-            if errors[i] is None:
-                errors[i] = error(i)
+        # Each of the rows ``rows`` that has no error yet gets ``error(i)``.
+        for i in np.flatnonzero(rows & ~failed):
+            errors[i] = error(i)
+            failed[i] = True
 
-    fail(~np.all(np.isfinite(samples), axis=1),
-         lambda i: nonfinite_error(nodes[i], samples[i]))
+    finite = np.isfinite(samples)
+    if not finite.all():
+        fail(~finite.all(axis=1), lambda i: nonfinite_error(nodes[i], samples[i]))
     if kind == "conjugate":
         mod = np.abs(samples)
-        fail(np.any(mod < TRANSFORM_FLOOR, axis=1), lambda i: ZeroFieldError(
-            f"conjugate transform needs |g| >= {TRANSFORM_FLOOR:g} on the circle; "
-            f"|g({nodes[i, np.argmin(mod[i])]:.6g})| = {np.min(mod[i]):.3e}"
-        ))
-    model = np.conj(offsets)
+        low = mod < TRANSFORM_FLOOR
+        if low.any():
+            fail(low.any(axis=1), lambda i: ZeroFieldError(
+                f"conjugate transform needs |g| >= {TRANSFORM_FLOOR:g} on the circle; "
+                f"|g({nodes[i, np.argmin(mod[i])]:.6g})| = {np.min(mod[i]):.3e}"
+            ))
     if kind not in ("center", "infinity"):
-        fail(np.min(np.abs(model), axis=1) <= 0.0, lambda i: InvalidParameterError(
-            "model weights must be bounded away from zero"
-        ))
+        vanishing = offsets == 0.0  # where the model conj(offsets) vanishes
+        if vanishing.any():
+            fail(vanishing.any(axis=1), lambda i: InvalidParameterError(
+                "model weights must be bounded away from zero"
+            ))
     if kind == "conjugate":
         # Rows that failed above transform |g| = 1 in place of theirs.  G'
         # may overflow at a huge |g|: that row gets a typed error and leaves
         # the fit, so it cannot refuse the other rows' batch.
-        mod = np.where(np.array([e is None for e in errors])[:, None], mod, 1.0)
+        mod[failed] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             samples = young_conjugate(d).deriv_fn(mod) * samples / mod
-        fail(~np.isfinite(samples).all(axis=1), lambda i: NonFiniteSampleError(
-            f"conjugate transform is not finite on the circle; "
-            f"|g| reaches {np.max(mod[i]):.3e}"
-        ))
+        finite = np.isfinite(samples)
+        if not finite.all():
+            fail(~finite.all(axis=1), lambda i: NonFiniteSampleError(
+                f"conjugate transform is not finite on the circle; "
+                f"|g| reaches {np.max(mod[i]):.3e}"
+            ))
     del nodes
-    live = np.flatnonzero([e is None for e in errors])
-    rows = slice(None) if live.size == rr.size else live
-    samples, offsets, model, r = samples[rows], offsets[rows], model[rows], rr[rows]
+    # The rows without an error go on to the fit.
+    some_failed = failed.any()
+    live = ~failed if some_failed else slice(None)
+    samples, offsets, r = samples[live], offsets[live], rr[live]
 
     if kind == "infinity":
         v = samples * offsets / r[:, None] ** 2
@@ -583,36 +638,42 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
         value = r * np.array([radius for _, radius in found])
         attained = r[:, None] * np.abs(v - center[:, None])
         fit = {"minimizer": center, "objective": value,
-               "status": np.full(live.size, _STATUS_CONVERGED),
+               "status": np.full(r.size, _STATUS_CONVERGED),
                "support_count": np.sum(attained >= (value - 1e-9 * (1.0 + value))[:, None],
                                        axis=1)}
     else:
         center, slope = _newton_starts(kind, samples, offsets, r)
-        del offsets
         if kind == "center":
             fit = fit_model_coefficient(d, samples, np.ones(n, dtype=complex), center)
         elif kind == "pair":
-            stacked = (np.concatenate([samples, samples]),
-                       np.concatenate([np.ones_like(model), model]),
-                       np.concatenate([center, slope]))
-            del samples, model
-            fit = fit_model_coefficient(d, *stacked)
+            # The center rows' model is 1, the slope rows' conj(offsets).
+            model = np.empty((2 * r.size, n), dtype=complex)
+            model[:r.size] = 1.0
+            np.conjugate(offsets, out=model[r.size:])
+            stacked = np.concatenate([samples, samples])
+            del samples, offsets
+            fit = fit_model_coefficient(d, stacked, model, np.concatenate([center, slope]))
         else:
-            fit = fit_model_coefficient(d, samples, model, slope)
+            # The model conj(offsets) takes the place of the offsets.
+            fit = fit_model_coefficient(d, samples, np.conjugate(offsets, out=offsets), slope)
+    shape = (radii.size, z.size)
 
     def columns(part):
         # The fit's rows ``part``, put in (radii, points) columns at the live rows.
-        out = {"errors": errors.reshape(radii.size, z.size)}
+        out = {"errors": errors.reshape(shape)}
         for name, a in fit.items():
-            col = np.full(rr.size, _FILL.get(name, np.nan), dtype=a.dtype)
-            col[live] = a[part]
-            out[name] = col.reshape(radii.size, z.size)
+            a = a[part]
+            if some_failed:
+                col = np.full(rr.size, _FILL.get(name, np.nan), dtype=a.dtype)
+                col[live] = a
+                a = col
+            out[name] = a.reshape(shape)
         return out
 
     if kind != "pair":
         out = columns(slice(None))
         return dict(out, value=out["minimizer"])
-    a, b = columns(slice(None, live.size)), columns(slice(live.size, None))
+    a, b = columns(slice(None, r.size)), columns(slice(r.size, None))
     both = (a["status"] == _STATUS_CONVERGED) & (b["status"] == _STATUS_CONVERGED)
     return dict(errors=a["errors"], center=a, slope=b,
                 value=a["minimizer"] + radii[:, None] * b["minimizer"],

@@ -323,6 +323,34 @@ def test_verdicts_on_huge_moduli_leak_no_warning():
     assert all(np.isfinite(r.fit_residual) for r in report.rows)
 
 
+def test_verdicts_on_a_huge_affine_field_below_huge_modulus_leak_no_warning():
+    # At p = 3 the fit's objective grows like |u|**3, so a row at 1e110
+    # overflowed below HUGE_MODULUS; it is now fitted at unit scale, and the
+    # limits are 1e110 times those of the unit-scale field, to rounding.
+    pts = [0.5 + 0.5j, -0.3 + 0.8j]
+    big, unit = hm.make_field("affine:1e110,1e110,0"), hm.make_field("affine:1,1,0")
+    for verdict, status in ((hm.system_verdict, "violated"), (hm.amvp_verdict, "fails")):
+        for b, u in zip(verdict(big, pts, D3), verdict(unit, pts, D3)):
+            assert b.status == u.status == status
+            assert b.estimate.limit / 1e110 == pytest.approx(u.estimate.limit, rel=1e-9)
+
+
+@pytest.mark.parametrize("verdict", (hm.holomorphy_verdict, hm.system_verdict, hm.amvp_verdict))
+def test_a_verdict_samples_its_field_in_two_calls(verdict):
+    # One call samples every jet stencil, whose centres give f at the points
+    # (the untestable test and the pair increment's centre); one call samples
+    # every circle of the ladder.
+    shapes = []
+
+    def field(zeta):
+        shapes.append(np.shape(zeta))
+        return np.exp(zeta)
+
+    pts = np.array([0.4 + 0.3j, 0.6 + 0.5j, 0.3 + 0.7j])
+    assert repr(verdict(field, pts, D3)) == repr(verdict(np.exp, pts, D3))
+    assert shapes == [(3, 5), (8, 3, 64)]
+
+
 @pytest.mark.parametrize("verdict", (hm.holomorphy_verdict, hm.system_verdict, hm.amvp_verdict,
                                      hm.contact_solution_verdict))
 def test_verdicts_need_at_least_one_point(verdict):

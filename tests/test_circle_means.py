@@ -58,6 +58,43 @@ def _nan_near_half(zeta):
     return np.where(np.abs(zeta - 0.5) < 0.06, np.nan, np.exp(zeta))
 
 
+def _columns(cols):
+    """The numeric engine columns, the pair mean's center and slope columns flattened."""
+    out = {}
+    for name, col in cols.items():
+        if isinstance(col, dict):
+            out.update({f"{name}.{k}": v for k, v in _columns(col).items()})
+        elif name != "errors":
+            out[name] = col
+    return out
+
+
+@pytest.mark.parametrize("kind", hm.means.MEAN_KINDS)
+def test_a_failing_row_leaves_the_live_rows_the_bits_of_an_all_live_call(kind):
+    # Two radii at three points: only the middle point's circle of radius
+    # 0.05 lies in the NaN disk.  That slot keeps its own error and the fill
+    # values; the five live rows have the bits of calls in which every row is
+    # live.
+    d = None if kind == "infinity" else D3
+    pts = np.array([-0.3 + 0.2j, 0.5 + 0j, 0.2 + 0.6j])
+    cols = _ladder_means(kind, _nan_near_half, pts, [0.1, 0.05], d)
+    assert [e is None for e in cols["errors"].ravel()] == [True] * 4 + [False, True]
+    (one,) = hm.circle_means(kind, _nan_near_half, [0.5], 0.05, d)
+    assert type(cols["errors"][1, 1]) is NonFiniteSampleError
+    assert str(cols["errors"][1, 1]) == str(one)
+    sides = _columns(_ladder_means(kind, _nan_near_half, pts[[0, 2]], [0.1, 0.05], d))
+    middle = _columns(_ladder_means(kind, _nan_near_half, pts[1:2], [0.1], d))
+    for name, col in _columns(cols).items():
+        assert col[:, [0, 2]].tobytes() == sides[name].tobytes(), name
+        assert col[:1, 1].tobytes() == middle[name].tobytes(), name
+        if name.endswith("status"):
+            assert col[1, 1] == 3
+        elif col.dtype.kind in "fc":
+            assert np.isnan(col[1, 1]), name
+        else:
+            assert col[1, 1] == 0, name
+
+
 def test_non_finite_circle_fails_only_its_point():
     pts = [0.5 + 0j, -0.3 + 0.2j]
     bad, good = hm.circle_means("variational", _nan_near_half, pts, 0.05, D3)

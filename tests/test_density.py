@@ -146,6 +146,37 @@ def test_power_law_is_recognised_only_where_declared_and_true():
     assert _power_law(_twice_cubic()) is None
 
 
+def test_per_density_terms_are_made_once_and_match_a_fresh_density():
+    # The power law and the conjugate are derived once per density object and
+    # kept in its __dict__: a second call returns the same objects, a fresh
+    # power_density(3) derives terms of the same bits, and ==, hash and repr
+    # read the fields alone.
+    from holomeans.means import _node_terms
+
+    d = hm.power_density(3)
+    pts = [0.4 + 0.3j, 0.6 + 0.5j, 0.3 + 0.7j]
+    t = np.geomspace(1e-9, 1e9, 37)
+    first = repr(hm.holomorphy_verdict(np.exp, pts, d))
+    law, conjugate = _power_law(d), hm.young_conjugate(d)
+    assert _power_law(d) is law and hm.young_conjugate(d) is conjugate
+    assert repr(hm.holomorphy_verdict(np.exp, pts, d)) == first
+    fresh = hm.power_density(3)
+    assert _power_law(fresh) == law == (1.0, 2.0)
+    assert hm.young_conjugate(fresh).deriv_fn(t).tobytes() == conjugate.deriv_fn(t).tobytes()
+    assert repr(hm.holomorphy_verdict(np.exp, pts, fresh)) == first
+    same = dataclasses.replace(d)
+    assert same == d and hash(same) == hash(d) and repr(same) == repr(d)
+    # A density made from it with other bounds derives its own terms: the
+    # general kernel and the numerical inversion, never the cached power law.
+    general = dataclasses.replace(d, lambda_lo=1.9, lambda_hi=2.1)
+    assert not {"_law", "_conjugate"} & set(vars(general))
+    assert _power_law(general) is None and _node_terms(general)[3] is None
+    g = hm.young_conjugate(general)
+    assert g is not conjugate and (g.lambda_lo, g.lambda_hi) == (1.0 / 2.1, 1.0 / 1.9)
+    np.testing.assert_allclose(g.deriv_fn(t), conjugate.deriv_fn(t), rtol=1e-12)
+    assert _node_terms(d)[3] == 2.0
+
+
 @pytest.mark.parametrize("p", (40.0, 45.0, 60.0))
 def test_large_powers_keep_their_power_law_and_conjugate(p):
     # F' = s**(p - 1) overflows at one end of the probe grid and underflows

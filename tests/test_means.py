@@ -1,6 +1,7 @@
 """Variational circle means: closed forms, invariances, and edge cases."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from hypothesis import strategies as st
 import holomeans as hm
 from holomeans.density import _power_law
 from holomeans.errors import InvalidParameterError, NonFiniteSampleError
-from holomeans.means import MAX_BACKTRACKS, _circumcircle, fit_model_coefficient
+from holomeans.means import (
+    MAX_BACKTRACKS,
+    _circumcircle,
+    _unit_scale_from,
+    fit_model_coefficient,
+)
 
 D2 = hm.power_density(2)
 POWERS = (1.5, 2.0, 3.0, 4.0)
@@ -398,6 +404,57 @@ def test_power_law_fit_of_huge_samples_matches_the_unit_scale_fit(p):
         assert fit["objective"][0] == np.inf
 
 
+@pytest.mark.parametrize("p", (1.5, 3.0, 8.0, 20.0))
+def test_power_law_rows_past_their_exponent_fit_at_unit_scale_without_overflow(p):
+    # The objective grows like |u|**p and the Hessian denominator like
+    # |u|**(2p - 4), so at p = 3 a row at 1e110 overflowed the objective and
+    # at p = 8 one near 1e38 the denominator, below HUGE_MODULUS.  Every row
+    # now converges with no RuntimeWarning.  A row past the threshold of its
+    # exponent is the unit-scale fit scaled back by its power of two, bit for
+    # bit; a row below it keeps its own fit, which agrees to rounding.
+    ring = np.exp(2j * np.pi * np.arange(64) / 64)
+    unit = (0.3 + 0.2j) + 0.7 * ring + 0.2 * np.conj(ring) ** 2
+    model = np.conj(0.1 * ring)
+    d, alpha = hm.power_density(p), p - 1.0
+    for modulus in (1e30, 1e60, 1e110, 1e150):
+        row = modulus * unit
+        init = np.mean(row * 0.1 * ring) / 0.01  # the quadratic closed form
+        e = int(np.frexp(max(np.max(np.abs(row)), abs(init) * 0.1))[1]) - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_model_coefficient(d, row[None], model, [init])
+            ref = fit_model_coefficient(d, row[None] * 2.0**-e, model, [init * 2.0**-e])
+        assert fit["status"][0] == ref["status"][0] == 1, modulus
+        with np.errstate(over="ignore"):
+            objective = np.exp2(np.log2(ref["objective"][0]) + e * p)
+            foc = np.exp2(np.log2(ref["foc_residual"][0]) + e * alpha)
+        if 2.0**e >= _unit_scale_from(alpha):
+            assert fit["minimizer"][0] == ref["minimizer"][0] * 2.0**e, modulus
+            assert fit["iterations"][0] == ref["iterations"][0]
+            assert fit["objective"][0] == objective and fit["foc_residual"][0] == foc
+        else:
+            np.testing.assert_allclose(fit["minimizer"][0] * 2.0**-e, ref["minimizer"][0],
+                                       rtol=1e-10)
+            np.testing.assert_allclose(fit["objective"][0], objective, rtol=1e-10)
+
+
+def test_the_unit_scale_threshold_keeps_the_fit_finite():
+    # (4 * threshold)**q stays below 2**1008 for the growth exponent q of the
+    # fit's largest terms up to alpha = 253, where q = 504.  Past it no
+    # threshold of at least 1 keeps that bound, and the threshold stays at 1,
+    # so a row is never scaled up.  It never exceeds HUGE_MODULUS.
+    for alpha in (0.1, 0.5, 1.0, 2.0, 3.0, 7.0, 19.0, 59.0, 252.0, 253.0, 253.5, 300.0, 1e4):
+        q = max(alpha + 1.0, 2.0 * alpha - 2.0)
+        threshold = _unit_scale_from(alpha)
+        assert 1.0 <= threshold <= hm.means.HUGE_MODULUS
+        if q <= 504.0:
+            assert (np.log2(threshold) + 2.0) * q <= 1008.0
+        else:
+            assert threshold == 1.0
+    assert _unit_scale_from(1.0) == hm.means.HUGE_MODULUS
+    assert _unit_scale_from(169.0) == 2.0 and _unit_scale_from(170.0) == 1.0
+
+
 def test_general_kernel_rows_past_huge_modulus_fail_unevaluated():
     # Bounds around the constant ratio make p = 1.5 take the general terms,
     # whose F, F' and F'' overflow on a row at 1e160.  That row fails at its
@@ -513,7 +570,9 @@ def test_rows_leave_the_fit_with_their_own_bits(p, shared):
     assert iterations[5] == 60
     if p == "general":
         # Row 6 alone: F at its start, then every step its line search tries.
+        # It fails at its pre-step iterate, the start.
         assert status[6] == 3 and iterations[6] == 0
+        assert fit["minimizer"][6] == init[6]
         assert len(calls) == 1 + MAX_BACKTRACKS
         # Rows that settle at their start never reach the line search.
         calls.clear()
