@@ -46,6 +46,7 @@ the one-point calls.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,14 @@ from .errors import (
     InvalidSweepError,
     _raise_first,
 )
-from .geometry import Jet, _modulus, _wirtinger_jets, field_values, nonfinite_error
+from .geometry import (
+    Jet,
+    _modulus,
+    _refused_point,
+    _wirtinger_jets,
+    field_values,
+    nonfinite_error,
+)
 from .means import _STATUS_CONVERGED, _ladder_means
 from .pdesystem import FIELD_FLOOR, _cr_residuals
 
@@ -200,7 +208,8 @@ def _sweeps(kind, f, points, d, cfg, center=None):
     """Sweep every point at once: one circle-mean solve over the whole ladder.
 
     A ``pair_increment`` sweep subtracts f at the points: ``center``, when
-    the caller has it, else sampled here.  Returns ``(radii, cols, values,
+    the caller has it, else sampled here at points that must be finite.  A
+    non-finite point is refused by the ladder.  Returns ``(radii, cols, values,
     ok, errors)``: the ladder, the engine's columns
     (:func:`~holomeans.means._ladder_means`), the values and whether each is
     usable as (points, radii) arrays, and per point None or the error
@@ -232,10 +241,12 @@ def _sweeps(kind, f, points, d, cfg, center=None):
         ok = np.zeros(shape, dtype=bool)
         failed = np.full(shape, exc, dtype=object)
     errors = [None] * pts.size
+    for i in np.flatnonzero(~np.isfinite(pts)):
+        errors[i] = failed[i, 0]  # the error that refuses the point, at every radius
     if kind == "pair_increment":
         values = values - center
         for i in np.flatnonzero(~np.isfinite(center[:, 0])):
-            errors[i] = nonfinite_error(pts[i:i + 1], center[i])
+            errors[i] = errors[i] or nonfinite_error(pts[i:i + 1], center[i])
     for i in np.flatnonzero(np.sum(ok, axis=1) < MIN_SUCCESSES):
         errors[i] = errors[i] or InsufficientDataError(
             f"only {np.sum(ok[i])} of {radii.size} radii produced values; need at "
@@ -258,11 +269,15 @@ def sweep(kind, f, z, d, cfg=None):
     value minus the field value at the center) or ``infinity`` (sup mean).
     Radii whose solve fails, or raises a :class:`HolomeansError`, are
     recorded and skipped; fewer than ``MIN_SUCCESSES`` usable radii raise
-    :class:`InsufficientDataError`, and a ``pair_increment`` sweep at a point
-    where the field is not finite raises :class:`NonFiniteSampleError`.
+    :class:`InsufficientDataError`, a ``pair_increment`` sweep at a point
+    where the field is not finite raises :class:`NonFiniteSampleError`, and a
+    non-finite point raises :class:`InvalidParameterError`.
     Other exceptions propagate.
     """
-    radii, cols, values, ok, errors = _sweeps(kind, f, [complex(z)], d, cfg)
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise _refused_point(z)
+    radii, cols, values, ok, errors = _sweeps(kind, f, [z], d, cfg)
     _raise_first(errors)
     (good,), (failed,) = ok, cols["errors"].T
     if kind == "infinity":
@@ -270,7 +285,7 @@ def sweep(kind, f, z, d, cfg=None):
     else:
         extras = [{"foc_residual": float(foc), "iterations": int(it)} for foc, it in
                   zip(cols["foc_residual"][good, 0], cols["iterations"][good, 0])]
-    return RadiusSweep(kind, complex(z), tuple(radii[good].tolist()),
+    return RadiusSweep(kind, z, tuple(radii[good].tolist()),
                        tuple(values[0, good].tolist()), ("converged",) * int(np.sum(good)),
                        tuple(_failures(radii, failed, good)), tuple(extras))
 

@@ -25,6 +25,7 @@ which), 2 for configuration problems, reported with a line diagnostic.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import functools
 import io
@@ -165,8 +166,15 @@ def load_scenario(path):
     return Scenario(entries, lines)
 
 
+def _point(text):
+    z = parse_complex(text)
+    if not cmath.isfinite(z):
+        raise ValueError(f"point {text.strip()!r} is not finite")
+    return z
+
+
 def _as_points(text):
-    pts = [parse_complex(tok) for tok in str(text).split(";") if tok.strip()]
+    pts = [_point(tok) for tok in str(text).split(";") if tok.strip()]
     if not pts:
         raise ValueError("no points given")
     return pts
@@ -177,6 +185,8 @@ def _grid_points(text):
     if len(parts) != 6:
         raise ValueError("grid spec needs x0,x1,nx,y0,y1,ny")
     x0, x1, y0, y1 = float(parts[0]), float(parts[1]), float(parts[3]), float(parts[4])
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise ValueError("grid bounds must be finite")
     nx, ny = int(parts[2]), int(parts[5])
     if nx < 1 or ny < 1:
         raise ValueError("grid counts must be positive")
@@ -282,7 +292,7 @@ def _cmd_mean(sc, seed, out):
     if kind not in MEAN_KINDS:
         raise ConfigError(f"mean.kind must be one of {MEAN_KINDS}, got {kind!r}")
     field = sc.take("field.spec", cast=make_field, required=True)
-    z = sc.take("mean.point", cast=parse_complex, required=True)
+    z = sc.take("mean.point", cast=_point, required=True)
     r = sc.take("mean.r", cast=float, required=True)
     nodes = sc.take("mean.nodes", cast=int, default=DEFAULT_CIRCLE_NODES)
     _configured(circle_rule, 0j, 1.0, nodes)  # the quadrature's node-count check
@@ -310,7 +320,7 @@ def _cmd_sweep(sc, seed, out):
     if kind not in SWEEP_KINDS:
         raise ConfigError(f"sweep.kind must be one of {SWEEP_KINDS}, got {kind!r}")
     field = sc.take("field.spec", cast=make_field, required=True)
-    z = sc.take("sweep.point", cast=parse_complex, required=True)
+    z = sc.take("sweep.point", cast=_point, required=True)
     cfg = _sweep_config(sc, seed)
     density = None
     if kind != "infinity":

@@ -30,6 +30,7 @@ every point), gaps and decisions, which the report reads as arrays.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,12 @@ def _check_unit(xi):
     return xi
 
 
+def _check_finite(**parts):
+    for name, value in parts.items():
+        if not cmath.isfinite(complex(value)):
+            raise InvalidParameterError(f"{name} must be finite, got {complex(value)}")
+
+
 def unit_directions(count=DEFAULT_DIRECTION_COUNT):
     """Uniform fan of ``count`` unit directions starting at 1."""
     if count < 1:
@@ -134,6 +141,7 @@ class ContactProbe:
 
     def __post_init__(self):
         _check_unit(self.xi)
+        _check_finite(base=self.base, sigma=self.sigma, tau=self.tau)
 
 
 def xi_envelope(omega, sigma, tau, xi, d):
@@ -147,9 +155,11 @@ def xi_envelope(omega, sigma, tau, xi, d):
         omega == 0:  Re(conj(xi) tau) + |(a - 1) / (a + 1)| |sigma|,
                      a = small-argument convexity ratio.
 
-    The one-jet, one-direction call of the envelope fan.
+    The one-jet, one-direction call of the envelope fan.  A non-finite
+    ``omega``, ``sigma`` or ``tau`` raises :class:`InvalidParameterError`.
     """
     xi = _check_unit(xi)
+    _check_finite(omega=omega, sigma=sigma, tau=tau)
     return float(_xi_envelopes([omega], [sigma], [tau], np.array([xi]), d)[0, 0])
 
 

@@ -39,7 +39,10 @@ class Field:
     sample: object  # vectorised callable: complex array -> complex array
 
     def __call__(self, pts):
-        return self.sample(pts)
+        # A sample that overflows, or one at a non-finite point, is not
+        # finite; the caller turns it into its typed error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.sample(pts)
 
 
 def parse_complex(text):

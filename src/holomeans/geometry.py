@@ -165,22 +165,42 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
+def _refused_point(z):
+    """The error that refuses the non-finite point ``z``."""
+    return InvalidParameterError(f"point must be finite, got {complex(z)}")
+
+
 def _wirtinger_jets(f, points):
     """First-order jets of ``f`` at every point from one field call.
 
     Samples all the points' central-difference stencils at once and returns
     a :class:`Jet` of 1-d arrays over the points, together with a list that
     holds, per point, ``None`` or the :class:`NonFiniteSampleError` of its
-    stencil (whose jet entries are then not finite).
+    stencil (whose jet entries are then not finite).  A non-finite point is
+    refused: its jet is NaN, its error an :class:`InvalidParameterError`, and
+    the field is not sampled near it.
     """
     z = np.asarray(points, dtype=complex).ravel()
+    finite = np.isfinite(z)
+    if not finite.all():
+        part, part_errors = _wirtinger_jets(f, z[finite])
+        parts = []
+        for a in (part.value, part.dz, part.dzbar):
+            full = np.full(z.size, complex(np.nan, np.nan))
+            full[finite] = a
+            parts.append(full)
+        found = iter(part_errors)
+        errors = [next(found) if ok else _refused_point(p)
+                  for p, ok in zip(z.tolist(), finite.tolist())]
+        return Jet(z, *parts), errors
     h = FD_STEP_SCALE * (1.0 + _modulus(z))
     stencils = np.stack([z, z + h, z - h, z + 1j * h, z - 1j * h], axis=1)
     w = field_values(f, stencils) if z.size else np.zeros(stencils.shape, dtype=complex)
     bad = ~np.all(np.isfinite(w), axis=1)
     errors = [nonfinite_error(s, v) if b else None for s, v, b in zip(stencils, w, bad)]
-    fx = (w[:, 1] - w[:, 2]) / (2.0 * h)
-    fy = (w[:, 3] - w[:, 4]) / (2.0 * h)
+    with np.errstate(over="ignore", invalid="ignore"):  # such a stencil's jet is not finite
+        fx = (w[:, 1] - w[:, 2]) / (2.0 * h)
+        fy = (w[:, 3] - w[:, 4]) / (2.0 * h)
     jets = Jet(base=z, value=w[:, 0], dz=0.5 * (fx - 1j * fy), dzbar=0.5 * (fx + 1j * fy))
     return jets, errors
 

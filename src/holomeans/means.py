@@ -60,6 +60,7 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_CIRCLE_NODES,
+    _refused_point,
     _unit_nodes,
     circle_rule,
     field_values,
@@ -109,6 +110,12 @@ STEP_TOL = 1e-11
 # modulus exceeds HUGE_MODULUS fails unevaluated, unless the density is a power
 # law: such a row is fitted at unit scale (see _unit_scale_from).
 HUGE_MODULUS = 2.0**500
+# The constants above are sized for rows of modulus about 1: the step test
+# resolves a coefficient to STEP_TOL (1 + |c|), which is absolute below |c| = 1.
+# A power-law row whose largest modulus is below TINY_MODULUS, where it would
+# be resolved to no better than STEP_TOL / TINY_MODULUS (about 1e-5) of its
+# scale, is fitted at unit scale (see _unit_scale_below).
+TINY_MODULUS = 2.0**-20
 
 _STATUS_ACTIVE = 0
 _STATUS_CONVERGED = 1
@@ -210,6 +217,20 @@ def _unit_scale_from(alpha):
     return min(HUGE_MODULUS, 2.0 ** max(0, int(1008.0 / q) - 2))
 
 
+def _unit_scale_below(alpha):
+    """The modulus below which a row of a fit at the power law ``F' ~
+    s**alpha`` is fitted at unit scale: ``2**-E`` for the E of
+    :func:`_unit_scale_from`, or ``TINY_MODULUS`` if that is larger.
+
+    The mirror of the huge side: the fit's terms of growth exponent q stay
+    above 2**-1008 at residuals down to a quarter of ``2**-E``, so a row
+    fitted as it is keeps them normal until its residuals fall that far.
+    Below ``TINY_MODULUS`` the fit's absolute tolerances, not the row, would
+    decide its coefficient.
+    """
+    return max(TINY_MODULUS, 1.0 / _unit_scale_from(alpha))
+
+
 def _node_terms(d):
     """The per-node terms of the Newton fit for the density ``d``.
 
@@ -296,8 +317,9 @@ def fit_model_coefficient(d, samples, model, init):
     A row fails when its Newton direction is unusable, when its line search
     runs out of backtracks, or when the iteration budget ends above the
     first-order tolerance.  At a power law, a row whose largest modulus
-    exceeds :func:`_unit_scale_from` of its exponent is fitted at unit scale
-    and scaled back.  At any other density, a row whose largest modulus
+    exceeds :func:`_unit_scale_from` of its exponent, or lies below
+    :func:`_unit_scale_below` of it, is fitted at unit scale and scaled
+    back.  At any other density, a row whose largest modulus
     exceeds ``HUGE_MODULUS`` fails at its start, with no iteration, an
     infinite objective and a NaN first-order residual.
 
@@ -329,19 +351,21 @@ def fit_model_coefficient(d, samples, model, init):
     floor2 = RESIDUAL_FLOOR**2
     # A power law is homogeneous: scaling a row by 2**-e scales its minimizer
     # alike, its objective by 2**-(e (alpha + 1)) and its first-order residual
-    # by 2**-(e alpha).  So a row past _unit_scale_from(alpha) is fitted
-    # below 2 and scaled back.
+    # by 2**-(e alpha).  So a row past _unit_scale_from(alpha), or below
+    # _unit_scale_below(alpha), is fitted at unit scale and scaled back.
     modulus, mscale = np.abs(samples), np.max(mmod, axis=-1)
     top = np.maximum(np.max(modulus, axis=-1), np.abs(c) * mscale)
     huge = top > (HUGE_MODULUS if alpha is None else _unit_scale_from(alpha))
     aside = huge & (alpha is None)  # F, F' and F'' may overflow there: it fails unevaluated
-    huge &= alpha is not None
-    if huge.any():
-        e = np.frexp(top[huge])[1] - 1
+    scaled = huge & (alpha is not None)
+    if alpha is not None:
+        scaled |= top < _unit_scale_below(alpha)
+    if scaled.any():
+        e = np.frexp(top[scaled])[1] - 1
         samples = samples.copy()
-        samples[huge] *= np.ldexp(1.0, -e)[:, None]
-        c[huge] *= np.ldexp(1.0, -e)
-        modulus[huge] = np.abs(samples[huge])
+        samples[scaled] *= np.ldexp(1.0, -e)[:, None]
+        c[scaled] *= np.ldexp(1.0, -e)
+        modulus[scaled] = np.abs(samples[scaled])
 
     # The active rows, in order, with their own rows of every per-row input.
     # Rows only ever leave; the arrays are re-indexed when one does, and a
@@ -485,11 +509,11 @@ def fit_model_coefficient(d, samples, model, init):
                     per_row = tuple(a[ok] for a in per_row)
         cur, obj = cand, obj1
 
-    if huge.any():
-        c[huge] *= np.ldexp(1.0, e)
+    if scaled.any():
+        c[scaled] *= np.ldexp(1.0, e)
         with np.errstate(divide="ignore", over="ignore"):  # 0 stays 0, and may overflow
-            obj_out[huge] = np.exp2(np.log2(obj_out[huge]) + e * (alpha + 1.0))
-            foc_out[huge] = np.exp2(np.log2(foc_out[huge]) + e * alpha)
+            obj_out[scaled] = np.exp2(np.log2(obj_out[scaled]) + e * (alpha + 1.0))
+            foc_out[scaled] = np.exp2(np.log2(foc_out[scaled]) + e * alpha)
     return {
         "minimizer": c,
         "objective": obj_out,
@@ -528,7 +552,9 @@ def circle_means(kind, f, points, r, d, node_count=DEFAULT_CIRCLE_NODES, seed=0)
     mean, ``seed`` is used by it alone.
 
     Returns a tuple with one entry per point: the mean's result, or the
-    error its one-point function raises for that point alone.  These are a
+    error its one-point function raises for that point alone.  These are an
+    :class:`~holomeans.errors.InvalidParameterError` for a non-finite point,
+    whose circle is not sampled, a
     :class:`~holomeans.errors.NonFiniteSampleError` for a non-finite sample
     on the point's circle or, for the conjugate mean, a transformed sample
     that overflows, a :class:`~holomeans.errors.ZeroFieldError` where
@@ -564,7 +590,9 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
     its center rows above its slope rows.  Returns a dict of (radii, points)
     arrays: ``errors`` (None, or the row's error), ``value`` (the pair
     mean's a + r b, else the minimizer), ``status`` (1 converged, else 3)
-    and the fit's other outputs, NaN or 0 at a row with an error.  The pair
+    and the fit's other outputs, NaN or 0 at a row with an error.  A
+    non-finite point is refused: the other points are solved without it, and
+    its rows get its error.  The pair
     mean has its fits' larger ``foc_residual``, summed ``iterations``, and
     the ``center`` and ``slope`` dicts of their columns.
     """
@@ -581,6 +609,10 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
             f"circle radius must be positive, got {radii[np.argmax(bad)]}"
         )
     z = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
+    finite = np.isfinite(z)
+    if not finite.all():
+        return _refusing(_ladder_means(kind, f, z[finite], radii, d, node_count, seed),
+                         z, finite)
     nodes = z[None, :, None] + (radii[:, None] * unit)[:, None, :]
     offsets = (nodes - z[None, :, None]).reshape(-1, n)
     samples = field_values(f, nodes).reshape(-1, n)
@@ -680,6 +712,25 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
                 status=np.where(both, _STATUS_CONVERGED, _STATUS_FAILED),
                 foc_residual=np.maximum(a["foc_residual"], b["foc_residual"]),
                 iterations=a["iterations"] + b["iterations"])
+
+
+def _refusing(cols, z, finite):
+    """:func:`_ladder_means` columns over all the points ``z`` from ``cols``,
+    those of the ``finite`` ones: every radius of a non-finite point gets the
+    error that refuses it, and the fill of a row with an error."""
+    out = {}
+    for name, a in cols.items():
+        if isinstance(a, dict):
+            out[name] = _refusing(a, z, finite)
+            continue
+        fill = None if name == "errors" else _FILL.get(name, np.nan)
+        full = np.full((a.shape[0], z.size), fill, dtype=a.dtype)
+        full[:, finite] = a
+        if name == "errors":
+            for i in np.flatnonzero(~finite):
+                full[:, i] = _refused_point(z[i])
+        out[name] = full
+    return out
 
 
 def _one_point(kind, f, z, r, d, node_count, seed=0):

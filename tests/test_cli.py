@@ -604,3 +604,20 @@ def test_importing_the_cli_builds_no_parser():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0 and done.stdout == "ok\n", done.stderr
+
+
+@pytest.mark.parametrize("command, lines", (
+    ("verify-system", "points.list = nan; 0.5+0.5i"),
+    ("verify-amvp", "points.list = 0.5+0.5i; 1e400"),
+    ("contact", "points.list = 0.5+0.5i; nan+1i"),
+    ("verify-holo", "points.grid = 0,nan,3,0,1,3"),
+    ("mean", "mean.point = nan\nmean.r = 0.1"),
+    ("sweep", "sweep.point = -1e999i"),
+))
+def test_a_nonfinite_point_is_a_configuration_error(tmp_path, capsys, command, lines):
+    cfg = write(tmp_path, "nan.ini",
+                f"field.spec = pharm-radial:3\ndensity.spec = power:p=3\n{lines}\n")
+    assert run([command, "--config", cfg, "--out", tmp_path / "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: line 3: ") and "finite" in err
+    assert not (tmp_path / "out.csv").exists()

@@ -14,6 +14,7 @@ from holomeans.errors import InvalidParameterError, NonFiniteSampleError
 from holomeans.means import (
     MAX_BACKTRACKS,
     _circumcircle,
+    _unit_scale_below,
     _unit_scale_from,
     fit_model_coefficient,
 )
@@ -438,6 +439,32 @@ def test_power_law_rows_past_their_exponent_fit_at_unit_scale_without_overflow(p
             np.testing.assert_allclose(fit["objective"][0], objective, rtol=1e-10)
 
 
+@pytest.mark.parametrize("p", (1.5, 3.0, 8.0, 20.0))
+@pytest.mark.parametrize("modulus", (1e-10, 1e-20, 1e-40, 1e-80))
+def test_tiny_power_law_rows_fit_at_unit_scale(p, modulus):
+    # The fit's absolute tolerances used to decide such rows: at p = 3 a row
+    # at 1e-20 came back as its start 0, converged after no iteration, and at
+    # p = 20 a row at 1e-10 failed at its start as its Hessian underflowed.
+    # Each row is now its unit-scale fit scaled back by its power of two.
+    ring = np.exp(2j * np.pi * np.arange(64) / 64)
+    row = modulus * ((0.3 + 0.2j) + 0.7 * ring + 0.2 * np.conj(ring) ** 2)
+    model = np.conj(0.1 * ring)
+    d, alpha = hm.power_density(p), p - 1.0
+    e = int(np.frexp(np.max(np.abs(row)))[1]) - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_model_coefficient(d, row[None], model, [0j])
+        ref = fit_model_coefficient(d, row[None] * 2.0**-e, model, [0j])
+        objective = np.exp2(np.log2(ref["objective"][0]) + e * p)
+        foc = np.exp2(np.log2(ref["foc_residual"][0]) + e * alpha)
+    assert fit["status"][0] == ref["status"][0] == 1
+    assert fit["iterations"][0] == ref["iterations"][0] > 0
+    assert fit["minimizer"][0] == ref["minimizer"][0] * 2.0**e
+    assert fit["objective"][0] == objective and fit["foc_residual"][0] == foc
+    unit = fit_model_coefficient(d, row[None] / modulus, model, [0j])
+    np.testing.assert_allclose(fit["minimizer"][0] / modulus, unit["minimizer"][0], rtol=1e-9)
+
+
 def test_the_unit_scale_threshold_keeps_the_fit_finite():
     # (4 * threshold)**q stays below 2**1008 for the growth exponent q of the
     # fit's largest terms up to alpha = 253, where q = 504.  Past it no
@@ -453,6 +480,15 @@ def test_the_unit_scale_threshold_keeps_the_fit_finite():
             assert threshold == 1.0
     assert _unit_scale_from(1.0) == hm.means.HUGE_MODULUS
     assert _unit_scale_from(169.0) == 2.0 and _unit_scale_from(170.0) == 1.0
+    # The low side mirrors it, and never passes TINY_MODULUS or 1: the
+    # terms stay above 2**-1008 at residuals down to a quarter of it.
+    for alpha in (0.1, 0.5, 1.0, 2.0, 19.0, 59.0, 253.0, 300.0):
+        q = max(alpha + 1.0, 2.0 * alpha - 2.0)
+        below = _unit_scale_below(alpha)
+        assert hm.means.TINY_MODULUS <= below <= 1.0
+        assert (2.0 - np.log2(below)) * q <= 1008.0 or below == 1.0
+    assert _unit_scale_below(2.0) == hm.means.TINY_MODULUS
+    assert _unit_scale_below(59.0) == 2.0**-6 and _unit_scale_below(300.0) == 1.0
 
 
 def test_general_kernel_rows_past_huge_modulus_fail_unevaluated():
