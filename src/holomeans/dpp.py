@@ -21,9 +21,9 @@ one inverse FFT of the lattice padded to 2-3-5-smooth sizes (the taps'
 spectrum is built once per solve), and cropped to the unknowns; the strip
 keeps every tap of an unknown inside the lattice, so no circular wrap
 reaches an unknown.  At any other density a sweep runs the pair mean's two
-batched Newton solves over every node at once, from those closed-form
-starts, on circle samples gathered through :func:`interpolate`'s cell
-indices and bilinear weights.
+batched Newton solves (``means._newton_fits``) over every node at once,
+from those closed-form starts, on circle samples gathered through
+:func:`interpolate`'s cell indices and bilinear weights.
 
 A solve builds once what its sweeps share (:class:`_CircleStencil`).  At
 the quadratic density that is the taps' spectrum, a padded buffer that
@@ -65,7 +65,7 @@ from .errors import (
     NonFiniteSampleError,
 )
 from .geometry import circle_rule
-from .means import _STATUS_FAILED, _newton_starts, fit_model_coefficient
+from .means import _STATUS_FAILED, _newton_fits, _newton_starts
 from .pdesystem import FIELD_FLOOR
 
 __all__ = [
@@ -599,9 +599,7 @@ def _sweep(grid, d, cfg, stencil):
     else:
         samples = _circle_samples(grid, stencil, rows)
         _require_finite(samples)
-        init_a, init_b = _newton_starts("pair", samples, stencil.offsets, cfg.radius)
-        res_a = fit_model_coefficient(d, samples, np.ones_like(stencil.offsets), init_a)
-        res_b = fit_model_coefficient(d, samples, np.conj(stencil.offsets), init_b)
+        res_a, res_b = _newton_fits("pair", d, samples, stencil.offsets, cfg.radius)
         mean = res_a["minimizer"] + cfg.radius * res_b["minimizer"]
         # A row whose fit failed keeps its old value.
         bad = (res_a["status"] == _STATUS_FAILED) | (res_b["status"] == _STATUS_FAILED)

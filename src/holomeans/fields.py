@@ -48,12 +48,13 @@ class Field:
 def parse_complex(text):
     """Parse a complex number accepting ``i`` or ``j`` notation.
 
-    Examples: ``1``, ``-2.5``, ``1+2i``, ``0.5j``, ``i``, ``-i``.
+    Examples: ``1``, ``-2.5``, ``1+2i``, ``0.5j``, ``i``, ``-i``, ``inf``, ``nan``.
     """
     s = str(text).strip().replace(" ", "")
     if not s:
         raise InvalidParameterError("empty complex literal")
-    s = s.replace("i", "j").replace("I", "j").replace("J", "j")
+    # Every i or I means j, but not the i of inf and infinity.
+    s = s.lower().replace("infinity", "inf").replace("inf", "INF").replace("i", "j")
     if s in ("j", "+j"):
         s = "1j"
     elif s == "-j":

@@ -21,21 +21,21 @@ residual moduli, from which F, F' and F'' all follow.
 The sup-norm mean is different in kind: it reduces to a smallest enclosing
 circle problem and is solved exactly by a randomized incremental algorithm.
 
-Every mean is computed by one engine, which takes all points of a whole
-ladder of radii at once: one field call samples every circle and one Newton
-solve fits every (radius, point) row, so a sweep is one solve; the pair
-mean stacks its center rows above its slope rows in that solve.  The engine
-returns (radii, points) columns of values, status codes, first-order
-residuals and iterations, and a row whose circle cannot be solved gets its
-own error in its slot while the other rows go on.  One boolean mask marks
-the failing rows: an error object is made only for a row that fails, and
-where no row fails the fit's outputs are the columns as they are, with no
-compaction or scatter.  Result objects are made only at the public edge:
-:func:`circle_means` is the engine's one-radius call, and the one-point
-functions are one-row calls.  Every sum over a row's nodes is a mean along
-that row alone, so a row's result has the same bits whatever batch it is
-solved in.  The DPP's sweep takes its Newton starts from the engine's
-:func:`_newton_starts`.
+Every mean is computed by one engine, which takes all points of a whole ladder
+of radii at once: one field call samples every circle and one Newton solve per
+model fits every (radius, point) row, so a sweep is one solve, and two for the
+pair mean: its center on the model 1, then its slope on ``conj(zeta - z)``
+(:func:`_newton_fits`).  The engine returns (radii, points) columns of values,
+status codes, first-order residuals and iterations, and a row whose circle
+cannot be solved gets its own error in its slot while the other rows go on.
+One boolean mask marks the failing rows: an error object is made only for a
+row that fails, and where no row fails the fit's outputs are the columns as
+they are, with no compaction or scatter.  Result objects are made only at the
+public edge: :func:`circle_means` is the engine's one-radius call, and the
+one-point functions are one-row calls.  Every sum over a row's nodes is a mean
+along that row alone, so a row's result has the same bits whatever batch it is
+solved in.  The DPP's sweep fits its pair means by the engine's
+:func:`_newton_fits`, from the same :func:`_newton_starts`.
 
 What depends on the density alone is derived once per density object: its
 power law (:func:`~holomeans.density._power_law`), which picks the fit's
@@ -532,6 +532,19 @@ def _newton_starts(kind, samples, offsets, r):
     return center, slope
 
 
+def _newton_fits(kind, d, samples, offsets, r, model=None):
+    """The ``kind`` mean's fits ``(center, slope)`` from its :func:`_newton_starts`,
+    None where not fitted: the centre on the shared model 1 and the slope on
+    ``conj(offsets)``, written into ``model`` when given (it may be ``offsets``)."""
+    center, slope = _newton_starts(kind, samples, offsets, r)
+    if center is not None:
+        center = fit_model_coefficient(d, samples, np.ones(samples.shape[1], dtype=complex),
+                                       center)
+    if slope is not None:
+        slope = fit_model_coefficient(d, samples, np.conjugate(offsets, out=model), slope)
+    return center, slope
+
+
 def _mean_result(cols, i, r):
     # The fits average over the nodes; the objective is the integral on the
     # circle, whose length is 2 pi r.
@@ -548,8 +561,8 @@ def circle_means(kind, f, points, r, d, node_count=DEFAULT_CIRCLE_NODES, seed=0)
     function (``variational_circle_mean``, ``center_circle_mean``,
     ``pair_mean``, ``conjugate_transformed_mean``, ``infinity_mean``).  All
     circles are sampled in one field call and all points are fitted in one
-    :func:`fit_model_coefficient` call.  ``d`` is unused by the sup-norm
-    mean, ``seed`` is used by it alone.
+    :func:`fit_model_coefficient` call per model.  ``d`` is unused by the
+    sup-norm mean, ``seed`` is used by it alone.
 
     Returns a tuple with one entry per point: the mean's result, or the
     error its one-point function raises for that point alone.  These are an
@@ -585,16 +598,15 @@ def circle_means(kind, f, points, r, d, node_count=DEFAULT_CIRCLE_NODES, seed=0)
 def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, seed=0):
     """:func:`circle_means` at every radius of ``radii``, as columns.
 
-    One field call samples every (radius, point) circle and one
-    :func:`fit_model_coefficient` call fits every row; the pair mean stacks
-    its center rows above its slope rows.  Returns a dict of (radii, points)
-    arrays: ``errors`` (None, or the row's error), ``value`` (the pair
-    mean's a + r b, else the minimizer), ``status`` (1 converged, else 3)
-    and the fit's other outputs, NaN or 0 at a row with an error.  A
-    non-finite point is refused: the other points are solved without it, and
-    its rows get its error.  The pair
-    mean has its fits' larger ``foc_residual``, summed ``iterations``, and
-    the ``center`` and ``slope`` dicts of their columns.
+    One field call samples every (radius, point) circle and
+    :func:`_newton_fits` fits every row, in one call per model.  Returns a
+    dict of (radii, points) arrays: ``errors`` (None, or the row's error),
+    ``value`` (the pair mean's a + r b, else the minimizer), ``status`` (1
+    converged, else 3) and the fit's other outputs, NaN or 0 at a row with
+    an error.  A non-finite point is refused: the other points are solved
+    without it, and its rows get its error.  The pair mean has its fits'
+    larger ``foc_residual``, summed ``iterations``, and the ``center`` and
+    ``slope`` dicts of their columns.
     """
     if kind not in MEAN_KINDS:
         raise InvalidParameterError(
@@ -674,27 +686,15 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
                "support_count": np.sum(attained >= (value - 1e-9 * (1.0 + value))[:, None],
                                        axis=1)}
     else:
-        center, slope = _newton_starts(kind, samples, offsets, r)
-        if kind == "center":
-            fit = fit_model_coefficient(d, samples, np.ones(n, dtype=complex), center)
-        elif kind == "pair":
-            # The center rows' model is 1, the slope rows' conj(offsets).
-            model = np.empty((2 * r.size, n), dtype=complex)
-            model[:r.size] = 1.0
-            np.conjugate(offsets, out=model[r.size:])
-            stacked = np.concatenate([samples, samples])
-            del samples, offsets
-            fit = fit_model_coefficient(d, stacked, model, np.concatenate([center, slope]))
-        else:
-            # The model conj(offsets) takes the place of the offsets.
-            fit = fit_model_coefficient(d, samples, np.conjugate(offsets, out=offsets), slope)
+        # The model conj(offsets) takes the place of the offsets.
+        a, b = _newton_fits(kind, d, samples, offsets, r, model=offsets)
+        fit = b if a is None else a
     shape = (radii.size, z.size)
 
-    def columns(part):
-        # The fit's rows ``part``, put in (radii, points) columns at the live rows.
+    def columns(fit):
+        # The fit's rows, put in (radii, points) columns at the live rows.
         out = {"errors": errors.reshape(shape)}
         for name, a in fit.items():
-            a = a[part]
             if some_failed:
                 col = np.full(rr.size, _FILL.get(name, np.nan), dtype=a.dtype)
                 col[live] = a
@@ -703,9 +703,9 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
         return out
 
     if kind != "pair":
-        out = columns(slice(None))
+        out = columns(fit)
         return dict(out, value=out["minimizer"])
-    a, b = columns(slice(None, r.size)), columns(slice(r.size, None))
+    a, b = columns(a), columns(b)
     both = (a["status"] == _STATUS_CONVERGED) & (b["status"] == _STATUS_CONVERGED)
     return dict(errors=a["errors"], center=a, slope=b,
                 value=a["minimizer"] + radii[:, None] * b["minimizer"],

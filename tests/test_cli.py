@@ -182,20 +182,22 @@ def test_verify_makes_one_engine_call_per_sweep(tmp_path, monkeypatch):
     (hm.contact_solution_verdict, (4,)),
 ], ids=["holomorphy", "system", "amvp", "contact"])
 def test_a_verdict_sweep_makes_one_fit_call(verdict, extra, monkeypatch):
-    # The pair mean's center and slope rows share the one call.
+    # One fit call per model: the pair mean fits its center rows on the model 1,
+    # then its slope rows on conj(offsets).
     fit = hm.means.fit_model_coefficient
-    rows = []
+    calls = []
 
-    def counted(d, samples, *args):
-        rows.append(len(samples))
-        return fit(d, samples, *args)
+    def counted(d, samples, model, init):
+        calls.append((len(samples), "center" if np.all(model == 1.0) else "slope"))
+        return fit(d, samples, model, init)
 
     monkeypatch.setattr(hm.means, "fit_model_coefficient", counted)
     rng = np.random.default_rng(3)
     points = rng.uniform(0.2, 0.8, 10) + 1j * rng.uniform(0.2, 0.8, 10)
     verdict(hm.make_field("pharm-radial:3"), points, hm.power_density(3), *extra)
-    per_row = 2 if verdict in (hm.amvp_verdict, hm.contact_solution_verdict) else 1
-    assert rows == [per_row * 8 * points.size]
+    pair = verdict in (hm.amvp_verdict, hm.contact_solution_verdict)
+    models = ["center", "slope"] if pair else ["slope"]
+    assert calls == [(8 * points.size, model) for model in models]
 
 
 # pharm-radial:3 is NaN at the origin.  At -0.1 the origin is a node of the
@@ -609,15 +611,18 @@ def test_importing_the_cli_builds_no_parser():
 @pytest.mark.parametrize("command, lines", (
     ("verify-system", "points.list = nan; 0.5+0.5i"),
     ("verify-amvp", "points.list = 0.5+0.5i; 1e400"),
+    ("verify-holo", "points.list = 0.5+0.5i; inf"),
     ("contact", "points.list = 0.5+0.5i; nan+1i"),
     ("verify-holo", "points.grid = 0,nan,3,0,1,3"),
     ("mean", "mean.point = nan\nmean.r = 0.1"),
     ("sweep", "sweep.point = -1e999i"),
+    ("sweep", "sweep.point = inf"),
 ))
 def test_a_nonfinite_point_is_a_configuration_error(tmp_path, capsys, command, lines):
     cfg = write(tmp_path, "nan.ini",
                 f"field.spec = pharm-radial:3\ndensity.spec = power:p=3\n{lines}\n")
     assert run([command, "--config", cfg, "--out", tmp_path / "out.csv"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: line 3: ") and "finite" in err
+    assert err.startswith("configuration error: line 3: ")
+    assert ("must be finite" if "points.grid" in lines else "not finite") in err
     assert not (tmp_path / "out.csv").exists()

@@ -467,7 +467,7 @@ def test_the_newton_sweep_fits_interpolated_samples(rng, monkeypatch, h, nodes, 
         calls.append((samples, model, init))
         return fit_model_coefficient(d, samples, model, init)
 
-    monkeypatch.setattr("holomeans.dpp.fit_model_coefficient", recording_fit)
+    monkeypatch.setattr("holomeans.means.fit_model_coefficient", recording_fit)
     hm.dpp_step(grid, hm.power_density(3), cfg)
     # both fits get the public interpolant's samples and, as starts, their
     # centre and slope projections, bit for bit

@@ -22,6 +22,12 @@ POINTS = np.array([0.3 + 0.2j, -0.7 + 0.1j, 1.1 - 0.9j, 0.05 + 0.6j])
         ("-1.5-2.5i", -1.5 - 2.5j),
         ("i", 1j),
         ("-i", -1j),
+        ("inf", complex(np.inf, 0.0)),
+        ("-inf", complex(-np.inf, 0.0)),
+        ("Infinity", complex(np.inf, 0.0)),
+        ("inf+1i", complex(np.inf, 1.0)),
+        ("1+infj", complex(1.0, np.inf)),
+        ("-infi", complex(0.0, -np.inf)),
     ],
 )
 def test_parse_complex(text, value):

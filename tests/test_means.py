@@ -512,6 +512,29 @@ def test_general_kernel_rows_past_huge_modulus_fail_unevaluated():
         assert fit[name][1] == ref[name][0]
 
 
+def test_general_kernel_rows_past_huge_modulus_fail_unevaluated_with_per_row_models():
+    # The same at p = 3 with one model per row, as the ladder's slope fits
+    # have: the huge middle row leaves with its own model, and the rows on
+    # either side keep the bits of their one-row fits.
+    general = dataclasses.replace(hm.power_density(3), lambda_lo=1.9, lambda_hi=2.1)
+    assert _power_law(general) is None
+    ring = np.exp(2j * np.pi * np.arange(16) / 16)
+    offsets = np.array([0.1, 0.2, 0.3])[:, None] * ring
+    rows = (0.3 + 0.2j) + 0.7 * offsets + 0.2 * np.conj(offsets) ** 2
+    rows[1] *= 1e200
+    model = np.conj(offsets)
+    init = np.mean(rows * offsets, axis=1) / np.array([0.1, 0.2, 0.3]) ** 2
+    fit = fit_model_coefficient(general, rows, model, init)
+    assert fit["status"].tolist() == [1, 3, 1]
+    assert fit["iterations"][1] == 0
+    assert fit["minimizer"][1] == init[1]
+    assert fit["objective"][1] == np.inf and np.isnan(fit["foc_residual"][1])
+    for i in (0, 2):
+        ref = fit_model_coefficient(general, rows[i:i + 1], model[i], init[i:i + 1])
+        for name in ref:
+            assert fit[name][i] == ref[name][0]
+
+
 def test_circumcircle_of_collinear_points_is_none():
     assert _circumcircle(0j, 1 + 1j, 2 + 2j) is None
     center, radius = _circumcircle(1 + 0j, 1j, -1 + 0j)
