@@ -37,6 +37,13 @@ along that row alone, so a row's result has the same bits whatever batch it is
 solved in.  The DPP's sweep fits its pair means by the engine's
 :func:`_newton_fits`, from the same :func:`_newton_starts`.
 
+The fit leaves out work that cannot change a bit on two paths its input
+selects (:func:`fit_model_coefficient`): the unit path, for the model 1
+shared by all rows, skips the exact products by the model, and the
+fault-free path, for an evaluation with no residual below
+``RESIDUAL_FLOOR``, skips the per-row floor tests.  A row's bits do not
+depend on which path runs.
+
 What depends on the density alone is derived once per density object: its
 power law (:func:`~holomeans.density._power_law`), which picks the fit's
 per-node terms, and its Young conjugate, which the conjugate mean's
@@ -116,6 +123,9 @@ HUGE_MODULUS = 2.0**500
 # be resolved to no better than STEP_TOL / TINY_MODULUS (about 1e-5) of its
 # scale, is fitted at unit scale (see _unit_scale_below).
 TINY_MODULUS = 2.0**-20
+# The line search's allowance for float noise in the objective, per unit of
+# 1 + |objective|.
+_FLAT_ULPS = 16.0 * np.finfo(float).eps
 
 _STATUS_ACTIVE = 0
 _STATUS_CONVERGED = 1
@@ -199,6 +209,16 @@ def _row_mean(a):
     return np.add.reduce(a, axis=-1) / a.shape[-1]
 
 
+def _all(mask):
+    """``mask.all()`` for a boolean array, without its Python wrapper."""
+    return np.count_nonzero(mask) == mask.size
+
+
+def _any(mask):
+    """``mask.any()`` for a boolean array, without its Python wrapper."""
+    return np.count_nonzero(mask) > 0
+
+
 def _unit_scale_from(alpha):
     """The modulus from which a row of a fit at the power law ``F' ~ s**alpha``
     is fitted at unit scale: ``2**E``, at least 1 and at most ``HUGE_MODULUS``.
@@ -257,7 +277,10 @@ def _node_terms(d):
         half_gap = 0.5 * (alpha - 1.0)
 
         def weight(s2):
-            with np.errstate(divide="ignore"):  # 0 ** negative at alpha < 1
+            if half_gap < 0.0:
+                with np.errstate(divide="ignore"):  # 0 ** negative at alpha < 1
+                    k = s2**half_gap
+            else:
                 k = s2**half_gap
             if coeff != 1.0:
                 k *= coeff
@@ -302,6 +325,16 @@ def fit_model_coefficient(d, samples, model, init):
     unusable, leaves the batch before the line search, so the line search
     evaluates only the rows that step.
 
+    Two paths leave out work that cannot change a bit, and the input selects
+    them.  The unit path: a model of ones shared by all rows (the constant
+    model 1 of the pair mean's centre) skips the products by the model, its
+    conjugate and its squared modulus, which are exact up to the sign of a
+    zero, unless a start has a part -0.0, the one place such a sign shows.
+    The fault-free path: an evaluation whose squared residual moduli all
+    reach ``RESIDUAL_FLOOR**2`` skips the per-row floor masks and clamped
+    copies, which change no row there.  So a row's bits do not depend on
+    which path runs.
+
     Parameters
     ----------
     d : Density
@@ -341,10 +374,14 @@ def fit_model_coefficient(d, samples, model, init):
         )
     if samples.shape[1] == 0:
         raise InvalidParameterError("samples need at least one node per row")
-    if not (np.isfinite(samples).all() and np.isfinite(c).all()):
+    # |z| is NaN or inf where z is not finite, and inf at a finite z only past
+    # the largest float: z itself is tested only where some |z| is not finite.
+    modulus = np.abs(samples)
+    row_top = np.maximum.reduce(modulus, axis=-1)
+    if not ((_all(row_top < np.inf) or _all(np.isfinite(samples))) and _all(np.isfinite(c))):
         raise NonFiniteSampleError("samples and init of a fit must be finite")
     mmod = np.abs(model)
-    if not (np.isfinite(mmod) & (mmod > 0.0)).all():
+    if not _all(np.isfinite(mmod) & (mmod > 0.0)):
         raise InvalidParameterError("model weights must be bounded away from zero")
     weight, objective, curvature, alpha = _node_terms(d)
     shared = model.ndim == 1
@@ -353,19 +390,25 @@ def fit_model_coefficient(d, samples, model, init):
     # alike, its objective by 2**-(e (alpha + 1)) and its first-order residual
     # by 2**-(e alpha).  So a row past _unit_scale_from(alpha), or below
     # _unit_scale_below(alpha), is fitted at unit scale and scaled back.
-    modulus, mscale = np.abs(samples), np.max(mmod, axis=-1)
-    top = np.maximum(np.max(modulus, axis=-1), np.abs(c) * mscale)
-    huge = top > (HUGE_MODULUS if alpha is None else _unit_scale_from(alpha))
-    aside = huge & (alpha is None)  # F, F' and F'' may overflow there: it fails unevaluated
-    scaled = huge & (alpha is not None)
-    if alpha is not None:
-        scaled |= top < _unit_scale_below(alpha)
-    if scaled.any():
+    mscale = np.maximum.reduce(mmod, axis=-1)
+    top = np.maximum(row_top, np.abs(c) * mscale)
+    if alpha is None:
+        # F, F' and F'' may overflow past HUGE_MODULUS: such a row fails unevaluated.
+        aside, scaled = top > HUGE_MODULUS, False
+    else:
+        aside, scaled = False, (top > _unit_scale_from(alpha)) | (top < _unit_scale_below(alpha))
+    if _any(scaled):
         e = np.frexp(top[scaled])[1] - 1
         samples = samples.copy()
         samples[scaled] *= np.ldexp(1.0, -e)[:, None]
         c[scaled] *= np.ldexp(1.0, -e)
         modulus[scaled] = np.abs(samples[scaled])
+    # The unit path's products by 1 are exact but for the sign of a zero,
+    # which reaches the outputs only through a -0.0 part of the iterate; only
+    # a start has one (after the scaling, which may underflow a part to -0.0),
+    # and such a fit takes the general path.
+    parts = c.view(float)
+    unit = shared and _all(model == 1.0) and not _any(np.signbit(parts) & (parts == 0.0))
 
     # The active rows, in order, with their own rows of every per-row input.
     # Rows only ever leave; the arrays are re-indexed when one does, and a
@@ -375,8 +418,8 @@ def fit_model_coefficient(d, samples, model, init):
     obj_out = np.full(samples.shape[0], np.inf)
     iters = np.zeros(samples.shape[0], dtype=int)
     act = np.arange(samples.shape[0])
-    rows, per_row = samples, (model, np.square(mmod, out=mmod), mscale)
-    if aside.any():
+    rows, per_row = samples, (model, np.conj(model), np.square(mmod, out=mmod), mscale)
+    if _any(aside):
         state[aside], foc_out[aside] = _STATUS_FAILED, np.nan
         act = act[~aside]
         rows, modulus = samples[act], modulus[act]
@@ -388,15 +431,20 @@ def fit_model_coefficient(d, samples, model, init):
 
     def evaluate(rows, m, cc):
         # Residuals at the coefficients cc, their squared moduli and gradient
-        # weights, which rows have a residual below the floor, and the
-        # objective.  An exact zero gets weight 0.
-        u = rows - cc[:, None] * m
+        # weights, which rows have a residual below the floor (None if none
+        # has), and the objective.  An exact zero gets weight 0.
+        u = rows - (cc[:, None] if unit else cc[:, None] * m)
         s2 = np.square(u.real)
         s2 += np.square(u.imag)
+        if s2.size == 0 or s2.min() >= floor2:  # fault-free (a NaN fails the test)
+            k = weight(s2)
+            return u, s2, k, None, objective(s2, k)
         near = (s2 < floor2).any(axis=1)
         k = weight(s2)
-        if near.any():
+        if _any(near):
             k[near] = np.where(s2[near] > 0.0, k[near], 0.0)
+        else:
+            near = None
         return u, s2, k, near, objective(s2, k)
 
     def leave(sel, status):
@@ -413,12 +461,12 @@ def fit_model_coefficient(d, samples, model, init):
     for it in range(MAX_NEWTON_ITERATIONS + 1):
         if act.size == 0:
             break
-        m, mmod2, mscale = per_row
-        um = np.multiply(u, np.conj(m), out=u)  # u is spent
+        m, mc, mmod2, mscale = per_row
+        um = u if unit else np.multiply(u, mc, out=u)  # u is spent
         g = -0.5 * _row_mean(k * um)
-        foc = np.abs(g) / mscale
+        foc = np.abs(g) if unit else np.abs(g) / mscale
         s2_h, k_h = s2, k
-        if near.any():
+        if near is not None:
             # A row whose residuals all lie below the floor is an exact fit.
             # The Hessian clamps the residual moduli below it at the floor.
             foc[near] = np.where((s2[near] < floor2).all(axis=1), 0.0, foc[near])
@@ -435,10 +483,10 @@ def fit_model_coefficient(d, samples, model, init):
             break
         # A row with an exactly-zero pointwise residual converges on the
         # gradient alone; otherwise it stays in Newton, whose Hessian clamps
-        # that residual's modulus at the floor.
-        done = small_foc & near
+        # that residual's modulus at the floor.  None: no row stops.
+        stop = None if near is None else small_foc & near
         wa, ca, wb, cb = curvature(s2_h, k_h)
-        a_coef = ca * _row_mean(wa * mmod2)
+        a_coef = ca * _row_mean(wa if unit else wa * mmod2)
         np.multiply(um, um, out=um)  # um is spent too
         b_coef = cb * _row_mean(np.multiply(wb, um, out=um))
         # The line search makes the next terms; drop these first.
@@ -448,43 +496,41 @@ def fit_model_coefficient(d, samples, model, init):
         g_conj = np.conj(g)
         with np.errstate(over="ignore", invalid="ignore"):  # a row whose step overflows takes none
             step = -a_coef * g + b_coef * g_conj
-            if good.all():
+            if _all(good):
                 delta = step / denom
             else:
                 delta = np.zeros_like(g)
                 np.divide(step, denom, out=delta, where=good)
-            settled = small_foc & good & (np.abs(delta) <= STEP_TOL * (1.0 + np.abs(cur)))
+            if _any(small_foc):
+                settled = small_foc & good & (np.abs(delta) <= STEP_TOL * (1.0 + np.abs(cur)))
+                stop = settled if stop is None else stop | settled
             slope = 2.0 * (g_conj * delta).real
-        stop = done | settled
-        good &= np.isfinite(slope) & (slope < 0.0) & ~stop
+        good &= np.isfinite(slope) & (slope < 0.0)
+        if stop is not None:
+            good &= ~stop
         # Only the rows with a usable step go on to the line search.
-        if not good.all():
+        if not _all(good):
             gone = ~good
-            leave(gone, np.where(stop[gone], _STATUS_CONVERGED, _STATUS_FAILED))
+            leave(gone, _STATUS_FAILED if stop is None
+                  else np.where(stop[gone], _STATUS_CONVERGED, _STATUS_FAILED))
+            if not _any(good):
+                break
             act, rows, tol, cur, delta, slope, obj, foc = (
                 a[good] for a in (act, rows, tol, cur, delta, slope, obj, foc)
             )
             if not shared:
                 per_row = tuple(a[good] for a in per_row)
                 m = per_row[0]
-            if act.size == 0:
-                break
 
         # Armijo line search.  Near the optimum the true decrease of a Newton
         # step can drop below the float resolution of the objective; a
         # few-ulp allowance keeps the line search from rejecting such steps,
         # and the gradient-based settling test then certifies convergence.
-        flat = 16.0 * np.finfo(float).eps * (1.0 + np.abs(obj))
-
-        def sufficient(obj1, sel, t):
-            return np.isfinite(obj1) & (
-                obj1 <= obj[sel] + ARMIJO_SLOPE * t * slope[sel] + flat[sel]
-            )
-
+        flat = _FLAT_ULPS * (1.0 + np.abs(obj))
         cand = cur + delta
         u, s2, k, near, obj1 = evaluate(rows, m, cand)
         ok = np.isfinite(obj1) & (obj1 <= obj + ARMIJO_SLOPE * slope + flat)  # t = 1
-        if not ok.all():
+        if not _all(ok):
             t = np.ones(act.size)
             pend = np.flatnonzero(~ok)
             for _ in range(MAX_BACKTRACKS - 1):
@@ -492,9 +538,16 @@ def fit_model_coefficient(d, samples, model, init):
                     break
                 t[pend] *= BACKTRACK_FACTOR
                 cand[pend] = cur[pend] + t[pend] * delta[pend]
-                trial = evaluate(rows[pend], m if shared else m[pend], cand[pend])
-                u[pend], s2[pend], k[pend], near[pend], obj1[pend] = trial
-                hit = sufficient(trial[-1], pend, t[pend])
+                u[pend], s2[pend], k[pend], near_t, obj_t = evaluate(
+                    rows[pend], m if shared else m[pend], cand[pend])
+                obj1[pend] = obj_t
+                if near is not None or near_t is not None:
+                    if near is None:
+                        near = np.zeros(act.size, dtype=bool)
+                    near[pend] = False if near_t is None else near_t
+                hit = np.isfinite(obj_t) & (
+                    obj_t <= obj[pend] + ARMIJO_SLOPE * t[pend] * slope[pend] + flat[pend]
+                )
                 ok[pend[hit]] = True
                 pend = pend[~hit]
             if pend.size:
@@ -502,14 +555,18 @@ def fit_model_coefficient(d, samples, model, init):
                 # pre-step iterate, and the others go on with the terms at
                 # their new coefficients.
                 leave(pend, _STATUS_FAILED)
-                act, rows, tol, cand, obj1, u, s2, k, near = (
-                    a[ok] for a in (act, rows, tol, cand, obj1, u, s2, k, near)
+                if not _any(ok):
+                    break
+                act, rows, tol, cand, obj1, u, s2, k = (
+                    a[ok] for a in (act, rows, tol, cand, obj1, u, s2, k)
                 )
+                if near is not None:
+                    near = near[ok]
                 if not shared:
                     per_row = tuple(a[ok] for a in per_row)
         cur, obj = cand, obj1
 
-    if scaled.any():
+    if _any(scaled):
         c[scaled] *= np.ldexp(1.0, e)
         with np.errstate(divide="ignore", over="ignore"):  # 0 stays 0, and may overflow
             obj_out[scaled] = np.exp2(np.log2(obj_out[scaled]) + e * (alpha + 1.0))
@@ -616,13 +673,13 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
     n = unit.size
     radii = np.asarray(radii, dtype=float)
     bad = ~(np.isfinite(radii) & (radii > 0.0))
-    if np.any(bad):
+    if _any(bad):
         raise InvalidParameterError(
             f"circle radius must be positive, got {radii[np.argmax(bad)]}"
         )
     z = np.atleast_1d(np.asarray(points, dtype=complex)).ravel()
     finite = np.isfinite(z)
-    if not finite.all():
+    if not _all(finite):
         return _refusing(_ladder_means(kind, f, z[finite], radii, d, node_count, seed),
                          z, finite)
     nodes = z[None, :, None] + (radii[:, None] * unit)[:, None, :]
@@ -640,19 +697,19 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
             failed[i] = True
 
     finite = np.isfinite(samples)
-    if not finite.all():
+    if not _all(finite):
         fail(~finite.all(axis=1), lambda i: nonfinite_error(nodes[i], samples[i]))
     if kind == "conjugate":
         mod = np.abs(samples)
         low = mod < TRANSFORM_FLOOR
-        if low.any():
+        if _any(low):
             fail(low.any(axis=1), lambda i: ZeroFieldError(
                 f"conjugate transform needs |g| >= {TRANSFORM_FLOOR:g} on the circle; "
                 f"|g({nodes[i, np.argmin(mod[i])]:.6g})| = {np.min(mod[i]):.3e}"
             ))
     if kind not in ("center", "infinity"):
         vanishing = offsets == 0.0  # where the model conj(offsets) vanishes
-        if vanishing.any():
+        if _any(vanishing):
             fail(vanishing.any(axis=1), lambda i: InvalidParameterError(
                 "model weights must be bounded away from zero"
             ))
@@ -664,14 +721,14 @@ def _ladder_means(kind, f, points, radii, d, node_count=DEFAULT_CIRCLE_NODES, se
         with np.errstate(over="ignore", invalid="ignore"):
             samples = young_conjugate(d).deriv_fn(mod) * samples / mod
         finite = np.isfinite(samples)
-        if not finite.all():
+        if not _all(finite):
             fail(~finite.all(axis=1), lambda i: NonFiniteSampleError(
                 f"conjugate transform is not finite on the circle; "
                 f"|g| reaches {np.max(mod[i]):.3e}"
             ))
     del nodes
     # The rows without an error go on to the fit.
-    some_failed = failed.any()
+    some_failed = _any(failed)
     live = ~failed if some_failed else slice(None)
     samples, offsets, r = samples[live], offsets[live], rr[live]
 

@@ -16,6 +16,18 @@ Regenerate after an intended output change with::
 which rewrites only the files whose bytes changed and reports, for each,
 how many cells changed, the largest absolute change of a numeric cell, and
 how many text and integer cells moved, with each case's exit code.
+
+The bytes are exact only under the numpy build and SIMD dispatch they were
+written with: numpy 2.4.6 on x86-64 with AVX-512.  numpy's float64 ``exp``,
+``log`` and ``power`` (at exponents other than the special ones) round
+differently in the last bit under other dispatch: with AVX2 dispatch
+(``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``) 4 goldens
+fail, ``dpp_power3``, ``sweep_square``, ``verify_holo_exp`` and
+``verify_system_pharm``, and with baseline dispatch 13 do, while every
+other test passes.  On such a machine, compare by the drift report: run the
+script mode above in a scratch checkout and read how far each file moved
+(``git checkout tests/golden`` restores the stored bytes).  A golden is
+not regenerated for a machine.
 """
 
 import math

@@ -378,6 +378,82 @@ def test_power_law_and_general_terms_agree(name, shared):
     scale = np.max(np.abs(samples), axis=1) / np.min(np.abs(np.broadcast_to(model, samples.shape)),
                                                       axis=1)
     assert np.all(np.abs(a["minimizer"] - b["minimizer"]) <= 1e-12 * (1.0 + scale))
+    if shared:
+        # The shared model 1 takes the unit path, which skips the products
+        # by the model; one row of ones per row takes the general path.
+        # Every output has the same bytes, at either kind of terms, also
+        # with a -0.0 part in a sample or in a start, whose sign a product
+        # by 1 may flip.
+        zero_sample, zero_start = samples.copy(), init.copy()
+        zero_sample[2, 5] = complex(zero_sample[2, 5].real, -0.0)
+        zero_start[3] = complex(-0.0, zero_start[3].imag)
+        for rows, starts in ((samples, init), (zero_sample, init), (samples, zero_start)):
+            for dens in (d, general):
+                fit = fit_model_coefficient(dens, rows, model, starts)
+                per_row = fit_model_coefficient(dens, rows, np.ones(rows.shape, dtype=complex),
+                                                starts)
+                for key in fit:
+                    assert fit[key].tobytes() == per_row[key].tobytes(), (dens.label, key)
+
+
+@pytest.mark.parametrize("p", (1.5, 3.0, 8.0, "general"))
+@pytest.mark.parametrize("shared", (True, False))
+def test_a_row_with_an_exact_zero_residual_leaves_the_other_rows_bits(p, shared):
+    # Rows 2-5 of _both_paths_rows have no residual below RESIDUAL_FLOOR, so
+    # a batch of them takes the fault-free path.  A row whose start is its
+    # exact fit puts every residual at zero and sends the batch's
+    # evaluations down the floor path; no other row's bytes move.
+    d = hm.power_density(3.0 if p == "general" else p)
+    if p == "general":
+        d = dataclasses.replace(d, lambda_lo=1.9, lambda_hi=2.1)
+        assert _power_law(d) is None
+    samples, model, init = _both_paths_rows(shared)
+    samples, init = samples[2:], init[2:]
+    if not shared:
+        model = model[2:]
+    exact = 0.4 - 0.7j
+    with_zero = np.concatenate([samples, exact * np.broadcast_to(model, samples.shape)[:1]])
+    models = model if shared else np.concatenate([model, model[:1]])
+    alone = fit_model_coefficient(d, samples, model, init)
+    both = fit_model_coefficient(d, with_zero, models, np.append(init, exact))
+    assert both["status"][-1] == 1 and both["iterations"][-1] == 0
+    assert both["minimizer"][-1] == exact and both["foc_residual"][-1] == 0.0
+    for key in alone:
+        assert both[key][:-1].tobytes() == alone[key].tobytes(), key
+
+
+@pytest.mark.parametrize("model", ("unit", "shared", "per-row"))
+def test_an_empty_batch_returns_empty_columns(model):
+    n = 8
+    ring = np.exp(2j * np.pi * np.arange(n) / n)
+    models = {"unit": np.ones(n), "shared": np.conj(0.1 * ring),
+              "per-row": np.ones((0, n), dtype=complex)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_model_coefficient(hm.power_density(3), np.ones((0, n), dtype=complex),
+                                    models[model], np.zeros(0, dtype=complex))
+    assert sorted(fit) == ["foc_residual", "iterations", "minimizer", "objective", "status"]
+    assert all(a.shape == (0,) for a in fit.values())
+
+
+@pytest.mark.parametrize("p", (255.0, 300.0, 1000.0))
+def test_fits_past_the_last_scaled_exponent_stay_finite_without_warnings(p):
+    # Past p = 254 no row is scaled (_unit_scale_from is 1): rows of modulus
+    # 0.5 to 8 are fitted as they are.  Neither model raises a warning, and
+    # every minimizer is finite.  The objective may overflow to inf or
+    # underflow to 0 there, and the slope fit may use its whole budget.
+    ring = np.exp(2j * np.pi * np.arange(64) / 64)
+    shape = (0.3 + 0.2j) + 0.7 * ring + 0.2 * np.conj(ring) ** 2
+    shape /= np.max(np.abs(shape))
+    rows = np.array([0.5, 1.0, 2.0, 4.0, 8.0])[:, None] * shape
+    d = hm.power_density(p)
+    for model, init in ((np.ones(64), np.mean(rows, axis=1)),
+                        (np.conj(0.1 * ring), np.mean(rows * 0.1 * ring, axis=1) / 0.01)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_model_coefficient(d, rows, model, init)
+        assert np.all(np.isfinite(fit["minimizer"]))
+        assert not np.any(np.isnan(fit["objective"]))
 
 
 @pytest.mark.parametrize("p", (1.2, 1.5, 3.0))
