@@ -6,7 +6,10 @@ Findings from the full sweep at p = 2 on exp data (run with --full; about
 4.5 s on a 2-core machine, 3.5 s without it, most of it the p = 4 case):
 
   * the error is flat in h (2.2e-2 to 2.6e-2 over h in [0.02, 0.05] at
-    r = 0.1, tol = 1e-3): the lattice step is not the binding term;
+    r = 0.1, tol = 1e-3): it is iteration error.  The solve stops on a
+    small update, far from the discrete fixed point u*, which lies 1.6e-3,
+    3.1e-4 and 1.0e-4 from exp at h = 0.05, 0.025 and 0.02 (u* by GMRES,
+    ROADMAP item 13);
   * the error scales like 1/r^2 (r = 0.2: 5.9e-3, r = 0.15: 1.0e-2,
     r = 0.1: 2.3e-2 at h = 0.025);
   * tightening the stopping tolerance to 3e-4 at h = 0.025 drops the error
@@ -15,6 +18,13 @@ Findings from the full sweep at p = 2 on exp data (run with --full; about
 These numbers calibrate the 5e-2 acceptance threshold for the exponential
 boundary-value problem at h = 0.02, r = 0.1, tol = 1e-3 (measured 2.3e-2,
 about 2x headroom).
+
+They hold on the unit square (L = 1) for L/r up to about 10, that is r >=
+0.1 here.  The fixed point u* amplifies the map's consistency error: ROADMAP
+item 14 measured sup|u* - exp| / sup|T exp - exp| (u* by GMRES, h 0.005 to
+0.02) at about 8.5 for L/r = 5, 86-96 for L/r = 10 (criterion 10(b)) and
+1e5 or more for L/r = 20, where the damped solve stops with
+DivergenceError at r = 0.05.
 
 These findings hold at p = 2 only.  At p = 3 on pharm-radial:3 data, an
 exact solution, on [0.5, 1.5]^2 with damping 0.5 and tolerance 1e-5, the

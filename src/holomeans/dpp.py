@@ -20,18 +20,19 @@ with those taps.  It is computed by the convolution theorem, one forward and
 one inverse FFT of the lattice padded to 2-3-5-smooth sizes (the taps'
 spectrum is built once per solve), and cropped to the unknowns; the strip
 keeps every tap of an unknown inside the lattice, so no circular wrap
-reaches an unknown.  At any other density a sweep runs the pair mean's two
-batched Newton solves (``means._newton_fits``) over every node at once,
-from those closed-form starts, on circle samples gathered through
+reaches an unknown.  A sweep reads and writes the unknowns as 2-D views and
+transforms the lattice unscaled, unless its data lie outside
+``_UNSCALED_RANGE`` (2**-400 to 2**400) or are not finite; no bit depends on
+it (:func:`_spectral_sum`).  At any other density a sweep runs the pair
+mean's two batched Newton solves (``means._newton_fits``) over every node at
+once, from those closed-form starts, on circle samples gathered through
 :func:`interpolate`'s cell indices and bilinear weights.
 
-A solve builds once what its sweeps share (:class:`_CircleStencil`).  At
-the quadratic density that is the taps' spectrum, a padded buffer that
-holds the strip's data, written once, into which each sweep writes only
-the unknowns, and the buffers the transforms write into; at any other
-density it is the gather table of every unknown's circle nodes.  Each
-sweep still returns a new values array, and its grid keeps the lattice
-that the first grid's checks passed.
+A solve builds once what its sweeps share (:class:`_CircleStencil`): at the
+quadratic density the taps' spectrum, a padded buffer that holds the strip's
+data and the transforms' buffers, at any other density the gather table of
+every unknown's circle nodes.  Each sweep still returns a new values array,
+and its grid keeps the lattice that the first grid's checks passed.
 
 Nodes where the field modulus falls below ``FIELD_FLOOR`` make the mean
 ill-posed (the density may lose smoothness at zero): a sweep skips a node
@@ -39,12 +40,17 @@ whose value and whole sampling circle lie below it.  It also skips the
 nodes of ``GridField.frozen``, which the caller holds fixed; no sweep adds
 nodes to that mask.
 
-At p = 2 on ``exp`` data the stopping tolerance, not the lattice step,
-dominates the error (``demos/dpp_refinement.py``); that holds at p = 2 only.
-At p = 3 on the exact solution ``pharm-radial:3`` ([0.5, 1.5]^2, damping 0.5,
-``residual_tol`` 1e-5) the exact start ends at a sup error of about 1e-2 for
-every (h, r) tried (1.3e-2 at h = 0.05, r = 0.1, after 262 sweeps), and the
-mean start at a second fixed point with sup error 0.87.
+At p = 2 the error claims hold on a square of side L only for L/r up to
+about 10.  The fixed point u* amplifies the map's consistency error: ROADMAP
+item 14 measured ``sup|u* - exp| / sup|T exp - exp|`` (u* by GMRES, h 0.005
+to 0.02) at about 8.5 for L/r = 5, 86-96 for L/r = 10 (criterion 10(b)) and
+1e5 or more for L/r = 20.  On ``exp`` data the error that
+``demos/dpp_refinement.py`` finds flat in h is iteration error (item 13):
+at h = 0.02, r = 0.1 the solve stops 2.3e-2 from u*, and u* is 1.0e-4 from
+``exp``.  At p = 3 on the exact solution ``pharm-radial:3`` ([0.5, 1.5]^2,
+damping 0.5, ``residual_tol`` 1e-5) the exact start ends at a sup error of
+about 1e-2 for every (h, r) tried (1.3e-2 at h = 0.05, r = 0.1, after 262
+sweeps), and the mean start at a second fixed point with sup error 0.87.
 """
 
 from __future__ import annotations
@@ -57,13 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .density import Density
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    InvalidParameterError,
-    NonFiniteSampleError,
-)
+from .errors import ConfigError, DivergenceError, InvalidParameterError, NonFiniteSampleError
 from .geometry import circle_rule
 from .means import _STATUS_FAILED, _newton_fits, _newton_starts
 from .pdesystem import FIELD_FLOOR
@@ -91,6 +91,9 @@ DIVERGENCE_FACTOR = 10.0
 # write_checkpoint formats this many rows per string: one string per row is
 # slow, and one for the whole lattice holds every row's text at once.
 _CHECKPOINT_BLOCK = 256
+# The quadratic sweep transforms its lattice unscaled while the largest
+# modulus of the unknowns and of the strip data lie in this range.
+_UNSCALED_RANGE = (2.0**-400, 2.0**400)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,16 +200,7 @@ def make_grid(x0, x1, y0, y1, h, radius):
         )
     s = strip_cells_for(radius, h)
     nx, ny = _lattice_shape(x0, x1, y0, y1, h, s)
-    g = GridField(
-        x0=float(x0),
-        x1=float(x1),
-        y0=float(y0),
-        y1=float(y1),
-        h=float(h),
-        strip_cells=s,
-        values=np.zeros((ny, nx), dtype=complex),
-    )
-    return g
+    return GridField(*map(float, (x0, x1, y0, y1, h)), s, np.zeros((ny, nx), dtype=complex))
 
 
 def grid_from_function(x0, x1, y0, y1, h, radius, f):
@@ -376,8 +370,7 @@ class _Taps(NamedTuple):
     still makes the sum non-finite.  ``padded`` holds the strip's reached
     data, written once, and each sweep writes the unknowns' reached values
     into it; every other node stays 0.  ``strip_top`` is the largest modulus
-    of a real or imaginary part of that strip data (NaN or inf when one is
-    not finite), and ``work`` are the transform's output buffers.
+    of a part of that strip data (NaN or inf when one is not finite).
     """
 
     shifts: np.ndarray  # (taps, 2) lattice (row, column) shift of each tap
@@ -394,10 +387,9 @@ class _CircleStencil(NamedTuple):
 
     :func:`dpp_solve` builds it once and :func:`dpp_step` once per call.
     At the quadratic density ``taps`` holds the spectral correlation's parts
-    (:class:`_Taps`: the taps' spectrum, the strip in the padded buffer and
-    the transform buffers) and ``table`` is None.  At any other density
-    ``taps`` is None and ``table`` is the :func:`_bilinear_table` of every
-    unknown's circle nodes, gathered from on each sweep.
+    (:class:`_Taps`) and ``table`` is None.  At any other density ``taps``
+    is None and ``table`` is the :func:`_bilinear_table` of every unknown's
+    circle nodes, gathered from on each sweep.
     """
 
     offsets: np.ndarray  # (nodes,) circle offsets from the centre
@@ -444,9 +436,15 @@ def _circle_stencil(grid, cfg, d):
     corner_weights = np.stack(
         [(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy), (1.0 - fx) * fy, fx * fy]
     )
-    shifts, tap = np.unique(
-        np.column_stack([dy.ravel(), dx.ravel()]), axis=0, return_inverse=True
-    )
+    # The distinct shifts in (row, column) order, through one integer key per
+    # corner: a table of the keys in use and its running count, with no sort.
+    lo = np.array([dy.min(), dx.min()])
+    width = dx.max() - lo[1] + 1
+    key = (dy - lo[0]) * width + (dx - lo[1])
+    used = np.zeros(key.max() + 1, dtype=bool)
+    used[key] = True
+    shifts = np.column_stack(np.divmod(np.flatnonzero(used), width)) + lo
+    tap = np.cumsum(used)[key] - 1
     weights = np.zeros((len(shifts), q.nodes.size))
     np.add.at(weights, (tap.ravel(), np.tile(np.arange(q.nodes.size), 4)), corner_weights.ravel())
     centre, slope = _newton_starts("pair", weights, q.nodes, cfg.radius)
@@ -470,71 +468,75 @@ def _tap_windows(mask, stencil):
     hit = np.zeros(mask[stencil.box].shape, dtype=bool)
     for sy, sx in stencil.taps.shifts.tolist():
         hit |= mask[i.start + sy : i.stop + sy, j.start + sx : j.stop + sx]
-    return hit.ravel()
+    return hit
 
 
-def _spectral_sum(values, stencil):
+def _spectral_sum(values, stencil, top):
     """Sum over the taps of coefficient times shifted window, per unknown.
 
     One correlation by FFT on the padded lattice, with the unreached nodes
     set to 0.  ``values`` must carry the strip data of the grid the stencil
     was built from: only the unknowns are written into the padded buffer.
-    The data are scaled by the power of two that brings their largest
-    component into [0.5, 1), so the transforms cannot overflow, and the
-    sums are scaled back exactly.  The entries follow the unknowns in
-    row-major order, in a fresh array.  An unknown whose taps read a
-    non-finite node gets a NaN sum; the caller raises the typed error.
+    The buffer is transformed as it is when ``top``, the largest modulus of
+    the unknowns (NaN to force the other path), and ``strip_top`` lie in
+    ``_UNSCALED_RANGE``.  Otherwise the data are scaled by the power of two
+    that brings their largest part into [0.5, 1), so the transforms cannot
+    overflow, and the sums are scaled back.  No bit depends on which runs:
+    a power-of-two scale is exact on every value that is normal before and
+    after it, and in the range it is at most 2**401 either way, so only a
+    part more than 2**600 below the largest could round otherwise, and
+    rounding drops it from any sum that holds a part near the largest.  The result
+    is a 2-D view of the stencil's work buffer, valid until the next sum on
+    the stencil.  An unknown whose taps read a non-finite node gets a NaN
+    sum; the caller raises the typed error.
     """
     taps, box = stencil.taps, stencil.box
     padded = taps.padded
-    unknowns = padded[box]
-    np.copyto(unknowns, values[box], where=taps.reached[box])
-    top = _top(unknowns)
-    hit = None
-    if math.isfinite(top) and math.isfinite(taps.strip_top):
-        top = max(taps.strip_top, top)
-    else:
-        # The non-finite nodes are zeroed on a fresh copy, so the buffer
-        # keeps the strip's data for the next sweep.
-        padded = np.zeros_like(padded)
-        data = padded[: values.shape[0], : values.shape[1]]
-        np.copyto(data, values, where=taps.reached)
-        bad = ~np.isfinite(data)
-        hit = _tap_windows(bad, stencil)
-        data[bad] = 0.0
-        top = _top(padded)
-    e = math.frexp(top)[1]
+    np.copyto(padded[box], values[box], where=taps.reached[box])
     scaled, turned, rows = taps.work
-    np.ldexp(padded.view(float), -e, out=scaled.view(float))
+    e, hit, (lo, hi) = 0, None, _UNSCALED_RANGE
+    if not (lo <= top <= hi and lo <= taps.strip_top <= hi):
+        top = _top(padded[box])
+        if not (math.isfinite(top) and math.isfinite(taps.strip_top)):
+            # The non-finite nodes are zeroed on a fresh copy, so the buffer
+            # keeps the strip's data for the next sweep.
+            padded = np.zeros_like(padded)
+            data = padded[: values.shape[0], : values.shape[1]]
+            np.copyto(data, values, where=taps.reached)
+            bad = ~np.isfinite(data)
+            hit = _tap_windows(bad, stencil)
+            data[bad] = 0.0
+        e = math.frexp(max(taps.strip_top, top) if hit is None else _top(padded))[1]
+        padded = np.ldexp(padded.view(float), -e, out=scaled.view(float)).view(complex)
     # One 1-D pass per axis, as fft2 makes them but without its overhead;
     # the inverse's last pass runs over the unknown rows only.  numpy loads
     # np.fft on first use, so importing holomeans does not pay for it.
-    fft = np.fft
-    fft.fft(scaled, axis=1, out=turned)
+    fft, (i, j) = np.fft, box
+    fft.fft(padded, axis=1, out=turned)
     fft.fft(turned, axis=0, out=scaled)
     np.multiply(scaled, taps.spectrum, out=scaled)
     fft.ifft(scaled, axis=0, out=turned)
-    i, j = box
     fft.ifft(turned[i], axis=1, out=rows)
-    sums = rows[:, j].ravel()
-    parts = sums.view(float)
-    with np.errstate(over="ignore"):
-        np.ldexp(parts, e, out=parts)
+    sums = rows[:, j]
+    if e:
+        with np.errstate(over="ignore"):
+            np.ldexp(sums.view(float), e, out=sums.view(float))
     if hit is not None:
         sums[hit] = np.nan
     return sums
 
 
 def _circle_samples(grid, stencil, rows):
-    """Bilinear samples on the circles of the unknowns selected by ``rows``:
-    gathered from the stencil's table where it has one, else by
-    :func:`interpolate`.  Non-finite data gives non-finite samples silently,
-    and the caller raises."""
+    """Bilinear samples on the circles of the unknowns selected by ``rows``
+    (a slice, or a mask of the unknown box): gathered from the stencil's
+    table where it has one, else by :func:`interpolate`.  Non-finite data
+    gives non-finite samples silently, and the caller raises."""
     with np.errstate(invalid="ignore", over="ignore"):
         if stencil.table is None:
-            centres = grid.points()[stencil.box].ravel()[rows]
+            centres = grid.points()[stencil.box][rows]
             return interpolate(grid, centres[:, None] + stencil.offsets)
         at, weights = stencil.table
+        rows = rows if isinstance(rows, slice) else rows.ravel()
         return _gather(grid.values, (at[rows], tuple(w[rows] for w in weights)))
 
 
@@ -570,52 +572,55 @@ def _sweep(grid, d, cfg, stencil):
     """:func:`dpp_step` on a stencil that :func:`_circle_stencil` built for
     ``d`` from a grid with ``grid``'s lattice and strip data.
 
-    The unknowns are read and written through the rectangle ``stencil.box``,
-    flattened in row-major order; ``rows`` selects the computed ones.  At the
-    quadratic density their means are one spectral correlation of the
-    lattice with the stencil's taps (:func:`_spectral_sum`).
+    The unknowns are read and written as 2-D views of the rectangle
+    ``stencil.box``; ``rows`` selects the computed ones: a slice, so no
+    copy, unless a node is frozen or held near zero.  One ``abs`` pass gives
+    the near-zero test and the ``top`` of :func:`_spectral_sum`.
     """
     box, values = stencil.box, grid.values
-    inner = values[box].flatten()
-    near_zero = np.abs(inner) < FIELD_FLOOR
-    if grid.frozen is None:
-        held = np.zeros(inner.size, dtype=bool)
+    inner = values[box]
+    modulus = np.abs(inner)
+    rows, skipped, failed, top = slice(None), 0, 0, math.nan
+    if grid.frozen is None and modulus.min() >= FIELD_FLOOR:
+        top = modulus.max()
     else:
-        held = grid.frozen[box].flatten()
-        near_zero &= ~held
-    if near_zero.any():
-        circle = _circle_samples(grid, stencil, near_zero)
-        held[near_zero] = np.max(np.abs(circle), axis=1) < FIELD_FLOOR
-    skipped = int(np.count_nonzero(held))
-
-    rows = slice(None) if skipped == 0 else ~held
+        held = np.zeros(inner.shape, bool) if grid.frozen is None else grid.frozen[box].copy()
+        near_zero = (modulus < FIELD_FLOOR) & ~held
+        if near_zero.any():
+            circle = _circle_samples(grid, stencil, near_zero)
+            held[near_zero] = np.max(np.abs(circle), axis=1) < FIELD_FLOOR
+        skipped = int(np.count_nonzero(held))
+        rows = ~held if skipped else rows
     old = inner[rows]
-    failed = 0
     if stencil.taps is not None:
         # s F''/F' == 1 makes F = c s^2 + const, whose minimizers are the
         # weighted projections themselves: one correlation with the taps.
-        mean = _spectral_sum(values, stencil)[rows]
-        _require_finite(mean)
+        mean = _spectral_sum(values, stencil, top)[rows]
     else:
         samples = _circle_samples(grid, stencil, rows)
         _require_finite(samples)
         res_a, res_b = _newton_fits("pair", d, samples, stencil.offsets, cfg.radius)
-        mean = res_a["minimizer"] + cfg.radius * res_b["minimizer"]
+        mean = (res_a["minimizer"] + cfg.radius * res_b["minimizer"]).reshape(old.shape)
         # A row whose fit failed keeps its old value.
         bad = (res_a["status"] == _STATUS_FAILED) | (res_b["status"] == _STATUS_FAILED)
-        failed = int(np.count_nonzero(bad))
+        failed, bad = int(np.count_nonzero(bad)), bad.reshape(old.shape)
         if failed:
             mean = np.where(bad, old, mean)
     residual_sup = float(np.abs(mean - old).max()) if mean.size else 0.0
-    damped = (1.0 - cfg.damping) * old + cfg.damping * mean
-    inner[rows] = np.where(bad, old, damped) if failed else damped
+    if not math.isfinite(residual_sup):  # a non-finite mean makes it so
+        _require_finite(mean)
+    # (1 - theta) old + theta mean, straight into the new values when every
+    # unknown is computed.
     new_values = values.copy()
-    new_values[box] = inner.reshape(values[box].shape)
+    damped = new_values[box][rows]
+    np.multiply(1.0 - cfg.damping, old, out=damped)
+    np.add(damped, np.multiply(cfg.damping, mean, out=mean), out=damped)
+    if failed:
+        np.copyto(damped, old, where=bad)
+    if skipped:
+        new_values[box][rows] = damped
     return _with_values(grid, new_values), StepDiagnostics(
-        residual_sup=residual_sup,
-        updated_count=int(inner.size - skipped - failed),
-        skipped_count=skipped + failed,
-    )
+        residual_sup, int(inner.size - skipped - failed), skipped + failed)
 
 
 def dpp_solve(grid, d, cfg, callback=None):
@@ -738,13 +743,5 @@ def read_checkpoint(path):
     values = np.empty(nx * ny, dtype=complex)
     values.real, values.imag = data[:, 0], data[:, 1]
     frozen = (data[:, 2] == 2).reshape(ny, nx)
-    return GridField(
-        x0=meta["x0"],
-        x1=meta["x1"],
-        y0=meta["y0"],
-        y1=meta["y1"],
-        h=meta["h"],
-        strip_cells=s,
-        values=values.reshape(ny, nx),
-        frozen=frozen if frozen.any() else None,
-    )
+    return GridField(*(meta[k] for k in ("x0", "x1", "y0", "y1", "h")), s,
+                     values.reshape(ny, nx), frozen if frozen.any() else None)

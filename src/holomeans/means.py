@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,7 +355,8 @@ def fit_model_coefficient(d, samples, model, init):
     :func:`_unit_scale_below` of it, is fitted at unit scale and scaled
     back.  At any other density, a row whose largest modulus
     exceeds ``HUGE_MODULUS`` fails at its start, with no iteration, an
-    infinite objective and a NaN first-order residual.
+    infinite objective and a NaN first-order residual.  So does a row whose
+    first-order tolerance overflows, as at a power law past p = 254.
 
     Raises
     ------
@@ -420,14 +422,21 @@ def fit_model_coefficient(d, samples, model, init):
     act = np.arange(samples.shape[0])
     rows, per_row = samples, (model, np.conj(model), np.square(mmod, out=mmod), mscale)
     if _any(aside):
+        modulus[aside] = 1.0  # not evaluated past HUGE_MODULUS
+    # Past p = 254 the unit scale does not bound F' (_unit_scale_from), whose
+    # mean may overflow.  A row whose tolerance does would pass any residual:
+    # it fails at its start too.
+    with np.errstate(over="ignore") if alpha is not None and alpha > 253.0 else nullcontext():
+        tol = FOC_TOL_COEFF * (1.0 + _row_mean(np.asarray(d.deriv_fn(modulus), dtype=float)))
+    del modulus
+    if not np.maximum.reduce(tol, initial=0.0) < np.inf:
+        aside = aside | (tol == np.inf)
+    if _any(aside):
         state[aside], foc_out[aside] = _STATUS_FAILED, np.nan
         act = act[~aside]
-        rows, modulus = samples[act], modulus[act]
+        rows, tol = samples[act], tol[act]
         if not shared:
             per_row = tuple(a[act] for a in per_row)
-    favg = _row_mean(np.asarray(d.deriv_fn(modulus), dtype=float))
-    del modulus
-    tol = FOC_TOL_COEFF * (1.0 + favg)
 
     def evaluate(rows, m, cc):
         # Residuals at the coefficients cc, their squared moduli and gradient

@@ -488,7 +488,16 @@ def window_tap_sum(values, stencil, coefficients):
     total = 0.0
     for (dy, dx), c in zip(stencil.taps.shifts.tolist(), coefficients.tolist()):
         total = total + c * values[i.start + dy : i.stop + dy, j.start + dx : j.stop + dx]
-    return total.ravel()
+    return total
+
+
+def spectral_sum(values, stencil):
+    """``dpp._spectral_sum`` with the sweep's ``top``, the largest modulus of
+    the unknowns, copied out of the stencil's work buffer, which the next
+    sum overwrites."""
+    from holomeans.dpp import _spectral_sum
+
+    return _spectral_sum(values, stencil, np.abs(values[stencil.box]).max()).copy()
 
 
 TAP_SUM_LATTICES = {
@@ -504,7 +513,7 @@ TAP_SUM_LATTICES = {
 
 @pytest.mark.parametrize("name", TAP_SUM_LATTICES)
 def test_the_spectral_tap_sum_matches_the_window_sum_to_rounding(rng, name):
-    from holomeans.dpp import _circle_stencil, _spectral_sum
+    from holomeans.dpp import _circle_stencil
 
     bounds, h, built_for, radius = TAP_SUM_LATTICES[name]
     grid = hm.make_grid(*bounds, h, built_for)
@@ -526,9 +535,9 @@ def test_the_spectral_tap_sum_matches_the_window_sum_to_rounding(rng, name):
     assert taps.spectrum.shape == tuple(min(m for m in smooth if m >= n) for n in shape)
     if name == "padded":
         assert shape == (29, 29) and taps.spectrum.shape == (30, 30)
-    got = _spectral_sum(values, stencil)
+    got = spectral_sum(values, stencil)
     want = window_tap_sum(values, stencil, taps.pair)
-    assert got.shape == (int(grid.interior_mask().sum()),)
+    assert got.shape == values[stencil.box].shape
     # the bound of the reference-sweep test: 256 eps max|v|
     assert np.max(np.abs(got - want)) <= 256 * np.finfo(float).eps * np.max(np.abs(values))
 
@@ -916,7 +925,7 @@ def test_the_quadratic_sweep_is_the_fresh_spectral_sum_bit_for_bit(name):
 
 @pytest.mark.parametrize("where", ("strip", "unknown"))
 def test_a_nan_node_turns_only_the_sums_that_read_it_nan(where):
-    from holomeans.dpp import _circle_stencil, _spectral_sum
+    from holomeans.dpp import _circle_stencil
 
     cfg = hm.DppConfig(radius=0.15)
     clean = unknowns_set_the_prescale()
@@ -926,7 +935,7 @@ def test_a_nan_node_turns_only_the_sums_that_read_it_nan(where):
     values[node] = np.nan
     g = replace(clean, values=values)
     stencil = _circle_stencil(g, cfg, D2)
-    got = _spectral_sum(values, stencil)
+    got = spectral_sum(values, stencil)
     assert got.tobytes() == reference_spectral_sum(values, stencil).tobytes()
     bad = np.zeros(values.shape)
     bad[node] = 1.0
@@ -934,10 +943,83 @@ def test_a_nan_node_turns_only_the_sums_that_read_it_nan(where):
     assert 0 < reads.sum() < reads.size
     np.testing.assert_array_equal(np.isnan(got), reads)
     # the NaN was zeroed on a copy: the next sum on clean data is exact
-    clean_sum = _spectral_sum(clean.values, stencil)
+    clean_sum = spectral_sum(clean.values, stencil)
     assert clean_sum.tobytes() == reference_spectral_sum(clean.values, stencil).tobytes()
     with pytest.raises(hm.NonFiniteSampleError, match="not finite"):
         hm.dpp_step(g, D2, cfg)
+
+
+def exp_times(k):
+    """exp data times 2**k on the unit square (h 0.05, r 0.15), unknowns at 2**k."""
+    g = hm.grid_from_function(0.0, 1.0, 0.0, 1.0, 0.05, 0.15, lambda z: 2.0**k * np.exp(z))
+    return hm.with_interior(g, 2.0**k)
+
+
+def count_top_calls(monkeypatch):
+    """Count the calls of ``dpp._top``: one per stencil build, one more per
+    sweep that scales its data."""
+    from holomeans import dpp
+
+    calls, top = [], dpp._top
+    monkeypatch.setattr(dpp, "_top", lambda a: calls.append(a.shape) or top(a))
+    return calls
+
+
+# The unknowns' largest modulus is 2**k and the strip's largest part is
+# about 3.3 * 2**k, so the sweep scales its data below k = -400 and above
+# k = 398.  FIELD_FLOOR (1e-8) would hold every node near 2**-400; the test
+# sets it to 0.
+@pytest.mark.parametrize("k, scaled", ((-401, True), (-400, False), (-26, False),
+                                       (398, False), (399, True), (1018, True)))
+def test_a_step_on_data_times_a_power_of_two_is_the_unit_step_times_it(k, scaled, monkeypatch):
+    from holomeans import dpp
+
+    monkeypatch.setattr(dpp, "FIELD_FLOOR", 0.0)
+    cfg = hm.DppConfig(radius=0.15)
+    unit, unit_diag = hm.dpp_step(exp_times(0), D2, cfg)
+    calls = count_top_calls(monkeypatch)
+    got, diag = hm.dpp_step(exp_times(k), D2, cfg)
+    assert len(calls) == 1 + scaled
+    assert got.values.tobytes() == (unit.values * 2.0**k).tobytes()
+    assert diag == replace(unit_diag, residual_sup=unit_diag.residual_sup * 2.0**k)
+
+
+def test_the_scaled_transforms_give_the_bits_of_the_unscaled_ones(monkeypatch):
+    # The dpp-quadratic lattice (63 x 63, h 0.02, r 0.1) from a seeded start:
+    # five sweeps with the data scaled, as an empty unscaled range forces,
+    # write the bytes of five sweeps without.
+    from holomeans import dpp
+
+    grid = hm.grid_from_function(0.0, 1.0, 0.0, 1.0, 0.02, 0.1, np.exp)
+    rng = np.random.default_rng(3)
+    noise = rng.uniform(-1.0, 1.0, (2,) + grid.values.shape)
+    start = complex(np.mean(grid.values)) + 0.05 * (noise[0] + 1j * noise[1])
+    grid = hm.with_interior(grid, lambda _points: start)
+    cfg = hm.DppConfig(radius=0.1, residual_tol=0.0, max_iterations=5)
+    calls = count_top_calls(monkeypatch)
+    default = hm.dpp_solve(grid, D2, cfg)
+    assert len(calls) == 1
+    monkeypatch.setattr(dpp, "_UNSCALED_RANGE", (np.inf, np.inf))
+    forced = hm.dpp_solve(grid, D2, cfg)
+    assert len(calls) == 1 + 1 + 5
+    assert forced.iterations == default.iterations == 5
+    assert forced.field.values.tobytes() == default.field.values.tobytes()
+    assert forced.residual_history == default.residual_history
+
+
+def test_a_spectral_sum_is_a_view_that_the_next_sum_overwrites():
+    from holomeans.dpp import _circle_stencil, _spectral_sum
+
+    grid = strip_sets_the_prescale()
+    stencil = _circle_stencil(grid, hm.DppConfig(radius=0.15), D2)
+    first = _spectral_sum(grid.values, stencil, 1.0)
+    kept = first.copy()
+    values = grid.values.copy()
+    values[stencil.box] = 2.0
+    second = _spectral_sum(values, stencil, 2.0)
+    assert np.shares_memory(first, second) and first.tobytes() == second.tobytes()
+    assert kept.tobytes() != second.tobytes()
+    assert kept.tobytes() == spectral_sum(grid.values, stencil).tobytes()
 
 
 def test_a_callback_that_keeps_every_grid_finds_them_unchanged():

@@ -456,6 +456,32 @@ def test_fits_past_the_last_scaled_exponent_stay_finite_without_warnings(p):
         assert not np.any(np.isnan(fit["objective"]))
 
 
+def test_a_row_whose_tolerance_overflows_fails_at_its_start():
+    # Past p = 254 a row is fitted at a largest modulus of 1 to 2, where the
+    # mean of F'(s) = s**(p - 1) overflows at p = 2000 for a row of modulus
+    # 1.5, and of 3 (fitted at 1.5).  The first-order tolerance
+    # FOC_TOL_COEFF * (1 + that mean) was inf, and these rows read converged
+    # with first-order residuals 1.2e75 and inf.  They fail at their start,
+    # as a row past HUGE_MODULUS does at a general density: no iteration,
+    # an infinite objective, a NaN residual, the start as minimizer, and no
+    # warning.  The row of modulus 1.2 keeps the bits of its own fit.
+    ring = np.exp(2j * np.pi * np.arange(64) / 64)
+    shape = (0.3 + 0.2j) + 0.7 * ring + 0.2 * np.conj(ring) ** 2
+    rows = np.array([1.2, 1.5, 3.0])[:, None] * (shape / np.max(np.abs(shape)))
+    init = np.mean(rows, axis=1)
+    d = hm.power_density(2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_model_coefficient(d, rows, np.ones(64), init)
+        alone = fit_model_coefficient(d, rows[:1], np.ones(64), init[:1])
+    assert fit["status"].tolist() == [1, 3, 3]
+    assert fit["iterations"][1:].tolist() == [0, 0]
+    assert np.all(fit["objective"][1:] == np.inf) and np.all(np.isnan(fit["foc_residual"][1:]))
+    np.testing.assert_array_equal(fit["minimizer"][1:], init[1:])
+    for name in alone:
+        assert fit[name][0] == alone[name][0]
+
+
 @pytest.mark.parametrize("p", (1.2, 1.5, 3.0))
 def test_power_law_fit_of_huge_samples_matches_the_unit_scale_fit(p):
     # Squared moduli overflow above about 1.3e154.  A power law is
