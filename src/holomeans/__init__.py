@@ -15,7 +15,8 @@ verdicts (``asymptotics`` and ``contact``) and the lattice solver
 (``dpp``), are imported on the first use of one of their names (PEP 562),
 so a DPP run never imports the verdict layer, nor a verdict run ``dpp``.
 A resolved name is then bound in the package like an eager one.
-``holomeans.cli`` imports every layer.
+``holomeans.cli`` imports no layer either: each command loads the layers
+it calls on its first run.
 """
 
 import importlib

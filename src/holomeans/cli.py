@@ -20,6 +20,19 @@ verdict APIs instead raise the first failing point's error.
 Exit codes: 0 when every verdict passes (or every solve converges), 1 when
 a verdict fails, is inconclusive, or an iteration diverges (rows mark
 which), 2 for configuration problems, reported with a line diagnostic.
+
+Importing this module imports no library layer.  :func:`main` loads the
+layers a command calls (``_HANDLER_LAYERS``) on its first run in the
+process: ``mean`` and ``validate-density`` load none, ``sweep`` and the
+``verify-*`` commands load ``asymptotics``, the ``contact`` command loads
+``asymptotics`` and ``contact``, and ``dpp`` loads only ``dpp``.  A loaded
+layer's public names are bound here, and reading one of them first loads
+its layer.  The ``dpp``
+command calls ``dpp_solve`` through this module's namespace at run time,
+and loading a layer never rebinds a name that is already bound, so a
+caller can swap ``holomeans.cli.dpp_solve`` for a wrapper around a run:
+the ``scenarios`` workload of ``perfbench/run.py`` does so to take a
+calibration sample per sweep.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ import argparse
 import cmath
 import dataclasses
 import functools
+import importlib
 import io
 import math
 import pathlib
@@ -35,24 +49,8 @@ import sys
 
 import numpy as np
 
-from .asymptotics import (
-    SWEEP_KINDS,
-    SweepConfig,
-    _amvp_rows,
-    _holomorphy_rows,
-    _system_rows,
-    extrapolate,
-    sweep,
-)
-from .contact import contact_solution_verdict, unit_directions
+from . import _LAZY, _LAZY_MODULES
 from .density import power_density, validate_density
-from .dpp import (
-    DppConfig,
-    dpp_solve,
-    grid_from_function,
-    with_interior,
-    write_checkpoint,
-)
 from .errors import ConfigError, DivergenceError, HolomeansError, _raise_first
 from .fields import make_field, parse_complex
 from .geometry import DEFAULT_CIRCLE_NODES, circle_rule
@@ -317,8 +315,8 @@ def _cmd_mean(sc, seed, out):
 
 def _cmd_sweep(sc, seed, out):
     kind = sc.take("sweep.kind", default="variational")
-    if kind not in SWEEP_KINDS:
-        raise ConfigError(f"sweep.kind must be one of {SWEEP_KINDS}, got {kind!r}")
+    if kind not in asymptotics.SWEEP_KINDS:
+        raise ConfigError(f"sweep.kind must be one of {asymptotics.SWEEP_KINDS}, got {kind!r}")
     field = sc.take("field.spec", cast=make_field, required=True)
     z = sc.take("sweep.point", cast=_point, required=True)
     cfg = _sweep_config(sc, seed)
@@ -360,20 +358,20 @@ def _cmd_sweep(sc, seed, out):
     return 0 if not result.failures else 1
 
 
-# verify command -> (verdict row function, status attribute, passing status,
-#                    extra (column, getter) pairs between fit_residual and
-#                    consistent)
+# verify command -> (name of the ``asymptotics`` verdict row function,
+#                    status attribute, passing status, extra (column, getter)
+#                    pairs between fit_residual and consistent)
 _VERIFY = {
-    "verify-holo": (_holomorphy_rows, "verdict", "holomorphic", (
+    "verify-holo": ("_holomorphy_rows", "verdict", "holomorphic", (
         ("predicted_re", lambda v: v.predicted_limit.real),
         ("predicted_im", lambda v: v.predicted_limit.imag),
         ("prediction_gap", lambda v: v.prediction_gap),
     )),
-    "verify-system": (_system_rows, "status", "satisfied", (
+    "verify-system": ("_system_rows", "status", "satisfied", (
         ("residual_re", lambda v: v.analytic_residual.real),
         ("residual_im", lambda v: v.analytic_residual.imag),
     )),
-    "verify-amvp": (_amvp_rows, "status", "holds", (
+    "verify-amvp": ("_amvp_rows", "status", "holds", (
         ("bracket_re", lambda v: v.bracket.real),
         ("bracket_im", lambda v: v.bracket.imag),
         ("bracket_gap", lambda v: v.bracket_gap),
@@ -383,7 +381,7 @@ _VERIFY = {
 
 def _cmd_verify(command, sc, seed, out):
     """One row per point from one verdict call; a failing point is an error row."""
-    rows_fn, status_attr, passing, extras = _VERIFY[command]
+    rows_name, status_attr, passing, extras = _VERIFY[command]
     field = sc.take("field.spec", cast=make_field, required=True)
     density = sc.take("density.spec", cast=parse_density_spec, required=True)
     points = _take_points(sc)
@@ -392,7 +390,7 @@ def _cmd_verify(command, sc, seed, out):
     sc.finish()
 
     try:
-        verdicts = rows_fn(field, points, density, cfg)
+        verdicts = getattr(asymptotics, rows_name)(field, points, density, cfg)
     except HolomeansError as exc:
         verdicts = (exc,) * len(points)
     columns = ("x", "y", "verdict", "limit_re", "limit_im", "fit_residual")
@@ -532,6 +530,34 @@ _HANDLERS = {
     "dpp": _cmd_dpp,
     "validate-density": _cmd_validate_density,
 }
+# command -> the library layers its handler calls, loaded by main before dispatch
+_HANDLER_LAYERS = {
+    "sweep": ("asymptotics",),
+    **{command: ("asymptotics",) for command in _VERIFY},
+    "contact": ("asymptotics", "contact"),
+    "dpp": ("dpp",),
+}
+
+
+def _load_layer(layer):
+    """Import ``layer`` and bind it and its public names here.
+
+    A name already bound is kept: a caller may have replaced it.
+    """
+    module = importlib.import_module(f"{__package__}.{layer}")
+    scope = globals()
+    scope.setdefault(layer, module)
+    for name in _LAZY_MODULES[layer]:
+        scope.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    """A layer or one of its public names, read before a command loaded it."""
+    layer = name if name in _LAZY_MODULES else _LAZY.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_layer(layer)
+    return globals()[name]
 
 
 @functools.cache
@@ -556,6 +582,8 @@ def main(argv=None):
         seed = sc.take("sweep.seed", cast=int, default=0)
         if args.seed is not None:
             seed = args.seed
+        for layer in _HANDLER_LAYERS.get(args.command, ()):
+            _load_layer(layer)
         return _HANDLERS[args.command](sc, seed, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

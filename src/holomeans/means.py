@@ -500,10 +500,11 @@ def fit_model_coefficient(d, samples, model, init):
         b_coef = cb * _row_mean(np.multiply(wb, um, out=um))
         # The line search makes the next terms; drop these first.
         del u, s2, k, um, wa, wb, s2_h, k_h
-        denom = a_coef**2 - np.abs(b_coef) ** 2
-        good = np.isfinite(denom) & (denom > 0.0)
         g_conj = np.conj(g)
-        with np.errstate(over="ignore", invalid="ignore"):  # a row whose step overflows takes none
+        # A row whose Hessian or step overflows takes none.
+        with np.errstate(over="ignore", invalid="ignore"):
+            denom = a_coef**2 - np.abs(b_coef) ** 2
+            good = np.isfinite(denom) & (denom > 0.0)
             step = -a_coef * g + b_coef * g_conj
             if _all(good):
                 delta = step / denom
